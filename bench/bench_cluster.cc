@@ -4,21 +4,15 @@
  * rack-correlated cut storms (the paper's full system persistence
  * argument, compounded across machines).
  *
- * runClusterCampaign() sweeps replica count x storm intensity x all
- * five persistence modes, seedsPerCell seeded trials per cell — each
- * trial a full cluster of LightPC machines behind a load balancer,
- * with primary/backup replication, epoch-numbered elections, and a
- * client fleet measuring availability from the outside. Every cell
- * column (same replicas, intensity, seed index) replays the same
- * storm schedule against each mode, so the comparison is paired.
- *
- *   bench_cluster [--seeds N] [--seed S] [--out FILE]
- *       [--runfor-ms MS] [--arrivals PER_SEC] [--clients N]
- *       [--aging SPREAD] [--threads N|-j N]
- *
- * --aging derates each replica's hold-up by a seeded per-machine
- * storage-cell wear draw in [0, SPREAD] of rated cycle life (0 =
- * the legacy uniform fleet, digest-identical to older builds).
+ * runClusterCampaign() on the storm ladder sweeps replica count x
+ * storm intensity x all five persistence modes, seedsPerCell seeded
+ * trials per cell — each trial a full cluster of LightPC machines
+ * behind a load balancer, with primary/backup replication,
+ * epoch-numbered elections, and a client fleet measuring availability
+ * from the outside. Every cell column (same replicas, intensity, seed
+ * index) replays the same storm schedule against each mode, so the
+ * comparison is paired. Flags: see kv_campaign.hh (default 10 seeds
+ * per cell, BENCH_cluster.json).
  *
  * Anchors (exit nonzero on failure):
  *  - >= 30 cells x seedsPerCell trials actually ran;
@@ -33,94 +27,16 @@
  *    sweep runs twice and the digests must match).
  */
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
-#include <string>
-#include <vector>
-
-#include "bench_common.hh"
-#include "fault/cluster_campaign.hh"
-#include "sim/parallel.hh"
-#include "stats/table.hh"
+#include "kv_campaign.hh"
 
 using namespace lightpc;
-
-namespace
-{
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--seeds N] [--seed S] [--out FILE]"
-                 " [--runfor-ms MS] [--arrivals PER_SEC]"
-                 " [--clients N] [--aging SPREAD] [--threads N|-j N]\n",
-                 argv0);
-    return 2;
-}
-
-double
-msOf(Tick t)
-{
-    return static_cast<double>(t) / static_cast<double>(tickMs);
-}
-
-bool
-isBaseline(net::PersistMode mode)
-{
-    return mode == net::PersistMode::SysPc
-           || mode == net::PersistMode::SCheckPc
-           || mode == net::PersistMode::ACheckPc;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::size_t seeds = 10;
-    std::uint64_t seed = 42;
-    std::uint64_t runforMs = 2000;
-    double arrivals = 1500.0;
-    std::uint32_t clients = 120;
-    unsigned threads = 0;
-    double aging = 0.0;
+    fault::ClusterCampaignConfig cfg;
     std::string out = "BENCH_cluster.json";
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--seeds")
-            seeds = std::strtoull(value(), nullptr, 10);
-        else if (arg == "--seed")
-            seed = std::strtoull(value(), nullptr, 10);
-        else if (arg == "--out")
-            out = value();
-        else if (arg == "--runfor-ms")
-            runforMs = std::strtoull(value(), nullptr, 10);
-        else if (arg == "--arrivals")
-            arrivals = std::strtod(value(), nullptr);
-        else if (arg == "--clients")
-            clients = std::strtoul(value(), nullptr, 10);
-        else if (arg == "--threads" || arg == "-j")
-            threads = sim::parseThreadsArg(value());
-        else if (arg == "--aging")
-            aging = std::strtod(value(), nullptr);
-        else
-            return usage(argv[0]);
-    }
-    if (seeds == 0 || runforMs == 0 || arrivals <= 0.0 || clients == 0
-        || aging < 0.0 || aging > 1.0)
-        return usage(argv[0]);
-    threads = sim::resolveThreads(threads);
+    bench::parseKvCampaignArgs(argc, argv, cfg, out);
 
     bench::banner("Cluster availability",
                   "replicated KV fleet under rack-correlated cut"
@@ -132,22 +48,12 @@ main(int argc, char **argv)
                     " cold-boot and pay a full state resync"
                     " (Sections V-VI)");
 
-    fault::ClusterCampaignConfig cfg;
-    cfg.seed = seed;
-    cfg.seedsPerCell = seeds;
-    cfg.runFor = runforMs * tickMs;
-    cfg.drainGrace = 2 * tickSec;
-    cfg.clients = clients;
-    cfg.arrivalsPerSec = arrivals;
-    cfg.agingSpread = aging;
-    cfg.threads = threads;
-
     const std::uint64_t trials = fault::clusterCampaignTrials(cfg);
     std::cout << "sweeping " << cfg.replicaCounts.size()
               << " replica counts x " << cfg.intensities.size()
               << " storm intensities x " << cfg.modes.size()
-              << " modes x " << seeds << " seeds = " << trials
-              << " trials on " << threads << " thread(s)...\n";
+              << " modes x " << cfg.seedsPerCell << " seeds = " << trials
+              << " trials on " << cfg.threads << " thread(s)...\n";
 
     const fault::ClusterCampaignResult res =
         fault::runClusterCampaign(cfg);
@@ -155,87 +61,59 @@ main(int argc, char **argv)
     const fault::ClusterCampaignResult repeat =
         fault::runClusterCampaign(cfg);
 
-    stats::Table table({"replicas", "storm", "mode", "wAvail mean",
-                        "wAvail min", "rAvail mean", "worst gap ms",
-                        "deltas", "fulls", "cold", "lost", "split"});
-    for (const fault::ClusterCellStats &c : res.cells) {
-        char wm[32], wn[32], rm[32], gap[32];
-        std::snprintf(wm, sizeof(wm), "%.4f", c.writeAvailMean);
-        std::snprintf(wn, sizeof(wn), "%.4f", c.writeAvailMin);
-        std::snprintf(rm, sizeof(rm), "%.4f", c.readAvailMean);
-        std::snprintf(gap, sizeof(gap), "%.1f",
-                      msOf(c.worstWriteGap));
-        table.addRow({std::to_string(c.replicas),
-                      std::to_string(c.intensity), c.modeName, wm, wn,
-                      rm, gap, std::to_string(c.syncDeltas),
-                      std::to_string(c.syncFulls),
-                      std::to_string(c.coldBoots),
-                      std::to_string(c.lostAckedPuts),
-                      std::to_string(c.splitBrainEpochs)});
-    }
-    table.print(std::cout);
-
-    for (const std::string &note : res.violationNotes)
-        std::cout << "  VIOLATION " << note << "\n";
+    bench::printKvCells(res, "storm",
+                        {"write_avail_mean", "write_avail_min",
+                         "read_avail_mean", "worst_write_gap_ms",
+                         "sync_deltas", "sync_fulls", "cold_boots",
+                         "lost_acked_puts", "split_brain_epochs"});
 
     // --- anchors --------------------------------------------------
 
-    bench::check(res.trials == trials && res.trials >= 30 * seeds,
-                 "every grid trial ran ("
-                     + std::to_string(res.trials) + ")");
-    bench::check(res.lostAckedPuts == 0,
+    const fault::ClusterCell &total = res.total;
+    bench::check(total.trials == trials
+                     && total.trials >= 30 * cfg.seedsPerCell,
+                 "every grid trial ran (" + std::to_string(total.trials)
+                     + ")");
+    bench::check(total["lost_acked_puts"] == 0,
                  "zero acked-then-lost PUTs fleet-wide");
-    bench::check(res.splitBrainEpochs == 0,
+    bench::check(total["split_brain_epochs"] == 0,
                  "zero split-brain epochs (no two leaders acked one"
                  " epoch)");
-    bench::check(res.divergentCommits == 0,
+    bench::check(total["divergent_commits"] == 0,
                  "zero divergent commits (one seq, one content)");
-    bench::check(res.violations == 0,
+    bench::check(total["violations"] == 0,
                  "zero invariant violations across the campaign");
 
-    // Per-cell strict separation: SnG and SnG-OpLog above every
-    // checkpointing baseline under the same replicas/intensity/seeds.
-    std::map<std::pair<std::uint32_t, std::uint32_t>,
-             std::vector<const fault::ClusterCellStats *>>
-        columns;
-    for (const fault::ClusterCellStats &c : res.cells)
-        columns[{c.replicas, c.intensity}].push_back(&c);
-    std::uint64_t sngDeltas = 0, baseFulls = 0, baseCold = 0;
-    for (const auto &[key, cells] : columns) {
-        const fault::ClusterCellStats *sng = nullptr, *oplog = nullptr;
-        for (const fault::ClusterCellStats *c : cells) {
-            if (c->mode == net::PersistMode::SnG)
-                sng = c;
-            if (c->mode == net::PersistMode::OpLog)
-                oplog = c;
-        }
-        const std::string where = "replicas=" + std::to_string(key.first)
-                                  + " storm=" + std::to_string(key.second);
-        bench::check(sng && oplog, where + ": SnG and OpLog cells ran");
-        if (!sng || !oplog)
-            continue;
-        sngDeltas += sng->syncDeltas + oplog->syncDeltas;
-        for (const fault::ClusterCellStats *c : cells) {
-            if (!isBaseline(c->mode))
-                continue;
-            baseFulls += c->syncFulls;
-            baseCold += c->coldBoots;
-            bench::check(sng->writeAvailMean > c->writeAvailMean,
-                         where + ": SnG write availability above "
-                             + c->modeName + "'s");
-            bench::check(oplog->writeAvailMean > c->writeAvailMean,
-                         where + ": SnG-OpLog write availability"
-                                 " above " + c->modeName + "'s");
-            bench::check(sng->worstWriteGap < c->worstWriteGap,
+    // Per-column strict separation, plus SnG's worst write gap below
+    // every baseline's under the same replicas/intensity/seeds.
+    bench::checkPersistentAboveBaselines(
+        res, "storm",
+        [](const std::string &where, const fault::ClusterCell &sng,
+           const fault::ClusterCell &base) {
+            bench::check(sng["worst_write_gap_ms"]
+                             < base["worst_write_gap_ms"],
                          where + ": SnG worst write gap below "
-                             + c->modeName + "'s");
+                             + base.modeName + "'s");
+        });
+
+    double sngDeltas = 0, baseFulls = 0, baseCold = 0;
+    for (const fault::ClusterCell &c : res.cells) {
+        if (bench::isBaseline(c.mode)) {
+            baseFulls += c["sync_fulls"];
+            baseCold += c["cold_boots"];
+            continue;
         }
-        bench::check(sng->coldBoots == 0 && oplog->coldBoots == 0,
-                     where + ": SnG/OpLog rode every storm on"
-                             " hold-up (no cold boots)");
-        bench::check(sng->readAvailMean >= sng->writeAvailMean,
-                     where + ": reads no less available than writes"
-                             " (read-only degradation)");
+        const std::string where = c.modeName + " replicas="
+                                  + std::to_string(c.replicas) + " storm="
+                                  + std::to_string(c.intensity);
+        sngDeltas += c["sync_deltas"];
+        bench::check(c["cold_boots"] == 0,
+                     where + ": rode every storm on hold-up (no cold"
+                             " boots)");
+        if (c.mode == net::PersistMode::SnG)
+            bench::check(c["read_avail_mean"] >= c["write_avail_mean"],
+                         where + ": reads no less available than"
+                                 " writes (read-only degradation)");
     }
     bench::check(sngDeltas > 0,
                  "Stop-and-Go rejoiners caught up by delta sync");
@@ -246,104 +124,10 @@ main(int argc, char **argv)
     bench::check(res.digest == repeat.digest,
                  "deterministic under fixed seed (digest match)");
 
-    // --- JSON -----------------------------------------------------
-
-    std::FILE *f = std::fopen(out.c_str(), "w");
-    if (!f) {
-        std::perror(out.c_str());
+    if (!bench::writeKvCampaignJson(out, "cluster_availability", cfg,
+                                    res,
+                                    {"deterministic",
+                                     res.digest == repeat.digest}))
         return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"cluster_availability\",\n");
-    std::fprintf(f, "  \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(seed));
-    std::fprintf(f, "  \"seeds_per_cell\": %llu,\n",
-                 static_cast<unsigned long long>(seeds));
-    std::fprintf(f, "  \"trials\": %llu,\n",
-                 static_cast<unsigned long long>(res.trials));
-    std::fprintf(f, "  \"runfor_ms\": %llu,\n",
-                 static_cast<unsigned long long>(runforMs));
-    std::fprintf(f, "  \"arrivals_per_sec\": %.1f,\n", arrivals);
-    std::fprintf(f, "  \"clients\": %u,\n", clients);
-    std::fprintf(f, "  \"aging_spread\": %.3f,\n", aging);
-    std::fprintf(f, "  \"threads\": %u,\n", threads);
-    std::fprintf(f, "  \"deterministic\": %s,\n",
-                 res.digest == repeat.digest ? "true" : "false");
-    std::fprintf(f,
-                 "  \"lost_acked_puts\": %llu,"
-                 " \"split_brain_epochs\": %llu,"
-                 " \"divergent_commits\": %llu,"
-                 " \"violations\": %llu,\n",
-                 static_cast<unsigned long long>(res.lostAckedPuts),
-                 static_cast<unsigned long long>(res.splitBrainEpochs),
-                 static_cast<unsigned long long>(res.divergentCommits),
-                 static_cast<unsigned long long>(res.violations));
-    std::fprintf(f, "  \"cells\": [\n");
-    for (std::size_t i = 0; i < res.cells.size(); ++i) {
-        const fault::ClusterCellStats &c = res.cells[i];
-        std::fprintf(f,
-                     "    {\"replicas\": %u, \"intensity\": %u,"
-                     " \"mode\": \"%s\", \"trials\": %llu,\n",
-                     c.replicas, c.intensity, c.modeName.c_str(),
-                     static_cast<unsigned long long>(c.trials));
-        std::fprintf(f,
-                     "     \"write_avail_mean\": %.6f,"
-                     " \"write_avail_min\": %.6f,"
-                     " \"read_avail_mean\": %.6f,"
-                     " \"read_avail_min\": %.6f,\n",
-                     c.writeAvailMean, c.writeAvailMin,
-                     c.readAvailMean, c.readAvailMin);
-        std::fprintf(f,
-                     "     \"worst_write_gap_ms\": %.3f,"
-                     " \"read_only_spans\": %llu,"
-                     " \"cuts\": %llu,\n",
-                     msOf(c.worstWriteGap),
-                     static_cast<unsigned long long>(c.readOnlySpans),
-                     static_cast<unsigned long long>(c.cutsInjected));
-        std::fprintf(f,
-                     "     \"completed\": %llu, \"failed\": %llu,"
-                     " \"acked_puts\": %llu, \"redirects\": %llu,\n",
-                     static_cast<unsigned long long>(c.completed),
-                     static_cast<unsigned long long>(c.failed),
-                     static_cast<unsigned long long>(c.ackedPuts),
-                     static_cast<unsigned long long>(c.redirects));
-        std::fprintf(f,
-                     "     \"elections\": %llu,"
-                     " \"leader_changes\": %llu,"
-                     " \"step_downs\": %llu,\n",
-                     static_cast<unsigned long long>(c.elections),
-                     static_cast<unsigned long long>(c.leaderChanges),
-                     static_cast<unsigned long long>(c.stepDowns));
-        std::fprintf(f,
-                     "     \"sync_deltas\": %llu,"
-                     " \"sync_fulls\": %llu, \"sync_bytes\": %llu,\n",
-                     static_cast<unsigned long long>(c.syncDeltas),
-                     static_cast<unsigned long long>(c.syncFulls),
-                     static_cast<unsigned long long>(c.syncBytes));
-        std::fprintf(f,
-                     "     \"resumes\": %llu, \"cold_boots\": %llu,"
-                     " \"degraded_cold_boots\": %llu,\n",
-                     static_cast<unsigned long long>(c.resumes),
-                     static_cast<unsigned long long>(c.coldBoots),
-                     static_cast<unsigned long long>(
-                         c.degradedColdBoots));
-        std::fprintf(f,
-                     "     \"lost_acked_puts\": %llu,"
-                     " \"split_brain_epochs\": %llu,"
-                     " \"divergent_commits\": %llu,"
-                     " \"violations\": %llu}%s\n",
-                     static_cast<unsigned long long>(c.lostAckedPuts),
-                     static_cast<unsigned long long>(
-                         c.splitBrainEpochs),
-                     static_cast<unsigned long long>(
-                         c.divergentCommits),
-                     static_cast<unsigned long long>(c.violations),
-                     i + 1 < res.cells.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"digest\": \"%016llx\"\n}\n",
-                 static_cast<unsigned long long>(res.digest));
-    std::fclose(f);
-    std::cout << "\nwrote " << out << "\n";
-
     return bench::result();
 }

@@ -63,9 +63,17 @@ sampleExec(System &system, Tick until, Timeline &tl,
 
     while (system.eventQueue().now() < until
            && !system.eventQueue().empty()) {
-        const Tick slice_end =
-            std::min(until, system.eventQueue().now() + sliceTicks);
+        const Tick slice_start = system.eventQueue().now();
+        const Tick slice_end = std::min(until, slice_start + sliceTicks);
         system.eventQueue().run(slice_end);
+
+        // The queue stops at its last event, which may fall short of
+        // slice_end: sample at the tick it actually reached, so the
+        // next phase recorded from now() never goes back in time.
+        const Tick reached = system.eventQueue().now();
+        const Tick elapsed = reached - slice_start;
+        if (elapsed == 0)
+            break;
 
         std::uint64_t instr = 0;
         for (std::uint32_t c = 0; c < system.coreCount(); ++c)
@@ -75,14 +83,14 @@ sampleExec(System &system, Tick until, Timeline &tl,
         const std::uint64_t dram_now =
             system.dram() ? system.dram()->totalAccesses() : 0;
 
-        const double cycles = static_cast<double>(sliceTicks)
+        const double cycles = static_cast<double>(elapsed)
             / periodFromMhz(1600) * system.coreCount();
-        tl.ipc.record(slice_end,
+        tl.ipc.record(reached,
                       static_cast<double>(instr - prev_instr)
                           / cycles * system.coreCount());
 
         power::ActivitySample sample;
-        sample.duration = sliceTicks;
+        sample.duration = elapsed;
         sample.coresActive = active_cores;
         sample.coresIdle = system.coreCount() - active_cores;
         sample.coreUtilization = 0.9;
@@ -92,12 +100,12 @@ sampleExec(System &system, Tick until, Timeline &tl,
             sample.dramDimms = system.dram()->dimmCount();
             sample.dramAccesses = dram_now - prev_dram;
         }
-        tl.watts.record(slice_end, power.powerOf(sample));
+        tl.watts.record(reached, power.powerOf(sample));
 
         prev_instr = instr;
         prev_mem = mem_now;
         prev_dram = dram_now;
-        if (system.eventQueue().now() < slice_end)
+        if (reached < slice_end)
             break;  // cores ran out of work
     }
 }

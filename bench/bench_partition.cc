@@ -6,15 +6,12 @@
  * overlapped with power-cut storms — with a client-history
  * linearizability audit over every trial.
  *
- * runPartitionCampaign() sweeps nemesis intensity x all five
- * persistence modes, seedsPerCell seeded trials per cell. The stream
- * column excludes the mode, so every cell column replays the same
- * nemesis + storm schedule against each mode: the availability
- * comparison is paired.
- *
- *   bench_partition [--seeds N] [--seed S] [--out FILE]
- *       [--runfor-ms MS] [--arrivals PER_SEC] [--clients N]
- *       [--threads N|-j N]
+ * runClusterCampaign() on the nemesis ladder sweeps nemesis intensity
+ * x all five persistence modes at 3 replicas, seedsPerCell seeded
+ * trials per cell. The stream column excludes the mode, so every cell
+ * column replays the same nemesis + storm schedule against each mode:
+ * the availability comparison is paired. Flags: see kv_campaign.hh
+ * (default 20 seeds per cell, BENCH_partition.json).
  *
  * Anchors (exit nonzero on failure):
  *  - the full grid ran (intensities x modes x seeds trials);
@@ -31,90 +28,19 @@
  *    resolved thread count (thread-invariance).
  */
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
-#include <string>
-#include <vector>
-
-#include "bench_common.hh"
-#include "fault/partition_campaign.hh"
-#include "sim/parallel.hh"
-#include "stats/table.hh"
+#include "kv_campaign.hh"
 
 using namespace lightpc;
-
-namespace
-{
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--seeds N] [--seed S] [--out FILE]"
-                 " [--runfor-ms MS] [--arrivals PER_SEC]"
-                 " [--clients N] [--threads N|-j N]\n",
-                 argv0);
-    return 2;
-}
-
-double
-msOf(Tick t)
-{
-    return static_cast<double>(t) / static_cast<double>(tickMs);
-}
-
-bool
-isBaseline(net::PersistMode mode)
-{
-    return mode == net::PersistMode::SysPc
-           || mode == net::PersistMode::SCheckPc
-           || mode == net::PersistMode::ACheckPc;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::size_t seeds = 20;
-    std::uint64_t seed = 42;
-    std::uint64_t runforMs = 2000;
-    double arrivals = 1500.0;
-    std::uint32_t clients = 120;
-    unsigned threads = 0;
+    fault::ClusterCampaignConfig cfg;
+    cfg.ladder = fault::Ladder::Nemesis;
+    cfg.replicaCounts = {3};
+    cfg.seedsPerCell = 20;
     std::string out = "BENCH_partition.json";
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--seeds")
-            seeds = std::strtoull(value(), nullptr, 10);
-        else if (arg == "--seed")
-            seed = std::strtoull(value(), nullptr, 10);
-        else if (arg == "--out")
-            out = value();
-        else if (arg == "--runfor-ms")
-            runforMs = std::strtoull(value(), nullptr, 10);
-        else if (arg == "--arrivals")
-            arrivals = std::strtod(value(), nullptr);
-        else if (arg == "--clients")
-            clients = std::strtoul(value(), nullptr, 10);
-        else if (arg == "--threads" || arg == "-j")
-            threads = sim::parseThreadsArg(value());
-        else
-            return usage(argv[0]);
-    }
-    if (seeds == 0 || runforMs == 0 || arrivals <= 0.0 || clients == 0)
-        return usage(argv[0]);
-    threads = sim::resolveThreads(threads);
+    bench::parseKvCampaignArgs(argc, argv, cfg, out);
 
     bench::banner("Partition nemesis",
                   "replicated KV fleet under lossy links, reordering,"
@@ -125,327 +51,89 @@ main(int argc, char **argv)
                     " power-cycled rejoins without losing one acked"
                     " write (Sections V-VI, hardened protocol)");
 
-    fault::PartitionCampaignConfig cfg;
-    cfg.seed = seed;
-    cfg.seedsPerCell = seeds;
-    cfg.runFor = runforMs * tickMs;
-    cfg.drainGrace = 2 * tickSec;
-    cfg.clients = clients;
-    cfg.arrivalsPerSec = arrivals;
-    cfg.threads = threads;
-
-    const std::uint64_t trials = fault::partitionCampaignTrials(cfg);
+    const std::uint64_t trials = fault::clusterCampaignTrials(cfg);
     std::cout << "sweeping " << cfg.intensities.size()
               << " nemesis intensities x " << cfg.modes.size()
-              << " modes x " << seeds << " seeds = " << trials
-              << " trials on " << threads << " thread(s)...\n";
+              << " modes x " << cfg.seedsPerCell << " seeds = " << trials
+              << " trials on " << cfg.threads << " thread(s)...\n";
 
-    const fault::PartitionCampaignResult res =
-        fault::runPartitionCampaign(cfg);
+    const fault::ClusterCampaignResult res =
+        fault::runClusterCampaign(cfg);
     std::cout << "repeating at 1 thread (thread-invariance)...\n\n";
-    fault::PartitionCampaignConfig single = cfg;
+    fault::ClusterCampaignConfig single = cfg;
     single.threads = 1;
-    const fault::PartitionCampaignResult lone =
-        fault::runPartitionCampaign(single);
+    const fault::ClusterCampaignResult lone =
+        fault::runClusterCampaign(single);
 
-    stats::Table table({"nemesis", "mode", "wAvail mean", "wAvail min",
-                        "gap ms", "drop", "dup", "reord", "part",
-                        "flap", "rexmit", "stale", "viol"});
-    for (const fault::PartitionCellStats &c : res.cells) {
-        char wm[32], wn[32], gap[32];
-        std::snprintf(wm, sizeof(wm), "%.4f", c.writeAvailMean);
-        std::snprintf(wn, sizeof(wn), "%.4f", c.writeAvailMin);
-        std::snprintf(gap, sizeof(gap), "%.1f",
-                      msOf(c.worstWriteGap));
-        table.addRow({std::to_string(c.intensity), c.modeName, wm, wn,
-                      gap, std::to_string(c.msgsDropped),
-                      std::to_string(c.msgsDuplicated),
-                      std::to_string(c.msgsReordered),
-                      std::to_string(c.partitionCuts),
-                      std::to_string(c.flapCuts),
-                      std::to_string(c.retransmits),
-                      std::to_string(c.staleReads),
-                      std::to_string(c.violations)});
-    }
-    table.print(std::cout);
-
-    for (const std::string &note : res.violationNotes)
-        std::cout << "  VIOLATION " << note << "\n";
+    bench::printKvCells(res, "nemesis",
+                        {"write_avail_mean", "write_avail_min",
+                         "worst_write_gap_ms", "msgs_dropped",
+                         "msgs_duplicated", "msgs_reordered",
+                         "partition_cuts", "flap_cuts", "retransmits",
+                         "stale_reads", "violations"});
 
     // --- anchors --------------------------------------------------
 
-    bench::check(res.trials == trials
-                     && res.trials
-                            >= cfg.intensities.size()
-                                   * cfg.modes.size() * seeds,
-                 "every grid trial ran ("
-                     + std::to_string(res.trials) + ")");
-
-    std::uint64_t dropped = 0, duplicated = 0, reordered = 0;
-    std::uint64_t partCuts = 0, flapCuts = 0, retransmits = 0;
-    std::uint64_t preVotes = 0, suppressed = 0, syncRetries = 0;
-    std::uint64_t audWrites = 0, audReads = 0, staleReads = 0;
-    std::uint64_t fallbacks = 0, dupAudits = 0;
-    for (const fault::PartitionCellStats &c : res.cells) {
-        dropped += c.msgsDropped;
-        duplicated += c.msgsDuplicated;
-        reordered += c.msgsReordered;
-        partCuts += c.partitionCuts;
-        flapCuts += c.flapCuts;
-        retransmits += c.retransmits;
-        preVotes += c.preVoteRounds;
-        suppressed += c.electionsSuppressed;
-        syncRetries += c.syncRetries;
-        audWrites += c.auditedWrites;
-        audReads += c.auditedReads;
-        staleReads += c.staleReads;
-        fallbacks += c.redirectFallbacks;
-        dupAudits += c.duplicateAckAudits;
-    }
-    bench::check(dropped > 0 && duplicated > 0 && reordered > 0,
+    const fault::ClusterCell &total = res.total;
+    auto count = [&total](const char *name) {
+        return std::to_string(static_cast<std::uint64_t>(total[name]));
+    };
+    bench::check(total.trials == trials
+                     && total.trials >= cfg.intensities.size()
+                                            * cfg.modes.size()
+                                            * cfg.seedsPerCell,
+                 "every grid trial ran (" + std::to_string(total.trials)
+                     + ")");
+    bench::check(total["msgs_dropped"] > 0
+                     && total["msgs_duplicated"] > 0
+                     && total["msgs_reordered"] > 0,
                  "nemesis engaged: messages dropped ("
-                     + std::to_string(dropped) + "), duplicated ("
-                     + std::to_string(duplicated) + "), reordered ("
-                     + std::to_string(reordered) + ")");
-    bench::check(partCuts > 0 && flapCuts > 0,
-                 "partitions (" + std::to_string(partCuts)
-                     + " cuts) and flaps (" + std::to_string(flapCuts)
+                     + count("msgs_dropped") + "), duplicated ("
+                     + count("msgs_duplicated") + "), reordered ("
+                     + count("msgs_reordered") + ")");
+    bench::check(total["partition_cuts"] > 0 && total["flap_cuts"] > 0,
+                 "partitions (" + count("partition_cuts")
+                     + " cuts) and flaps (" + count("flap_cuts")
                      + " cuts) both fired");
-    bench::check(retransmits > 0,
-                 "retransmission path engaged ("
-                     + std::to_string(retransmits) + " re-sends)");
-    bench::check(preVotes > 0,
-                 "pre-vote probes ran (" + std::to_string(preVotes)
-                     + " rounds, " + std::to_string(suppressed)
+    bench::check(total["retransmits"] > 0,
+                 "retransmission path engaged (" + count("retransmits")
+                     + " re-sends)");
+    bench::check(total["pre_vote_rounds"] > 0,
+                 "pre-vote probes ran (" + count("pre_vote_rounds")
+                     + " rounds, " + count("elections_suppressed")
                      + " elections suppressed)");
-    bench::check(audWrites > 0 && audReads > 0,
+    bench::check(total["audited_writes"] > 0
+                     && total["audited_reads"] > 0,
                  "linearizability audit saw traffic ("
-                     + std::to_string(audWrites) + " writes, "
-                     + std::to_string(audReads) + " reads)");
+                     + count("audited_writes") + " writes, "
+                     + count("audited_reads") + " reads)");
 
-    bench::check(res.lostAckedPuts == 0,
+    bench::check(total["lost_acked_puts"] == 0,
                  "zero acked-then-lost PUTs fleet-wide");
-    bench::check(res.splitBrainEpochs == 0,
+    bench::check(total["split_brain_epochs"] == 0,
                  "zero split-brain epochs (duplicate-tolerant ack"
                  " ledger)");
-    bench::check(res.divergentCommits == 0,
+    bench::check(total["divergent_commits"] == 0,
                  "zero divergent commits (one seq, one content)");
-    bench::check(res.lostUpdates == 0 && res.orderInversions == 0
-                     && res.phantomReads == 0
-                     && res.valueDivergences == 0,
+    bench::check(total["lost_updates"] == 0
+                     && total["order_inversions"] == 0
+                     && total["phantom_reads"] == 0
+                     && total["value_divergences"] == 0,
                  "zero linearizability violations across every"
                  " audited history");
-    bench::check(res.violations == 0,
+    bench::check(total["violations"] == 0,
                  "zero invariant violations across the campaign");
 
-    // Per-intensity strict separation: SnG and SnG-OpLog above every
-    // checkpointing baseline under the same nemesis schedule.
-    std::map<std::uint32_t,
-             std::vector<const fault::PartitionCellStats *>>
-        columns;
-    for (const fault::PartitionCellStats &c : res.cells)
-        columns[c.intensity].push_back(&c);
-    for (const auto &[intensity, cells] : columns) {
-        const fault::PartitionCellStats *sng = nullptr;
-        const fault::PartitionCellStats *oplog = nullptr;
-        for (const fault::PartitionCellStats *c : cells) {
-            if (c->mode == net::PersistMode::SnG)
-                sng = c;
-            if (c->mode == net::PersistMode::OpLog)
-                oplog = c;
-        }
-        const std::string where =
-            "nemesis=" + std::to_string(intensity);
-        bench::check(sng && oplog, where + ": SnG and OpLog cells ran");
-        if (!sng || !oplog)
-            continue;
-        for (const fault::PartitionCellStats *c : cells) {
-            if (!isBaseline(c->mode))
-                continue;
-            bench::check(sng->writeAvailMean > c->writeAvailMean,
-                         where + ": SnG write availability above "
-                             + c->modeName + "'s");
-            bench::check(oplog->writeAvailMean > c->writeAvailMean,
-                         where + ": SnG-OpLog write availability"
-                                 " above " + c->modeName + "'s");
-        }
-    }
+    // Per-column strict separation under the same nemesis schedule.
+    bench::checkPersistentAboveBaselines(res, "nemesis");
 
     bench::check(res.digest == lone.digest,
                  "campaign digest bit-identical at 1 and "
-                     + std::to_string(threads) + " thread(s)");
+                     + std::to_string(cfg.threads) + " thread(s)");
 
-    // --- JSON -----------------------------------------------------
-
-    std::FILE *f = std::fopen(out.c_str(), "w");
-    if (!f) {
-        std::perror(out.c_str());
+    if (!bench::writeKvCampaignJson(out, "partition_nemesis", cfg, res,
+                                    {"thread_invariant",
+                                     res.digest == lone.digest}))
         return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"partition_nemesis\",\n");
-    std::fprintf(f, "  \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(seed));
-    std::fprintf(f, "  \"seeds_per_cell\": %llu,\n",
-                 static_cast<unsigned long long>(seeds));
-    std::fprintf(f, "  \"trials\": %llu,\n",
-                 static_cast<unsigned long long>(res.trials));
-    std::fprintf(f, "  \"runfor_ms\": %llu,\n",
-                 static_cast<unsigned long long>(runforMs));
-    std::fprintf(f, "  \"arrivals_per_sec\": %.1f,\n", arrivals);
-    std::fprintf(f, "  \"clients\": %u,\n", clients);
-    std::fprintf(f, "  \"threads\": %u,\n", threads);
-    std::fprintf(f, "  \"thread_invariant\": %s,\n",
-                 res.digest == lone.digest ? "true" : "false");
-    std::fprintf(f,
-                 "  \"msgs_dropped\": %llu, \"msgs_duplicated\": %llu,"
-                 " \"msgs_reordered\": %llu,\n",
-                 static_cast<unsigned long long>(dropped),
-                 static_cast<unsigned long long>(duplicated),
-                 static_cast<unsigned long long>(reordered));
-    std::fprintf(f,
-                 "  \"partition_cuts\": %llu, \"flap_cuts\": %llu,"
-                 " \"retransmits\": %llu, \"sync_retries\": %llu,\n",
-                 static_cast<unsigned long long>(partCuts),
-                 static_cast<unsigned long long>(flapCuts),
-                 static_cast<unsigned long long>(retransmits),
-                 static_cast<unsigned long long>(syncRetries));
-    std::fprintf(f,
-                 "  \"pre_vote_rounds\": %llu,"
-                 " \"elections_suppressed\": %llu,"
-                 " \"redirect_fallbacks\": %llu,"
-                 " \"duplicate_ack_audits\": %llu,\n",
-                 static_cast<unsigned long long>(preVotes),
-                 static_cast<unsigned long long>(suppressed),
-                 static_cast<unsigned long long>(fallbacks),
-                 static_cast<unsigned long long>(dupAudits));
-    std::fprintf(f,
-                 "  \"audited_writes\": %llu, \"audited_reads\": %llu,"
-                 " \"stale_reads\": %llu,\n",
-                 static_cast<unsigned long long>(audWrites),
-                 static_cast<unsigned long long>(audReads),
-                 static_cast<unsigned long long>(staleReads));
-    std::fprintf(f,
-                 "  \"lost_acked_puts\": %llu,"
-                 " \"split_brain_epochs\": %llu,"
-                 " \"divergent_commits\": %llu,\n",
-                 static_cast<unsigned long long>(res.lostAckedPuts),
-                 static_cast<unsigned long long>(res.splitBrainEpochs),
-                 static_cast<unsigned long long>(
-                     res.divergentCommits));
-    std::fprintf(f,
-                 "  \"lost_updates\": %llu,"
-                 " \"order_inversions\": %llu,"
-                 " \"phantom_reads\": %llu,"
-                 " \"value_divergences\": %llu,"
-                 " \"violations\": %llu,\n",
-                 static_cast<unsigned long long>(res.lostUpdates),
-                 static_cast<unsigned long long>(res.orderInversions),
-                 static_cast<unsigned long long>(res.phantomReads),
-                 static_cast<unsigned long long>(
-                     res.valueDivergences),
-                 static_cast<unsigned long long>(res.violations));
-    std::fprintf(f, "  \"cells\": [\n");
-    for (std::size_t i = 0; i < res.cells.size(); ++i) {
-        const fault::PartitionCellStats &c = res.cells[i];
-        std::fprintf(f,
-                     "    {\"intensity\": %u, \"mode\": \"%s\","
-                     " \"trials\": %llu, \"cuts\": %llu,\n",
-                     c.intensity, c.modeName.c_str(),
-                     static_cast<unsigned long long>(c.trials),
-                     static_cast<unsigned long long>(c.cutsInjected));
-        std::fprintf(f,
-                     "     \"write_avail_mean\": %.6f,"
-                     " \"write_avail_min\": %.6f,"
-                     " \"read_avail_mean\": %.6f,"
-                     " \"read_avail_min\": %.6f,"
-                     " \"worst_write_gap_ms\": %.3f,\n",
-                     c.writeAvailMean, c.writeAvailMin,
-                     c.readAvailMean, c.readAvailMin,
-                     msOf(c.worstWriteGap));
-        std::fprintf(f,
-                     "     \"completed\": %llu, \"failed\": %llu,"
-                     " \"acked_puts\": %llu, \"redirects\": %llu,"
-                     " \"fast_redirects\": %llu,"
-                     " \"redirect_fallbacks\": %llu,\n",
-                     static_cast<unsigned long long>(c.completed),
-                     static_cast<unsigned long long>(c.failed),
-                     static_cast<unsigned long long>(c.ackedPuts),
-                     static_cast<unsigned long long>(c.redirects),
-                     static_cast<unsigned long long>(c.fastRedirects),
-                     static_cast<unsigned long long>(
-                         c.redirectFallbacks));
-        std::fprintf(f,
-                     "     \"msgs_dropped\": %llu,"
-                     " \"msgs_duplicated\": %llu,"
-                     " \"msgs_reordered\": %llu,"
-                     " \"partition_cuts\": %llu,"
-                     " \"flap_cuts\": %llu,\n",
-                     static_cast<unsigned long long>(c.msgsDropped),
-                     static_cast<unsigned long long>(
-                         c.msgsDuplicated),
-                     static_cast<unsigned long long>(c.msgsReordered),
-                     static_cast<unsigned long long>(c.partitionCuts),
-                     static_cast<unsigned long long>(c.flapCuts));
-        std::fprintf(f,
-                     "     \"elections\": %llu,"
-                     " \"leader_changes\": %llu,"
-                     " \"pre_vote_rounds\": %llu,"
-                     " \"elections_suppressed\": %llu,"
-                     " \"retransmits\": %llu,"
-                     " \"sync_retries\": %llu,"
-                     " \"duplicate_ack_audits\": %llu,\n",
-                     static_cast<unsigned long long>(c.elections),
-                     static_cast<unsigned long long>(c.leaderChanges),
-                     static_cast<unsigned long long>(c.preVoteRounds),
-                     static_cast<unsigned long long>(
-                         c.electionsSuppressed),
-                     static_cast<unsigned long long>(c.retransmits),
-                     static_cast<unsigned long long>(c.syncRetries),
-                     static_cast<unsigned long long>(
-                         c.duplicateAckAudits));
-        std::fprintf(f,
-                     "     \"sync_deltas\": %llu,"
-                     " \"sync_fulls\": %llu,\n",
-                     static_cast<unsigned long long>(c.syncDeltas),
-                     static_cast<unsigned long long>(c.syncFulls));
-        std::fprintf(f,
-                     "     \"audited_writes\": %llu,"
-                     " \"audited_reads\": %llu,"
-                     " \"stale_reads\": %llu,"
-                     " \"not_found_reads\": %llu,\n",
-                     static_cast<unsigned long long>(c.auditedWrites),
-                     static_cast<unsigned long long>(c.auditedReads),
-                     static_cast<unsigned long long>(c.staleReads),
-                     static_cast<unsigned long long>(
-                         c.notFoundReads));
-        std::fprintf(f,
-                     "     \"lost_acked_puts\": %llu,"
-                     " \"split_brain_epochs\": %llu,"
-                     " \"divergent_commits\": %llu,"
-                     " \"lost_updates\": %llu,"
-                     " \"order_inversions\": %llu,"
-                     " \"phantom_reads\": %llu,"
-                     " \"value_divergences\": %llu,"
-                     " \"violations\": %llu}%s\n",
-                     static_cast<unsigned long long>(c.lostAckedPuts),
-                     static_cast<unsigned long long>(
-                         c.splitBrainEpochs),
-                     static_cast<unsigned long long>(
-                         c.divergentCommits),
-                     static_cast<unsigned long long>(c.lostUpdates),
-                     static_cast<unsigned long long>(
-                         c.orderInversions),
-                     static_cast<unsigned long long>(c.phantomReads),
-                     static_cast<unsigned long long>(
-                         c.valueDivergences),
-                     static_cast<unsigned long long>(c.violations),
-                     i + 1 < res.cells.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"digest\": \"%016llx\"\n}\n",
-                 static_cast<unsigned long long>(res.digest));
-    std::fclose(f);
-    std::cout << "\nwrote " << out << "\n";
-
     return bench::result();
 }

@@ -15,6 +15,7 @@
 #include "net/availability.hh"
 #include "persist/checkpoint.hh"
 #include "platform/system.hh"
+#include "sim/digest.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 
@@ -23,21 +24,6 @@ namespace lightpc::cluster
 
 namespace
 {
-
-/** FNV-1a over 64-bit words. */
-struct Digest
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-
-    void
-    mix(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 0x100000001b3ULL;
-        }
-    }
-};
 
 constexpr std::uint32_t invalidReplica = ~std::uint32_t(0);
 
@@ -2363,7 +2349,7 @@ struct Plane
         for (const std::string &v : audit.violations)
             violation(v);
 
-        Digest d;
+        sim::Fnv64 d;
         d.mix(res.arrivals);
         d.mix(res.attempts);
         d.mix(res.completed);

@@ -1,35 +1,53 @@
 /**
  * @file
- * Seeded cluster campaign: replicated-KV fleets under rack-correlated
- * cut storms, swept across replica count x storm intensity x all five
- * persistence modes.
+ * Seeded replicated-KV campaign: fleets of LightPC machines swept
+ * across replica count x intensity x all five persistence modes, on
+ * one of two intensity ladders.
  *
  * Each trial is one full cluster::runCluster() — N LightPC machines,
- * a client fleet, a correlated storm schedule — and is a pure
- * function of (campaign seed, trial index): the grid position picks
- * the cell (replicas, intensity, mode) and the per-cell seed index
- * picks the storm/arrival streams via Rng::streamSeed. Trials fan
- * across sim::ParallelExecutor and fold in canonical index order, so
- * the campaign digest is bit-identical at any thread count.
+ * a client fleet, a correlated storm schedule, optionally a network
+ * nemesis — and is a pure function of (campaign seed, trial index):
+ * the grid position picks the cell (replicas, intensity, mode) and
+ * the per-cell seed index picks the storm / arrival / nemesis streams
+ * via Rng::streamSeed. The stream column packs (replicas, intensity,
+ * seed index) but NOT the mode, so the same seed index replays
+ * identical schedules against every mode: the availability comparison
+ * is paired. Trials fan across sim::ParallelExecutor and fold in
+ * canonical index order, so the campaign digest is bit-identical at
+ * any thread count.
  *
- * Intensity is the storm ladder the acceptance gate sweeps:
+ * The storm ladder (rack-correlated cut storms):
  *
  *   1 — one storm, one rack struck (a minority loses power);
  *   2 — two storms, one rack each (repeated partial outages);
  *   3 — two storms, every rack struck (full-fleet blackouts: the
  *       whole cluster rides through on hold-up or cold-boots).
  *
- * Per cell the campaign reports mean/min write availability, read
- * availability, worst write gap, catch-up traffic (delta vs full
- * resyncs), and the invariant counters that must stay zero: lost
- * acked PUTs, split-brain epochs, divergent commits.
+ * The nemesis ladder (an adversarial network over one-rack storms):
+ *
+ *   1 — lossy links: 1% drop, 1% duplication, 30us reordering jitter
+ *       (FIFO off), one rack storm;
+ *   2 — single partition: the same loss floor plus one scheduled
+ *       rack partition (mode cycling Symmetric / Asymmetric / Partial
+ *       by seed index) and one link flap, one rack storm;
+ *   3 — compound: 5% drop, 3% duplication, 100us jitter, two
+ *       partitions scheduled to overlap the two storm windows (the
+ *       struck rack is also severed — a deposed leader is partitioned
+ *       AND power-cycled), plus two link flaps.
+ *
+ * Every cell counter is declared once, in clusterCounters(): its JSON
+ * key, the ClusterResult member it reads, and how a cell folds it.
+ * The cell fold, the campaign digest and the benches' JSON are each a
+ * single loop over that table.
  */
 
 #ifndef LIGHTPC_FAULT_CLUSTER_CAMPAIGN_HH
 #define LIGHTPC_FAULT_CLUSTER_CAMPAIGN_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/cluster.hh"
@@ -37,6 +55,13 @@
 
 namespace lightpc::fault
 {
+
+/** Which intensity ladder a campaign climbs (see the file comment). */
+enum class Ladder : std::uint8_t
+{
+    Storm,    ///< rack-correlated cut storms
+    Nemesis,  ///< one-rack storms under an adversarial network
+};
 
 /** Campaign sweep shape. */
 struct ClusterCampaignConfig
@@ -54,6 +79,9 @@ struct ClusterCampaignConfig
         net::PersistMode::ACheckPc,
     };
 
+    /** The nemesis ladder needs >= 3 replicas in every count. */
+    Ladder ladder = Ladder::Storm;
+
     /**
      * Per-machine storage aging spread forwarded to every trial's
      * ClusterConfig (0 = the legacy uniform fleet; see
@@ -70,8 +98,41 @@ struct ClusterCampaignConfig
     unsigned threads = 1;
 };
 
-/** Aggregate over one (replicas, intensity, mode) cell. */
-struct ClusterCellStats
+/** How a cell folds one counter across its trials. */
+enum class Fold : std::uint8_t { Sum, Min, Max, Mean };
+
+/** How a counter is reported: a count, a tick span in ms, a ratio. */
+enum class Unit : std::uint8_t { Count, Ms, Ratio };
+
+/**
+ * One row of the counter table. A row reads one ClusterResult member:
+ * @c count for Count and Ms rows, @c ratio for Ratio rows. The row
+ * with neither counts the trial's violation notes.
+ */
+struct ClusterCounter
+{
+    const char *name;  ///< JSON key
+    Fold fold;
+    Unit unit;
+    std::uint64_t cluster::ClusterResult::*count = nullptr;
+    double cluster::ClusterResult::*ratio = nullptr;
+
+    /** This counter's value in one trial, in its reported unit. */
+    double read(const cluster::ClusterResult &r) const;
+};
+
+/** The counter table, in digest and JSON order. */
+std::span<const ClusterCounter> clusterCounters();
+
+/** The row named @p name; fatal if the table has none. */
+const ClusterCounter &clusterCounter(std::string_view name);
+
+/**
+ * One (replicas, intensity, mode) cell: every clusterCounters() row
+ * folded over the cell's trials. Counts stay exact as doubles (every
+ * campaign sum is far below 2^53).
+ */
+struct ClusterCell
 {
     std::uint32_t replicas = 0;
     std::uint32_t intensity = 0;
@@ -79,56 +140,33 @@ struct ClusterCellStats
     std::string modeName;
 
     std::uint64_t trials = 0;
-    std::uint64_t cutsInjected = 0;
 
-    double writeAvailMean = 0.0;
-    double writeAvailMin = 1.0;
-    double readAvailMean = 0.0;
-    double readAvailMin = 1.0;
-    Tick worstWriteGap = 0;        ///< max across the cell's trials
-    std::uint64_t readOnlySpans = 0;
+    /** One folded value per clusterCounters() row, in table order. */
+    std::vector<double> values =
+        std::vector<double>(clusterCounters().size());
 
-    std::uint64_t completed = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t ackedPuts = 0;
-    std::uint64_t redirects = 0;
+    /** Fold one more trial in. */
+    void add(const cluster::ClusterResult &r);
 
-    std::uint64_t elections = 0;
-    std::uint64_t leaderChanges = 0;
-    std::uint64_t stepDowns = 0;
+    /** Turn the Mean rows' running sums into means. */
+    void finish();
 
-    std::uint64_t syncDeltas = 0;
-    std::uint64_t syncFulls = 0;
-    std::uint64_t syncBytes = 0;
-
-    std::uint64_t resumes = 0;
-    std::uint64_t coldBoots = 0;
-    std::uint64_t degradedColdBoots = 0;
-
-    // Must stay zero across the whole campaign.
-    std::uint64_t lostAckedPuts = 0;
-    std::uint64_t splitBrainEpochs = 0;
-    std::uint64_t divergentCommits = 0;
-    std::uint64_t violations = 0;
+    /** The folded value of counter @p name (fatal if unknown). */
+    double operator[](std::string_view name) const;
 };
 
 /** Everything one campaign run produces. */
 struct ClusterCampaignResult
 {
-    std::uint64_t trials = 0;
-    unsigned threads = 1;
-
     /** Canonical order: replicas-major, then intensity, then mode. */
-    std::vector<ClusterCellStats> cells;
+    std::vector<ClusterCell> cells;
 
-    // Campaign-wide invariant totals (all must be zero).
-    std::uint64_t lostAckedPuts = 0;
-    std::uint64_t splitBrainEpochs = 0;
-    std::uint64_t divergentCommits = 0;
-    std::uint64_t violations = 0;
+    /** Every trial of the campaign folded into one cell. */
+    ClusterCell total;
+
     std::vector<std::string> violationNotes;
 
-    /** FNV digest over every cell counter (thread-invariant). */
+    /** FNV digest over the run digests and every cell counter. */
     std::uint64_t digest = 0;
 };
 
@@ -143,6 +181,16 @@ clusterTrialConfig(const ClusterCampaignConfig &config,
 
 /** Total trials the grid encodes. */
 std::uint64_t clusterCampaignTrials(const ClusterCampaignConfig &config);
+
+/**
+ * Fold finished trials, in trial-index order, into cells, the
+ * campaign total, violation notes and the digest. This is the second
+ * half of runClusterCampaign, exposed so tests can pin it on
+ * hand-built results.
+ */
+ClusterCampaignResult
+foldClusterCampaign(const ClusterCampaignConfig &config,
+                    const std::vector<cluster::ClusterResult> &runs);
 
 /** Run the sweep on config.threads workers. */
 ClusterCampaignResult

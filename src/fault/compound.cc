@@ -204,28 +204,21 @@ std::uint64_t
 machineStateDigest(const kernel::Kernel &kern,
                    const mem::BackingStore &pmem)
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 0x100000001b3ULL;
-        }
-    };
-
+    sim::Fnv64 fnv;
     const kernel::SystemSnapshot snap = kern.snapshot();
     for (const auto &entry : snap.entries) {
-        mix(entry.pid);
-        mix(static_cast<std::uint64_t>(entry.state));
+        fnv.mix(entry.pid);
+        fnv.mix(static_cast<std::uint64_t>(entry.state));
         for (const std::uint64_t x : entry.regs.x)
-            mix(x);
-        mix(entry.regs.pc);
-        mix(entry.regs.sp);
-        mix(entry.regs.satp);
+            fnv.mix(x);
+        fnv.mix(entry.regs.pc);
+        fnv.mix(entry.regs.sp);
+        fnv.mix(entry.regs.satp);
     }
     for (const std::uint64_t cookie : snap.deviceCookies)
-        mix(cookie);
-    mix(pmem.contentDigest());
-    return h;
+        fnv.mix(cookie);
+    fnv.mix(pmem.contentDigest());
+    return fnv.h;
 }
 
 void

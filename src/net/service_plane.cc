@@ -9,6 +9,7 @@
 #include "net/availability.hh"
 #include "persist/checkpoint.hh"
 #include "platform/system.hh"
+#include "sim/digest.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
@@ -31,21 +32,6 @@ persistModeName(PersistMode mode)
 
 namespace
 {
-
-/** FNV-1a over 64-bit words. */
-struct Digest
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-
-    void
-    mix(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 0x100000001b3ULL;
-        }
-    }
-};
 
 platform::SystemConfig
 sysConfigFor(const ServiceConfig &cfg)
@@ -777,7 +763,7 @@ struct Plane
                 std::max(res.worstAttributable, o.attributable);
         }
 
-        Digest d;
+        sim::Fnv64 d;
         d.mix(res.arrivals);
         d.mix(res.attempts);
         d.mix(res.completed);

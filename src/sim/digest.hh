@@ -4,9 +4,9 @@
  *
  * Campaign results fold every observable counter into one of these;
  * equal digests at --threads 1 and --threads N are the determinism
- * proof the parallel campaign engine is held to. The byte-wise FNV
- * walk matches the ad-hoc digests the compound and service planes
- * shipped with, so historical digest values stay comparable.
+ * proof the parallel campaign engine is held to. It is the one FNV
+ * word mix in the tree: the cluster and service run digests and the
+ * compound machine-state digest all fold through it.
  */
 
 #ifndef LIGHTPC_SIM_DIGEST_HH

@@ -707,15 +707,113 @@ TEST(ClusterCampaign, ThreadCountDoesNotChangeTheDigest)
         fault::runClusterCampaign(cfg);
 
     EXPECT_EQ(one.digest, two.digest);
-    EXPECT_EQ(one.trials, 2u);
-    EXPECT_EQ(one.lostAckedPuts, 0u);
-    EXPECT_EQ(one.splitBrainEpochs, 0u);
-    EXPECT_EQ(one.divergentCommits, 0u);
-    EXPECT_EQ(one.violations, 0u);
+    EXPECT_EQ(one.total.trials, 2u);
+    EXPECT_EQ(one.total["lost_acked_puts"], 0.0);
+    EXPECT_EQ(one.total["split_brain_epochs"], 0.0);
+    EXPECT_EQ(one.total["divergent_commits"], 0.0);
+    EXPECT_EQ(one.total["violations"], 0.0);
     ASSERT_EQ(one.cells.size(), 2u);
     // SnG above the cold-booting baseline even in one paired seed.
-    EXPECT_GT(one.cells[0].writeAvailMean,
-              one.cells[1].writeAvailMean);
+    EXPECT_GT(one.cells[0]["write_avail_mean"],
+              one.cells[1]["write_avail_mean"]);
+}
+
+// --- counter table -------------------------------------------------
+
+/** A hand-built trial result with every table counter distinct. */
+ClusterResult
+syntheticRun(std::uint64_t base)
+{
+    ClusterResult r;
+    for (const fault::ClusterCounter &c : fault::clusterCounters()) {
+        if (c.count)
+            r.*c.count = base++ * tickMs;
+        else if (c.ratio)
+            r.*c.ratio = 0.5 + 0.01 * double(base++);
+    }
+    r.violations.assign(base % 3, "synthetic");
+    r.digest = base;
+    return r;
+}
+
+/** Bump one table counter of @p r by a unit of its kind. */
+void
+bump(ClusterResult &r, const fault::ClusterCounter &c)
+{
+    if (c.count)
+        r.*c.count += tickMs;
+    else if (c.ratio)
+        r.*c.ratio += 0.125;
+    else
+        r.violations.push_back("bumped");
+}
+
+TEST(ClusterCampaign, EveryTableCounterMovesTheDigest)
+{
+    // Two one-trial cells: any change to one trial's counter changes
+    // its cell's folded value whatever the fold kind.
+    fault::ClusterCampaignConfig cfg = tinyCampaign();
+    const std::vector<ClusterResult> runs = {syntheticRun(1),
+                                             syntheticRun(100)};
+    const std::uint64_t base =
+        fault::foldClusterCampaign(cfg, runs).digest;
+    EXPECT_EQ(fault::foldClusterCampaign(cfg, runs).digest, base);
+
+    std::set<std::string> names;
+    for (const fault::ClusterCounter &c : fault::clusterCounters()) {
+        EXPECT_TRUE(names.insert(c.name).second)
+            << "duplicate JSON key " << c.name;
+        for (std::size_t which = 0; which < runs.size(); ++which) {
+            std::vector<ClusterResult> changed = runs;
+            bump(changed[which], c);
+            EXPECT_NE(fault::foldClusterCampaign(cfg, changed).digest,
+                      base)
+                << c.name << " in trial " << which;
+        }
+    }
+}
+
+TEST(ClusterCampaign, EachFoldKindFoldsItsTrials)
+{
+    fault::ClusterCampaignConfig cfg = tinyCampaign();
+    cfg.seedsPerCell = 2;
+    cfg.modes = {net::PersistMode::OpLog};
+    const ClusterResult a = syntheticRun(1);
+    const ClusterResult b = syntheticRun(200);
+    const fault::ClusterCampaignResult res =
+        fault::foldClusterCampaign(cfg, {b, a});
+    ASSERT_EQ(res.cells.size(), 1u);
+    const fault::ClusterCell &cell = res.cells[0];
+    EXPECT_EQ(cell.trials, 2u);
+    EXPECT_EQ(cell.replicas, 3u);
+    EXPECT_EQ(cell.intensity, 2u);
+    EXPECT_EQ(cell.modeName, "SnG-OpLog");
+
+    std::set<fault::Fold> kinds;
+    for (const fault::ClusterCounter &c : fault::clusterCounters()) {
+        kinds.insert(c.fold);
+        const double x = c.read(a), y = c.read(b);
+        double want = 0.0;
+        switch (c.fold) {
+        case fault::Fold::Sum: want = x + y; break;
+        case fault::Fold::Min: want = std::min(x, y); break;
+        case fault::Fold::Max: want = std::max(x, y); break;
+        case fault::Fold::Mean: want = (y + x) / 2.0; break;
+        }
+        EXPECT_DOUBLE_EQ(cell[c.name], want) << c.name;
+        EXPECT_DOUBLE_EQ(res.total[c.name], want) << c.name;
+    }
+    // The table exercises every fold kind.
+    EXPECT_EQ(kinds.size(), 4u);
+
+    // Units: tick spans report in ms, the violation row counts notes.
+    EXPECT_DOUBLE_EQ(
+        fault::clusterCounter("worst_write_gap_ms").read(a),
+        double(a.worstWriteGap) / double(tickMs));
+    EXPECT_DOUBLE_EQ(fault::clusterCounter("violations").read(a),
+                     double(a.violations.size()));
+    EXPECT_THROW(fault::clusterCounter("no_such_counter"), FatalError);
+    EXPECT_THROW(fault::foldClusterCampaign(cfg, {a}), FatalError);
 }
 
 TEST(ClusterCampaign, RejectsDegenerateSweeps)

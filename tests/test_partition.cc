@@ -5,7 +5,7 @@
  * AckAudit duplicate-tolerant split-brain ledger, the HistoryAudit
  * linearizability checker on synthetic histories, the client fleet's
  * fast-redirect budget, cluster end-to-end invariants under an active
- * nemesis, and the partition campaign grid.
+ * nemesis, and the cluster campaign's nemesis-ladder grid.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,7 @@
 #include "cluster/cluster.hh"
 #include "cluster/history_audit.hh"
 #include "fault/net_nemesis.hh"
-#include "fault/partition_campaign.hh"
+#include "fault/cluster_campaign.hh"
 #include "net/client_fleet.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -654,14 +654,16 @@ TEST(ClusterNemesis, DeterministicUnderFixedSeed)
     EXPECT_EQ(a.completed, b.completed);
 }
 
-// --- partition campaign --------------------------------------------
+// --- partition campaign (the cluster campaign's nemesis ladder) ------
 
-fault::PartitionCampaignConfig
+fault::ClusterCampaignConfig
 tinyPartitionCampaign()
 {
-    fault::PartitionCampaignConfig cfg;
+    fault::ClusterCampaignConfig cfg;
+    cfg.ladder = fault::Ladder::Nemesis;
     cfg.seed = 7;
     cfg.seedsPerCell = 1;
+    cfg.replicaCounts = {3};
     cfg.intensities = {2};
     cfg.modes = {net::PersistMode::SnG, net::PersistMode::SysPc};
     cfg.runFor = 600 * tickMs;
@@ -673,10 +675,10 @@ tinyPartitionCampaign()
 
 TEST(PartitionCampaign, TrialConfigIsAPureFunctionOfTheIndex)
 {
-    const fault::PartitionCampaignConfig cfg = tinyPartitionCampaign();
-    EXPECT_EQ(fault::partitionCampaignTrials(cfg), 2u);
-    const ClusterConfig a = fault::partitionTrialConfig(cfg, 1);
-    const ClusterConfig b = fault::partitionTrialConfig(cfg, 1);
+    const fault::ClusterCampaignConfig cfg = tinyPartitionCampaign();
+    EXPECT_EQ(fault::clusterCampaignTrials(cfg), 2u);
+    const ClusterConfig a = fault::clusterTrialConfig(cfg, 1);
+    const ClusterConfig b = fault::clusterTrialConfig(cfg, 1);
     EXPECT_EQ(a.seed, b.seed);
     EXPECT_EQ(a.mode, b.mode);
     EXPECT_EQ(a.nemesis.partitions.size(),
@@ -684,7 +686,7 @@ TEST(PartitionCampaign, TrialConfigIsAPureFunctionOfTheIndex)
 
     // Modes within one column share the seed AND the nemesis shape:
     // the schedules replay identically against every mode.
-    const ClusterConfig sng = fault::partitionTrialConfig(cfg, 0);
+    const ClusterConfig sng = fault::clusterTrialConfig(cfg, 0);
     EXPECT_EQ(sng.seed, a.seed);
     EXPECT_NE(sng.mode, a.mode);
     ASSERT_EQ(sng.nemesis.partitions.size(), 1u);
@@ -695,14 +697,72 @@ TEST(PartitionCampaign, TrialConfigIsAPureFunctionOfTheIndex)
     // Every generated trial passes the validator.
     EXPECT_NO_THROW(cluster::validateClusterConfig(sng));
 
-    EXPECT_THROW(fault::partitionTrialConfig(cfg, 2), FatalError);
+    // The storm ladder over the same grid draws other streams.
+    fault::ClusterCampaignConfig storm = cfg;
+    storm.ladder = fault::Ladder::Storm;
+    EXPECT_NE(fault::clusterTrialConfig(storm, 0).seed, sng.seed);
+    EXPECT_TRUE(
+        fault::clusterTrialConfig(storm, 0).nemesis.partitions.empty());
+
+    EXPECT_THROW(fault::clusterTrialConfig(cfg, 2), FatalError);
+}
+
+TEST(PartitionCampaign, NemesisTrialsReplayTheirGoldenStreams)
+{
+    // Pinned from the standalone partition sweep this ladder replaced
+    // (seed 42, 20 seeds x intensities {1, 2, 3} x five modes at 3
+    // replicas): a stream-tag or column-packing slip shows up here,
+    // not only in a 300-trial bench.
+    fault::ClusterCampaignConfig cfg;
+    cfg.ladder = fault::Ladder::Nemesis;
+    cfg.replicaCounts = {3};
+    cfg.seedsPerCell = 20;
+    struct Golden
+    {
+        std::uint64_t index;
+        std::uint64_t seed;
+        std::size_t storms;
+        std::vector<Tick> partitionStarts;
+    };
+    const Golden goldens[] = {
+        {0, 0x48b29205902e3d65ULL, 1, {}},
+        {7, 0x275c10cf88818f69ULL, 1, {}},
+        {45, 0x13243d53bd3bed03ULL, 1, {}},
+        {119, 0x251a34a7fe68e950ULL, 1, {797633861445ULL}},
+        {133, 0x8e47d02c6132e9d7ULL, 1, {687308820047ULL}},
+        {201, 0xf1d84154540775d2ULL, 2,
+         {992848766469ULL, 1450028536122ULL}},
+        {222, 0x4faeafc4480133d0ULL, 2,
+         {993252761020ULL, 1513427644286ULL}},
+        {299, 0x4c44b28035e0673aULL, 2,
+         {930693925814ULL, 1513452796940ULL}},
+    };
+    for (const Golden &g : goldens) {
+        const ClusterConfig cc = fault::clusterTrialConfig(cfg, g.index);
+        EXPECT_EQ(cc.seed, g.seed) << "trial " << g.index;
+        EXPECT_EQ(cc.storms, g.storms) << "trial " << g.index;
+        std::vector<Tick> starts;
+        for (const PartitionSpec &p : cc.nemesis.partitions)
+            starts.push_back(p.start);
+        EXPECT_EQ(starts, g.partitionStarts) << "trial " << g.index;
+    }
+
+    // Flap pairs and windows of one compound trial, pinned too.
+    const ClusterConfig compound = fault::clusterTrialConfig(cfg, 299);
+    ASSERT_EQ(compound.nemesis.flaps.size(), 2u);
+    EXPECT_EQ(compound.nemesis.flaps[0].a, 0u);
+    EXPECT_EQ(compound.nemesis.flaps[0].b, 2u);
+    EXPECT_EQ(compound.nemesis.flaps[0].start, 671981269098ULL);
+    EXPECT_EQ(compound.nemesis.flaps[1].a, 1u);
+    EXPECT_EQ(compound.nemesis.flaps[1].b, 2u);
+    EXPECT_EQ(compound.nemesis.flaps[1].end, 1604924201449ULL);
 }
 
 TEST(PartitionCampaign, IntensityThreeOverlapsStormsWithPartitions)
 {
-    fault::PartitionCampaignConfig cfg = tinyPartitionCampaign();
+    fault::ClusterCampaignConfig cfg = tinyPartitionCampaign();
     cfg.intensities = {3};
-    const ClusterConfig trial = fault::partitionTrialConfig(cfg, 0);
+    const ClusterConfig trial = fault::clusterTrialConfig(cfg, 0);
     EXPECT_EQ(trial.storms, 2u);
     EXPECT_GE(trial.nemesis.partitions.size(), 1u);
     EXPECT_EQ(trial.nemesis.flaps.size(), 2u);
@@ -719,46 +779,43 @@ TEST(PartitionCampaign, IntensityThreeOverlapsStormsWithPartitions)
 
 TEST(PartitionCampaign, ThreadCountDoesNotChangeTheDigest)
 {
-    fault::PartitionCampaignConfig cfg = tinyPartitionCampaign();
+    fault::ClusterCampaignConfig cfg = tinyPartitionCampaign();
     cfg.threads = 1;
-    const fault::PartitionCampaignResult one =
-        fault::runPartitionCampaign(cfg);
+    const fault::ClusterCampaignResult one =
+        fault::runClusterCampaign(cfg);
     cfg.threads = 2;
-    const fault::PartitionCampaignResult two =
-        fault::runPartitionCampaign(cfg);
+    const fault::ClusterCampaignResult two =
+        fault::runClusterCampaign(cfg);
 
     EXPECT_EQ(one.digest, two.digest);
-    EXPECT_EQ(one.trials, 2u);
-    EXPECT_EQ(one.lostAckedPuts, 0u);
-    EXPECT_EQ(one.splitBrainEpochs, 0u);
-    EXPECT_EQ(one.lostUpdates, 0u);
-    EXPECT_EQ(one.orderInversions, 0u);
-    EXPECT_EQ(one.phantomReads, 0u);
-    EXPECT_EQ(one.valueDivergences, 0u);
-    EXPECT_EQ(one.violations, 0u);
+    EXPECT_EQ(one.total.trials, 2u);
+    for (const char *invariant :
+         {"lost_acked_puts", "split_brain_epochs", "lost_updates",
+          "order_inversions", "phantom_reads", "value_divergences",
+          "violations"})
+        EXPECT_EQ(one.total[invariant], 0.0) << invariant;
     ASSERT_EQ(one.cells.size(), 2u);
     // SnG above the cold-booting baseline under the same nemesis.
-    EXPECT_GT(one.cells[0].writeAvailMean,
-              one.cells[1].writeAvailMean);
+    EXPECT_GT(one.cells[0]["write_avail_mean"],
+              one.cells[1]["write_avail_mean"]);
 }
 
 TEST(PartitionCampaign, RejectsDegenerateSweeps)
 {
-    fault::PartitionCampaignConfig cfg = tinyPartitionCampaign();
+    fault::ClusterCampaignConfig cfg = tinyPartitionCampaign();
     cfg.seedsPerCell = 0;
-    EXPECT_THROW(fault::runPartitionCampaign(cfg), FatalError);
+    EXPECT_THROW(fault::runClusterCampaign(cfg), FatalError);
 
     cfg = tinyPartitionCampaign();
     cfg.intensities = {4};
-    EXPECT_THROW(fault::runPartitionCampaign(cfg), FatalError);
+    EXPECT_THROW(fault::runClusterCampaign(cfg), FatalError);
 
+    // flapOnPair needs a second distinct pair: fewer than 3 replicas
+    // stays fatal under the nemesis ladder, even beside a valid count.
     cfg = tinyPartitionCampaign();
-    cfg.replicas = 2;
-    EXPECT_THROW(fault::runPartitionCampaign(cfg), FatalError);
-
-    cfg = tinyPartitionCampaign();
-    cfg.racks = 1;
-    EXPECT_THROW(fault::runPartitionCampaign(cfg), FatalError);
+    cfg.replicaCounts = {3, 2};
+    EXPECT_THROW(fault::runClusterCampaign(cfg), FatalError);
+    EXPECT_THROW(fault::clusterTrialConfig(cfg, 0), FatalError);
 }
 
 } // namespace
