@@ -18,32 +18,15 @@
  * digest is identical at any thread count.
  */
 
-#include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "bench_common.hh"
+#include "campaign_io.hh"
 #include "fault/compound.hh"
 #include "sim/parallel.hh"
-#include "stats/table.hh"
 
 using namespace lightpc;
-
-namespace
-{
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--trials N] [--seed S]"
-                 " [--threads N|-j N] [--out FILE]\n",
-                 argv0);
-    return 2;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -53,26 +36,15 @@ main(int argc, char **argv)
     unsigned threads = 0;
     std::string out = "BENCH_compound.json";
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc)
-                std::exit(usage(argv[0]));
-            return argv[++i];
-        };
-        if (arg == "--trials")
-            trials = std::strtoull(value(), nullptr, 10);
-        else if (arg == "--seed")
-            seed = std::strtoull(value(), nullptr, 10);
-        else if (arg == "--threads" || arg == "-j")
-            threads = sim::parseThreadsArg(value());
-        else if (arg == "--out")
-            out = value();
-        else
-            return usage(argv[0]);
-    }
+    const char *flags = "[--trials N] [--seed S] [--threads N|-j N]"
+                        " [--out FILE]";
+    bench::parseFlags(argc, argv, flags,
+                      {bench::flag("--trials", trials),
+                       bench::flag("--seed", seed),
+                       bench::threadsFlag(threads),
+                       bench::flag("--out", out)});
     if (trials == 0)
-        return usage(argv[0]);
+        bench::usage(argv[0], flags);
     threads = sim::resolveThreads(threads);
 
     bench::banner("Compound failures",
@@ -86,38 +58,8 @@ main(int argc, char **argv)
     config.threads = threads;
     const fault::CompoundResult r = fault::runCompoundCampaign(config);
 
-    stats::Table table({"psu", "trials", "resumes", "cold", "degraded",
-                        "retries", "torn_go", "aborts", "violations"});
-    table.addRow({r.psu, std::to_string(r.trials),
-                  std::to_string(r.resumes),
-                  std::to_string(r.coldBoots),
-                  std::to_string(r.degradedColdBoots),
-                  std::to_string(r.supervisorRetries),
-                  std::to_string(r.tornResumes),
-                  std::to_string(r.abortedStops),
-                  std::to_string(r.violations)});
-    table.print(std::cout);
-
-    std::cout << "\ncuts per Stop drain sub-phase:";
-    for (std::size_t p = 1; p < r.stopPhaseCuts.size(); ++p)
-        std::cout << " "
-                  << pecos::stopSubPhaseName(
-                         static_cast<pecos::StopSubPhase>(p))
-                  << "=" << r.stopPhaseCuts[p];
-    std::cout << "\ncuts per Go sub-phase:";
-    for (std::size_t p = 1; p < r.goPhaseCuts.size(); ++p)
-        std::cout << " "
-                  << pecos::goSubPhaseName(
-                         static_cast<pecos::GoSubPhase>(p))
-                  << "=" << r.goPhaseCuts[p];
-    std::cout << "\nstorms: " << r.stormTrials << " trials, "
-              << r.stormCutsTotal << " cuts, max epochs on one store "
-              << r.maxCutEpochs << ", stale writes rejected "
-              << r.staleWritesRejected << "\n";
-    std::cout << "op-log: " << r.oplogTrials << " trials, "
-              << r.oplogTornTails << " torn tails discarded, "
-              << r.oplogRecordsReplayed << " records replayed, "
-              << r.oplogReplayChecks << " byte-identity proofs\n";
+    std::cout << "PSU " << r.psu << ":\n";
+    bench::printCounters(fault::compoundCounters(), r);
     for (const std::string &note : r.violationNotes)
         std::cout << "  VIOLATION " << note << "\n";
 
@@ -184,86 +126,15 @@ main(int argc, char **argv)
     bench::check(seq.digest == r.digest,
                  "parallel digest equals sequential digest");
 
-    std::FILE *f = std::fopen(out.c_str(), "w");
-    if (!f) {
-        std::perror(out.c_str());
+    bench::JsonWriter json(out);
+    json.field("bench", "compound_fault")
+        .field("seed", seed)
+        .field("threads", threads)
+        .field("psu", r.psu)
+        .counters(fault::compoundCounters(), r)
+        .digest(r.digest);
+    if (!json.finish())
         return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"compound_fault\",\n");
-    std::fprintf(f, "  \"trials\": %llu,\n",
-                 static_cast<unsigned long long>(r.trials));
-    std::fprintf(f, "  \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(seed));
-    std::fprintf(f, "  \"threads\": %u,\n", threads);
-    std::fprintf(f, "  \"psu\": \"%s\",\n", r.psu.c_str());
-    std::fprintf(f, "  \"scenarios\": {\"stop_cut\": %llu,"
-                    " \"go_cut\": %llu, \"brownout\": %llu,"
-                    " \"storm\": %llu, \"oplog\": %llu},\n",
-                 static_cast<unsigned long long>(r.stopCutTrials),
-                 static_cast<unsigned long long>(r.goCutTrials),
-                 static_cast<unsigned long long>(r.brownoutTrials),
-                 static_cast<unsigned long long>(r.stormTrials),
-                 static_cast<unsigned long long>(r.oplogTrials));
-    std::fprintf(f, "  \"stop_phase_cuts\": {");
-    for (std::size_t p = 1; p < r.stopPhaseCuts.size(); ++p)
-        std::fprintf(f, "%s\"%s\": %llu", p == 1 ? "" : ", ",
-                     pecos::stopSubPhaseName(
-                         static_cast<pecos::StopSubPhase>(p)),
-                     static_cast<unsigned long long>(
-                         r.stopPhaseCuts[p]));
-    std::fprintf(f, "},\n  \"go_phase_cuts\": {");
-    for (std::size_t p = 1; p < r.goPhaseCuts.size(); ++p)
-        std::fprintf(f, "%s\"%s\": %llu", p == 1 ? "" : ", ",
-                     pecos::goSubPhaseName(
-                         static_cast<pecos::GoSubPhase>(p)),
-                     static_cast<unsigned long long>(
-                         r.goPhaseCuts[p]));
-    std::fprintf(f, "},\n");
-    std::fprintf(f, "  \"resumes\": %llu,\n  \"cold_boots\": %llu,\n"
-                    "  \"degraded_cold_boots\": %llu,\n"
-                    "  \"supervisor_retries\": %llu,\n"
-                    "  \"livelocks\": %llu,\n",
-                 static_cast<unsigned long long>(r.resumes),
-                 static_cast<unsigned long long>(r.coldBoots),
-                 static_cast<unsigned long long>(r.degradedColdBoots),
-                 static_cast<unsigned long long>(r.supervisorRetries),
-                 static_cast<unsigned long long>(r.livelocks));
-    std::fprintf(f, "  \"aborted_stops\": %llu,\n"
-                    "  \"abort_continues\": %llu,\n"
-                    "  \"baseline_retries\": %llu,\n"
-                    "  \"baseline_recoveries\": %llu,\n",
-                 static_cast<unsigned long long>(r.abortedStops),
-                 static_cast<unsigned long long>(r.abortContinues),
-                 static_cast<unsigned long long>(r.baselineRetries),
-                 static_cast<unsigned long long>(r.baselineRecoveries));
-    std::fprintf(f, "  \"torn_resumes\": %llu,\n"
-                    "  \"idempotence_checks\": %llu,\n",
-                 static_cast<unsigned long long>(r.tornResumes),
-                 static_cast<unsigned long long>(r.idempotenceChecks));
-    std::fprintf(f, "  \"oplog_torn_tails\": %llu,\n"
-                    "  \"oplog_replay_checks\": %llu,\n"
-                    "  \"oplog_records_replayed\": %llu,\n",
-                 static_cast<unsigned long long>(r.oplogTornTails),
-                 static_cast<unsigned long long>(r.oplogReplayChecks),
-                 static_cast<unsigned long long>(
-                     r.oplogRecordsReplayed));
-    std::fprintf(f, "  \"storm_cuts\": %llu,\n"
-                    "  \"max_cut_epochs\": %llu,\n"
-                    "  \"stale_writes_rejected\": %llu,\n",
-                 static_cast<unsigned long long>(r.stormCutsTotal),
-                 static_cast<unsigned long long>(r.maxCutEpochs),
-                 static_cast<unsigned long long>(
-                     r.staleWritesRejected));
-    std::fprintf(f, "  \"dropped_writes\": %llu,\n"
-                    "  \"torn_writes\": %llu,\n"
-                    "  \"violations\": %llu,\n",
-                 static_cast<unsigned long long>(r.droppedWrites),
-                 static_cast<unsigned long long>(r.tornWrites),
-                 static_cast<unsigned long long>(r.violations));
-    std::fprintf(f, "  \"digest\": \"0x%016llx\"\n}\n",
-                 static_cast<unsigned long long>(r.digest));
-    std::fclose(f);
-    std::cout << "\nwrote " << out << "\n";
 
     return bench::result();
 }

@@ -25,12 +25,12 @@
  *    --threads value.
  */
 
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
+#include "campaign_io.hh"
 #include "fault/energy_campaign.hh"
 #include "sim/parallel.hh"
 #include "stats/table.hh"
@@ -39,17 +39,6 @@ using namespace lightpc;
 
 namespace
 {
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--seeds N] [--seed S] [--aging CYCLES]"
-                 " [--scales S1,S2,...] [--out FILE]"
-                 " [--threads N|-j N]\n",
-                 argv0);
-    return 2;
-}
 
 std::vector<double>
 parseScales(const char *arg)
@@ -68,14 +57,6 @@ parseScales(const char *arg)
     return scales;
 }
 
-bool
-isBaseline(net::PersistMode mode)
-{
-    return mode == net::PersistMode::SysPc
-           || mode == net::PersistMode::SCheckPc
-           || mode == net::PersistMode::ACheckPc;
-}
-
 const fault::EnergyProvision *
 provisionOf(const fault::EnergyCampaignResult &res,
             net::PersistMode mode, std::uint32_t intensity)
@@ -91,40 +72,28 @@ provisionOf(const fault::EnergyCampaignResult &res,
 int
 main(int argc, char **argv)
 {
-    std::uint64_t seeds = 6;
-    std::uint64_t seed = 3001;
-    double aging = 600.0;
-    unsigned threads = 0;
-    std::vector<double> scales;
+    fault::EnergyCampaignConfig cfg;
+    cfg.threads = 0;
     std::string out = "BENCH_energy.json";
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--seeds")
-            seeds = std::strtoull(value(), nullptr, 10);
-        else if (arg == "--seed")
-            seed = std::strtoull(value(), nullptr, 10);
-        else if (arg == "--aging")
-            aging = std::strtod(value(), nullptr);
-        else if (arg == "--scales")
-            scales = parseScales(value());
-        else if (arg == "--out")
-            out = value();
-        else if (arg == "--threads" || arg == "-j")
-            threads = sim::parseThreadsArg(value());
-        else
-            return usage(argv[0]);
-    }
-    if (seeds == 0 || aging < 0.0)
-        return usage(argv[0]);
-    threads = sim::resolveThreads(threads);
+    const char *flags = "[--seeds N] [--seed S] [--aging CYCLES]"
+                        " [--scales S1,S2,...] [--out FILE]"
+                        " [--threads N|-j N]";
+    bench::parseFlags(
+        argc, argv, flags,
+        {bench::flag("--seeds", cfg.seedsPerCell),
+         bench::flag("--seed", cfg.seed),
+         bench::flag("--aging", cfg.agingSpreadCycles),
+         {"--scales", nullptr,
+          [&cfg](const char *s) {
+              if (std::vector<double> scales = parseScales(s);
+                  !scales.empty())
+                  cfg.sizingScales = scales;
+          }},
+         bench::flag("--out", out), bench::threadsFlag(cfg.threads)});
+    if (cfg.seedsPerCell == 0 || cfg.agingSpreadCycles < 0.0)
+        bench::usage(argv[0], flags);
+    cfg.threads = sim::resolveThreads(cfg.threads);
 
     bench::banner("Energy provisioning",
                   "state-of-charge-aware persistence across the"
@@ -135,66 +104,45 @@ main(int argc, char **argv)
                     " sized for the worst-case drain, not for ride-"
                     "through (Sections III-IV)");
 
-    fault::EnergyCampaignConfig cfg;
-    cfg.seed = seed;
-    cfg.seedsPerCell = seeds;
-    cfg.agingSpreadCycles = aging;
-    if (!scales.empty())
-        cfg.sizingScales = scales;
-    cfg.threads = threads;
-
     const std::uint64_t trials = fault::energyCampaignTrials(cfg);
     std::cout << "sweeping " << cfg.sizingScales.size()
               << " storage scales x " << cfg.intensities.size()
               << " intensities x " << cfg.modes.size() << " modes x "
-              << seeds << " seeds = " << trials << " trials on "
-              << threads << " thread(s)...\n";
+              << cfg.seedsPerCell << " seeds = " << trials
+              << " trials on " << cfg.threads << " thread(s)...\n";
 
     const fault::EnergyCampaignResult res =
         fault::runEnergyCampaign(cfg);
 
     // Determinism anchor: same grid, different worker count.
     fault::EnergyCampaignConfig other = cfg;
-    other.threads = threads == 1 ? 2 : 1;
+    other.threads = cfg.threads == 1 ? 2 : 1;
     std::cout << "repeating the sweep on " << other.threads
               << " thread(s) (determinism)...\n\n";
     const fault::EnergyCampaignResult repeat =
         fault::runEnergyCampaign(other);
 
-    stats::Table table({"scale", "joules", "storm", "mode",
-                        "survived", "commits", "resumes", "cold",
-                        "defer", "admit", "proact", "saves",
-                        "minSoC", "viol"});
-    for (const fault::EnergyCellStats &c : res.cells) {
-        char sc[32], jl[32], soc[32];
-        std::snprintf(sc, sizeof(sc), "%.2f", c.scale);
-        std::snprintf(jl, sizeof(jl), "%.2f", c.provisionedJoules);
-        std::snprintf(soc, sizeof(soc), "%.3f",
-                      static_cast<double>(c.minSocPermille) / 1000.0);
-        table.addRow({sc, jl, std::to_string(c.intensity),
-                      net::persistModeName(c.mode),
-                      std::to_string(c.survivedTrials) + "/"
-                          + std::to_string(c.trials),
-                      std::to_string(c.commitsDurable),
-                      std::to_string(c.resumes),
-                      std::to_string(c.coldBoots),
-                      std::to_string(c.stopsDeferred),
-                      std::to_string(c.deferredStopsAdmitted),
-                      std::to_string(c.proactiveStops),
-                      std::to_string(c.proactiveSaves), soc,
-                      std::to_string(c.violations)});
-    }
+    const std::vector<std::string> columns = {
+        "trials", "survived", "commits_durable", "resumes", "cold_boots",
+        "stops_deferred", "proactive_saves", "min_soc_permille",
+        "violations"};
+    stats::Table table(
+        bench::row({"scale", "joules", "storm", "mode"}, columns));
+    for (const fault::EnergyCellStats &c : res.cells)
+        table.addRow(bench::row(
+            {stats::Table::num(c.scale, 3),
+             stats::Table::num(c.provisionedJoules),
+             std::to_string(c.intensity), net::persistModeName(c.mode)},
+            bench::counterCells(fault::energyCounters(), c, columns)));
     table.print(std::cout);
 
     std::cout << "\nminimum provisioned storage per mode:\n";
     stats::Table prov({"mode", "storm", "min scale", "joules"});
     for (const fault::EnergyProvision &p : res.provisioning) {
-        char sc[32], jl[32];
-        std::snprintf(sc, sizeof(sc), "%.2f", p.scale);
-        std::snprintf(jl, sizeof(jl), "%.2f", p.joules);
         prov.addRow({net::persistModeName(p.mode),
                      std::to_string(p.intensity),
-                     p.met ? sc : "unmet", p.met ? jl : "-"});
+                     p.met ? stats::Table::num(p.scale) : "unmet",
+                     p.met ? stats::Table::num(p.joules) : "-"});
     }
     prov.print(std::cout);
 
@@ -203,10 +151,11 @@ main(int argc, char **argv)
 
     // --- anchors --------------------------------------------------
 
-    bench::check(res.trials == trials,
-                 "every grid trial ran (" + std::to_string(res.trials)
+    bench::check(res.total.trials == trials,
+                 "every grid trial ran ("
+                     + std::to_string(res.total.trials)
                      + ")");
-    bench::check(res.violations == 0,
+    bench::check(res.total.violations == 0,
                  "zero durability violations fleet-wide");
 
     // The headline: Stop-and-Go survives every intensity rung at
@@ -224,7 +173,7 @@ main(int argc, char **argv)
         if (!sng || !sng->met || !oplog || !oplog->met)
             continue;
         for (const net::PersistMode mode : cfg.modes) {
-            if (!isBaseline(mode))
+            if (!bench::isBaseline(mode))
                 continue;
             const fault::EnergyProvision *base =
                 provisionOf(res, mode, intensity);
@@ -245,108 +194,49 @@ main(int argc, char **argv)
         }
     }
 
-    bench::check(res.stopsDeferred > 0,
+    bench::check(res.total.stopsDeferred > 0,
                  "the guard deferred voluntary Stops on weak planes");
-    bench::check(res.deferredStopsAdmitted > 0,
+    bench::check(res.total.deferredStopsAdmitted > 0,
                  "deferred Stops were admitted once recharged");
-    bench::check(res.proactiveStops > 0,
+    bench::check(res.total.proactiveStops > 0,
                  "low-charge warnings fired proactive EP-cuts");
-    bench::check(res.proactiveSaves > 0,
+    bench::check(res.total.proactiveSaves > 0,
                  "proactive EP-cuts saved machines the"
                  " counterfactual would have lost");
-    bench::check(res.digest == repeat.digest
-                     && res.threads != repeat.threads,
+    bench::check(res.digest == repeat.digest,
                  "digest bit-identical across thread counts");
 
     // --- JSON -----------------------------------------------------
 
-    std::FILE *f = std::fopen(out.c_str(), "w");
-    if (!f) {
-        std::perror(out.c_str());
+    bench::JsonWriter json(out);
+    json.field("bench", "energy_provisioning")
+        .field("seed", cfg.seed)
+        .field("seeds_per_cell", cfg.seedsPerCell)
+        .field("aging_spread_cycles", cfg.agingSpreadCycles, "%.1f")
+        .field("threads", cfg.threads)
+        .field("deterministic", res.digest == repeat.digest)
+        .counters(fault::energyCounters(), res.total)
+        .array("provisioning");
+    for (const fault::EnergyProvision &p : res.provisioning)
+        json.object()
+            .field("mode", net::persistModeName(p.mode))
+            .field("intensity", p.intensity)
+            .field("met", p.met)
+            .field("min_scale", p.scale, "%.3f")
+            .field("min_joules", p.joules, "%.4f")
+            .close();
+    json.close().array("cells");
+    for (const fault::EnergyCellStats &c : res.cells)
+        json.object()
+            .field("scale", c.scale, "%.3f")
+            .field("joules", c.provisionedJoules, "%.4f")
+            .field("intensity", c.intensity)
+            .field("mode", net::persistModeName(c.mode))
+            .counters(fault::energyCounters(), c)
+            .close();
+    json.close().digest(res.digest);
+    if (!json.finish())
         return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"energy_provisioning\",\n");
-    std::fprintf(f, "  \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(seed));
-    std::fprintf(f, "  \"seeds_per_cell\": %llu,\n",
-                 static_cast<unsigned long long>(seeds));
-    std::fprintf(f, "  \"trials\": %llu,\n",
-                 static_cast<unsigned long long>(res.trials));
-    std::fprintf(f, "  \"aging_spread_cycles\": %.1f,\n", aging);
-    std::fprintf(f, "  \"threads\": %u,\n", threads);
-    std::fprintf(f, "  \"deterministic\": %s,\n",
-                 res.digest == repeat.digest ? "true" : "false");
-    std::fprintf(f,
-                 "  \"stops_deferred\": %llu,"
-                 " \"deferred_stops_admitted\": %llu,"
-                 " \"proactive_stops\": %llu,"
-                 " \"proactive_saves\": %llu,"
-                 " \"violations\": %llu,\n",
-                 static_cast<unsigned long long>(res.stopsDeferred),
-                 static_cast<unsigned long long>(
-                     res.deferredStopsAdmitted),
-                 static_cast<unsigned long long>(res.proactiveStops),
-                 static_cast<unsigned long long>(res.proactiveSaves),
-                 static_cast<unsigned long long>(res.violations));
-    std::fprintf(f, "  \"provisioning\": [\n");
-    for (std::size_t i = 0; i < res.provisioning.size(); ++i) {
-        const fault::EnergyProvision &p = res.provisioning[i];
-        std::fprintf(f,
-                     "    {\"mode\": \"%s\", \"intensity\": %u,"
-                     " \"met\": %s, \"min_scale\": %.3f,"
-                     " \"min_joules\": %.4f}%s\n",
-                     net::persistModeName(p.mode), p.intensity,
-                     p.met ? "true" : "false", p.scale, p.joules,
-                     i + 1 < res.provisioning.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"cells\": [\n");
-    for (std::size_t i = 0; i < res.cells.size(); ++i) {
-        const fault::EnergyCellStats &c = res.cells[i];
-        std::fprintf(f,
-                     "    {\"scale\": %.3f, \"joules\": %.4f,"
-                     " \"intensity\": %u, \"mode\": \"%s\","
-                     " \"trials\": %llu,\n",
-                     c.scale, c.provisionedJoules, c.intensity,
-                     net::persistModeName(c.mode),
-                     static_cast<unsigned long long>(c.trials));
-        std::fprintf(f,
-                     "     \"survived\": %llu, \"cuts\": %llu,"
-                     " \"commits_durable\": %llu,"
-                     " \"resumes\": %llu, \"cold_boots\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         c.survivedTrials),
-                     static_cast<unsigned long long>(c.cuts),
-                     static_cast<unsigned long long>(
-                         c.commitsDurable),
-                     static_cast<unsigned long long>(c.resumes),
-                     static_cast<unsigned long long>(c.coldBoots));
-        std::fprintf(f,
-                     "     \"stops_deferred\": %llu,"
-                     " \"deferred_stops_admitted\": %llu,"
-                     " \"proactive_stops\": %llu,"
-                     " \"proactive_saves\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         c.stopsDeferred),
-                     static_cast<unsigned long long>(
-                         c.deferredStopsAdmitted),
-                     static_cast<unsigned long long>(
-                         c.proactiveStops),
-                     static_cast<unsigned long long>(
-                         c.proactiveSaves));
-        std::fprintf(f,
-                     "     \"min_soc_permille\": %llu,"
-                     " \"violations\": %llu}%s\n",
-                     static_cast<unsigned long long>(
-                         c.minSocPermille),
-                     static_cast<unsigned long long>(c.violations),
-                     i + 1 < res.cells.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"digest\": \"%016llx\"\n}\n",
-                 static_cast<unsigned long long>(res.digest));
-    std::fclose(f);
-    std::cout << "\nwrote " << out << "\n";
 
     return bench::result();
 }

@@ -35,13 +35,11 @@
  */
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
+#include "campaign_io.hh"
 #include "net/service_plane.hh"
 #include "sim/parallel.hh"
 #include "stats/table.hh"
@@ -50,17 +48,6 @@ using namespace lightpc;
 
 namespace
 {
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--cuts N] [--seed S] [--out FILE]"
-                 " [--runfor-ms MS] [--arrivals PER_SEC]"
-                 " [--clients N] [--threads N|-j N]\n",
-                 argv0);
-    return 2;
-}
 
 double
 msOf(Tick t)
@@ -93,34 +80,19 @@ main(int argc, char **argv)
     unsigned threads = 0;
     std::string out = "BENCH_service.json";
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc)
-                std::exit(usage(argv[0]));
-            return argv[++i];
-        };
-        if (arg == "--cuts")
-            cuts = static_cast<std::uint32_t>(
-                std::strtoull(value(), nullptr, 10));
-        else if (arg == "--seed")
-            seed = std::strtoull(value(), nullptr, 10);
-        else if (arg == "--out")
-            out = value();
-        else if (arg == "--runfor-ms")
-            runforMs = std::strtoull(value(), nullptr, 10);
-        else if (arg == "--arrivals")
-            arrivals = std::strtod(value(), nullptr);
-        else if (arg == "--clients")
-            clients = static_cast<std::uint32_t>(
-                std::strtoull(value(), nullptr, 10));
-        else if (arg == "--threads" || arg == "-j")
-            threads = sim::parseThreadsArg(value());
-        else
-            return usage(argv[0]);
-    }
+    const char *flags = "[--cuts N] [--seed S] [--out FILE]"
+                        " [--runfor-ms MS] [--arrivals PER_SEC]"
+                        " [--clients N] [--threads N|-j N]";
+    bench::parseFlags(argc, argv, flags,
+                      {bench::flag("--cuts", cuts),
+                       bench::flag("--seed", seed),
+                       bench::flag("--out", out),
+                       bench::flag("--runfor-ms", runforMs),
+                       bench::flag("--arrivals", arrivals),
+                       bench::flag("--clients", clients),
+                       bench::threadsFlag(threads)});
     if (cuts == 0 || runforMs == 0 || arrivals <= 0.0 || clients == 0)
-        return usage(argv[0]);
+        bench::usage(argv[0], flags);
     threads = sim::resolveThreads(threads);
 
     bench::banner("Service availability",
@@ -175,20 +147,15 @@ main(int argc, char **argv)
     stats::Table table({"mode", "completed", "failed", "goodput/s",
                         "p99 ms", "p999 ms", "worst outage ms",
                         "attributable ms", "cold boots"});
-    for (const net::ServiceResult &r : results) {
-        char p99[32], p999[32], down[32], attr[32], goodput[32];
-        std::snprintf(goodput, sizeof(goodput), "%.0f",
-                      r.goodputMean);
-        std::snprintf(p99, sizeof(p99), "%.2f", r.p99Us / 1000.0);
-        std::snprintf(p999, sizeof(p999), "%.2f", r.p999Us / 1000.0);
-        std::snprintf(down, sizeof(down), "%.2f",
-                      msOf(r.worstDowntime));
-        std::snprintf(attr, sizeof(attr), "%.2f",
-                      msOf(r.worstAttributable));
+    using stats::Table;
+    for (const net::ServiceResult &r : results)
         table.addRow({r.modeName, std::to_string(r.completed),
-                      std::to_string(r.failed), goodput, p99, p999,
-                      down, attr, std::to_string(r.coldBoots)});
-    }
+                      std::to_string(r.failed), Table::num(r.goodputMean, 0),
+                      Table::num(r.p99Us / 1000.0),
+                      Table::num(r.p999Us / 1000.0),
+                      Table::num(msOf(r.worstDowntime)),
+                      Table::num(msOf(r.worstAttributable)),
+                      std::to_string(r.coldBoots)});
     table.print(std::cout);
 
     std::cout << "\nSnG stop+go total: "
@@ -274,113 +241,60 @@ main(int argc, char **argv)
 
     // --- JSON -----------------------------------------------------
 
-    std::FILE *f = std::fopen(out.c_str(), "w");
-    if (!f) {
-        std::perror(out.c_str());
+    bench::JsonWriter json(out);
+    json.field("bench", "service_availability")
+        .field("seed", seed)
+        .field("cuts", cuts)
+        .field("runfor_ms", runforMs)
+        .field("arrivals_per_sec", arrivals, "%.1f")
+        .field("clients", clients)
+        .field("threads", threads)
+        .field("deterministic", sng.digest == sngRepeat.digest)
+        .array("modes");
+    for (const net::ServiceResult &r : results) {
+        json.object()
+            .field("mode", r.modeName)
+            .field("arrivals", r.arrivals)
+            .field("completed", r.completed)
+            .field("failed", r.failed)
+            .field("retries", r.retries)
+            .field("acked_puts", r.ackedPuts)
+            .field("puts_applied", r.putsApplied)
+            .field("idempotent_hits", r.idempotentHits)
+            .field("rejected", r.rejected)
+            .field("goodput_mean", r.goodputMean, "%.1f")
+            .field("latency_mean_us", r.meanUs, "%.2f")
+            .field("p50_us", r.p50Us, "%.2f")
+            .field("p99_us", r.p99Us, "%.2f")
+            .field("p999_us", r.p999Us, "%.2f")
+            .field("cold_boots", r.coldBoots)
+            .field("ring_preserved_frames", r.ringPreservedFrames)
+            .field("ring_frames_lost", r.ringFramesLost)
+            .field("stop_ms_total", msOf(r.stopTicksTotal), "%.3f")
+            .field("go_ms_total", msOf(r.goTicksTotal), "%.3f")
+            .field("log_appends", r.logAppends)
+            .field("log_commits", r.logCommits)
+            .field("log_drain_applied", r.logDrainApplied)
+            .field("log_replay_applied", r.logReplayApplied)
+            .field("log_stall_drains", r.logStallDrains)
+            .field("dedup_compactions", r.dedupCompactions)
+            .field("dedup_evicted", r.dedupEvicted)
+            .field("lost_acked_puts", r.lostAckedPuts)
+            .field("duplicate_applied", r.duplicateApplied)
+            .field("violations", r.violations.size())
+            .digest(r.digest)
+            .array("outages");
+        for (const net::ServiceOutage &o : r.outages)
+            json.object()
+                .field("event_ms", msOf(o.eventAt), "%.2f")
+                .field("downtime_ms", msOf(o.downtime), "%.3f")
+                .field("attributable_ms", msOf(o.attributable), "%.3f")
+                .field("cold_boot", o.coldBoot)
+                .close();
+        json.close().close();
+    }
+    if (!json.finish())
         return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"service_availability\",\n");
-    std::fprintf(f, "  \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(seed));
-    std::fprintf(f, "  \"cuts\": %u,\n", cuts);
-    std::fprintf(f, "  \"runfor_ms\": %llu,\n",
-                 static_cast<unsigned long long>(runforMs));
-    std::fprintf(f, "  \"arrivals_per_sec\": %.1f,\n", arrivals);
-    std::fprintf(f, "  \"clients\": %u,\n", clients);
-    std::fprintf(f, "  \"threads\": %u,\n", threads);
-    std::fprintf(f, "  \"deterministic\": %s,\n",
-                 sng.digest == sngRepeat.digest ? "true" : "false");
-    std::fprintf(f, "  \"modes\": [\n");
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const net::ServiceResult &r = results[i];
-        std::fprintf(f, "    {\"mode\": \"%s\",\n",
-                     r.modeName.c_str());
-        std::fprintf(f,
-                     "     \"arrivals\": %llu, \"completed\": %llu,"
-                     " \"failed\": %llu, \"retries\": %llu,\n",
-                     static_cast<unsigned long long>(r.arrivals),
-                     static_cast<unsigned long long>(r.completed),
-                     static_cast<unsigned long long>(r.failed),
-                     static_cast<unsigned long long>(r.retries));
-        std::fprintf(f,
-                     "     \"acked_puts\": %llu,"
-                     " \"puts_applied\": %llu,"
-                     " \"idempotent_hits\": %llu,"
-                     " \"rejected\": %llu,\n",
-                     static_cast<unsigned long long>(r.ackedPuts),
-                     static_cast<unsigned long long>(r.putsApplied),
-                     static_cast<unsigned long long>(
-                         r.idempotentHits),
-                     static_cast<unsigned long long>(r.rejected));
-        std::fprintf(f,
-                     "     \"goodput_mean\": %.1f,"
-                     " \"latency_mean_us\": %.2f,"
-                     " \"p50_us\": %.2f, \"p99_us\": %.2f,"
-                     " \"p999_us\": %.2f,\n",
-                     r.goodputMean, r.meanUs, r.p50Us, r.p99Us,
-                     r.p999Us);
-        std::fprintf(f,
-                     "     \"cold_boots\": %llu,"
-                     " \"ring_preserved_frames\": %llu,"
-                     " \"ring_frames_lost\": %llu,"
-                     " \"stop_ms_total\": %.3f,"
-                     " \"go_ms_total\": %.3f,\n",
-                     static_cast<unsigned long long>(r.coldBoots),
-                     static_cast<unsigned long long>(
-                         r.ringPreservedFrames),
-                     static_cast<unsigned long long>(
-                         r.ringFramesLost),
-                     msOf(r.stopTicksTotal), msOf(r.goTicksTotal));
-        std::fprintf(f,
-                     "     \"log_appends\": %llu,"
-                     " \"log_commits\": %llu,"
-                     " \"log_drain_applied\": %llu,"
-                     " \"log_replay_applied\": %llu,"
-                     " \"log_stall_drains\": %llu,\n",
-                     static_cast<unsigned long long>(r.logAppends),
-                     static_cast<unsigned long long>(r.logCommits),
-                     static_cast<unsigned long long>(
-                         r.logDrainApplied),
-                     static_cast<unsigned long long>(
-                         r.logReplayApplied),
-                     static_cast<unsigned long long>(
-                         r.logStallDrains));
-        std::fprintf(f,
-                     "     \"dedup_compactions\": %llu,"
-                     " \"dedup_evicted\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         r.dedupCompactions),
-                     static_cast<unsigned long long>(r.dedupEvicted));
-        std::fprintf(f,
-                     "     \"lost_acked_puts\": %llu,"
-                     " \"duplicate_applied\": %llu,"
-                     " \"violations\": %llu,"
-                     " \"digest\": \"%016llx\",\n",
-                     static_cast<unsigned long long>(
-                         r.lostAckedPuts),
-                     static_cast<unsigned long long>(
-                         r.duplicateApplied),
-                     static_cast<unsigned long long>(
-                         r.violations.size()),
-                     static_cast<unsigned long long>(r.digest));
-        std::fprintf(f, "     \"outages\": [");
-        for (std::size_t k = 0; k < r.outages.size(); ++k) {
-            const net::ServiceOutage &o = r.outages[k];
-            std::fprintf(f,
-                         "%s\n      {\"event_ms\": %.2f,"
-                         " \"downtime_ms\": %.3f,"
-                         " \"attributable_ms\": %.3f,"
-                         " \"cold_boot\": %s}",
-                         k ? "," : "", msOf(o.eventAt),
-                         msOf(o.downtime), msOf(o.attributable),
-                         o.coldBoot ? "true" : "false");
-        }
-        std::fprintf(f, "]}%s\n",
-                     i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::cout << "\nwrote " << out << "\n";
 
     return bench::result();
 }

@@ -19,34 +19,16 @@
  * thread count.
  */
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
+#include "campaign_io.hh"
 #include "fault/campaign.hh"
 #include "power/psu.hh"
 #include "sim/parallel.hh"
-#include "stats/table.hh"
 
 using namespace lightpc;
-
-namespace
-{
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--cuts N] [--seed S] [--threads N|-j N]"
-                 " [--out FILE]\n",
-                 argv0);
-    return 2;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -56,26 +38,15 @@ main(int argc, char **argv)
     unsigned threads = 0;
     std::string out = "BENCH_fault.json";
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc)
-                std::exit(usage(argv[0]));
-            return argv[++i];
-        };
-        if (arg == "--cuts")
-            cuts = std::strtoull(value(), nullptr, 10);
-        else if (arg == "--seed")
-            seed = std::strtoull(value(), nullptr, 10);
-        else if (arg == "--threads" || arg == "-j")
-            threads = sim::parseThreadsArg(value());
-        else if (arg == "--out")
-            out = value();
-        else
-            return usage(argv[0]);
-    }
+    const char *flags = "[--cuts N] [--seed S] [--threads N|-j N]"
+                        " [--out FILE]";
+    bench::parseFlags(argc, argv, flags,
+                      {bench::flag("--cuts", cuts),
+                       bench::flag("--seed", seed),
+                       bench::threadsFlag(threads),
+                       bench::flag("--out", out)});
     if (cuts == 0)
-        return usage(argv[0]);
+        bench::usage(argv[0], flags);
     threads = sim::resolveThreads(threads);
 
     bench::banner("Fault campaign",
@@ -106,32 +77,9 @@ main(int argc, char **argv)
         }
     }
 
-    stats::Table table({"mode", "psu", "cuts", "resumes", "cold",
-                        "dropped", "torn", "violations"});
     for (const fault::CampaignResult &r : results) {
-        table.addRow({r.mode, r.psu, std::to_string(r.cuts),
-                      std::to_string(r.resumes),
-                      std::to_string(r.coldBoots),
-                      std::to_string(r.droppedWrites),
-                      std::to_string(r.tornWrites),
-                      std::to_string(r.violations)});
-    }
-    table.print(std::cout);
-
-    std::cout << "\ncut coverage per phase window:\n";
-    for (const fault::CampaignResult &r : results) {
-        std::cout << "  " << r.mode << "/" << r.psu << ":";
-        for (std::size_t p = 0;
-             p < static_cast<std::size_t>(fault::CutPhase::Count);
-             ++p) {
-            const auto phase = static_cast<fault::CutPhase>(p);
-            if (r.phaseCount(phase))
-                std::cout << " " << fault::cutPhaseName(phase) << "="
-                          << r.phaseCount(phase);
-        }
-        std::cout << "\n";
-    }
-    for (const fault::CampaignResult &r : results) {
+        std::cout << r.mode << "/" << r.psu << ":\n";
+        bench::printCounters(fault::campaignCounters(), r);
         for (const std::string &note : r.violationNotes)
             std::cout << "  VIOLATION " << note << "\n";
     }
@@ -171,55 +119,22 @@ main(int argc, char **argv)
         }
     }
 
-    std::FILE *f = std::fopen(out.c_str(), "w");
-    if (!f) {
-        std::perror(out.c_str());
+    bench::JsonWriter json(out);
+    json.field("bench", "fault_campaign")
+        .field("cuts_per_mode_psu", cuts)
+        .field("seed", seed)
+        .field("threads", threads)
+        .field("total_violations", violations)
+        .array("campaigns");
+    for (const fault::CampaignResult &r : results)
+        json.object()
+            .field("mode", r.mode)
+            .field("psu", r.psu)
+            .counters(fault::campaignCounters(), r)
+            .digest(r.digest)
+            .close();
+    if (!json.finish())
         return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"fault_campaign\",\n");
-    std::fprintf(f, "  \"cuts_per_mode_psu\": %llu,\n",
-                 static_cast<unsigned long long>(cuts));
-    std::fprintf(f, "  \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(seed));
-    std::fprintf(f, "  \"threads\": %u,\n", threads);
-    std::fprintf(f, "  \"total_violations\": %llu,\n",
-                 static_cast<unsigned long long>(violations));
-    std::fprintf(f, "  \"campaigns\": [\n");
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const fault::CampaignResult &r = results[i];
-        std::fprintf(f, "    {\"mode\": \"%s\", \"psu\": \"%s\","
-                        " \"cuts\": %llu, \"resumes\": %llu,"
-                        " \"cold_boots\": %llu,"
-                        " \"dropped_writes\": %llu,"
-                        " \"torn_writes\": %llu,"
-                        " \"violations\": %llu,\n",
-                     r.mode.c_str(), r.psu.c_str(),
-                     static_cast<unsigned long long>(r.cuts),
-                     static_cast<unsigned long long>(r.resumes),
-                     static_cast<unsigned long long>(r.coldBoots),
-                     static_cast<unsigned long long>(r.droppedWrites),
-                     static_cast<unsigned long long>(r.tornWrites),
-                     static_cast<unsigned long long>(r.violations));
-        std::fprintf(f, "     \"digest\": \"0x%016llx\",\n",
-                     static_cast<unsigned long long>(r.digest));
-        std::fprintf(f, "     \"phase_cuts\": {");
-        bool first = true;
-        for (std::size_t p = 0;
-             p < static_cast<std::size_t>(fault::CutPhase::Count);
-             ++p) {
-            const auto phase = static_cast<fault::CutPhase>(p);
-            std::fprintf(f, "%s\"%s\": %llu", first ? "" : ", ",
-                         fault::cutPhaseName(phase),
-                         static_cast<unsigned long long>(
-                             r.phaseCount(phase)));
-            first = false;
-        }
-        std::fprintf(f, "}}%s\n",
-                     i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::cout << "\nwrote " << out << "\n";
 
     return bench::result();
 }

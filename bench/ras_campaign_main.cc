@@ -21,11 +21,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "bench_common.hh"
+#include "campaign_io.hh"
 #include "fault/ras_campaign.hh"
 #include "sim/parallel.hh"
 #include "stats/table.hh"
@@ -34,16 +33,6 @@ using namespace lightpc;
 
 namespace
 {
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--seeds N] [--ops N] [--seed S]"
-                 " [--threads N|-j N] [--out FILE]\n",
-                 argv0);
-    return 2;
-}
 
 std::string
 fmtRate(double v)
@@ -61,28 +50,16 @@ main(int argc, char **argv)
     fault::RasCampaignConfig config;
     std::string out = "BENCH_ras.json";
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc)
-                std::exit(usage(argv[0]));
-            return argv[++i];
-        };
-        if (arg == "--seeds")
-            config.seedsPerCell = std::strtoull(value(), nullptr, 10);
-        else if (arg == "--ops")
-            config.opsPerTrial = std::strtoull(value(), nullptr, 10);
-        else if (arg == "--seed")
-            config.seed = std::strtoull(value(), nullptr, 10);
-        else if (arg == "--threads" || arg == "-j")
-            config.threads = sim::parseThreadsArg(value());
-        else if (arg == "--out")
-            out = value();
-        else
-            return usage(argv[0]);
-    }
+    const char *flags = "[--seeds N] [--ops N] [--seed S]"
+                        " [--threads N|-j N] [--out FILE]";
+    bench::parseFlags(argc, argv, flags,
+                      {bench::flag("--seeds", config.seedsPerCell),
+                       bench::flag("--ops", config.opsPerTrial),
+                       bench::flag("--seed", config.seed),
+                       bench::threadsFlag(config.threads),
+                       bench::flag("--out", out)});
     if (config.seedsPerCell == 0 || config.opsPerTrial == 0)
-        return usage(argv[0]);
+        bench::usage(argv[0], flags);
     config.threads = sim::resolveThreads(config.threads);
 
     bench::banner("RAS campaign",
@@ -93,44 +70,19 @@ main(int argc, char **argv)
 
     const fault::RasCampaignResult r = fault::runRasCampaign(config);
 
-    stats::Table table({"ber", "wear", "policy", "trials", "checked",
-                        "xcc", "rs", "uncorr", "retired", "mce",
-                        "sdc"});
-    for (const fault::RasCell &c : r.cells) {
-        table.addRow({fmtRate(c.ber), fmtRate(c.wear), c.policy,
-                      std::to_string(c.trials),
-                      std::to_string(c.checkedReads),
-                      std::to_string(c.corrected),
-                      std::to_string(c.symbolCorrections),
-                      std::to_string(c.uncorrectable),
-                      std::to_string(c.retired),
-                      std::to_string(c.mceContained
-                                     + c.mceColdBoots),
-                      std::to_string(c.sdc)});
-    }
+    const std::vector<std::string> columns = {
+        "trials", "checked_reads", "xcc_corrections", "rs_corrections",
+        "uncorrectable", "retired", "mce_contained", "mce_cold_boots",
+        "sdc"};
+    stats::Table table(bench::row({"ber", "wear", "policy"}, columns));
+    for (const fault::RasCell &c : r.cells)
+        table.addRow(bench::row(
+            {fmtRate(c.ber), fmtRate(c.wear), c.policy},
+            bench::counterCells(fault::rasCellCounters(), c, columns)));
     table.print(std::cout);
 
-    std::cout << "\ntotals: " << r.trials << " trials, "
-              << r.checkedReads << " checked reads, "
-              << r.correctedReads << " XCC corrections, "
-              << r.symbolCorrections << " RS corrections, "
-              << r.parityRewrites << " parity rewrites, "
-              << r.uncorrectableReads << " uncorrectable\n"
-              << "mce: " << r.mceContained << " contained ("
-              << r.tasksKilled << " tasks killed), "
-              << r.mceColdBoots << " cold boots ("
-              << r.kernelEscalations << " kernel escalations)\n"
-              << "retire: " << r.linesRetired << " lines, "
-              << r.spareExhausted << " spare-exhausted\n"
-              << "scrub: " << r.scrubbedLines << " lines, "
-              << r.scrubRepairs << " repairs, "
-              << r.scrubDeferrals << " deferrals\n"
-              << "sng: " << r.resumes << " resumes, "
-              << r.coldBootResumes << " cold boots, "
-              << r.cutTrials << " power-cut trials ("
-              << r.droppedWrites << " dropped, " << r.tornWrites
-              << " torn), " << r.containSurvivedSng
-              << " contain-then-resume survivals\n";
+    std::cout << "\ntotals:\n";
+    bench::printCounters(fault::rasCounters(), r);
     for (const std::string &note : r.violationNotes)
         std::cout << "  VIOLATION " << note << "\n";
 
@@ -165,100 +117,23 @@ main(int argc, char **argv)
     bench::check(r.resumes + r.coldBootResumes == r.trials,
                  "every trial resolved to resume or cold boot");
 
-    std::FILE *f = std::fopen(out.c_str(), "w");
-    if (!f) {
-        std::perror(out.c_str());
+    bench::JsonWriter json(out);
+    json.field("bench", "ras_campaign")
+        .field("seed", config.seed)
+        .field("threads", config.threads)
+        .digest(r.digest)
+        .field("ops_per_trial", config.opsPerTrial)
+        .counters(fault::rasCounters(), r)
+        .array("cells");
+    for (const fault::RasCell &c : r.cells)
+        json.object()
+            .field("ber", c.ber, "%g")
+            .field("wear", c.wear, "%g")
+            .field("policy", c.policy)
+            .counters(fault::rasCellCounters(), c)
+            .close();
+    if (!json.finish())
         return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"ras_campaign\",\n");
-    std::fprintf(f, "  \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(config.seed));
-    std::fprintf(f, "  \"threads\": %u,\n", config.threads);
-    std::fprintf(f, "  \"digest\": \"0x%016llx\",\n",
-                 static_cast<unsigned long long>(r.digest));
-    std::fprintf(f, "  \"trials\": %llu,\n",
-                 static_cast<unsigned long long>(r.trials));
-    std::fprintf(f, "  \"ops_per_trial\": %llu,\n",
-                 static_cast<unsigned long long>(config.opsPerTrial));
-    std::fprintf(f, "  \"sdc_events\": %llu,\n",
-                 static_cast<unsigned long long>(r.sdcEvents));
-    std::fprintf(f, "  \"violations\": %llu,\n",
-                 static_cast<unsigned long long>(r.violations));
-    std::fprintf(f, "  \"checked_reads\": %llu,\n",
-                 static_cast<unsigned long long>(r.checkedReads));
-    std::fprintf(f, "  \"xcc_corrections\": %llu,\n",
-                 static_cast<unsigned long long>(r.correctedReads));
-    std::fprintf(f, "  \"rs_corrections\": %llu,\n",
-                 static_cast<unsigned long long>(r.symbolCorrections));
-    std::fprintf(f, "  \"parity_rewrites\": %llu,\n",
-                 static_cast<unsigned long long>(r.parityRewrites));
-    std::fprintf(f, "  \"uncorrectable_reads\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     r.uncorrectableReads));
-    std::fprintf(f, "  \"mce_contained\": %llu,\n",
-                 static_cast<unsigned long long>(r.mceContained));
-    std::fprintf(f, "  \"mce_cold_boots\": %llu,\n",
-                 static_cast<unsigned long long>(r.mceColdBoots));
-    std::fprintf(f, "  \"tasks_killed\": %llu,\n",
-                 static_cast<unsigned long long>(r.tasksKilled));
-    std::fprintf(f, "  \"kernel_escalations\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     r.kernelEscalations));
-    std::fprintf(f, "  \"lines_retired\": %llu,\n",
-                 static_cast<unsigned long long>(r.linesRetired));
-    std::fprintf(f, "  \"scrubbed_lines\": %llu,\n",
-                 static_cast<unsigned long long>(r.scrubbedLines));
-    std::fprintf(f, "  \"scrub_repairs\": %llu,\n",
-                 static_cast<unsigned long long>(r.scrubRepairs));
-    std::fprintf(f, "  \"scrub_deferrals\": %llu,\n",
-                 static_cast<unsigned long long>(r.scrubDeferrals));
-    std::fprintf(f, "  \"sng_resumes\": %llu,\n",
-                 static_cast<unsigned long long>(r.resumes));
-    std::fprintf(f, "  \"sng_cold_boots\": %llu,\n",
-                 static_cast<unsigned long long>(r.coldBootResumes));
-    std::fprintf(f, "  \"power_cut_trials\": %llu,\n",
-                 static_cast<unsigned long long>(r.cutTrials));
-    std::fprintf(f, "  \"dropped_writes\": %llu,\n",
-                 static_cast<unsigned long long>(r.droppedWrites));
-    std::fprintf(f, "  \"torn_writes\": %llu,\n",
-                 static_cast<unsigned long long>(r.tornWrites));
-    std::fprintf(f, "  \"contain_survived_sng\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     r.containSurvivedSng));
-    std::fprintf(f, "  \"cells\": [\n");
-    for (std::size_t i = 0; i < r.cells.size(); ++i) {
-        const fault::RasCell &c = r.cells[i];
-        std::fprintf(f,
-                     "    {\"ber\": %g, \"wear\": %g,"
-                     " \"policy\": \"%s\", \"trials\": %llu,"
-                     " \"checked_reads\": %llu,"
-                     " \"xcc_corrections\": %llu,"
-                     " \"rs_corrections\": %llu,"
-                     " \"parity_rewrites\": %llu,"
-                     " \"uncorrectable\": %llu,"
-                     " \"retired\": %llu,"
-                     " \"mce_contained\": %llu,"
-                     " \"mce_cold_boots\": %llu,"
-                     " \"sdc\": %llu}%s\n",
-                     c.ber, c.wear, c.policy.c_str(),
-                     static_cast<unsigned long long>(c.trials),
-                     static_cast<unsigned long long>(c.checkedReads),
-                     static_cast<unsigned long long>(c.corrected),
-                     static_cast<unsigned long long>(
-                         c.symbolCorrections),
-                     static_cast<unsigned long long>(
-                         c.parityRewrites),
-                     static_cast<unsigned long long>(
-                         c.uncorrectable),
-                     static_cast<unsigned long long>(c.retired),
-                     static_cast<unsigned long long>(c.mceContained),
-                     static_cast<unsigned long long>(c.mceColdBoots),
-                     static_cast<unsigned long long>(c.sdc),
-                     i + 1 < r.cells.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::cout << "\nwrote " << out << "\n";
 
     return bench::result();
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <sstream>
 
 #include "fault/fault_injector.hh"
 #include "fault/power_rail.hh"
@@ -36,22 +35,22 @@ cutPhaseName(CutPhase phase)
     return "?";
 }
 
-void
-CampaignResult::merge(const CampaignResult &other)
+const stats::CounterSet<CampaignResult> &
+campaignCounters()
 {
-    cuts += other.cuts;
-    for (std::size_t p = 0; p < phaseCuts.size(); ++p)
-        phaseCuts[p] += other.phaseCuts[p];
-    resumes += other.resumes;
-    coldBoots += other.coldBoots;
-    droppedWrites += other.droppedWrites;
-    tornWrites += other.tornWrites;
-    violations += other.violations;
-    for (const std::string &note : other.violationNotes) {
-        if (violationNotes.size() >= 8)
-            break;
-        violationNotes.push_back(note);
-    }
+    using R = CampaignResult;
+    using stats::counter;
+    static const stats::CounterSet<R> set(
+        counter<&R::cuts>("cuts"),
+        stats::histogram<&R::phaseCuts>(
+            "phase_cuts",
+            [](std::size_t p) { return cutPhaseName(CutPhase(p)); }),
+        counter<&R::resumes>("resumes"),
+        counter<&R::coldBoots>("cold_boots"),
+        counter<&R::droppedWrites>("dropped_writes"),
+        counter<&R::tornWrites>("torn_writes"),
+        counter<&R::violations>("violations"));
+    return set;
 }
 
 namespace
@@ -81,13 +80,7 @@ countPhase(CampaignResult &result, CutPhase phase)
     ++result.phaseCuts[static_cast<std::size_t>(phase)];
 }
 
-void
-flagViolation(CampaignResult &result, const std::string &note)
-{
-    ++result.violations;
-    if (result.violationNotes.size() < 8)
-        result.violationNotes.push_back(note);
-}
+using stats::flagViolation;
 
 /**
  * Static platform load while @p active cores compute and the rest
@@ -159,10 +152,11 @@ sweepFraction(std::uint64_t i, std::uint64_t cuts, Rng &rng)
 
 /**
  * The deterministic reduction driver every mode shares: fan
- * config.cuts isolated trials across the pool, merge the per-trial
- * results in ascending seed order, stamp mode/PSU, and digest the
- * merged counters. @p trial must be a pure function of its index —
- * it is invoked concurrently from multiple workers.
+ * config.cuts isolated trials across the pool, fold the per-trial
+ * results in ascending seed order (tagging each violation note with
+ * its trial index), stamp mode/PSU, and digest the folded counters.
+ * @p trial must be a pure function of its index — it is invoked
+ * concurrently from multiple workers.
  */
 CampaignResult
 runSeededTrials(const CampaignConfig &config, const char *mode,
@@ -170,23 +164,18 @@ runSeededTrials(const CampaignConfig &config, const char *mode,
                     &trial)
 {
     sim::ParallelExecutor pool(config.threads);
-    CampaignResult result = pool.reduce<CampaignResult>(
-        config.cuts, CampaignResult{}, trial,
-        [](CampaignResult &acc, const CampaignResult &partial) {
-            acc.merge(partial);
-        });
+    const std::vector<CampaignResult> trials =
+        pool.map<CampaignResult>(config.cuts, trial);
+
+    CampaignResult result;
     result.mode = mode;
     result.psu = config.psu.spec().name;
-
+    const std::string cell = result.mode + " " + result.psu;
+    stats::foldTrials(
+        campaignCounters(), result, trials,
+        [&cell](std::uint64_t) -> std::string_view { return cell; });
     sim::Fnv64 digest;
-    digest.mix(result.cuts);
-    for (const std::uint64_t c : result.phaseCuts)
-        digest.mix(c);
-    digest.mix(result.resumes);
-    digest.mix(result.coldBoots);
-    digest.mix(result.droppedWrites);
-    digest.mix(result.tornWrites);
-    digest.mix(result.violations);
+    campaignCounters().mix(digest, result);
     result.digest = digest.h;
     return result;
 }
@@ -264,44 +253,24 @@ runSngCampaign(const CampaignConfig &config)
         injector.powerRestored();
 
         const bool expect_resume = stop.commitAt < cut;
-        if (sng.hasCommit() != expect_resume) {
-            std::ostringstream note;
-            note << "SnG cut@" << cut << " " << cutPhaseName(phase)
-                 << ": commit durable=" << sng.hasCommit()
-                 << " expected=" << expect_resume;
-            flagViolation(result, note.str());
-        }
+        if (sng.hasCommit() != expect_resume)
+            flagViolation(result, "SnG cut@", cut, " ", cutPhaseName(phase),
+                          ": commit durable=", sng.hasCommit(), " expected=",
+                          expect_resume);
 
         const pecos::GoReport go = sng.resume(cut + 100 * tickMs);
-        if (go.coldBoot == expect_resume) {
-            std::ostringstream note;
-            note << "SnG cut@" << cut << " " << cutPhaseName(phase)
-                 << ": coldBoot=" << go.coldBoot
-                 << " but commit durable=" << expect_resume;
-            flagViolation(result, note.str());
-        }
+        if (go.coldBoot == expect_resume)
+            flagViolation(result, "SnG cut@", cut, " ", cutPhaseName(phase),
+                          ": coldBoot=", go.coldBoot, " but commit durable=",
+                          expect_resume);
 
         if (!go.coldBoot) {
             // Byte-exact register + device-cookie round-trip through
             // OC-PMEM (the scramble above guarantees stale volatile
             // copies cannot pass).
-            const kernel::SystemSnapshot after = kern.snapshot();
-            bool regs_ok =
-                after.entries.size() == before.entries.size()
-                && after.deviceCookies == before.deviceCookies;
-            for (std::size_t p = 0; regs_ok
-                 && p < after.entries.size(); ++p) {
-                regs_ok = after.entries[p].pid
-                        == before.entries[p].pid
-                    && after.entries[p].regs
-                        == before.entries[p].regs;
-            }
-            if (!regs_ok) {
-                std::ostringstream note;
-                note << "SnG cut@" << cut
-                     << ": resumed with corrupt register state";
-                flagViolation(result, note.str());
-            }
+            if (!kern.snapshot().registersMatch(before))
+                flagViolation(result, "SnG cut@", cut,
+                              ": resumed with corrupt register state");
             ++result.resumes;
         } else {
             ++result.coldBoots;
@@ -423,13 +392,9 @@ runSysPcCampaign(const CampaignConfig &config)
         if (ok && got == 2)
             ok = syspc.committedImageIntact(syspc.committedImage());
 
-        if (!ok) {
-            std::ostringstream note;
-            note << "SysPC cut@" << cut << " recovered seq " << got
-                 << " (base " << base_seq << ", commit@" << commit_at
-                 << ")";
-            flagViolation(result, note.str());
-        }
+        if (!ok)
+            flagViolation(result, "SysPC cut@", cut, " recovered seq ", got,
+                          " (base ", base_seq, ", commit@", commit_at, ")");
         got != 0 ? ++result.resumes : ++result.coldBoots;
         ++result.cuts;
         return result;
@@ -515,13 +480,10 @@ runSCheckPcCampaign(const CampaignConfig &config)
         if (ok && got == final_seq)
             ok = scheck.commitIntact(scheck.latestCommit());
 
-        if (!ok) {
-            std::ostringstream note;
-            note << "S-CheckPC cut@" << cut << " recovered seq "
-                 << got << " (base " << base_seq << ", commit@"
-                 << commit_at << ")";
-            flagViolation(result, note.str());
-        }
+        if (!ok)
+            flagViolation(result, "S-CheckPC cut@", cut,
+                          " recovered seq ", got, " (base ", base_seq,
+                          ", commit@", commit_at, ")");
         got != 0 ? ++result.resumes : ++result.coldBoots;
         ++result.cuts;
         return result;
@@ -637,12 +599,9 @@ runACheckPcCampaign(const CampaignConfig &config)
                        seeds[rec.seq]);
         }
 
-        if (!ok) {
-            std::ostringstream note;
-            note << "A-CheckPC cut@" << cut << " recovered seq "
-                 << got << " expected " << expect;
-            flagViolation(result, note.str());
-        }
+        if (!ok)
+            flagViolation(result, "A-CheckPC cut@", cut,
+                          " recovered seq ", got, " expected ", expect);
         got != 0 ? ++result.resumes : ++result.coldBoots;
         ++result.cuts;
         return result;
@@ -841,14 +800,11 @@ runOpLogCampaign(const CampaignConfig &config)
                     && state->valueSeed == seeds[last];
         }
 
-        if (!ok) {
-            std::ostringstream note;
-            note << "SnG-OpLog cut@" << cut << " "
-                 << cutPhaseName(phase) << ": applied " << got
-                 << " records (floor " << committed_min << ", ceiling "
-                 << append_bound << ") or key table off-oracle";
-            flagViolation(result, note.str());
-        }
+        if (!ok)
+            flagViolation(result, "SnG-OpLog cut@", cut, " ",
+                          cutPhaseName(phase), ": applied ", got,
+                          " records (floor ", committed_min, ", ceiling ",
+                          append_bound, ") or key table off-oracle");
         got != 0 ? ++result.resumes : ++result.coldBoots;
         ++result.cuts;
         return result;

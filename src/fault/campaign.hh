@@ -25,6 +25,7 @@
 
 #include "power/psu.hh"
 #include "sim/ticks.hh"
+#include "stats/counter_set.hh"
 
 namespace lightpc::fault
 {
@@ -92,9 +93,9 @@ struct CampaignResult
     std::vector<std::string> violationNotes;
 
     /**
-     * FNV digest over every counter above, computed after the
-     * canonical-order reduction (determinism anchor: equal at every
-     * thread count).
+     * FNV digest over every campaignCounters() row, computed after
+     * the canonical-order reduction (determinism anchor: equal at
+     * every thread count).
      */
     std::uint64_t digest = 0;
 
@@ -103,10 +104,10 @@ struct CampaignResult
     {
         return phaseCuts[static_cast<std::size_t>(phase)];
     }
-
-    /** Fold another (partial) result's counters into this one. */
-    void merge(const CampaignResult &other);
 };
+
+/** The counter table of CampaignResult, in digest and JSON order. */
+const stats::CounterSet<CampaignResult> &campaignCounters();
 
 /**
  * SnG: cuts across Drive-to-Idle / Auto-Stop / EP-cut / post-commit.

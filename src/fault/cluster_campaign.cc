@@ -1,8 +1,6 @@
 #include "fault/cluster_campaign.hh"
 
 #include <algorithm>
-#include <bit>
-#include <sstream>
 
 #include "fault/compound.hh"
 #include "sim/digest.hh"
@@ -23,66 +21,6 @@ using Result = cluster::ClusterResult;
  * majority {0, 1}, so partitioning it off threatens the quorum.
  */
 constexpr std::uint32_t campaignRacks = 2;
-
-constexpr ClusterCounter
-sum(const char *name, std::uint64_t Result::*member)
-{
-    return {name, Fold::Sum, Unit::Count, member};
-}
-
-constexpr ClusterCounter
-ratio(const char *name, Fold fold, double Result::*member)
-{
-    return {name, fold, Unit::Ratio, nullptr, member};
-}
-
-constexpr ClusterCounter counterTable[] = {
-    sum("cuts", &Result::cutsInjected),
-    ratio("write_avail_mean", Fold::Mean, &Result::writeAvailability),
-    ratio("write_avail_min", Fold::Min, &Result::writeAvailability),
-    ratio("read_avail_mean", Fold::Mean, &Result::readAvailability),
-    ratio("read_avail_min", Fold::Min, &Result::readAvailability),
-    {"worst_write_gap_ms", Fold::Max, Unit::Ms, &Result::worstWriteGap},
-    sum("read_only_spans", &Result::readOnlySpans),
-    sum("completed", &Result::completed),
-    sum("failed", &Result::failed),
-    sum("acked_puts", &Result::ackedPuts),
-    sum("redirects", &Result::redirects),
-    sum("fast_redirects", &Result::fastRedirects),
-    sum("redirect_fallbacks", &Result::redirectFallbacks),
-    sum("msgs_dropped", &Result::msgsDropped),
-    sum("msgs_duplicated", &Result::msgsDuplicated),
-    sum("msgs_reordered", &Result::msgsReordered),
-    sum("partition_cuts", &Result::partitionCuts),
-    sum("flap_cuts", &Result::flapCuts),
-    sum("elections", &Result::elections),
-    sum("leader_changes", &Result::leaderChanges),
-    sum("step_downs", &Result::stepDowns),
-    sum("pre_vote_rounds", &Result::preVoteRounds),
-    sum("elections_suppressed", &Result::electionsSuppressed),
-    sum("retransmits", &Result::retransmits),
-    sum("sync_retries", &Result::syncRetries),
-    sum("duplicate_ack_audits", &Result::duplicateAckAudits),
-    sum("sync_deltas", &Result::syncDeltas),
-    sum("sync_fulls", &Result::syncFulls),
-    sum("sync_bytes", &Result::syncBytes),
-    sum("resumes", &Result::resumes),
-    sum("cold_boots", &Result::coldBoots),
-    sum("degraded_cold_boots", &Result::degradedColdBoots),
-    sum("audited_writes", &Result::auditedWrites),
-    sum("audited_reads", &Result::auditedReads),
-    sum("stale_reads", &Result::staleReads),
-    sum("not_found_reads", &Result::notFoundReads),
-    // Invariants: must stay zero across the whole campaign.
-    sum("lost_acked_puts", &Result::lostAckedPuts),
-    sum("split_brain_epochs", &Result::splitBrainEpochs),
-    sum("divergent_commits", &Result::divergentCommits),
-    sum("lost_updates", &Result::lostUpdates),
-    sum("order_inversions", &Result::orderInversions),
-    sum("phantom_reads", &Result::phantomReads),
-    sum("value_divergences", &Result::valueDivergences),
-    {"violations", Fold::Sum, Unit::Count},
-};
 
 /** A trial index decoded into its grid position. */
 struct GridPoint
@@ -304,62 +242,67 @@ climbNemesisLadder(cluster::ClusterConfig &cc, std::uint32_t intensity,
 
 } // namespace
 
-double
-ClusterCounter::read(const cluster::ClusterResult &r) const
-{
-    if (ratio)
-        return r.*ratio;
-    if (!count)
-        return static_cast<double>(r.violations.size());
-    const double value = static_cast<double>(r.*count);
-    return unit == Unit::Ms ? value / static_cast<double>(tickMs)
-                            : value;
-}
-
-std::span<const ClusterCounter>
+const stats::CounterSet<Result> &
 clusterCounters()
 {
-    return counterTable;
-}
-
-const ClusterCounter &
-clusterCounter(std::string_view name)
-{
-    for (const ClusterCounter &c : counterTable)
-        if (name == c.name)
-            return c;
-    fatal("cluster campaign: no counter named '", name, "'");
-}
-
-void
-ClusterCell::add(const cluster::ClusterResult &r)
-{
-    const bool first = trials++ == 0;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        const ClusterCounter &c = counterTable[i];
-        const double v = c.read(r);
-        double &acc = values[i];
-        switch (c.fold) {
-        case Fold::Sum:
-        case Fold::Mean: acc += v; break;
-        case Fold::Min: acc = first ? v : std::min(acc, v); break;
-        case Fold::Max: acc = first ? v : std::max(acc, v); break;
-        }
-    }
-}
-
-void
-ClusterCell::finish()
-{
-    for (std::size_t i = 0; i < values.size(); ++i)
-        if (counterTable[i].fold == Fold::Mean && trials > 0)
-            values[i] /= static_cast<double>(trials);
-}
-
-double
-ClusterCell::operator[](std::string_view name) const
-{
-    return values[&clusterCounter(name) - counterTable];
+    using stats::counter;
+    using stats::Fold;
+    static const stats::CounterSet<Result> set(
+        counter<&Result::cutsInjected>("cuts"),
+        counter<&Result::writeAvailability>("write_avail_mean", Fold::Mean,
+                                            stats::Unit::Ratio),
+        counter<&Result::writeAvailability>("write_avail_min", Fold::Min,
+                                            stats::Unit::Ratio),
+        counter<&Result::readAvailability>("read_avail_mean", Fold::Mean,
+                                           stats::Unit::Ratio),
+        counter<&Result::readAvailability>("read_avail_min", Fold::Min,
+                                           stats::Unit::Ratio),
+        counter<&Result::worstWriteGap>("worst_write_gap_ms", Fold::Max,
+                                        stats::Unit::Ms),
+        counter<&Result::readOnlySpans>("read_only_spans"),
+        counter<&Result::completed>("completed"),
+        counter<&Result::failed>("failed"),
+        counter<&Result::ackedPuts>("acked_puts"),
+        counter<&Result::redirects>("redirects"),
+        counter<&Result::fastRedirects>("fast_redirects"),
+        counter<&Result::redirectFallbacks>("redirect_fallbacks"),
+        counter<&Result::msgsDropped>("msgs_dropped"),
+        counter<&Result::msgsDuplicated>("msgs_duplicated"),
+        counter<&Result::msgsReordered>("msgs_reordered"),
+        counter<&Result::partitionCuts>("partition_cuts"),
+        counter<&Result::flapCuts>("flap_cuts"),
+        counter<&Result::elections>("elections"),
+        counter<&Result::leaderChanges>("leader_changes"),
+        counter<&Result::stepDowns>("step_downs"),
+        counter<&Result::preVoteRounds>("pre_vote_rounds"),
+        counter<&Result::electionsSuppressed>("elections_suppressed"),
+        counter<&Result::retransmits>("retransmits"),
+        counter<&Result::syncRetries>("sync_retries"),
+        counter<&Result::duplicateAckAudits>("duplicate_ack_audits"),
+        counter<&Result::syncDeltas>("sync_deltas"),
+        counter<&Result::syncFulls>("sync_fulls"),
+        counter<&Result::syncBytes>("sync_bytes"),
+        counter<&Result::resumes>("resumes"),
+        counter<&Result::coldBoots>("cold_boots"),
+        counter<&Result::degradedColdBoots>("degraded_cold_boots"),
+        counter<&Result::auditedWrites>("audited_writes"),
+        counter<&Result::auditedReads>("audited_reads"),
+        counter<&Result::staleReads>("stale_reads"),
+        counter<&Result::notFoundReads>("not_found_reads"),
+        // Invariants: must stay zero across the whole campaign.
+        counter<&Result::lostAckedPuts>("lost_acked_puts"),
+        counter<&Result::splitBrainEpochs>("split_brain_epochs"),
+        counter<&Result::divergentCommits>("divergent_commits"),
+        counter<&Result::lostUpdates>("lost_updates"),
+        counter<&Result::orderInversions>("order_inversions"),
+        counter<&Result::phantomReads>("phantom_reads"),
+        counter<&Result::valueDivergences>("value_divergences"),
+        stats::Counter<Result>{
+            "violations", Fold::Sum, stats::Unit::Count, nullptr,
+            nullptr, [](const Result &r) -> std::uint64_t {
+                return r.violations.size();
+            }});
+    return set;
 }
 
 std::uint64_t
@@ -441,14 +384,11 @@ foldClusterCampaign(const ClusterCampaignConfig &config,
         }
         cell.add(r);
         result.total.add(r);
-        for (const std::string &note : r.violations) {
-            std::ostringstream tagged;
-            tagged << "trial " << i << " [" << cell.modeName << " x"
-                   << cell.replicas << " intensity " << cell.intensity
-                   << "]: " << note;
-            if (result.violationNotes.size() < 64)
-                result.violationNotes.push_back(tagged.str());
-        }
+        stats::appendTrialNotes(
+            result.violationNotes, i,
+            stats::streamed(cell.modeName, " x", cell.replicas,
+                            " intensity ", cell.intensity),
+            r.violations);
     }
 
     // Determinism anchor: the per-trial run digests, then every cell
@@ -463,8 +403,7 @@ foldClusterCampaign(const ClusterCampaignConfig &config,
         fnv.mix(cell.intensity);
         fnv.mix(static_cast<std::uint64_t>(cell.mode));
         fnv.mix(cell.trials);
-        for (const double v : cell.values)
-            fnv.mix(std::bit_cast<std::uint64_t>(v));
+        cell.mix(fnv);
     }
     result.total.finish();
     result.digest = fnv.h;

@@ -35,23 +35,22 @@
  *       struck rack is also severed — a deposed leader is partitioned
  *       AND power-cycled), plus two link flaps.
  *
- * Every cell counter is declared once, in clusterCounters(): its JSON
- * key, the ClusterResult member it reads, and how a cell folds it.
- * The cell fold, the campaign digest and the benches' JSON are each a
- * single loop over that table.
+ * Every cell counter is declared once, in clusterCounters() (a
+ * stats::CounterSet): its JSON key, the ClusterResult member it
+ * reads, and how a cell folds it. The cell fold, the campaign digest
+ * and the benches' JSON are each a single loop over that table.
  */
 
 #ifndef LIGHTPC_FAULT_CLUSTER_CAMPAIGN_HH
 #define LIGHTPC_FAULT_CLUSTER_CAMPAIGN_HH
 
 #include <cstdint>
-#include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "cluster/cluster.hh"
 #include "sim/ticks.hh"
+#include "stats/counter_set.hh"
 
 namespace lightpc::fault
 {
@@ -98,61 +97,22 @@ struct ClusterCampaignConfig
     unsigned threads = 1;
 };
 
-/** How a cell folds one counter across its trials. */
-enum class Fold : std::uint8_t { Sum, Min, Max, Mean };
-
-/** How a counter is reported: a count, a tick span in ms, a ratio. */
-enum class Unit : std::uint8_t { Count, Ms, Ratio };
-
-/**
- * One row of the counter table. A row reads one ClusterResult member:
- * @c count for Count and Ms rows, @c ratio for Ratio rows. The row
- * with neither counts the trial's violation notes.
- */
-struct ClusterCounter
-{
-    const char *name;  ///< JSON key
-    Fold fold;
-    Unit unit;
-    std::uint64_t cluster::ClusterResult::*count = nullptr;
-    double cluster::ClusterResult::*ratio = nullptr;
-
-    /** This counter's value in one trial, in its reported unit. */
-    double read(const cluster::ClusterResult &r) const;
-};
-
-/** The counter table, in digest and JSON order. */
-std::span<const ClusterCounter> clusterCounters();
-
-/** The row named @p name; fatal if the table has none. */
-const ClusterCounter &clusterCounter(std::string_view name);
+/** The counter table of a cluster trial, in digest and JSON order. */
+const stats::CounterSet<cluster::ClusterResult> &clusterCounters();
 
 /**
  * One (replicas, intensity, mode) cell: every clusterCounters() row
  * folded over the cell's trials. Counts stay exact as doubles (every
  * campaign sum is far below 2^53).
  */
-struct ClusterCell
+struct ClusterCell : stats::Folded<cluster::ClusterResult>
 {
+    ClusterCell() : Folded(clusterCounters()) {}
+
     std::uint32_t replicas = 0;
     std::uint32_t intensity = 0;
     net::PersistMode mode = net::PersistMode::SnG;
     std::string modeName;
-
-    std::uint64_t trials = 0;
-
-    /** One folded value per clusterCounters() row, in table order. */
-    std::vector<double> values =
-        std::vector<double>(clusterCounters().size());
-
-    /** Fold one more trial in. */
-    void add(const cluster::ClusterResult &r);
-
-    /** Turn the Mean rows' running sums into means. */
-    void finish();
-
-    /** The folded value of counter @p name (fatal if unknown). */
-    double operator[](std::string_view name) const;
 };
 
 /** Everything one campaign run produces. */

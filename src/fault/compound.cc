@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "fault/fault_injector.hh"
 #include "fault/power_rail.hh"
@@ -221,44 +220,49 @@ machineStateDigest(const kernel::Kernel &kern,
     return fnv.h;
 }
 
-void
-CompoundResult::merge(const CompoundResult &other)
+const stats::CounterSet<CompoundResult> &
+compoundCounters()
 {
-    trials += other.trials;
-    stopCutTrials += other.stopCutTrials;
-    goCutTrials += other.goCutTrials;
-    brownoutTrials += other.brownoutTrials;
-    stormTrials += other.stormTrials;
-    oplogTrials += other.oplogTrials;
-    for (std::size_t p = 0; p < stopPhaseCuts.size(); ++p)
-        stopPhaseCuts[p] += other.stopPhaseCuts[p];
-    for (std::size_t p = 0; p < goPhaseCuts.size(); ++p)
-        goPhaseCuts[p] += other.goPhaseCuts[p];
-    resumes += other.resumes;
-    coldBoots += other.coldBoots;
-    degradedColdBoots += other.degradedColdBoots;
-    supervisorRetries += other.supervisorRetries;
-    livelocks += other.livelocks;
-    abortedStops += other.abortedStops;
-    abortContinues += other.abortContinues;
-    baselineRetries += other.baselineRetries;
-    baselineRecoveries += other.baselineRecoveries;
-    tornResumes += other.tornResumes;
-    idempotenceChecks += other.idempotenceChecks;
-    oplogTornTails += other.oplogTornTails;
-    oplogReplayChecks += other.oplogReplayChecks;
-    oplogRecordsReplayed += other.oplogRecordsReplayed;
-    stormCutsTotal += other.stormCutsTotal;
-    maxCutEpochs = std::max(maxCutEpochs, other.maxCutEpochs);
-    staleWritesRejected += other.staleWritesRejected;
-    droppedWrites += other.droppedWrites;
-    tornWrites += other.tornWrites;
-    violations += other.violations;
-    for (const std::string &note : other.violationNotes) {
-        if (violationNotes.size() >= 8)
-            break;
-        violationNotes.push_back(note);
-    }
+    using R = CompoundResult;
+    using stats::counter;
+    static const stats::CounterSet<R> set(
+        counter<&R::trials>("trials"),
+        counter<&R::stopCutTrials>("scenarios.stop_cut"),
+        counter<&R::goCutTrials>("scenarios.go_cut"),
+        counter<&R::brownoutTrials>("scenarios.brownout"),
+        counter<&R::stormTrials>("scenarios.storm"),
+        counter<&R::oplogTrials>("scenarios.oplog"),
+        stats::histogram<&R::stopPhaseCuts>(
+            "stop_phase_cuts",
+            [](std::size_t p) {
+                return pecos::stopSubPhaseName(pecos::StopSubPhase(p));
+            }),
+        stats::histogram<&R::goPhaseCuts>(
+            "go_phase_cuts",
+            [](std::size_t p) {
+                return pecos::goSubPhaseName(pecos::GoSubPhase(p));
+            }),
+        counter<&R::resumes>("resumes"),
+        counter<&R::coldBoots>("cold_boots"),
+        counter<&R::degradedColdBoots>("degraded_cold_boots"),
+        counter<&R::supervisorRetries>("supervisor_retries"),
+        counter<&R::livelocks>("livelocks"),
+        counter<&R::abortedStops>("aborted_stops"),
+        counter<&R::abortContinues>("abort_continues"),
+        counter<&R::baselineRetries>("baseline_retries"),
+        counter<&R::baselineRecoveries>("baseline_recoveries"),
+        counter<&R::tornResumes>("torn_resumes"),
+        counter<&R::idempotenceChecks>("idempotence_checks"),
+        counter<&R::oplogTornTails>("oplog_torn_tails"),
+        counter<&R::oplogReplayChecks>("oplog_replay_checks"),
+        counter<&R::oplogRecordsReplayed>("oplog_records_replayed"),
+        counter<&R::stormCutsTotal>("storm_cuts"),
+        counter<&R::maxCutEpochs>("max_cut_epochs", stats::Fold::Max),
+        counter<&R::staleWritesRejected>("stale_writes_rejected"),
+        counter<&R::droppedWrites>("dropped_writes"),
+        counter<&R::tornWrites>("torn_writes"),
+        counter<&R::violations>("violations"));
+    return set;
 }
 
 namespace
@@ -300,29 +304,7 @@ struct ImageRig
     mem::TimedMem pmem{port, &store};
 };
 
-void
-flagViolation(CompoundResult &result, const std::string &note)
-{
-    ++result.violations;
-    if (result.violationNotes.size() < 8)
-        result.violationNotes.push_back(note);
-}
-
-/** Register/cookie round-trip check against a pre-stop snapshot. */
-bool
-stateRoundTrips(const kernel::SystemSnapshot &before,
-                const kernel::SystemSnapshot &after)
-{
-    if (after.entries.size() != before.entries.size()
-        || after.deviceCookies != before.deviceCookies)
-        return false;
-    for (std::size_t p = 0; p < after.entries.size(); ++p) {
-        if (after.entries[p].pid != before.entries[p].pid
-            || !(after.entries[p].regs == before.entries[p].regs))
-            return false;
-    }
-    return true;
-}
+using stats::flagViolation;
 
 double
 busyWatts(const power::PowerModel &model, std::uint32_t cores,
@@ -413,14 +395,11 @@ runCompoundCampaign(const CompoundConfig &config)
             const bool expect = stop.commitAt < cut;
             rig.kern.scramble(rng);
             rig.store.disarmPowerCut();
-            if (rig.sng.hasCommit() != expect) {
-                std::ostringstream note;
-                note << "stop-cut@" << cut << " ("
-                     << pecos::stopSubPhaseName(stop.cutSubPhase)
-                     << "): commit durable=" << rig.sng.hasCommit()
-                     << " expected=" << expect;
-                flagViolation(result, note.str());
-            }
+            if (rig.sng.hasCommit() != expect)
+                flagViolation(result, "stop-cut@", cut, " (",
+                              pecos::stopSubPhaseName(stop.cutSubPhase),
+                              "): commit durable=", rig.sng.hasCommit(),
+                              " expected=", expect);
 
             RecoverySupervisor sup(rig.sng, rig.kern, rig.store,
                                    config.supervisor);
@@ -433,14 +412,11 @@ runCompoundCampaign(const CompoundConfig &config)
                                       "to converge");
             } else if (out.coldBoot == expect
                        && !out.degradedColdBoot) {
-                std::ostringstream note;
-                note << "stop-cut@" << cut << ": coldBoot="
-                     << out.coldBoot << " but commit durable="
-                     << expect;
-                flagViolation(result, note.str());
+                flagViolation(result, "stop-cut@", cut, ": coldBoot=",
+                              out.coldBoot, " but commit durable=", expect);
             }
             if (!out.coldBoot) {
-                if (!stateRoundTrips(before, rig.kern.snapshot()))
+                if (!rig.kern.snapshot().registersMatch(before))
                     flagViolation(result,
                                   "stop-cut: resumed with corrupt "
                                   "register state");
@@ -494,10 +470,9 @@ runCompoundCampaign(const CompoundConfig &config)
 
             if (go1.interrupted) {
                 ++result.tornResumes;
-                if (!rig.sng.hasCommit()) {
+                if (!rig.sng.hasCommit())
                     flagViolation(result, "go-cut: torn resume lost "
                                           "the durable EP-cut");
-                }
                 // The machine died mid-Go; replay from the image.
                 rig.kern.scramble(rng);
                 const pecos::GoReport go2 =
@@ -516,12 +491,10 @@ runCompoundCampaign(const CompoundConfig &config)
             ++result.idempotenceChecks;
             if (machineStateDigest(rig.kern, rig.store)
                 != ref_digest) {
-                std::ostringstream note;
-                note << "go-cut@" << cut << " ("
-                     << pecos::goSubPhaseName(go1.cutSubPhase)
-                     << "): replayed resume diverged from the "
-                        "reference machine";
-                flagViolation(result, note.str());
+                flagViolation(result, "go-cut@", cut, " (",
+                              pecos::goSubPhaseName(go1.cutSubPhase),
+                              "): replayed resume diverged from the "
+                              "reference machine");
             }
         } else if (scenario == 2) {
             // ---- Brownout: a mains sag that may or may not reach
@@ -564,7 +537,7 @@ runCompoundCampaign(const CompoundConfig &config)
                                   "brownout-cut: recovery disagrees "
                                   "with commit durability");
                 if (!out.coldBoot) {
-                    if (!stateRoundTrips(before, rig.kern.snapshot()))
+                    if (!rig.kern.snapshot().registersMatch(before))
                         flagViolation(result,
                                       "brownout-cut: corrupt resume");
                     ++result.resumes;
@@ -598,7 +571,7 @@ runCompoundCampaign(const CompoundConfig &config)
                     flagViolation(result,
                                   "brownout-abort: parked tasks "
                                   "left frozen");
-                if (!stateRoundTrips(before, rig.kern.snapshot()))
+                if (!rig.kern.snapshot().registersMatch(before))
                     flagViolation(result,
                                   "brownout-abort: register state "
                                   "changed across the abort");
@@ -613,7 +586,7 @@ runCompoundCampaign(const CompoundConfig &config)
                 const pecos::GoReport go = rig.sng.resume(
                     stop2.offlineDone + 100 * tickMs);
                 if (go.coldBoot
-                    || !stateRoundTrips(mid, rig.kern.snapshot())) {
+                    || !rig.kern.snapshot().registersMatch(mid)) {
                     flagViolation(result,
                                   "brownout-abort: post-abort cycle "
                                   "failed to round-trip");
@@ -645,11 +618,10 @@ runCompoundCampaign(const CompoundConfig &config)
                         syspc.dumpImageCommitted(t, image_bytes,
                                                  rng.next());
                         injector.powerRestored();
-                        if (syspc.committedImage().seq != 0) {
+                        if (syspc.committedImage().seq != 0)
                             flagViolation(result,
                                           "brownout-baseline: dump "
                                           "committed past the cut");
-                        }
                         ++result.baselineRetries;
                         t = cut + backoff;
                         backoff =
@@ -715,13 +687,10 @@ runCompoundCampaign(const CompoundConfig &config)
                 const bool expect = stop.commitAt < cut;
                 rig.kern.scramble(rng);
                 rig.store.disarmPowerCut();
-                if (rig.sng.hasCommit() != expect) {
-                    std::ostringstream note;
-                    note << "storm cut#" << idx << "@" << cut
-                         << ": commit durable=" << rig.sng.hasCommit()
-                         << " expected=" << expect;
-                    flagViolation(result, note.str());
-                }
+                if (rig.sng.hasCommit() != expect)
+                    flagViolation(result, "storm cut#", idx, "@", cut,
+                                  ": commit durable=", rig.sng.hasCommit(),
+                                  " expected=", expect);
                 ++idx;
 
                 // Restore inside the storm: the next cuts are live
@@ -746,8 +715,7 @@ runCompoundCampaign(const CompoundConfig &config)
                     flagViolation(result, "storm: supervisor failed "
                                           "to converge");
                 } else if (expect && !out.coldBoot) {
-                    if (!stateRoundTrips(before,
-                                         rig.kern.snapshot()))
+                    if (!rig.kern.snapshot().registersMatch(before))
                         flagViolation(result,
                                       "storm: corrupt resume state");
                     ++result.resumes;
@@ -857,18 +825,12 @@ runCompoundCampaign(const CompoundConfig &config)
             if (r1.scanStops > 0)
                 ++result.oplogTornTails;
             if (r1.scanStops != r2.scanStops
-                || r1.kv.logReplayApplied != r2.kv.logReplayApplied) {
-                std::ostringstream note;
-                note << "oplog trial " << i << ": the two recovery "
-                        "scans disagreed";
-                flagViolation(result, note.str());
-            }
-            if (!c1.equals(c2)) {
-                std::ostringstream note;
-                note << "oplog trial " << i << ": two recoveries of "
-                        "the same image diverged";
-                flagViolation(result, note.str());
-            }
+                || r1.kv.logReplayApplied != r2.kv.logReplayApplied)
+                flagViolation(result,
+                              "oplog: the two recovery scans disagreed");
+            if (!c1.equals(c2))
+                flagViolation(result, "oplog: two recoveries of the "
+                                      "same image diverged");
 
             // Version-sum audit on one recovered copy: every applied
             // PUT bumped exactly one key's version by one.
@@ -887,11 +849,8 @@ runCompoundCampaign(const CompoundConfig &config)
                     || audit.appliedCount()
                            != audit.appliedIds().size()
                                + audit.compactedCount()) {
-                    std::ostringstream note;
-                    note << "oplog trial " << i << ": version sum "
-                         << version_sum << " != applied count "
-                         << audit.appliedCount();
-                    flagViolation(result, note.str());
+                    flagViolation(result, "oplog: version sum ", version_sum,
+                                  " != applied count ", audit.appliedCount());
                 }
             }
         }
@@ -900,46 +859,19 @@ runCompoundCampaign(const CompoundConfig &config)
     };
 
     sim::ParallelExecutor pool(config.threads);
-    CompoundResult result = pool.reduce<CompoundResult>(
-        config.trials, CompoundResult{}, trial,
-        [](CompoundResult &acc, const CompoundResult &partial) {
-            acc.merge(partial);
-        });
-    result.psu = config.psu.spec().name;
+    const std::vector<CompoundResult> trials =
+        pool.map<CompoundResult>(config.trials, trial);
 
-    // Determinism anchor over every counter.
+    // Fold in trial-index order; each note names its trial and the
+    // scenario class (i % 5) that produced it.
+    static constexpr const char *scenarios[] = {
+        "stop-cut", "go-cut", "brownout", "storm", "oplog"};
+    CompoundResult result;
+    result.psu = config.psu.spec().name;
+    stats::foldTrials(compoundCounters(), result, trials,
+                      [](std::uint64_t i) { return scenarios[i % 5]; });
     sim::Fnv64 fnv;
-    auto mix = [&fnv](std::uint64_t v) { fnv.mix(v); };
-    mix(result.trials);
-    mix(result.stopCutTrials);
-    mix(result.goCutTrials);
-    mix(result.brownoutTrials);
-    mix(result.stormTrials);
-    mix(result.oplogTrials);
-    for (const std::uint64_t c : result.stopPhaseCuts)
-        mix(c);
-    for (const std::uint64_t c : result.goPhaseCuts)
-        mix(c);
-    mix(result.resumes);
-    mix(result.coldBoots);
-    mix(result.degradedColdBoots);
-    mix(result.supervisorRetries);
-    mix(result.livelocks);
-    mix(result.abortedStops);
-    mix(result.abortContinues);
-    mix(result.baselineRetries);
-    mix(result.baselineRecoveries);
-    mix(result.tornResumes);
-    mix(result.idempotenceChecks);
-    mix(result.oplogTornTails);
-    mix(result.oplogReplayChecks);
-    mix(result.oplogRecordsReplayed);
-    mix(result.stormCutsTotal);
-    mix(result.maxCutEpochs);
-    mix(result.staleWritesRejected);
-    mix(result.droppedWrites);
-    mix(result.tornWrites);
-    mix(result.violations);
+    compoundCounters().mix(fnv, result);
     result.digest = fnv.h;
     return result;
 }

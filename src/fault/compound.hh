@@ -52,6 +52,7 @@
 #include "power/psu.hh"
 #include "sim/rng.hh"
 #include "sim/ticks.hh"
+#include "stats/counter_set.hh"
 
 namespace lightpc::fault
 {
@@ -297,7 +298,8 @@ struct CompoundResult
     std::uint64_t violations = 0;
     std::vector<std::string> violationNotes;
 
-    /** FNV digest over every counter above (determinism anchor). */
+    /** FNV digest over every compoundCounters() row (determinism
+     *  anchor). */
     std::uint64_t digest = 0;
 
     std::uint64_t
@@ -311,10 +313,10 @@ struct CompoundResult
     {
         return goPhaseCuts[static_cast<std::size_t>(phase)];
     }
-
-    /** Fold another (partial) result's counters into this one. */
-    void merge(const CompoundResult &other);
 };
+
+/** The counter table of CompoundResult, in digest and JSON order. */
+const stats::CounterSet<CompoundResult> &compoundCounters();
 
 /** Run one seeded compound campaign. */
 CompoundResult runCompoundCampaign(const CompoundConfig &config);

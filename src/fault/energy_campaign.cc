@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "energy/storage.hh"
 #include "fault/fault_injector.hh"
@@ -24,21 +23,26 @@
 namespace lightpc::fault
 {
 
-void
-EnergyCellStats::merge(const EnergyCellStats &other)
+const stats::CounterSet<EnergyCellStats> &
+energyCounters()
 {
-    trials += other.trials;
-    cuts += other.cuts;
-    commitsDurable += other.commitsDurable;
-    resumes += other.resumes;
-    coldBoots += other.coldBoots;
-    survivedTrials += other.survivedTrials;
-    stopsDeferred += other.stopsDeferred;
-    deferredStopsAdmitted += other.deferredStopsAdmitted;
-    proactiveStops += other.proactiveStops;
-    proactiveSaves += other.proactiveSaves;
-    violations += other.violations;
-    minSocPermille = std::min(minSocPermille, other.minSocPermille);
+    using R = EnergyCellStats;
+    using stats::counter;
+    static const stats::CounterSet<R> set(
+        counter<&R::trials>("trials"),
+        counter<&R::cuts>("cuts"),
+        counter<&R::commitsDurable>("commits_durable"),
+        counter<&R::resumes>("resumes"),
+        counter<&R::coldBoots>("cold_boots"),
+        counter<&R::survivedTrials>("survived"),
+        counter<&R::stopsDeferred>("stops_deferred"),
+        counter<&R::deferredStopsAdmitted>("deferred_stops_admitted"),
+        counter<&R::proactiveStops>("proactive_stops"),
+        counter<&R::proactiveSaves>("proactive_saves"),
+        counter<&R::violations>("violations"),
+        counter<&R::minSocPermille>("min_soc_permille",
+                                    stats::Fold::Min));
+    return set;
 }
 
 namespace
@@ -375,35 +379,19 @@ recordMinSoc(EnergyCellStats &cell, const energy::StoragePlane &plane)
                  static_cast<std::uint64_t>(soc * 1000.0));
 }
 
-/** Per-trial scratch the event runners write into. */
+/** One trial's counters and kept violation notes. */
 struct TrialScratch
 {
-    EnergyCellStats *cell = nullptr;
-    std::vector<std::string> *notes = nullptr;
+    EnergyCellStats cell;
+    std::vector<std::string> notes;
 
+    template <typename... Parts>
     void
-    violation(const std::string &note)
+    violation(const Parts &...parts)
     {
-        ++cell->violations;
-        if (notes->size() < 4)
-            notes->push_back(note);
+        stats::noteViolation(cell.violations, notes, parts...);
     }
 };
-
-bool
-regsMatch(const kernel::SystemSnapshot &before,
-          const kernel::SystemSnapshot &after)
-{
-    if (after.entries.size() != before.entries.size()
-        || after.deviceCookies != before.deviceCookies)
-        return false;
-    for (std::size_t p = 0; p < after.entries.size(); ++p) {
-        if (after.entries[p].pid != before.entries[p].pid
-            || after.entries[p].regs != before.entries[p].regs)
-            return false;
-    }
-    return true;
-}
 
 /**
  * One SnG Stop racing a power cut at outage-relative @p cut. Counts
@@ -413,7 +401,7 @@ regsMatch(const kernel::SystemSnapshot &before,
 bool
 runSngCore(Tick cut, Rng &rng, TrialScratch &scratch)
 {
-    EnergyCellStats &cell = *scratch.cell;
+    EnergyCellStats &cell = scratch.cell;
 
     kernel::Kernel kern;
     psm::Psm psm;
@@ -428,32 +416,23 @@ runSngCore(Tick cut, Rng &rng, TrialScratch &scratch)
     const bool durable = stop.commitAt < cut;
     if (durable)
         ++cell.commitsDurable;
-    if (sng.hasCommit() != durable) {
-        std::ostringstream note;
-        note << "energy SnG cut@" << cut
-             << ": commit durable=" << sng.hasCommit()
-             << " expected=" << durable;
-        scratch.violation(note.str());
-    }
+    if (sng.hasCommit() != durable)
+        scratch.violation("energy SnG cut@", cut, ": commit durable=",
+                          sng.hasCommit(), " expected=", durable);
 
     kern.scramble(rng);
     injector.powerRestored();
 
     const pecos::GoReport go = sng.resume(cut + 100 * tickMs);
-    if (go.coldBoot == durable) {
-        std::ostringstream note;
-        note << "energy SnG cut@" << cut << ": coldBoot="
-             << go.coldBoot << " but durable=" << durable;
-        scratch.violation(note.str());
-    }
+    if (go.coldBoot == durable)
+        scratch.violation("energy SnG cut@", cut, ": coldBoot=", go.coldBoot,
+                          " but durable=", durable);
 
     bool ok = durable && !go.coldBoot;
     if (!go.coldBoot) {
-        if (!regsMatch(before, kern.snapshot())) {
-            std::ostringstream note;
-            note << "energy SnG cut@" << cut
-                 << ": resumed with corrupt register state";
-            scratch.violation(note.str());
+        if (!kern.snapshot().registersMatch(before)) {
+            scratch.violation("energy SnG cut@", cut,
+                              ": resumed with corrupt register state");
             ok = false;
         }
         ++cell.resumes;
@@ -491,7 +470,7 @@ runOpLogEvent(Tick cut, Rng &rng, TrialScratch &scratch)
 bool
 runSysPcEvent(Tick cut, Rng &rng, TrialScratch &scratch)
 {
-    EnergyCellStats &cell = *scratch.cell;
+    EnergyCellStats &cell = scratch.cell;
 
     ImageRig rig;
     persist::SysPc syspc(rig.pmem);
@@ -524,12 +503,9 @@ runSysPcEvent(Tick cut, Rng &rng, TrialScratch &scratch)
     if (ok && got == 2)
         ok = syspc.committedImageIntact(syspc.committedImage());
 
-    if (!ok) {
-        std::ostringstream note;
-        note << "energy SysPC cut@" << cut << " recovered seq "
-             << got << " (commit@" << commit_at << ")";
-        scratch.violation(note.str());
-    }
+    if (!ok)
+        scratch.violation("energy SysPC cut@", cut, " recovered seq ", got,
+                          " (commit@", commit_at, ")");
     got != 0 ? ++cell.resumes : ++cell.coldBoots;
     return durable && got == 2 && ok;
 }
@@ -537,7 +513,7 @@ runSysPcEvent(Tick cut, Rng &rng, TrialScratch &scratch)
 bool
 runSCheckPcEvent(Tick cut, Rng &rng, TrialScratch &scratch)
 {
-    EnergyCellStats &cell = *scratch.cell;
+    EnergyCellStats &cell = scratch.cell;
 
     ImageRig rig;
     persist::SCheckPc scheck(rig.pmem, sCheckPeriod);
@@ -569,12 +545,9 @@ runSCheckPcEvent(Tick cut, Rng &rng, TrialScratch &scratch)
     if (ok && got == 2)
         ok = scheck.commitIntact(scheck.latestCommit());
 
-    if (!ok) {
-        std::ostringstream note;
-        note << "energy S-CheckPC cut@" << cut << " recovered seq "
-             << got << " (commit@" << commit_at << ")";
-        scratch.violation(note.str());
-    }
+    if (!ok)
+        scratch.violation("energy S-CheckPC cut@", cut, " recovered seq ", got,
+                          " (commit@", commit_at, ")");
     got != 0 ? ++cell.resumes : ++cell.coldBoots;
     return durable && got == 2 && ok;
 }
@@ -582,7 +555,7 @@ runSCheckPcEvent(Tick cut, Rng &rng, TrialScratch &scratch)
 bool
 runACheckPcEvent(Tick cut, Rng &rng, TrialScratch &scratch)
 {
-    EnergyCellStats &cell = *scratch.cell;
+    EnergyCellStats &cell = scratch.cell;
 
     ImageRig rig;
     const persist::ACheckPcParams params;
@@ -634,12 +607,9 @@ runACheckPcEvent(Tick cut, Rng &rng, TrialScratch &scratch)
                                            acheckBodyBytes(rec.seq)),
                    seeds[rec.seq]);
     }
-    if (!ok) {
-        std::ostringstream note;
-        note << "energy A-CheckPC cut@" << cut << " recovered seq "
-             << got << " expected " << expect;
-        scratch.violation(note.str());
-    }
+    if (!ok)
+        scratch.violation("energy A-CheckPC cut@", cut, " recovered seq ", got,
+                          " expected ", expect);
     got != 0 ? ++cell.resumes : ++cell.coldBoots;
     return durable && got == acheckSweep && ok;
 }
@@ -653,7 +623,7 @@ runOutageEvent(net::PersistMode mode, const DryData &dry,
                energy::StoragePlane &plane, Rng &rng,
                TrialScratch &scratch)
 {
-    recordMinSoc(*scratch.cell, plane);
+    recordMinSoc(scratch.cell, plane);
     const Tick off = std::max<Tick>(
         cutOffset(dry.mode[modeOrd(mode)], plane), 1);
 
@@ -675,7 +645,7 @@ runOutageEvent(net::PersistMode mode, const DryData &dry,
         survived = runACheckPcEvent(off, rng, scratch);
         break;
     }
-    ++scratch.cell->cuts;
+    ++scratch.cell.cuts;
     zeroPlane(plane);
     return survived;
 }
@@ -693,7 +663,7 @@ voluntaryAttempt(const DryData &dry, energy::StoragePlane &plane,
                  Rng &rng, TrialScratch &scratch, Tick gap,
                  const pecos::DrainEstimate &drain)
 {
-    EnergyCellStats &cell = *scratch.cell;
+    EnergyCellStats &cell = scratch.cell;
     const ModeDry &md = dry.mode[modeOrd(net::PersistMode::SnG)];
 
     bool was_deferred = false;
@@ -732,12 +702,9 @@ voluntaryAttempt(const DryData &dry, energy::StoragePlane &plane,
         if (was_deferred)
             ++cell.deferredStopsAdmitted;
         if (rep.commitFailed) {
-            std::ostringstream note;
-            note << "energy guard admitted a Stop at soc "
-                 << rep.socAtStop
-                 << " whose commit missed the rails (cut@" << off
-                 << ")";
-            scratch.violation(note.str());
+            scratch.violation("energy guard admitted a Stop at soc ",
+                              rep.socAtStop, " whose commit missed the"
+                              " rails (cut@", off, ")");
         } else {
             ++cell.commitsDurable;
         }
@@ -796,7 +763,7 @@ runSiege(net::PersistMode mode, const DryData &dry,
          energy::StoragePlane &plane, Rng &sched, Rng &mode_rng,
          TrialScratch &scratch)
 {
-    EnergyCellStats &cell = *scratch.cell;
+    EnergyCellStats &cell = scratch.cell;
     const ModeDry &md = dry.mode[modeOrd(mode)];
 
     const double supply = 0.35 + 0.30 * sched.uniform();
@@ -938,15 +905,15 @@ runEnergyCampaign(const EnergyCampaignConfig &config)
     const std::size_t n_cells = n_scales * n_ints * n_modes;
     const std::uint64_t trials = energyCampaignTrials(config);
 
-    // The init accumulator carries the cell metadata; partial trial
-    // results only add counters.
-    EnergyCampaignResult init;
-    init.cells.resize(n_cells);
+    // The result's cells carry the cell metadata; trials only add
+    // counters.
+    EnergyCampaignResult result;
+    result.cells.resize(n_cells);
     for (std::size_t s = 0; s < n_scales; ++s) {
         for (std::size_t iv = 0; iv < n_ints; ++iv) {
             for (std::size_t m = 0; m < n_modes; ++m) {
                 EnergyCellStats &cell =
-                    init.cells[(s * n_ints + iv) * n_modes + m];
+                    result.cells[(s * n_ints + iv) * n_modes + m];
                 cell.scale = config.sizingScales[s];
                 cell.provisionedJoules =
                     energy::StoragePlane(
@@ -960,18 +927,16 @@ runEnergyCampaign(const EnergyCampaignConfig &config)
     }
 
     sim::ParallelExecutor pool(config.threads);
-    EnergyCampaignResult result = pool.reduce<EnergyCampaignResult>(
-        trials, std::move(init),
-        [&config, &dry, base_seed, n_ints, n_modes,
-         n_cells](std::uint64_t i) {
+    const std::vector<TrialScratch> runs = pool.map<TrialScratch>(
+        trials,
+        [&config, &dry, base_seed, n_ints,
+         n_modes](std::uint64_t i) {
             const std::uint64_t k_idx = i % config.seedsPerCell;
             std::uint64_t rest = i / config.seedsPerCell;
             const std::size_t m_idx = rest % n_modes;
             rest /= n_modes;
             const std::size_t i_idx = rest % n_ints;
             const std::size_t s_idx = rest / n_ints;
-            const std::size_t cell_idx =
-                (s_idx * n_ints + i_idx) * n_modes + m_idx;
 
             const net::PersistMode mode = config.modes[m_idx];
             const std::uint32_t intensity =
@@ -994,11 +959,7 @@ runEnergyCampaign(const EnergyCampaignConfig &config)
             plane.applyAgingCycles(sched.uniform()
                                    * config.agingSpreadCycles);
 
-            EnergyCampaignResult partial;
-            partial.cells.resize(n_cells);
-            EnergyCellStats &cell = partial.cells[cell_idx];
-            TrialScratch scratch{&cell, &partial.violationNotes};
-
+            TrialScratch scratch;
             bool survived = false;
             switch (intensity) {
             case 1:
@@ -1015,33 +976,28 @@ runEnergyCampaign(const EnergyCampaignConfig &config)
                 break;
             default: break;
             }
-            ++cell.trials;
+            ++scratch.cell.trials;
             if (survived)
-                ++cell.survivedTrials;
-            return partial;
-        },
-        [](EnergyCampaignResult &acc,
-           const EnergyCampaignResult &partial) {
-            for (std::size_t c = 0; c < acc.cells.size(); ++c)
-                acc.cells[c].merge(partial.cells[c]);
-            for (const std::string &note : partial.violationNotes) {
-                if (acc.violationNotes.size() >= 8)
-                    break;
-                acc.violationNotes.push_back(note);
-            }
+                ++scratch.cell.survivedTrials;
+            return scratch;
         });
 
-    result.threads = config.threads;
-    result.trials = trials;
-
-    // Fleet totals and the minimum-provisioning table.
-    for (const EnergyCellStats &cell : result.cells) {
-        result.stopsDeferred += cell.stopsDeferred;
-        result.deferredStopsAdmitted += cell.deferredStopsAdmitted;
-        result.proactiveStops += cell.proactiveStops;
-        result.proactiveSaves += cell.proactiveSaves;
-        result.violations += cell.violations;
+    // Fold in trial-index order (trial i belongs to cell
+    // i / seedsPerCell), then the fleet total over the cells.
+    for (std::uint64_t i = 0; i < runs.size(); ++i) {
+        EnergyCellStats &cell = result.cells[i / config.seedsPerCell];
+        energyCounters().merge(cell, runs[i].cell);
+        stats::appendTrialNotes(
+            result.violationNotes, i,
+            stats::streamed("scale ", cell.scale, " intensity ",
+                            cell.intensity, " ",
+                            net::persistModeName(cell.mode)),
+            runs[i].notes);
     }
+    for (const EnergyCellStats &cell : result.cells)
+        energyCounters().merge(result.total, cell);
+
+    // The minimum-provisioning table.
     for (std::size_t m = 0; m < n_modes; ++m) {
         for (std::size_t iv = 0; iv < n_ints; ++iv) {
             EnergyProvision prov;
@@ -1063,20 +1019,8 @@ runEnergyCampaign(const EnergyCampaignConfig &config)
     }
 
     sim::Fnv64 digest;
-    for (const EnergyCellStats &cell : result.cells) {
-        digest.mix(cell.trials);
-        digest.mix(cell.cuts);
-        digest.mix(cell.commitsDurable);
-        digest.mix(cell.resumes);
-        digest.mix(cell.coldBoots);
-        digest.mix(cell.survivedTrials);
-        digest.mix(cell.stopsDeferred);
-        digest.mix(cell.deferredStopsAdmitted);
-        digest.mix(cell.proactiveStops);
-        digest.mix(cell.proactiveSaves);
-        digest.mix(cell.violations);
-        digest.mix(cell.minSocPermille);
-    }
+    for (const EnergyCellStats &cell : result.cells)
+        energyCounters().mix(digest, cell);
     for (const EnergyProvision &prov : result.provisioning) {
         digest.mix(prov.met ? 1 : 0);
         digest.mix(static_cast<std::uint64_t>(prov.scale * 1000.0));

@@ -37,6 +37,7 @@
 
 #include "net/service_plane.hh"
 #include "sim/ticks.hh"
+#include "stats/counter_set.hh"
 
 namespace lightpc::fault
 {
@@ -111,9 +112,10 @@ struct EnergyCellStats
 
     /** Lowest state of charge (permille) at any event's onset. */
     std::uint64_t minSocPermille = 1000;
-
-    void merge(const EnergyCellStats &other);
 };
+
+/** The counter table of EnergyCellStats, in digest and JSON order. */
+const stats::CounterSet<EnergyCellStats> &energyCounters();
 
 /** Minimum provisioned storage for one (mode, intensity). */
 struct EnergyProvision
@@ -132,21 +134,16 @@ struct EnergyProvision
 /** The merged campaign outcome. */
 struct EnergyCampaignResult
 {
-    unsigned threads = 1;
-    std::uint64_t trials = 0;
-
     /** Scale-major, then intensity, then mode (config order). */
     std::vector<EnergyCellStats> cells;
+
+    /** Every cell folded into one: the fleet totals. */
+    EnergyCellStats total;
 
     /** Per (mode, intensity), modes-major (config order). */
     std::vector<EnergyProvision> provisioning;
 
-    // Fleet totals.
-    std::uint64_t stopsDeferred = 0;
-    std::uint64_t deferredStopsAdmitted = 0;
-    std::uint64_t proactiveStops = 0;
-    std::uint64_t proactiveSaves = 0;
-    std::uint64_t violations = 0;
+    /** Kept notes, each tagged with its trial index and cell. */
     std::vector<std::string> violationNotes;
 
     /** FNV-1a over every cell's counters; thread-invariant. */

@@ -1,7 +1,6 @@
 #include "fault/ras_campaign.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "fault/fault_injector.hh"
 #include "kernel/kernel.hh"
@@ -19,13 +18,7 @@ namespace lightpc::fault
 namespace
 {
 
-void
-flagViolation(RasCampaignResult &result, const std::string &note)
-{
-    ++result.violations;
-    if (result.violationNotes.size() < 8)
-        result.violationNotes.push_back(note);
-}
+using stats::flagViolation;
 
 /** Small-geometry PSM so trials stay fast: 2 DIMMs x 4 groups x
  *  16 MB = 128 MB OC-PMEM (still clears the 16 MB reserved region
@@ -60,105 +53,95 @@ trialKernelParams()
     return kp;
 }
 
-/** The PsmStats fields the campaign accumulates, delta-folded so a
- *  mid-trial OC-PMEM reset (the ResetColdBoot arm wipes the stats)
- *  cannot lose the counts from before the reset. */
+/** The PsmStats counters a trial accumulates, each with its RasCounts
+ *  slot. They are delta-folded so a mid-trial OC-PMEM reset (the
+ *  ResetColdBoot arm wipes the stats) cannot lose the counts from
+ *  before the reset. */
 struct PsmFold
 {
+    static constexpr std::pair<std::uint64_t psm::PsmStats::*,
+                               std::uint64_t RasCounts::*>
+        slots[] = {
+            {&psm::PsmStats::rasCheckedReads, &RasCounts::checkedReads},
+            {&psm::PsmStats::sdcEvents, &RasCounts::sdcEvents},
+            {&psm::PsmStats::correctedReads, &RasCounts::correctedReads},
+            {&psm::PsmStats::symbolCorrections,
+             &RasCounts::symbolCorrections},
+            {&psm::PsmStats::parityRewrites, &RasCounts::parityRewrites},
+            {&psm::PsmStats::uncorrectableReads,
+             &RasCounts::uncorrectableReads},
+            {&psm::PsmStats::retiredLines, &RasCounts::linesRetired},
+            {&psm::PsmStats::spareExhausted, &RasCounts::spareExhausted},
+            {&psm::PsmStats::scrubbedLines, &RasCounts::scrubbedLines},
+            {&psm::PsmStats::scrubRepairs, &RasCounts::scrubRepairs},
+            {&psm::PsmStats::scrubDeferrals, &RasCounts::scrubDeferrals},
+        };
+
     psm::PsmStats prev;
 
     void
-    fold(const psm::PsmStats &s, RasCampaignResult &r, RasCell &cell)
+    fold(const psm::PsmStats &s, RasCounts &r)
     {
-        r.checkedReads += s.rasCheckedReads - prev.rasCheckedReads;
-        r.sdcEvents += s.sdcEvents - prev.sdcEvents;
-        r.correctedReads += s.correctedReads - prev.correctedReads;
-        r.symbolCorrections +=
-            s.symbolCorrections - prev.symbolCorrections;
-        r.parityRewrites += s.parityRewrites - prev.parityRewrites;
-        r.uncorrectableReads +=
-            s.uncorrectableReads - prev.uncorrectableReads;
-        r.linesRetired += s.retiredLines - prev.retiredLines;
-        r.spareExhausted += s.spareExhausted - prev.spareExhausted;
-        r.scrubbedLines += s.scrubbedLines - prev.scrubbedLines;
-        r.scrubRepairs += s.scrubRepairs - prev.scrubRepairs;
-        r.scrubDeferrals += s.scrubDeferrals - prev.scrubDeferrals;
-
-        cell.checkedReads += s.rasCheckedReads - prev.rasCheckedReads;
-        cell.sdc += s.sdcEvents - prev.sdcEvents;
-        cell.corrected += s.correctedReads - prev.correctedReads;
-        cell.symbolCorrections +=
-            s.symbolCorrections - prev.symbolCorrections;
-        cell.parityRewrites +=
-            s.parityRewrites - prev.parityRewrites;
-        cell.uncorrectable +=
-            s.uncorrectableReads - prev.uncorrectableReads;
-        cell.retired += s.retiredLines - prev.retiredLines;
+        for (const auto &[stat, slot] : slots)
+            r.*slot += s.*stat - prev.*stat;
         prev = s;
     }
 };
 
-/** One trial's partial: the campaign counters it contributed plus
- *  its share of one sweep cell, tagged with the cell's index so the
- *  canonical-order fold can reassemble the cell list. */
-struct RasTrialPartial
-{
-    std::uint64_t cellIdx = 0;
-    RasCampaignResult agg;
-    RasCell cell;
-};
-
-void
-mergeCell(RasCell &acc, const RasCell &partial)
-{
-    acc.trials += partial.trials;
-    acc.checkedReads += partial.checkedReads;
-    acc.corrected += partial.corrected;
-    acc.symbolCorrections += partial.symbolCorrections;
-    acc.parityRewrites += partial.parityRewrites;
-    acc.uncorrectable += partial.uncorrectable;
-    acc.retired += partial.retired;
-    acc.sdc += partial.sdc;
-    acc.mceContained += partial.mceContained;
-    acc.mceColdBoots += partial.mceColdBoots;
-}
-
-void
-mergeAgg(RasCampaignResult &acc, const RasCampaignResult &partial)
-{
-    acc.trials += partial.trials;
-    acc.reads += partial.reads;
-    acc.writes += partial.writes;
-    acc.sdcEvents += partial.sdcEvents;
-    acc.checkedReads += partial.checkedReads;
-    acc.correctedReads += partial.correctedReads;
-    acc.symbolCorrections += partial.symbolCorrections;
-    acc.parityRewrites += partial.parityRewrites;
-    acc.uncorrectableReads += partial.uncorrectableReads;
-    acc.mceContained += partial.mceContained;
-    acc.mceColdBoots += partial.mceColdBoots;
-    acc.tasksKilled += partial.tasksKilled;
-    acc.kernelEscalations += partial.kernelEscalations;
-    acc.linesRetired += partial.linesRetired;
-    acc.spareExhausted += partial.spareExhausted;
-    acc.scrubbedLines += partial.scrubbedLines;
-    acc.scrubRepairs += partial.scrubRepairs;
-    acc.scrubDeferrals += partial.scrubDeferrals;
-    acc.containSurvivedSng += partial.containSurvivedSng;
-    acc.resumes += partial.resumes;
-    acc.coldBootResumes += partial.coldBootResumes;
-    acc.cutTrials += partial.cutTrials;
-    acc.droppedWrites += partial.droppedWrites;
-    acc.tornWrites += partial.tornWrites;
-    acc.violations += partial.violations;
-    for (const std::string &note : partial.violationNotes) {
-        if (acc.violationNotes.size() >= 8)
-            break;
-        acc.violationNotes.push_back(note);
-    }
-}
-
 } // namespace
+
+const stats::CounterSet<RasCounts> &
+rasCounters()
+{
+    using R = RasCounts;
+    using stats::counter;
+    static const stats::CounterSet<R> set(
+        counter<&R::trials>("trials"),
+        counter<&R::reads>("reads"),
+        counter<&R::writes>("writes"),
+        counter<&R::sdcEvents>("sdc_events"),
+        counter<&R::checkedReads>("checked_reads"),
+        counter<&R::correctedReads>("xcc_corrections"),
+        counter<&R::symbolCorrections>("rs_corrections"),
+        counter<&R::parityRewrites>("parity_rewrites"),
+        counter<&R::uncorrectableReads>("uncorrectable_reads"),
+        counter<&R::mceContained>("mce_contained"),
+        counter<&R::mceColdBoots>("mce_cold_boots"),
+        counter<&R::tasksKilled>("tasks_killed"),
+        counter<&R::kernelEscalations>("kernel_escalations"),
+        counter<&R::linesRetired>("lines_retired"),
+        counter<&R::spareExhausted>("spare_exhausted"),
+        counter<&R::scrubbedLines>("scrubbed_lines"),
+        counter<&R::scrubRepairs>("scrub_repairs"),
+        counter<&R::scrubDeferrals>("scrub_deferrals"),
+        counter<&R::containSurvivedSng>("contain_survived_sng"),
+        counter<&R::resumes>("sng_resumes"),
+        counter<&R::coldBootResumes>("sng_cold_boots"),
+        counter<&R::cutTrials>("power_cut_trials"),
+        counter<&R::droppedWrites>("dropped_writes"),
+        counter<&R::tornWrites>("torn_writes"),
+        counter<&R::violations>("violations"));
+    return set;
+}
+
+const stats::CounterSet<RasCounts> &
+rasCellCounters()
+{
+    using R = RasCounts;
+    using stats::counter;
+    static const stats::CounterSet<R> set(
+        counter<&R::trials>("trials"),
+        counter<&R::checkedReads>("checked_reads"),
+        counter<&R::correctedReads>("xcc_corrections"),
+        counter<&R::symbolCorrections>("rs_corrections"),
+        counter<&R::parityRewrites>("parity_rewrites"),
+        counter<&R::uncorrectableReads>("uncorrectable"),
+        counter<&R::linesRetired>("retired"),
+        counter<&R::sdcEvents>("sdc"),
+        counter<&R::mceContained>("mce_contained"),
+        counter<&R::mceColdBoots>("mce_cold_boots"));
+    return set;
+}
 
 RasCampaignResult
 runRasCampaign(const RasCampaignConfig &config)
@@ -184,34 +167,28 @@ runRasCampaign(const RasCampaignConfig &config)
     // Flatten the (ber x wear x policy x seed) nest into one trial
     // index so the pool can fan the whole sweep out: cell-major in
     // the sequential nest's order, seeds innermost.
-    const std::uint64_t n_cells = config.bers.size()
-        * config.wearLevels.size() * std::size(policies);
-    const std::uint64_t total = n_cells * config.seedsPerCell;
+    std::vector<RasCell> cells;
+    for (const double ber : config.bers)
+        for (const double wear : config.wearLevels)
+            for (const psm::McePolicy policy : policies) {
+                RasCell &cell = cells.emplace_back();
+                cell.ber = ber;
+                cell.wear = wear;
+                cell.policy = policy == psm::McePolicy::Contain
+                    ? "contain" : "reset-cold-boot";
+            }
     const std::uint64_t sweep_seed =
         config.seed ^ 0x726173736e67ULL;  // "rassng"
 
-    auto trial = [&config, &policies, dry_stop_ticks,
+    auto trial = [&config, &policies, &cells, dry_stop_ticks,
                   sweep_seed](std::uint64_t trial_idx) {
-        RasTrialPartial partial;
-        RasCampaignResult &result = partial.agg;
-        RasCell &cell = partial.cell;
-
+        RasCampaignResult result;
         const std::uint64_t s = trial_idx % config.seedsPerCell;
-        partial.cellIdx = trial_idx / config.seedsPerCell;
-        const std::uint64_t policy_idx =
-            partial.cellIdx % std::size(policies);
-        const std::uint64_t wear_idx = partial.cellIdx
-            / std::size(policies) % config.wearLevels.size();
-        const std::uint64_t ber_idx = partial.cellIdx
-            / std::size(policies) / config.wearLevels.size();
-
-        const double ber = config.bers[ber_idx];
-        const double wear = config.wearLevels[wear_idx];
-        const psm::McePolicy policy = policies[policy_idx];
-        cell.ber = ber;
-        cell.wear = wear;
-        cell.policy = policy == psm::McePolicy::Contain
-            ? "contain" : "reset-cold-boot";
+        const std::uint64_t cell_idx = trial_idx / config.seedsPerCell;
+        const double ber = cells[cell_idx].ber;
+        const double wear = cells[cell_idx].wear;
+        const psm::McePolicy policy =
+            policies[cell_idx % std::size(policies)];
 
         const std::uint64_t trial_seed =
             Rng::streamSeed(sweep_seed, trial_idx);
@@ -296,7 +273,7 @@ runRasCampaign(const RasCampaignConfig &config)
                 // Escalate: the host machine check. The
                 // ColdBoot arm wipes the PSM stats, so
                 // fold the epoch first.
-                fold.fold(psm.stats(), result, cell);
+                fold.fold(psm.stats(), result);
                 const pecos::MceOutcome out =
                     mce.handle(req.addr, t);
                 fold.prev = psm.stats();
@@ -339,26 +316,16 @@ runRasCampaign(const RasCampaignConfig &config)
             injector.powerRestored();
 
         const bool expect_resume = stop.commitAt < cut;
-        if (sng.hasCommit() != expect_resume) {
-            std::ostringstream note;
-            note << "ras trial " << trial_idx << " cut@"
-                 << cut << ": commit durable="
-                 << sng.hasCommit() << " expected="
-                 << expect_resume;
-            flagViolation(result, note.str());
-        }
+        if (sng.hasCommit() != expect_resume)
+            flagViolation(result, "cut@", cut, ": commit durable=",
+                          sng.hasCommit(), " expected=", expect_resume);
 
         const pecos::GoReport go =
             sng.resume((cut_armed ? cut : stop.offlineDone)
                        + 100 * tickMs);
-        if (go.coldBoot == expect_resume) {
-            std::ostringstream note;
-            note << "ras trial " << trial_idx
-                 << ": coldBoot=" << go.coldBoot
-                 << " but commit durable="
-                 << expect_resume;
-            flagViolation(result, note.str());
-        }
+        if (go.coldBoot == expect_resume)
+            flagViolation(result, "coldBoot=", go.coldBoot,
+                          " but commit durable=", expect_resume);
 
         if (!go.coldBoot) {
             // Byte-exact register + device-cookie
@@ -366,26 +333,8 @@ runRasCampaign(const RasCampaignConfig &config)
             // guarantees stale volatile copies cannot
             // pass). Task state is excluded: resume
             // legitimately transitions it.
-            const kernel::SystemSnapshot after =
-                kern.snapshot();
-            bool regs_ok =
-                after.entries.size()
-                    == before.entries.size()
-                && after.deviceCookies
-                    == before.deviceCookies;
-            for (std::size_t p = 0; regs_ok
-                 && p < after.entries.size(); ++p) {
-                regs_ok = after.entries[p].pid
-                        == before.entries[p].pid
-                    && after.entries[p].regs
-                        == before.entries[p].regs;
-            }
-            if (!regs_ok) {
-                std::ostringstream note;
-                note << "ras trial " << trial_idx
-                     << ": resumed with corrupt state";
-                flagViolation(result, note.str());
-            }
+            if (!kern.snapshot().registersMatch(before))
+                flagViolation(result, "resumed with corrupt state");
             ++result.resumes;
             if (policy == psm::McePolicy::Contain
                 && contained_this_trial
@@ -395,77 +344,40 @@ runRasCampaign(const RasCampaignConfig &config)
             ++result.coldBootResumes;
         }
 
-        fold.fold(psm.stats(), result, cell);
-        cell.mceContained += mce.stats().contained;
-        cell.mceColdBoots += mce.stats().coldBoots;
+        fold.fold(psm.stats(), result);
         result.mceContained += mce.stats().contained;
         result.mceColdBoots += mce.stats().coldBoots;
         result.tasksKilled += mce.stats().tasksKilled;
         result.kernelEscalations +=
             mce.stats().kernelEscalations;
-        ++cell.trials;
         ++result.trials;
-        return partial;
+        return result;
     };
 
-    // Fan the trials out, then fold in ascending trial index: cell
-    // partials land cell-major, so appending on each cell boundary
-    // reconstructs the sequential sweep's cell list exactly.
+    // Fan the trials out, then fold in ascending trial index into the
+    // sweep and each trial's cell.
     sim::ParallelExecutor pool(config.threads);
-    const std::vector<RasTrialPartial> partials =
-        pool.map<RasTrialPartial>(total, trial);
+    const std::vector<RasCampaignResult> trials =
+        pool.map<RasCampaignResult>(cells.size() * config.seedsPerCell,
+                                    trial);
 
     RasCampaignResult result;
-    for (const RasTrialPartial &partial : partials) {
-        mergeAgg(result, partial.agg);
-        if (result.cells.size() <= partial.cellIdx) {
-            RasCell cell;
-            cell.ber = partial.cell.ber;
-            cell.wear = partial.cell.wear;
-            cell.policy = partial.cell.policy;
-            result.cells.push_back(cell);
-        }
-        mergeCell(result.cells[partial.cellIdx], partial.cell);
+    result.cells = std::move(cells);
+    for (std::uint64_t i = 0; i < trials.size(); ++i) {
+        RasCell &cell = result.cells[i / config.seedsPerCell];
+        rasCounters().merge(result, trials[i]);
+        rasCounters().merge(cell, trials[i]);
+        stats::appendTrialNotes(
+            result.violationNotes, i,
+            stats::streamed("ber ", cell.ber, " wear ", cell.wear, " ",
+                            cell.policy),
+            trials[i].violationNotes);
     }
 
     sim::Fnv64 digest;
-    digest.mix(result.trials);
-    digest.mix(result.reads);
-    digest.mix(result.writes);
-    digest.mix(result.sdcEvents);
-    digest.mix(result.checkedReads);
-    digest.mix(result.correctedReads);
-    digest.mix(result.symbolCorrections);
-    digest.mix(result.parityRewrites);
-    digest.mix(result.uncorrectableReads);
-    digest.mix(result.mceContained);
-    digest.mix(result.mceColdBoots);
-    digest.mix(result.tasksKilled);
-    digest.mix(result.kernelEscalations);
-    digest.mix(result.linesRetired);
-    digest.mix(result.spareExhausted);
-    digest.mix(result.scrubbedLines);
-    digest.mix(result.scrubRepairs);
-    digest.mix(result.scrubDeferrals);
-    digest.mix(result.containSurvivedSng);
-    digest.mix(result.resumes);
-    digest.mix(result.coldBootResumes);
-    digest.mix(result.cutTrials);
-    digest.mix(result.droppedWrites);
-    digest.mix(result.tornWrites);
-    digest.mix(result.violations);
-    for (const RasCell &cell : result.cells) {
-        digest.mix(cell.trials);
-        digest.mix(cell.checkedReads);
-        digest.mix(cell.corrected);
-        digest.mix(cell.symbolCorrections);
-        digest.mix(cell.parityRewrites);
-        digest.mix(cell.uncorrectable);
-        digest.mix(cell.retired);
-        digest.mix(cell.sdc);
-        digest.mix(cell.mceContained);
-        digest.mix(cell.mceColdBoots);
-    }
+    rasCounters().mix(digest, result);
+    for (const RasCell &cell : result.cells)
+        rasCellCounters().mix(digest, cell);
     result.digest = digest.h;
     return result;
 }

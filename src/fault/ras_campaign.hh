@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "psm/psm.hh"
+#include "stats/counter_set.hh"
 
 namespace lightpc::fault
 {
@@ -84,27 +85,8 @@ struct RasCampaignConfig
     unsigned threads = 1;
 };
 
-/** Aggregates of one (ber, wear, policy) cell. */
-struct RasCell
-{
-    double ber = 0.0;
-    double wear = 0.0;
-    std::string policy;
-
-    std::uint64_t trials = 0;
-    std::uint64_t checkedReads = 0;
-    std::uint64_t corrected = 0;
-    std::uint64_t symbolCorrections = 0;
-    std::uint64_t parityRewrites = 0;
-    std::uint64_t uncorrectable = 0;
-    std::uint64_t retired = 0;
-    std::uint64_t sdc = 0;
-    std::uint64_t mceContained = 0;
-    std::uint64_t mceColdBoots = 0;
-};
-
-/** Aggregated outcome of the whole sweep. */
-struct RasCampaignResult
+/** The counters a RAS trial contributes; cells and the sweep fold them. */
+struct RasCounts
 {
     std::uint64_t trials = 0;
     std::uint64_t reads = 0;
@@ -146,14 +128,37 @@ struct RasCampaignResult
 
     /** Invariant violations (must be zero). */
     std::uint64_t violations = 0;
+};
+
+/** The sweep-wide counter table, in digest and JSON order. */
+const stats::CounterSet<RasCounts> &rasCounters();
+
+/**
+ * The per-cell view: the subset of RasCounts each cell reports,
+ * under the cell's own JSON keys, in digest order.
+ */
+const stats::CounterSet<RasCounts> &rasCellCounters();
+
+/** One (ber, wear, policy) cell: its trials' counters folded. */
+struct RasCell : RasCounts
+{
+    double ber = 0.0;
+    double wear = 0.0;
+    std::string policy;
+};
+
+/** Aggregated outcome of the whole sweep. */
+struct RasCampaignResult : RasCounts
+{
+    /** Kept notes, each tagged with its trial index and cell. */
     std::vector<std::string> violationNotes;
 
     std::vector<RasCell> cells;
 
     /**
-     * FNV digest over the counters above and every cell, computed
-     * after the canonical-order reduction (determinism anchor:
-     * equal at every thread count).
+     * FNV digest over rasCounters() and every cell's
+     * rasCellCounters(), computed after the canonical-order
+     * reduction (determinism anchor: equal at every thread count).
      */
     std::uint64_t digest = 0;
 };

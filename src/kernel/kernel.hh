@@ -11,6 +11,7 @@
 #ifndef LIGHTPC_KERNEL_KERNEL_HH
 #define LIGHTPC_KERNEL_KERNEL_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -62,6 +63,22 @@ struct SystemSnapshot
     std::vector<std::uint64_t> deviceCookies;
 
     bool operator==(const SystemSnapshot &other) const = default;
+
+    /**
+     * The same processes with byte-identical register files and
+     * device cookies: what a resume must restore. Task state is not
+     * compared, since a resume legitimately transitions it.
+     */
+    bool
+    registersMatch(const SystemSnapshot &other) const
+    {
+        return deviceCookies == other.deviceCookies
+            && std::equal(entries.begin(), entries.end(),
+                          other.entries.begin(), other.entries.end(),
+                          [](const Entry &a, const Entry &b) {
+                              return a.pid == b.pid && a.regs == b.regs;
+                          });
+    }
 };
 
 /**

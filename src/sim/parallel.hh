@@ -18,10 +18,11 @@
  *
  *  - The reduction layer decides *what the campaign reports*: map()
  *    lands every trial's result in its canonical per-index slot, and
- *    reduce() folds those slots in ascending seed order regardless of
- *    completion order. A campaign digest computed from the reduction
- *    is therefore bit-identical at --threads 1 and --threads N — the
- *    determinism proof the benches and CI enforce.
+ *    the campaign folds those slots in ascending index order
+ *    regardless of completion order (stats::foldTrials). A campaign
+ *    digest computed from that fold is therefore bit-identical at
+ *    --threads 1 and --threads N — the determinism proof the benches
+ *    and CI enforce.
  *
  * Event execution inside one trial stays single-threaded: the kernel
  * is a sequential discrete-event simulator and its determinism
@@ -34,7 +35,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <utility>
 #include <vector>
 
 namespace lightpc::sim
@@ -96,27 +96,6 @@ class ParallelExecutor
             out[static_cast<std::size_t>(i)] = fn(i);
         });
         return out;
-    }
-
-    /**
-     * The deterministic reduction: run @p trial(i) for every index,
-     * then fold the per-trial results into @p init with
-     * @p merge(acc, result) in ascending index order. Completion
-     * order never leaks into the fold, so any merge that is
-     * well-defined sequentially yields the same campaign aggregate
-     * at every thread count.
-     */
-    template <typename R, typename TrialFn, typename MergeFn>
-    R
-    reduce(std::uint64_t count, R init, TrialFn &&trial,
-           MergeFn &&merge) const
-    {
-        const std::vector<R> partials =
-            map<R>(count, std::forward<TrialFn>(trial));
-        R acc = std::move(init);
-        for (const R &partial : partials)
-            merge(acc, partial);
-        return acc;
     }
 
   private:

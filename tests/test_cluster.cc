@@ -725,11 +725,11 @@ ClusterResult
 syntheticRun(std::uint64_t base)
 {
     ClusterResult r;
-    for (const fault::ClusterCounter &c : fault::clusterCounters()) {
+    for (const auto &c : fault::clusterCounters().rows()) {
         if (c.count)
-            r.*c.count = base++ * tickMs;
-        else if (c.ratio)
-            r.*c.ratio = 0.5 + 0.01 * double(base++);
+            c.countOf(r) = base++ * tickMs;
+        else if (c.real)
+            c.realOf(r) = 0.5 + 0.01 * double(base++);
     }
     r.violations.assign(base % 3, "synthetic");
     r.digest = base;
@@ -738,12 +738,12 @@ syntheticRun(std::uint64_t base)
 
 /** Bump one table counter of @p r by a unit of its kind. */
 void
-bump(ClusterResult &r, const fault::ClusterCounter &c)
+bump(ClusterResult &r, const stats::Counter<ClusterResult> &c)
 {
     if (c.count)
-        r.*c.count += tickMs;
-    else if (c.ratio)
-        r.*c.ratio += 0.125;
+        c.countOf(r) += tickMs;
+    else if (c.real)
+        c.realOf(r) += 0.125;
     else
         r.violations.push_back("bumped");
 }
@@ -759,16 +759,13 @@ TEST(ClusterCampaign, EveryTableCounterMovesTheDigest)
         fault::foldClusterCampaign(cfg, runs).digest;
     EXPECT_EQ(fault::foldClusterCampaign(cfg, runs).digest, base);
 
-    std::set<std::string> names;
-    for (const fault::ClusterCounter &c : fault::clusterCounters()) {
-        EXPECT_TRUE(names.insert(c.name).second)
-            << "duplicate JSON key " << c.name;
+    for (const auto &c : fault::clusterCounters().rows()) {
         for (std::size_t which = 0; which < runs.size(); ++which) {
             std::vector<ClusterResult> changed = runs;
             bump(changed[which], c);
             EXPECT_NE(fault::foldClusterCampaign(cfg, changed).digest,
                       base)
-                << c.name << " in trial " << which;
+                << c.key << " in trial " << which;
         }
     }
 }
@@ -789,30 +786,33 @@ TEST(ClusterCampaign, EachFoldKindFoldsItsTrials)
     EXPECT_EQ(cell.intensity, 2u);
     EXPECT_EQ(cell.modeName, "SnG-OpLog");
 
-    std::set<fault::Fold> kinds;
-    for (const fault::ClusterCounter &c : fault::clusterCounters()) {
+    std::set<stats::Fold> kinds;
+    for (const auto &c : fault::clusterCounters().rows()) {
         kinds.insert(c.fold);
         const double x = c.read(a), y = c.read(b);
         double want = 0.0;
         switch (c.fold) {
-        case fault::Fold::Sum: want = x + y; break;
-        case fault::Fold::Min: want = std::min(x, y); break;
-        case fault::Fold::Max: want = std::max(x, y); break;
-        case fault::Fold::Mean: want = (y + x) / 2.0; break;
+        case stats::Fold::Sum: want = x + y; break;
+        case stats::Fold::Min: want = std::min(x, y); break;
+        case stats::Fold::Max: want = std::max(x, y); break;
+        case stats::Fold::Mean: want = (y + x) / 2.0; break;
         }
-        EXPECT_DOUBLE_EQ(cell[c.name], want) << c.name;
-        EXPECT_DOUBLE_EQ(res.total[c.name], want) << c.name;
+        EXPECT_DOUBLE_EQ(cell[c.key], want) << c.key;
+        EXPECT_DOUBLE_EQ(res.total[c.key], want) << c.key;
     }
     // The table exercises every fold kind.
     EXPECT_EQ(kinds.size(), 4u);
 
     // Units: tick spans report in ms, the violation row counts notes.
-    EXPECT_DOUBLE_EQ(
-        fault::clusterCounter("worst_write_gap_ms").read(a),
-        double(a.worstWriteGap) / double(tickMs));
-    EXPECT_DOUBLE_EQ(fault::clusterCounter("violations").read(a),
+    const auto &table = fault::clusterCounters();
+    auto row = [&table](const char *key) {
+        return table.rows()[table.indexOf(key)];
+    };
+    EXPECT_DOUBLE_EQ(row("worst_write_gap_ms").read(a),
+                     double(a.worstWriteGap) / double(tickMs));
+    EXPECT_DOUBLE_EQ(row("violations").read(a),
                      double(a.violations.size()));
-    EXPECT_THROW(fault::clusterCounter("no_such_counter"), FatalError);
+    EXPECT_THROW(row("no_such_counter"), FatalError);
     EXPECT_THROW(fault::foldClusterCampaign(cfg, {a}), FatalError);
 }
 

@@ -455,50 +455,6 @@ TEST(EnergyGuardAdmission, WarningTracksTheLiveStateOfCharge)
     EXPECT_TRUE(guard.lowChargeWarning());
 }
 
-// --- EnergyCellStats merge -----------------------------------------
-
-TEST(EnergyCellStatsMerge, MergeIsOrderIndependent)
-{
-    auto make = [](std::uint64_t k) {
-        EnergyCellStats s;
-        s.trials = k;
-        s.cuts = 2 * k;
-        s.commitsDurable = 3 * k;
-        s.resumes = 4 * k;
-        s.coldBoots = k % 2;
-        s.survivedTrials = k;
-        s.stopsDeferred = 5 * k;
-        s.deferredStopsAdmitted = k;
-        s.proactiveStops = 6 * k;
-        s.proactiveSaves = 7 * k;
-        s.violations = k % 3;
-        s.minSocPermille = 1000 - 37 * k;
-        return s;
-    };
-
-    EnergyCellStats forward;
-    for (std::uint64_t k = 1; k <= 5; ++k)
-        forward.merge(make(k));
-    EnergyCellStats backward;
-    for (std::uint64_t k = 5; k >= 1; --k)
-        backward.merge(make(k));
-
-    EXPECT_EQ(forward.trials, backward.trials);
-    EXPECT_EQ(forward.cuts, backward.cuts);
-    EXPECT_EQ(forward.commitsDurable, backward.commitsDurable);
-    EXPECT_EQ(forward.resumes, backward.resumes);
-    EXPECT_EQ(forward.coldBoots, backward.coldBoots);
-    EXPECT_EQ(forward.survivedTrials, backward.survivedTrials);
-    EXPECT_EQ(forward.stopsDeferred, backward.stopsDeferred);
-    EXPECT_EQ(forward.deferredStopsAdmitted,
-              backward.deferredStopsAdmitted);
-    EXPECT_EQ(forward.proactiveStops, backward.proactiveStops);
-    EXPECT_EQ(forward.proactiveSaves, backward.proactiveSaves);
-    EXPECT_EQ(forward.violations, backward.violations);
-    EXPECT_EQ(forward.minSocPermille, backward.minSocPermille);
-    EXPECT_EQ(forward.minSocPermille, 1000u - 37u * 5u);
-}
-
 // --- Energy campaign -----------------------------------------------
 
 TEST(EnergyCampaignValidation, RejectsMalformedGrids)
@@ -559,7 +515,7 @@ TEST(EnergyCampaign, CellGridFollowsConfigOrder)
     EnergyCampaignConfig cfg = smallCampaign();
     const EnergyCampaignResult res = fault::runEnergyCampaign(cfg);
 
-    ASSERT_EQ(res.trials, fault::energyCampaignTrials(cfg));
+    ASSERT_EQ(res.total.trials, fault::energyCampaignTrials(cfg));
     ASSERT_EQ(res.cells.size(),
               cfg.sizingScales.size() * cfg.modes.size()
                   * cfg.intensities.size());
@@ -628,7 +584,7 @@ TEST(EnergyCampaign, GenerouslyProvisionedSnGSurvivesCleanly)
 
     ASSERT_EQ(res.cells.size(), 1u);
     EXPECT_EQ(res.cells[0].survivedTrials, res.cells[0].trials);
-    EXPECT_EQ(res.violations, 0u);
+    EXPECT_EQ(res.total.violations, 0u);
     ASSERT_EQ(res.provisioning.size(), 1u);
     EXPECT_TRUE(res.provisioning[0].met);
 }
