@@ -73,7 +73,7 @@ int
 main(int argc, char **argv)
 {
     fault::EnergyCampaignConfig cfg;
-    cfg.threads = 0;
+    cfg.threads = 0;  // every host thread unless --threads says otherwise
     std::string out = "BENCH_energy.json";
 
     const char *flags = "[--seeds N] [--seed S] [--aging CYCLES]"
