@@ -7,7 +7,9 @@
  * Every table gets the same property tests: unique JSON keys, every
  * row reaches the digest, each fold kind folds as declared, and
  * merging partials in any order gives one answer. The golden digests
- * pin the row order: a reordered or dropped row changes them.
+ * pin the row order: a reordered or dropped row changes them. Golden
+ * service and cluster runs per persistence mode also pin the event
+ * order of the machine model both serving planes drive.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 #include "fault/compound.hh"
 #include "fault/energy_campaign.hh"
 #include "fault/ras_campaign.hh"
+#include "net/service_plane.hh"
 #include "sim/digest.hh"
 #include "sim/logging.hh"
 #include "stats/counter_set.hh"
@@ -361,6 +364,155 @@ TEST(CampaignGoldenDigest, Energy)
     cfg.seed = 42;
     cfg.agingSpreadCycles = 300.0;
     EXPECT_EQ(fault::runEnergyCampaign(cfg).digest, 0x146bdd8d570de0d5ULL);
+}
+
+// The two serving planes drive one machine model. Their digests pin
+// the event order the machine runs: a reordered pump step, timer or
+// power-path call moves them. The fingerprints add the per-machine
+// counters the run digests leave out.
+
+std::uint64_t
+fingerprint(const net::ServiceResult &r)
+{
+    sim::Fnv64 d;
+    d.mix(r.digest);
+    d.mix(r.coldBoots);
+    d.mix(r.ringFramesLost);
+    d.mix(r.contextImagesSaved);
+    d.mix(r.contextImagesRestored);
+    d.mix(r.stopTicksTotal);
+    d.mix(r.goTicksTotal);
+    d.mix(r.wireDrops);
+    d.mix(r.logDrainApplied);
+    d.mix(r.logReplayApplied);
+    d.mix(r.lostAckedPuts);
+    d.mix(r.duplicateApplied);
+    d.mix(r.violations.size());
+    return d.h;
+}
+
+std::uint64_t
+fingerprint(const cluster::ClusterResult &r)
+{
+    sim::Fnv64 d;
+    d.mix(r.digest);
+    d.mix(r.ringPreservedFrames);
+    d.mix(r.ringFramesLost);
+    d.mix(r.syncBytes);
+    d.mix(r.violations.size());
+    return d.h;
+}
+
+TEST(CampaignGoldenDigest, ServicePlaneModes)
+{
+    const net::PersistMode modes[] = {
+        net::PersistMode::SnG,      net::PersistMode::SysPc,
+        net::PersistMode::SCheckPc, net::PersistMode::ACheckPc,
+        net::PersistMode::OpLog,
+    };
+    // One storm follow-up chases each recovery.
+    const std::uint64_t golden[] = {
+        0xa445243aaaa8367aULL, 0x3df68e1b093fc25dULL,
+        0x63673892f95f6588ULL, 0x4d41bc9df4a7abd7ULL,
+        0xba8b46153db11c20ULL,
+    };
+    for (std::size_t i = 0; i < std::size(modes); ++i) {
+        net::ServiceConfig cfg;
+        cfg.mode = modes[i];
+        cfg.runFor = 500 * tickMs;
+        cfg.drainGrace = 1500 * tickMs;
+        cfg.cuts = 2;
+        cfg.stormFollowUps = 1;
+        cfg.offDwell = 40 * tickMs;
+        cfg.fleet.clients = 200;
+        cfg.fleet.arrivalsPerSec = 1500.0;
+        cfg.seed = 29;
+        const net::ServiceResult r = net::runService(cfg);
+        EXPECT_TRUE(r.violations.empty()) << r.modeName;
+        EXPECT_EQ(fingerprint(r), golden[i])
+            << r.modeName << std::hex << " 0x" << fingerprint(r);
+    }
+}
+
+/** One tiny grid per ladder: a trial per mode, five in all. */
+fault::ClusterCampaignConfig
+tinyLadder(fault::Ladder ladder, std::uint32_t intensity)
+{
+    fault::ClusterCampaignConfig cfg;
+    cfg.ladder = ladder;
+    cfg.seed = 5;
+    cfg.seedsPerCell = 1;
+    cfg.replicaCounts = {3};
+    cfg.intensities = {intensity};
+    cfg.runFor = 2 * tickSec;
+    cfg.drainGrace = 2 * tickSec;
+    cfg.clients = 60;
+    cfg.arrivalsPerSec = 800.0;
+    return cfg;
+}
+
+void
+expectClusterGolden(const fault::ClusterCampaignConfig &cfg,
+                    const std::uint64_t (&golden)[5],
+                    void (*tweak)(cluster::ClusterConfig &) = nullptr)
+{
+    ASSERT_EQ(fault::clusterCampaignTrials(cfg), 5u);
+    for (std::uint64_t i = 0; i < 5; ++i) {
+        cluster::ClusterConfig trial = fault::clusterTrialConfig(cfg, i);
+        if (tweak)
+            tweak(trial);
+        const cluster::ClusterResult r = cluster::runCluster(trial);
+        EXPECT_TRUE(r.violations.empty()) << r.modeName;
+        EXPECT_EQ(fingerprint(r), golden[i])
+            << r.modeName << std::hex << " 0x" << fingerprint(r);
+    }
+}
+
+TEST(CampaignGoldenDigest, ClusterStormLadder)
+{
+    // Rack-wide storms over an aged fleet: the per-replica hold-ups
+    // differ, and cold-booting replicas take cuts mid-recovery.
+    fault::ClusterCampaignConfig cfg =
+        tinyLadder(fault::Ladder::Storm, 3);
+    cfg.agingSpread = 1.0;
+    expectClusterGolden(cfg, {0x554ba3491b921480ULL, 0x5073b6bc294f1c45ULL,
+                              0xea16507df456b930ULL, 0x09102b5313416560ULL,
+                              0x71a2404d79ce3e90ULL});
+}
+
+TEST(CampaignGoldenDigest, ClusterNemesisLadder)
+{
+    // Lossy links, a partition and a flap; cold-booted rejoiners
+    // come back through full resyncs.
+    expectClusterGolden(tinyLadder(fault::Ladder::Nemesis, 2),
+                        {0x6e69de279586ce14ULL, 0xdc95835b072142b0ULL,
+                         0xe7e0f323e87db99cULL, 0x2f45128e42bd9f56ULL,
+                         0x446b6b6dc3f57cbeULL});
+}
+
+TEST(CampaignGoldenDigest, ClusterRecoveryWindowCuts)
+{
+    // Dense storms with short dwells: cuts land on dark and
+    // recovering replicas of every mode, Stop-and-Go included.
+    expectClusterGolden(
+        tinyLadder(fault::Ladder::Storm, 3),
+        {0x01a3ebe23b68b420ULL, 0x52af3a4f0b28271aULL,
+         0x45e00fb2352e4125ULL, 0x8c27fb7439865fabULL,
+         0xe7813644dba22ba9ULL},
+        [](cluster::ClusterConfig &c) {
+            c.storms = 80;
+            c.offDwell = 20 * tickMs;
+            c.stormWindow = 60 * tickMs;
+            c.supervisor.maxAttempts = 1;
+        });
+    // A hold-up too short for the EP-cut: SnG commits fail and the
+    // machines cold-boot.
+    expectClusterGolden(
+        tinyLadder(fault::Ladder::Storm, 3),
+        {0x84ca5ace735aafc5ULL, 0x8e13178f258ff6f8ULL,
+         0xea16507df456b930ULL, 0x09102b5313416560ULL,
+         0x71a2404d79ce3e90ULL},
+        [](cluster::ClusterConfig &c) { c.holdup = 1 * tickMs; });
 }
 
 } // namespace
