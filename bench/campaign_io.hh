@@ -28,7 +28,7 @@
 #include <utility>
 #include <vector>
 
-#include "net/service_plane.hh"
+#include "net/machine.hh"
 #include "sim/parallel.hh"
 #include "stats/counter_set.hh"
 

@@ -65,18 +65,27 @@
 
 #include "fault/compound.hh"
 #include "fault/net_nemesis.hh"
-#include "net/client_fleet.hh"
-#include "net/kv_service.hh"
-#include "net/nic.hh"
+#include "net/machine.hh"
 #include "net/service_plane.hh"
 #include "sim/ticks.hh"
 
 namespace lightpc::cluster
 {
 
-/** One cluster experiment. */
-struct ClusterConfig
+/**
+ * One cluster experiment. The machine knobs (net::MachineParams) apply
+ * to every replica; the kernel population defaults small, since a
+ * trial holds N machines.
+ */
+struct ClusterConfig : net::MachineParams
 {
+    ClusterConfig()
+    {
+        userProcesses = 6;
+        kernelThreads = 4;
+        deviceCount = 12;
+    }
+
     net::PersistMode mode = net::PersistMode::SnG;
 
     /** Fleet shape. */
@@ -91,10 +100,6 @@ struct ClusterConfig
     std::size_t storms = 2;
     std::uint32_t stormRackSpan = 1;
     Tick stormWindow = 8 * tickMs;
-
-    /** AC-off dwell per cut, and PSU hold-up past the event. */
-    Tick offDwell = 100 * tickMs;
-    Tick holdup = 16 * tickMs;
 
     /**
      * Per-machine energy-storage aging spread in [0, 1]. Each
@@ -162,32 +167,8 @@ struct ClusterConfig
 
     // --- client plane ---------------------------------------------
 
-    Tick wireLatency = 20 * tickUs;
-    Tick txDrainInterval = 2 * tickUs;
-    Tick requestDeadline = 250 * tickMs;
-    Tick goodputWindow = 10 * tickMs;
-
     /** Client-side pause before a NOT_LEADER/READ_ONLY re-issue. */
     Tick redirectDelay = 150 * tickUs;
-
-    // --- per-mode knobs (mirror ServiceConfig) --------------------
-
-    Tick scheckPeriod = 100 * tickMs;
-    std::uint64_t scheckVmBytes = std::uint64_t(48) << 20;
-    std::uint64_t acheckBytesPerOp = 18000;
-    Tick oplogCommitInterval = 25 * tickUs;
-    std::uint32_t oplogCommitRecords = 16;
-    Tick oplogDrainInterval = 150 * tickUs;
-    std::uint32_t oplogDrainBatch = 32;
-
-    /** Kernel population behind each replica (small: N machines). */
-    std::uint32_t userProcesses = 6;
-    std::uint32_t kernelThreads = 4;
-    std::size_t deviceCount = 12;
-
-    net::FleetParams fleet;
-    net::KvParams kv;
-    net::NicParams nic;
 
     /**
      * Adversarial network plane over every replica<->replica link
@@ -305,7 +286,8 @@ struct ClusterResult
  * replica count of zero (or past the 64-wide ack mask), more racks
  * than replicas, a storm span wider than the rack set, an election
  * timeout that cannot outlast a heartbeat, and every degenerate
- * embedded service knob (zero clients, zero-capacity rings, ...).
+ * machine knob (net::validateMachineParams: zero clients,
+ * zero-capacity rings, ...).
  * Called at runCluster entry; exposed for tests.
  */
 void validateClusterConfig(const ClusterConfig &config);

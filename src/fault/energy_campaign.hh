@@ -35,7 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "net/service_plane.hh"
+#include "net/machine.hh"
 #include "sim/ticks.hh"
 #include "stats/counter_set.hh"
 

@@ -306,6 +306,12 @@ class KvService
                          std::uint64_t version);
 
     /**
+     * A-CheckPC's synchronous per-op checkpoint copy (no-op unless
+     * checkpointBytesPerOp is set); execute() pays it on every PUT.
+     */
+    void chargeCheckpoint(Tick &t);
+
+    /**
      * Op-log path of a replicated commit: append the record (version
      * fixed by the leader) and leave it for the plane-driven group
      * commit + drain, exactly like a local op-log PUT. @return true
@@ -439,7 +445,6 @@ class KvService
     RpcResponse executePutOpLog(Tick &t, const RpcRequest &req,
                                 bool *deferred);
     RpcResponse executeScan(Tick &t, const RpcRequest &req);
-    void chargeCheckpoint(Tick &t);
 
     /**
      * The shared apply transaction: key slot + dedup entry + applied

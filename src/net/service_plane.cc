@@ -4,10 +4,8 @@
 #include <unordered_set>
 #include <utility>
 
-#include "fault/fault_injector.hh"
 #include "mem/timed_mem.hh"
 #include "net/availability.hh"
-#include "persist/checkpoint.hh"
 #include "platform/system.hh"
 #include "sim/digest.hh"
 #include "sim/event_queue.hh"
@@ -17,53 +15,8 @@
 namespace lightpc::net
 {
 
-const char *
-persistModeName(PersistMode mode)
-{
-    switch (mode) {
-    case PersistMode::SnG: return "LightPC-SnG";
-    case PersistMode::SysPc: return "SysPC";
-    case PersistMode::SCheckPc: return "S-CheckPC";
-    case PersistMode::ACheckPc: return "A-CheckPC";
-    case PersistMode::OpLog: return "SnG-OpLog";
-    }
-    return "?";
-}
-
 namespace
 {
-
-platform::SystemConfig
-sysConfigFor(const ServiceConfig &cfg)
-{
-    platform::SystemConfig sc;
-    sc.kind = platform::PlatformKind::LightPC;
-    sc.seed = cfg.seed;
-    sc.kernel.cores = sc.cores;
-    sc.kernel.userProcesses = cfg.userProcesses;
-    sc.kernel.kernelThreads = cfg.kernelThreads;
-    sc.kernel.deviceCount = cfg.deviceCount;
-    sc.kernel.busy = true;
-    sc.kernel.seed = cfg.seed ^ 0x6b65726eULL;  // "kern"
-    return sc;
-}
-
-KvParams
-kvParamsFor(const ServiceConfig &cfg)
-{
-    KvParams kp = cfg.kv;
-    if (cfg.mode == PersistMode::ACheckPc)
-        kp.checkpointBytesPerOp = cfg.acheckBytesPerOp;
-    if (cfg.mode == PersistMode::OpLog)
-        kp.writePath = WritePath::OpLog;
-    // Dedup retention: an ID may only be compacted away once no
-    // conforming client can still retry it — the fleet's worst-case
-    // retry span, plus the server-side deadline a queued retry can
-    // still execute under, wire delays, and one full outage.
-    kp.dedupRetention = cfg.fleet.maxRetrySpan() + cfg.requestDeadline
-        + 2 * cfg.wireLatency + cfg.offDwell + cfg.holdup;
-    return kp;
-}
 
 /**
  * Fixed-latency port for the scratch-copy durability audit: the
@@ -82,82 +35,39 @@ struct OraclePort : mem::MemoryPort
     }
 };
 
-FleetParams
-fleetParamsFor(const ServiceConfig &cfg)
-{
-    FleetParams fp = cfg.fleet;
-    fp.seed = fp.seed ^ (cfg.seed * 0x9e3779b97f4a7c15ULL);
-    return fp;
-}
-
 /**
- * One live run: the platform wiring plus the event-driven control
- * state. Event closures capture only `this`.
+ * One live run: a machine under an open-loop client fleet, plus the
+ * plane's cut and dump schedule. Event closures capture only `this`.
  */
-struct Plane
+struct Plane : MachineHost
 {
     const ServiceConfig &cfg;
-    platform::System sys;
-    EventQueue &eq;
-    NicDevice nic;
-    mem::TimedMem timed;
-    KvService kv;
+    EventQueue eq;
+    Machine m;
     ClientFleet fleet;
     AvailabilityRecorder recorder;
-    fault::FaultInjector injector;
-    persist::SysPc sysPc;
-    persist::SCheckPc sCheck;
-    persist::ImageCosts imageCosts;
-    Rng rng;          ///< torn seeds, dump body seeds
-    Rng scrambleRng;  ///< volatile-loss corruption
-
-    // Control state.
-    bool powerOn = true;
-    bool serviceUp = true;
-    bool dumpStall = false;  ///< S-CheckPC stop-the-world dump
-    bool serverBusy = false;
-    bool txDraining = false;
-
-    /**
-     * Bumped at every power event; machine-side events scheduled
-     * before the cut (service completion, TX drain) check it and die.
-     * Client-side events (timeouts, arrivals) and frames already on
-     * the wire are unaffected — the outage is the machine's, not the
-     * world's.
-     */
-    std::uint64_t epoch = 0;
-
-    RpcResponse pendingResp{};
-    bool havePendingResp = false;
-    bool pendingDeferred = false;
-
-    /** OpLog mode: acks waiting on the next group commit. */
-    std::vector<RpcResponse> deferredAcks;
-    bool commitScheduled = false;
-    bool drainScheduled = false;
-
     ServiceResult res;
 
     explicit Plane(const ServiceConfig &config)
         : cfg(config),
-          sys(sysConfigFor(config)),
-          eq(sys.eventQueue()),
-          nic(sys.kernel().devices(), "eth0", config.nic),
-          timed(sys.memoryPort(), &sys.pmemStore()),
-          kv(sys.pmemStore(), timed, kvParamsFor(config)),
-          fleet(fleetParamsFor(config)),
-          recorder(config.goodputWindow),
-          injector(sys.pmemStore()),
-          sysPc(timed),
-          sCheck(timed, config.scheckPeriod),
-          rng(config.seed ^ 0x5eedf00dULL),
-          scrambleRng(config.seed ^ 0x7a57eULL)
+          m(config, config.mode, setupFor(config), eq, *this),
+          fleet(fleetParamsFor(config, config.seed)),
+          recorder(config.goodputWindow)
     {
         res.mode = cfg.mode;
         res.modeName = persistModeName(cfg.mode);
     }
 
-    bool canServe() const { return powerOn && serviceUp && !dumpStall; }
+    static MachineSetup
+    setupFor(const ServiceConfig &cfg)
+    {
+        MachineSetup setup;
+        setup.systemSeed = cfg.seed;
+        setup.rngSeed = cfg.seed ^ 0x5eedf00dULL;
+        setup.scrambleSeed = cfg.seed ^ 0x7a57eULL;
+        setup.holdup = cfg.holdup;
+        return setup;
+    }
 
     // --- client side ----------------------------------------------
 
@@ -178,7 +88,7 @@ struct Plane
     {
         req.deadline = now + cfg.requestDeadline;
         eq.schedule(now + cfg.wireLatency,
-                    [this, req] { rxArrive(req); });
+                    [this, req] { m.rxArrive(req); });
         const Tick wait = fleet.timeoutFor(req.client, req.attempt);
         eq.schedule(now + cfg.wireLatency + wait,
                     [this, id = req.reqId] { timeoutFire(id); });
@@ -194,189 +104,13 @@ struct Plane
     }
 
     void
-    deliverResponse(const RpcResponse &resp)
+    deliverResponse(const RpcResponse &resp) override
     {
         const Tick now = eq.now();
         const Tick first = fleet.firstIssuedAt(resp.reqId);
         const auto outcome = fleet.onResponse(resp, now);
         if (outcome == ClientFleet::AckOutcome::Completed)
             recorder.onSuccess(now, first, resp.servedAt);
-    }
-
-    // --- machine side ---------------------------------------------
-
-    void
-    rxArrive(const RpcRequest &req)
-    {
-        if (!powerOn) {
-            ++res.wireDrops;
-            return;
-        }
-        nic.rxPush(req);  // counts its own full/link-down drops
-        kickService();
-    }
-
-    void
-    kickService()
-    {
-        if (!canServe() || serverBusy)
-            return;
-        const Tick now = eq.now();
-        RpcRequest r;
-        // Admission from the RX ring; backpressure answers at once.
-        while (nic.rxPop(r)) {
-            if (!kv.admit(r)) {
-                RpcResponse rej;
-                rej.reqId = r.reqId;
-                rej.client = r.client;
-                rej.status = RpcStatus::Rejected;
-                rej.servedAt = now;
-                nic.txPush(rej);
-            }
-        }
-        RpcRequest head;
-        if (!kv.queuePop(head)) {
-            kickTx();
-            return;
-        }
-        serverBusy = true;
-        Tick t = now;
-        pendingDeferred = false;
-        pendingResp = kv.execute(t, head, &pendingDeferred);
-        havePendingResp = true;
-        const std::uint64_t e = epoch;
-        eq.schedule(t, [this, e] {
-            if (e == epoch)
-                serviceDone();
-        });
-        kickTx();
-    }
-
-    void
-    serviceDone()
-    {
-        serverBusy = false;
-        if (havePendingResp) {
-            if (pendingDeferred) {
-                // The ack waits for the group commit that makes its
-                // record durable; commitFire() releases it.
-                deferredAcks.push_back(pendingResp);
-                maybeScheduleCommit();
-            } else {
-                nic.txPush(pendingResp);
-            }
-            havePendingResp = false;
-            pendingDeferred = false;
-        }
-        kickTx();
-        kickService();
-    }
-
-    // --- op-log group commit / background drain -------------------
-
-    void
-    maybeScheduleCommit()
-    {
-        if (cfg.mode != PersistMode::OpLog)
-            return;
-        if (kv.logUncommittedRecords() >= cfg.oplogCommitRecords) {
-            commitFire();
-            return;
-        }
-        if (commitScheduled)
-            return;
-        commitScheduled = true;
-        const std::uint64_t e = epoch;
-        eq.scheduleIn(cfg.oplogCommitInterval, [this, e] {
-            commitScheduled = false;
-            if (e == epoch)
-                commitFire();
-        });
-    }
-
-    void
-    commitFire()
-    {
-        if (!canServe())
-            return;
-        Tick t = eq.now();
-        kv.logCommit(t);
-        if (!deferredAcks.empty()) {
-            // Release the batch's acks once the tail persist has
-            // completed. servedAt is the release tick — strictly
-            // after the records' durability point, so the outage
-            // close predicate stays sound. (shared_ptr keeps the
-            // closure inside the queue's inline-storage bound.)
-            auto batch = std::make_shared<std::vector<RpcResponse>>(
-                std::move(deferredAcks));
-            deferredAcks.clear();
-            const std::uint64_t e = epoch;
-            eq.schedule(t, [this, e, batch] {
-                if (e != epoch)
-                    return;
-                const Tick now = eq.now();
-                for (RpcResponse resp : *batch) {
-                    resp.servedAt = now;
-                    nic.txPush(resp);
-                }
-                kickTx();
-            });
-        }
-        scheduleDrain();
-    }
-
-    void
-    scheduleDrain()
-    {
-        if (cfg.mode != PersistMode::OpLog || drainScheduled
-            || kv.logBacklogRecords() == 0)
-            return;
-        drainScheduled = true;
-        const std::uint64_t e = epoch;
-        eq.scheduleIn(cfg.oplogDrainInterval, [this, e] {
-            drainScheduled = false;
-            if (e == epoch)
-                drainFire();
-        });
-    }
-
-    void
-    drainFire()
-    {
-        if (!canServe())
-            return;
-        // The drain runs on a spare core: it charges the memory
-        // system through its own timeline without blocking the
-        // serving path.
-        Tick t = eq.now();
-        kv.logDrain(t, cfg.oplogDrainBatch);
-        scheduleDrain();
-    }
-
-    void
-    kickTx()
-    {
-        if (!powerOn || txDraining || nic.txOccupancy() == 0)
-            return;
-        txDraining = true;
-        const std::uint64_t e = epoch;
-        eq.scheduleIn(cfg.txDrainInterval, [this, e] {
-            if (e == epoch)
-                txDrainFire();
-        });
-    }
-
-    void
-    txDrainFire()
-    {
-        txDraining = false;
-        RpcResponse resp;
-        if (!nic.txPop(resp))
-            return;
-        // On the wire: delivery happens even if the machine dies now.
-        eq.scheduleIn(cfg.wireLatency,
-                      [this, resp] { deliverResponse(resp); });
-        kickTx();
     }
 
     // --- stats ----------------------------------------------------
@@ -396,14 +130,9 @@ struct Plane
     scheckDumpFire()
     {
         const Tick now = eq.now();
-        if (canServe()) {
-            dumpStall = true;
-            const Tick done =
-                sCheck.dumpCommitted(now, cfg.scheckVmBytes, rng.next());
-            eq.schedule(done, [this] {
-                dumpStall = false;
-                kickService();
-            });
+        if (m.canServe()) {
+            const Tick done = m.startDump(now);
+            eq.schedule(done, [this] { m.endDump(); });
         }
         eq.schedule(now + cfg.scheckPeriod,
                     [this] { scheckDumpFire(); });
@@ -416,13 +145,13 @@ struct Plane
                   bool is_follow_up = false)
     {
         const Tick now = eq.now();
-        const bool underLoad = serverBusy || nic.rxOccupancy() > 0
-            || nic.txOccupancy() > 0;
+        const bool underLoad = m.serverBusy || m.nic->rxOccupancy() > 0
+            || m.nic->txOccupancy() > 0;
         // Never cut into an outage still in progress; and (when
         // configured) hold the cut until the service is mid-flight.
         // Follow-up storm cuts carry an already-expired probe
         // deadline, so they fire the instant the service is back up.
-        if (!powerOn || !serviceUp
+        if (!m.powerOn || !m.serviceUp
             || (cfg.cutUnderLoad && !underLoad
                 && now < probe_deadline)) {
             eq.scheduleIn(
@@ -437,80 +166,11 @@ struct Plane
         if (is_follow_up)
             ++res.stormFollowUpCuts;
         recorder.outageBegin(now);
-        powerOn = false;
-        serviceUp = false;
-        ++epoch;
-        txDraining = false;
-        injector.armCut(now + cfg.holdup, rng.next());
-
         ServiceOutage o;
         o.eventAt = now;
-
-        switch (cfg.mode) {
-        case PersistMode::SnG: {
-            // The in-flight request already committed its writes;
-            // Drive-to-Idle drains its handler, and the unsent ack
-            // rides the TX ring into the DCB.
-            if (serverBusy && havePendingResp) {
-                nic.txPush(pendingResp);
-                havePendingResp = false;
-            }
-            serverBusy = false;
-            const auto stop = sys.sng().stop(now, cfg.holdup);
-            res.stopTicksTotal += stop.totalTicks();
-            res.contextImagesSaved += stop.contextImagesSaved;
-            o.coldBoot = stop.commitFailed;
-            break;
-        }
-        case PersistMode::OpLog: {
-            // Emergency group commit inside the hold-up: the cut is
-            // armed a full hold-up out and the tail persist takes
-            // microseconds, so every appended record becomes durable.
-            // The batch's acks flush to the TX ring stamped at the
-            // event tick — they ride the DCB and can narrow the
-            // outage but never close it (strictly-after predicate);
-            // on a cold boot the ring is lost and clients retry into
-            // the dedup set instead.
-            Tick t = now;
-            kv.logCommit(t);
-            if (serverBusy && havePendingResp) {
-                if (pendingDeferred)
-                    deferredAcks.push_back(pendingResp);
-                else
-                    nic.txPush(pendingResp);
-                havePendingResp = false;
-                pendingDeferred = false;
-            }
-            for (RpcResponse resp : deferredAcks) {
-                resp.servedAt = now;
-                nic.txPush(resp);
-            }
-            deferredAcks.clear();
-            serverBusy = false;
-            const auto stop = sys.sng().stop(now, cfg.holdup);
-            res.stopTicksTotal += stop.totalTicks();
-            res.contextImagesSaved += stop.contextImagesSaved;
-            o.coldBoot = stop.commitFailed;
-            break;
-        }
-        case PersistMode::SysPc: {
-            // Hibernate dump against a 16 ms hold-up: the image takes
-            // seconds, so the commit record lands past the cut and
-            // the durability cursor drops it.
-            serverBusy = false;
-            havePendingResp = false;
-            sysPc.dumpImageCommitted(
-                now, sys.kernel().systemImageBytes(), rng.next());
-            o.coldBoot = true;
-            break;
-        }
-        case PersistMode::SCheckPc:
-        case PersistMode::ACheckPc:
-            serverBusy = false;
-            havePendingResp = false;
-            o.coldBoot = true;
-            break;
-        }
+        // The S-CheckPC dump stall is left as it was: its end event
+        // clears it.
+        o.coldBoot = m.powerFail(now);
         res.outages.push_back(o);
         eq.schedule(now + cfg.offDwell, [this] { powerRestoreFire(); },
                     EventPriority::PowerEvent);
@@ -529,77 +189,19 @@ struct Plane
         }
     }
 
-    /** Cold-boot recovery common path. @return service-up tick. */
-    Tick
-    coldBootRecover(Tick from)
-    {
-        ++res.coldBoots;
-        // Reboot re-probes every driver; rings and queue are gone.
-        auto &devices = sys.kernel().devices();
-        for (std::size_t i = 0; i < devices.count(); ++i)
-            devices.device(i).setSuspended(false);
-        res.ringFramesLost += nic.rxOccupancy() + nic.txOccupancy();
-        nic.resetVolatile();
-        kv.dropQueue();
-        deferredAcks.clear();
-        Tick t = from;
-        kv.recover(t);
-        return t;
-    }
-
     void
     powerRestoreFire()
     {
-        const Tick now = eq.now();
-        injector.powerRestored();
-        powerOn = true;
-        ServiceOutage &o = res.outages.back();
-        Tick upAt = now;
-
-        switch (cfg.mode) {
-        case PersistMode::SnG:
-        case PersistMode::OpLog:
-            if (!o.coldBoot && sys.sng().hasCommit()) {
-                // The rails ate the volatile side; Go must rebuild
-                // it from the DCB images alone.
-                sys.kernel().scramble(scrambleRng);
-                nic.scrambleVolatile(scrambleRng);
-                const auto go = sys.sng().resume(now);
-                res.goTicksTotal += go.totalTicks();
-                res.contextImagesRestored += go.contextImagesRestored;
-                res.ringPreservedFrames +=
-                    nic.rxOccupancy() + nic.txOccupancy();
-                upAt = go.done;
-            } else {
-                o.coldBoot = true;
-                upAt = coldBootRecover(now + imageCosts.coldReboot);
-            }
-            break;
-        case PersistMode::SysPc:
-            upAt = coldBootRecover(sysPc.recover(now));
-            break;
-        case PersistMode::SCheckPc:
-            upAt = coldBootRecover(sCheck.recoverAfterLoss(now));
-            break;
-        case PersistMode::ACheckPc:
-            upAt = coldBootRecover(now + imageCosts.coldReboot);
-            break;
-        }
-
-        eq.schedule(upAt, [this] { serviceUpFire(); });
+        m.restorePower();
+        const Machine::Recovery rec = m.recover(eq.now());
+        res.outages.back().coldBoot = rec.coldBoot;
+        eq.schedule(rec.upAt, [this] { serviceUpFire(); });
     }
 
     void
     serviceUpFire()
     {
-        serviceUp = true;
-        kickService();
-        kickTx();
-        // A warm resume can come back with committed-but-undrained
-        // records (and uncommitted appends the emergency flush
-        // covered); restart the commit/drain cadence.
-        maybeScheduleCommit();
-        scheduleDrain();
+        m.resumeService();
         // Audit acked-write durability right after every recovery.
         verifyInvariants();
     }
@@ -626,14 +228,14 @@ struct Plane
             // pipeline's timing state.
             OraclePort port;
             mem::BackingStore scratch;
-            scratch.copyContentsFrom(sys.pmemStore());
+            scratch.copyContentsFrom(m.sys->pmemStore());
             mem::TimedMem stm(port, &scratch);
-            KvService audit(scratch, stm, kvParamsFor(cfg));
+            KvService audit(scratch, stm, m.kv->params());
             Tick t = 0;
             audit.recover(t);
             auditDurable(audit);
         } else {
-            auditDurable(kv);
+            auditDurable(*m.kv);
         }
     }
 
@@ -707,7 +309,7 @@ struct Plane
         res.duplicateAcks = fs.duplicateAcks;
         res.ackedPuts = fs.ackedPuts;
 
-        const KvStats &ks = kv.stats();
+        const KvStats &ks = m.kv->stats();
         res.executed = ks.executed;
         res.putsApplied = ks.putsApplied;
         res.idempotentHits = ks.idempotentHits;
@@ -723,7 +325,7 @@ struct Plane
         res.dedupCompactions = ks.dedupCompactions;
         res.dedupEvicted = ks.dedupEvicted;
 
-        const NicStats &ns = nic.stats();
+        const NicStats &ns = m.nic->stats();
         res.framesRx = ns.framesRx;
         res.framesTx = ns.framesTx;
         res.rxDropsDown = ns.rxDropsDown;
@@ -731,6 +333,16 @@ struct Plane
         res.maxQueueDepth = ks.maxQueueDepth;
         res.maxRxOccupancy = ns.maxRxOccupancy;
         res.maxTxOccupancy = ns.maxTxOccupancy;
+
+        const MachineStats &ms = m.stats;
+        res.wireDrops = ms.wireDrops;
+        res.ringPreservedFrames = ms.ringPreservedFrames;
+        res.ringFramesLost = ms.ringFramesLost;
+        res.contextImagesSaved = ms.contextImagesSaved;
+        res.contextImagesRestored = ms.contextImagesRestored;
+        res.coldBoots = ms.coldBoots;
+        res.stopTicksTotal = ms.stopTicks;
+        res.goTicksTotal = ms.goTicks;
 
         auto &lat = recorder.latency();
         res.meanUs = recorder.latencySummaryUs().mean();
@@ -772,7 +384,7 @@ struct Plane
         d.mix(res.executed);
         d.mix(res.putsApplied);
         d.mix(res.idempotentHits);
-        d.mix(kv.appliedCount());
+        d.mix(m.kv->appliedCount());
         d.mix(res.framesRx);
         d.mix(res.framesTx);
         d.mix(res.ringPreservedFrames);
@@ -822,22 +434,7 @@ struct Plane
 void
 validateServiceConfig(const ServiceConfig &config)
 {
-    if (config.fleet.clients == 0)
-        fatal("ServiceConfig: fleet.clients must be >= 1 "
-              "(a zero-client fleet generates no load)");
-    if (config.fleet.arrivalsPerSec <= 0.0)
-        fatal("ServiceConfig: fleet.arrivalsPerSec must be positive");
-    if (config.fleet.maxAttempts == 0)
-        fatal("ServiceConfig: fleet.maxAttempts must be >= 1");
-    if (config.nic.ringEntries == 0)
-        fatal("ServiceConfig: nic.ringEntries must be >= 1 "
-              "(a zero-capacity ring can never carry a frame)");
-    if (config.kv.queueCapacity == 0)
-        fatal("ServiceConfig: kv.queueCapacity must be >= 1");
-    if (config.runFor == 0)
-        fatal("ServiceConfig: runFor must be nonzero");
-    if (config.goodputWindow == 0)
-        fatal("ServiceConfig: goodputWindow must be nonzero");
+    validateMachineParams(config, config.runFor, "ServiceConfig");
     if (config.stormFollowUps > 0 && config.cuts == 0)
         fatal("ServiceConfig: stormFollowUps = ",
               config.stormFollowUps,

@@ -3,12 +3,11 @@
  * The network service plane: end-to-end client-visible availability
  * of a persistent KV service across power cycles.
  *
- * runService() assembles one LightPC platform (kernel + dpm devices +
- * PSM-backed OC-PMEM), registers a NicDevice in the dpm_list, runs a
- * KvService over a persistent ObjectPool, and drives an open-loop
- * ClientFleet against it on the discrete-event queue. Seeded power
- * cuts interrupt the run; what happens next depends on the
- * persistence mode:
+ * runService() runs one net::Machine (machine.hh: a LightPC platform
+ * with a NicDevice in the dpm_list and a KvService over a persistent
+ * ObjectPool) and drives an open-loop ClientFleet against it on the
+ * discrete-event queue. Seeded power cuts interrupt the run; what
+ * happens next depends on the persistence mode:
  *
  *  - SnG        — PecOS Stop-and-Go: the EP-cut commits within the
  *                 PSU hold-up, the NIC rings ride the DCB through the
@@ -42,29 +41,14 @@
 #include <string>
 #include <vector>
 
-#include "net/client_fleet.hh"
-#include "net/kv_service.hh"
-#include "net/nic.hh"
+#include "net/machine.hh"
 #include "sim/ticks.hh"
 
 namespace lightpc::net
 {
 
-/** Which persistence mechanism carries the service through outages. */
-enum class PersistMode
-{
-    SnG,       ///< PecOS Stop-and-Go (LightPC)
-    SysPc,     ///< full-system image at power-down
-    SCheckPc,  ///< periodic system-level checkpoint (BLCR-style)
-    ACheckPc,  ///< per-request application-level checkpoint
-    OpLog,     ///< SnG + persistent op-log write path (group commit)
-};
-
-/** Display name. */
-const char *persistModeName(PersistMode mode);
-
-/** One experiment configuration. */
-struct ServiceConfig
+/** One experiment configuration: one machine under an open-loop fleet. */
+struct ServiceConfig : MachineParams
 {
     PersistMode mode = PersistMode::SnG;
 
@@ -88,9 +72,6 @@ struct ServiceConfig
     bool cutUnderLoad = true;
     Tick cutProbeInterval = 37 * tickUs;
 
-    /** AC-off dwell between the power event and restoration. */
-    Tick offDwell = 100 * tickMs;
-
     /**
      * Cut storms: after each scheduled cut fires, this many follow-up
      * cuts chase the recovery. Each is scheduled stormSpacing past
@@ -100,50 +81,6 @@ struct ServiceConfig
      */
     std::uint32_t stormFollowUps = 0;
     Tick stormSpacing = 30 * tickMs;
-
-    /** PSU hold-up: rails stay in spec this long past the event. */
-    Tick holdup = 16 * tickMs;
-
-    /** One-way client <-> server propagation. */
-    Tick wireLatency = 20 * tickUs;
-
-    /** NIC TX drain interval (one response frame per interval). */
-    Tick txDrainInterval = 2 * tickUs;
-
-    /** Server-side deadline granted to each attempt. */
-    Tick requestDeadline = 250 * tickMs;
-
-    /** Goodput sampling window. */
-    Tick goodputWindow = 10 * tickMs;
-
-    /** S-CheckPC: period and VM footprint of the periodic dump. */
-    Tick scheckPeriod = 100 * tickMs;
-    std::uint64_t scheckVmBytes = std::uint64_t(48) << 20;
-
-    /** A-CheckPC: synchronous checkpoint bytes per request. */
-    std::uint64_t acheckBytesPerOp = 18000;
-
-    /**
-     * OpLog mode: group-commit cadence. A commit fires when either
-     * this many records are waiting or the interval elapses since
-     * the first deferred ack of the batch — amortizing the tail
-     * persist + fence across the batch while bounding ack latency.
-     */
-    Tick oplogCommitInterval = 25 * tickUs;
-    std::uint32_t oplogCommitRecords = 16;
-
-    /** OpLog mode: background drain cadence and batch size. */
-    Tick oplogDrainInterval = 150 * tickUs;
-    std::uint32_t oplogDrainBatch = 32;
-
-    /** Kernel population behind the service. */
-    std::uint32_t userProcesses = 24;
-    std::uint32_t kernelThreads = 16;
-    std::size_t deviceCount = 60;
-
-    FleetParams fleet;
-    KvParams kv;
-    NicParams nic;
 
     std::uint64_t seed = 42;
 };
@@ -252,9 +189,8 @@ struct ServiceResult
  * Reject degenerate configurations with a clear message instead of
  * letting them silently degenerate (a zero-client fleet, a
  * zero-capacity ring that can never carry a frame, storm follow-ups
- * with no storm to follow). Called at runService entry; exposed so
- * callers embedding ServiceConfig (the cluster plane) and tests can
- * invoke it directly.
+ * with no storm to follow). Called at runService entry; exposed for
+ * tests.
  */
 void validateServiceConfig(const ServiceConfig &config);
 

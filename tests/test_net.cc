@@ -19,9 +19,11 @@
 #include "net/availability.hh"
 #include "net/client_fleet.hh"
 #include "net/kv_service.hh"
+#include "net/machine.hh"
 #include "net/nic.hh"
 #include "pecos/sng.hh"
 #include "platform/system.hh"
+#include "sim/event_queue.hh"
 #include "sim/rng.hh"
 
 namespace
@@ -1073,6 +1075,128 @@ TEST(Availability, StragglerNarrowsThenRealRecoveryCloses)
     rec.onSuccess(400, 130, 190);
     EXPECT_EQ(rec.outageRecords()[0].lastSuccessBefore, 210u);
     EXPECT_EQ(rec.outageRecords()[0].firstSuccessAfter, 260u);
+}
+
+// --- net::Machine ---------------------------------------------------
+
+/** A host that only collects what reaches the clients. */
+struct RecordingHost : MachineHost
+{
+    std::vector<RpcResponse> delivered;
+
+    void
+    deliverResponse(const RpcResponse &resp) override
+    {
+        delivered.push_back(resp);
+    }
+};
+
+MachineParams
+smallMachine()
+{
+    MachineParams params;
+    params.userProcesses = 4;
+    params.kernelThreads = 2;
+    params.deviceCount = 8;
+    return params;
+}
+
+MachineSetup
+machineSetup()
+{
+    MachineSetup setup;
+    setup.systemSeed = 7;
+    setup.rngSeed = 8;
+    setup.scrambleSeed = 9;
+    setup.holdup = 16 * tickMs;
+    return setup;
+}
+
+TEST(Machine, QueuedFrameRidesStopAndGoButNotAColdBoot)
+{
+    const MachineParams params = smallMachine();
+    for (const PersistMode mode :
+         {PersistMode::SnG, PersistMode::OpLog, PersistMode::SysPc,
+          PersistMode::SCheckPc, PersistMode::ACheckPc}) {
+        SCOPED_TRACE(persistModeName(mode));
+        const bool sng =
+            mode == PersistMode::SnG || mode == PersistMode::OpLog;
+        EventQueue eq;
+        RecordingHost host;
+        Machine m(params, mode, machineSetup(), eq, host);
+
+        // One GET waits in the RX ring when the power fails.
+        RpcRequest get;
+        get.reqId = 5;
+        get.client = 1;
+        get.op = workload::KvOp::Get;
+        get.key = 3;
+        ASSERT_TRUE(m.nic->rxPush(get));
+        const Tick cutAt = 5 * tickMs;
+        EXPECT_EQ(m.powerFail(cutAt), !sng);
+        EXPECT_FALSE(m.canServe());
+
+        m.restorePower();
+        const Machine::Recovery rec = m.recover(cutAt + params.offDwell);
+        EXPECT_EQ(rec.coldBoot, !sng);
+        EXPECT_GT(rec.upAt, cutAt + params.offDwell);
+        EXPECT_EQ(m.stats.resumes, sng ? 1u : 0u);
+        EXPECT_EQ(m.stats.coldBoots, sng ? 0u : 1u);
+        EXPECT_EQ(m.stats.ringPreservedFrames, sng ? 1u : 0u);
+        EXPECT_EQ(m.stats.ringFramesLost, sng ? 0u : 1u);
+        EXPECT_EQ(m.nic->rxOccupancy(), sng ? 1u : 0u);
+
+        // Once the service is back, a preserved frame is answered.
+        eq.schedule(rec.upAt, [&m] { m.resumeService(); });
+        eq.run();
+        ASSERT_EQ(host.delivered.size(), sng ? 1u : 0u);
+        if (sng) {
+            EXPECT_EQ(host.delivered[0].reqId, 5u);
+            EXPECT_GE(host.delivered[0].servedAt, rec.upAt);
+        }
+    }
+}
+
+TEST(Machine, OpLogAckDeferredAtTheCutLeavesStampedAtTheEventTick)
+{
+    const MachineParams params = smallMachine();
+    EventQueue eq;
+    RecordingHost host;
+    Machine m(params, PersistMode::OpLog, machineSetup(), eq, host);
+
+    RpcRequest put;
+    put.reqId = 9;
+    put.client = 2;
+    put.op = workload::KvOp::Put;
+    put.key = 4;
+    put.valueSeed = 77;
+    m.rxArrive(put);
+    // Serve the PUT; its ack then waits on the group-commit timer.
+    while (m.deferredAcks.empty() && eq.step()) {
+    }
+    ASSERT_EQ(m.deferredAcks.size(), 1u);
+    ASSERT_TRUE(m.commitScheduled);
+    const std::uint64_t commitsBefore = m.kv->stats().logCommits;
+
+    // The cut beats the timer: the emergency commit makes the record
+    // durable and the ack rides the TX ring, stamped at the event.
+    const Tick servedAt = m.deferredAcks[0].servedAt;
+    const Tick cutAt = eq.now() + params.oplogCommitInterval / 2;
+    EXPECT_FALSE(m.powerFail(cutAt));
+    EXPECT_TRUE(m.deferredAcks.empty());
+    EXPECT_EQ(m.kv->stats().logCommits, commitsBefore + 1);
+    EXPECT_EQ(m.nic->txOccupancy(), 1u);
+
+    m.restorePower();
+    const Machine::Recovery rec = m.recover(cutAt + params.offDwell);
+    EXPECT_FALSE(rec.coldBoot);
+    eq.schedule(rec.upAt, [&m] { m.resumeService(); });
+    eq.run();
+    ASSERT_EQ(host.delivered.size(), 1u);
+    EXPECT_EQ(host.delivered[0].reqId, 9u);
+    EXPECT_EQ(host.delivered[0].status, RpcStatus::Ok);
+    EXPECT_EQ(host.delivered[0].servedAt, cutAt);
+    EXPECT_LT(servedAt, cutAt);
 }
 
 // --- runService end to end -----------------------------------------
