@@ -576,6 +576,12 @@ Psm::flush(Tick when)
     ++_stats.flushes;
     Tick quiescent = when;
     for (std::uint32_t u = 0; u < units; ++u) {
+        if (rowBuffers[u].dirtyMask == 0) {
+            // A clean close emits no media work and would return
+            // `when`, so only the page has to be closed.
+            rowBuffers[u].openPage = ~std::uint64_t(0);
+            continue;
+        }
         const mem::AccessResult drain = closeRowBuffer(u, when);
         quiescent = std::max(quiescent, drain.mediaFreeAt);
     }

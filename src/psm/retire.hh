@@ -48,6 +48,9 @@ class RetireTable
     std::uint64_t
     remap(std::uint64_t slot) const
     {
+        // Almost always empty: skip the hash on the per-access path.
+        if (map.empty())
+            return slot;
         const auto it = map.find(slot);
         return it == map.end() ? slot : it->second;
     }

@@ -31,6 +31,19 @@ StartGap::StartGap(const StartGapParams &params)
         fatal("StartGap writeThreshold must be nonzero");
     if (_params.pageLines == 0 || _params.lines % _params.pageLines != 0)
         fatal("StartGap pageLines must be nonzero and divide lines");
+
+    // Balanced Feistel network over an even number of bits covering
+    // [0, pageCount).
+    pageDecode.set(_params.pageLines);
+    pageCount = _params.lines / _params.pageLines;
+    unsigned bits = 64u - static_cast<unsigned>(
+        std::countl_zero(pageCount - 1));
+    if (bits < 2)
+        bits = 2;
+    if (bits & 1)
+        ++bits;
+    halfBits = bits / 2;
+    halfMask = halfBits >= 32 ? 0xffffffffu : ((1u << halfBits) - 1);
 }
 
 std::uint64_t
@@ -42,39 +55,29 @@ StartGap::randomize(std::uint64_t line) const
     // Permute at page granularity: consecutive lines within a page
     // stay adjacent (preserving row-buffer locality), while pages
     // scatter over the whole space for wear spreading.
-    const std::uint64_t page = line / _params.pageLines;
-    const std::uint64_t offset = line % _params.pageLines;
-    const std::uint64_t page_count = _params.lines / _params.pageLines;
+    const std::uint64_t page = pageDecode.div(line);
+    const std::uint64_t offset = line - page * _params.pageLines;
+    if (page == memoPage)
+        return memoBase + offset;
 
-    // Balanced Feistel network over an even number of bits covering
-    // [0, page_count); cycle-walk values that land outside the
-    // domain. The network is a fixed bijection for a given seed, so
-    // the "static randomizer" costs no metadata.
-    unsigned bits = 64u - static_cast<unsigned>(
-        std::countl_zero(page_count - 1));
-    if (bits < 2)
-        bits = 2;
-    if (bits & 1)
-        ++bits;
-    const unsigned half_bits = bits / 2;
-    const std::uint32_t half_mask =
-        half_bits >= 32 ? 0xffffffffu : ((1u << half_bits) - 1);
-
+    // Cycle-walk values that land outside [0, pageCount).
     std::uint64_t value = page;
     do {
         std::uint32_t left = static_cast<std::uint32_t>(
-            (value >> half_bits) & half_mask);
+            (value >> halfBits) & halfMask);
         std::uint32_t right =
-            static_cast<std::uint32_t>(value & half_mask);
+            static_cast<std::uint32_t>(value & halfMask);
         for (unsigned round = 0; round < 4; ++round) {
             const std::uint32_t tmp = right;
             right = (left ^ mix32(right, _params.randomizerSeed + round))
-                & half_mask;
+                & halfMask;
             left = tmp;
         }
-        value = (std::uint64_t(left) << half_bits) | right;
-    } while (value >= page_count);
-    return value * _params.pageLines + offset;
+        value = (std::uint64_t(left) << halfBits) | right;
+    } while (value >= pageCount);
+    memoPage = page;
+    memoBase = value * _params.pageLines;
+    return memoBase + offset;
 }
 
 std::uint64_t
@@ -82,8 +85,10 @@ StartGap::remap(std::uint64_t logical_line) const
 {
     if (logical_line >= _params.lines)
         panic("StartGap remap out of range: ", logical_line);
-    const std::uint64_t randomized = randomize(logical_line);
-    std::uint64_t pa = (randomized + startReg) % _params.lines;
+    // Both addends are below lines, so one subtract wraps the sum.
+    std::uint64_t pa = randomize(logical_line) + startReg;
+    if (pa >= _params.lines)
+        pa -= _params.lines;
     if (pa >= gapReg)
         ++pa;
     return pa;
@@ -124,6 +129,8 @@ StartGap::restore(const StartGapState &state)
 {
     if (state.randomizerSeed != _params.randomizerSeed)
         fatal("StartGap restore with mismatched randomizer seed");
+    if (state.start >= _params.lines || state.gap > _params.lines)
+        fatal("StartGap restore with registers out of range");
     startReg = state.start;
     gapReg = state.gap;
     writeCounter = state.writeCounter;

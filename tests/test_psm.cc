@@ -153,6 +153,83 @@ TEST(Psm, FlushDrainsRowBuffersAndFences)
     EXPECT_FALSE(rd.rowBufferHit);
 }
 
+TEST(Psm, FlushMatchesClosingEveryUnitInTurn)
+{
+    // Without wear leveling, page n of the address space lives on
+    // service unit n % units, at group-local page n / units.
+    const PsmParams params = lightParams();
+    Psm psm(params);
+    Psm ref(params);
+    const std::uint64_t units = psm.serviceUnits();
+    const std::uint64_t groups = units / params.dimms;
+    const std::uint64_t page_lines =
+        params.rowBufferBytes / mem::cacheLineBytes;
+    const auto local = [&](std::uint64_t local_page, std::uint64_t line) {
+        return local_page * params.rowBufferBytes
+            + line * mem::cacheLineBytes;
+    };
+    const auto addr = [&](std::uint64_t unit, std::uint64_t local_page,
+                          std::uint64_t line) {
+        return local(local_page * units + unit, line);
+    };
+
+    // Units 4-5 are dirty at a first flush and closed by it; the
+    // units past 5 are never opened. Units 0-3 end dirty, and unit 1
+    // first drains another page, so its media is still busy when the
+    // second flush comes. Every page a write opens is dirty, so an
+    // open but clean row buffer cannot arise through the ports.
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>> dirty = {
+        {0, 0}, {0, 5}, {1, 2}, {2, page_lines - 1}, {3, 1}, {3, 9}};
+    Tick t = 0;
+    for (Psm *p : {&psm, &ref}) {
+        t = p->access(write(addr(4, 2, 0)), 0).completeAt;
+        t = p->access(write(addr(5, 2, 3)), t).completeAt;
+        t = p->flush(t);
+        t = p->access(write(addr(1, 3, 7)), t).completeAt;
+        for (const auto &[unit, line] : dirty)
+            t = p->access(write(addr(unit, 0, line)), t).completeAt;
+    }
+
+    // Close every unit in turn on the twin: each dirty line goes to
+    // the media in line order, as closeRowBuffer emits it.
+    const Tick when = t + 10;
+    for (std::uint64_t unit = 0; unit < units; ++unit) {
+        std::uint64_t mask = 0;
+        for (const auto &[u, line] : dirty)
+            if (u == unit)
+                mask |= std::uint64_t(1) << line;
+        mem::PramDevice &dev =
+            ref.dimm(unit / groups).group(unit % groups);
+        for (std::uint64_t line = 0; line < page_lines; ++line)
+            if (mask & (std::uint64_t(1) << line))
+                dev.write(when, local(0, line), /*early_return=*/true);
+    }
+    Tick expected = when;
+    for (std::uint32_t d = 0; d < params.dimms; ++d)
+        expected = std::max(expected, ref.dimm(d).busyUntil());
+
+    const Tick quiescent = psm.flush(when);
+    EXPECT_EQ(quiescent, expected);
+    EXPECT_GT(quiescent, when + params.dimm.device.writeLatency);
+    for (std::uint64_t unit = 0; unit < units; ++unit)
+        EXPECT_EQ(psm.dimm(unit / groups).group(unit % groups).busyUntil(),
+                  ref.dimm(unit / groups).group(unit % groups).busyUntil())
+            << "unit " << unit;
+
+    // Every row buffer is closed: no dirty line is forwarded, and no
+    // write to a formerly open page hits.
+    for (const auto &[unit, line] : dirty)
+        EXPECT_FALSE(psm.access(read(addr(unit, 0, line)), quiescent)
+                         .rowBufferHit)
+            << "unit " << unit << " line " << line;
+    for (const std::uint64_t unit : {0, 1, 2, 3, 4, 5})
+        EXPECT_FALSE(
+            psm.access(write(addr(unit, unit < 4 ? 0 : 2, 20)), quiescent)
+                .rowBufferHit)
+            << "unit " << unit;
+    EXPECT_EQ(psm.stats().rowBufferReadHits, 0u);
+}
+
 TEST(Psm, SequentialWritesSpreadAcrossUnits)
 {
     PsmParams params = lightParams();
