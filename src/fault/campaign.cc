@@ -56,24 +56,6 @@ campaignCounters()
 namespace
 {
 
-/** A MemoryPort view over the PSM (TimedMem plumbing). */
-class PsmMemPort : public mem::MemoryPort
-{
-  public:
-    explicit PsmMemPort(psm::Psm &psm) : psm(psm) {}
-
-    mem::AccessResult
-    access(const mem::MemRequest &req, Tick when) override
-    {
-        return psm.access(req, when);
-    }
-
-    Tick fence(Tick when) override { return psm.flush(when); }
-
-  private:
-    psm::Psm &psm;
-};
-
 void
 countPhase(CampaignResult &result, CutPhase phase)
 {
@@ -288,7 +270,7 @@ struct ImageRig
 {
     mem::BackingStore store;
     psm::Psm psm;
-    PsmMemPort port{psm};
+    psm::PsmPort port{psm};
     mem::TimedMem pmem{port, &store};
 };
 

@@ -268,24 +268,6 @@ compoundCounters()
 namespace
 {
 
-/** A MemoryPort view over the PSM (TimedMem plumbing). */
-class PsmMemPort : public mem::MemoryPort
-{
-  public:
-    explicit PsmMemPort(psm::Psm &psm) : psm(psm) {}
-
-    mem::AccessResult
-    access(const mem::MemRequest &req, Tick when) override
-    {
-        return psm.access(req, when);
-    }
-
-    Tick fence(Tick when) override { return psm.flush(when); }
-
-  private:
-    psm::Psm &psm;
-};
-
 /** One fresh SnG platform (identical construction every trial). */
 struct SngRig
 {
@@ -300,7 +282,7 @@ struct ImageRig
 {
     mem::BackingStore store;
     psm::Psm psm;
-    PsmMemPort port{psm};
+    psm::PsmPort port{psm};
     mem::TimedMem pmem{port, &store};
 };
 
@@ -801,7 +783,7 @@ runCompoundCampaign(const CompoundConfig &config)
                                      mem::BackingStore &copy) {
                 copy.copyContentsFrom(from);
                 psm::Psm psm;
-                PsmMemPort port(psm);
+                psm::PsmPort port(psm);
                 mem::TimedMem pmem(port, &copy);
                 net::KvService svc(copy, pmem, kp);
                 Tick rt = 1 * tickSec;
@@ -836,7 +818,7 @@ runCompoundCampaign(const CompoundConfig &config)
             // PUT bumped exactly one key's version by one.
             {
                 psm::Psm psm;
-                PsmMemPort port(psm);
+                psm::PsmPort port(psm);
                 mem::TimedMem pmem(port, &c1);
                 net::KvService audit(c1, pmem, kp);
                 std::uint64_t version_sum = 0;

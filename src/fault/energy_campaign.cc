@@ -48,30 +48,12 @@ energyCounters()
 namespace
 {
 
-/** A MemoryPort view over the PSM (TimedMem plumbing). */
-class PsmMemPort : public mem::MemoryPort
-{
-  public:
-    explicit PsmMemPort(psm::Psm &psm) : psm(psm) {}
-
-    mem::AccessResult
-    access(const mem::MemRequest &req, Tick when) override
-    {
-        return psm.access(req, when);
-    }
-
-    Tick fence(Tick when) override { return psm.flush(when); }
-
-  private:
-    psm::Psm &psm;
-};
-
 /** Shared fabric of one image-baseline event. */
 struct ImageRig
 {
     mem::BackingStore store;
     psm::Psm psm;
-    PsmMemPort port{psm};
+    psm::PsmPort port{psm};
     mem::TimedMem pmem{port, &store};
 };
 

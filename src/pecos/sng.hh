@@ -354,24 +354,6 @@ class Sng
     void invalidateCommit(Tick when);
 
   private:
-    /** A MemoryPort view over the PSM for TimedMem. */
-    class PsmPort : public mem::MemoryPort
-    {
-      public:
-        explicit PsmPort(psm::Psm &psm) : psm(psm) {}
-
-        mem::AccessResult
-        access(const mem::MemRequest &req, Tick when) override
-        {
-            return psm.access(req, when);
-        }
-
-        Tick fence(Tick when) override { return psm.flush(when); }
-
-      private:
-        psm::Psm &psm;
-    };
-
     Tick driveToIdle(Tick when, StopReport &report);
     Tick autoStopDevices(Tick when, StopReport &report);
     Tick drawEpCut(Tick when, StopReport &report);
@@ -382,7 +364,7 @@ class Sng
     std::vector<cache::L1Cache *> caches;
     SngCosts _costs;
     ReservedLayout layout;
-    PsmPort port;
+    psm::PsmPort port;
     mem::TimedMem timed;
     std::uint64_t fallbackDirtyLines = 200;
     const EnergyGuard *_guard = nullptr;

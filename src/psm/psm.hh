@@ -34,6 +34,7 @@
 #include <memory>
 #include <vector>
 
+#include "mem/memory_port.hh"
 #include "mem/request.hh"
 #include "psm/bare_nvdimm.hh"
 #include "psm/retire.hh"
@@ -418,6 +419,28 @@ class Psm
     PsmStats _stats;
     stats::Histogram readHist;
     stats::Histogram writeHist;
+};
+
+/**
+ * A MemoryPort view of a Psm: line accesses go to its read/write
+ * ports, and a fence is its flush port. TimedMem drives the PSM
+ * through it.
+ */
+class PsmPort final : public mem::MemoryPort
+{
+  public:
+    explicit PsmPort(Psm &psm) : psm(psm) {}
+
+    mem::AccessResult
+    access(const mem::MemRequest &req, Tick when) override
+    {
+        return psm.access(req, when);
+    }
+
+    Tick fence(Tick when) override { return psm.flush(when); }
+
+  private:
+    Psm &psm;
 };
 
 } // namespace lightpc::psm
