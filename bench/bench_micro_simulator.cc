@@ -15,7 +15,6 @@
 #include "psm/start_gap.hh"
 #include "psm/xcc.hh"
 #include "sim/event_queue.hh"
-#include "sim/legacy_event_queue.hh"
 #include "sim/rng.hh"
 
 using namespace lightpc;
@@ -156,23 +155,7 @@ BM_EventQueueChurn(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueChurn);
 
-/** The pre-pooling kernel on the identical workload, for the ratio. */
-void
-BM_LegacyEventQueueChurn(benchmark::State &state)
-{
-    LegacyEventQueue eq;
-    Tick t = 0;
-    for (auto _ : state) {
-        t += 10;
-        eq.schedule(t, [] {});
-        eq.step();
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LegacyEventQueueChurn);
-
-/** Churn with a 32-byte capture: inline for the pooled kernel, one
- *  malloc/free per event for std::function. */
+/** Churn with a 32-byte capture, stored inline in the event record. */
 void
 BM_EventQueueChurnCapture32(benchmark::State &state)
 {
@@ -187,21 +170,6 @@ BM_EventQueueChurnCapture32(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueueChurnCapture32);
-
-void
-BM_LegacyEventQueueChurnCapture32(benchmark::State &state)
-{
-    LegacyEventQueue eq;
-    Tick t = 0;
-    std::uint64_t sink[4] = {1, 2, 3, 4};
-    for (auto _ : state) {
-        t += 10;
-        eq.schedule(t, [sink] { benchmark::DoNotOptimize(sink[0]); });
-        eq.step();
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LegacyEventQueueChurnCapture32);
 
 void
 BM_BackingStoreWrite64(benchmark::State &state)

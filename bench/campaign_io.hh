@@ -16,6 +16,8 @@
 #ifndef LIGHTPC_BENCH_CAMPAIGN_IO_HH
 #define LIGHTPC_BENCH_CAMPAIGN_IO_HH
 
+#include <charconv>
+#include <cmath>
 #include <concepts>
 #include <cstdint>
 #include <cstdio>
@@ -52,26 +54,52 @@ usage(const char *argv0, const char *flags)
     std::exit(2);
 }
 
-/** One command-line flag: its name(s) and what its value sets. */
+/**
+ * Parse all of @p text as one decimal number of type @p T into @p v.
+ * Rejects empty text, anything but the number (no leading space or
+ * '+', no trailing junk), a '-' on an unsigned type, a value outside
+ * T's range, and a non-finite double. @p v is untouched on failure.
+ * @return whether @p text was such a number.
+ */
+template <typename T>
+bool
+parseNumber(std::string_view text, T &v)
+{
+    T parsed{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, parsed);
+    if (ec != std::errc() || ptr != end)
+        return false;
+    if constexpr (std::is_floating_point_v<T>)
+        if (!std::isfinite(parsed))
+            return false;
+    v = parsed;
+    return true;
+}
+
+/**
+ * One command-line flag: its name(s) and what its value sets. set()
+ * returns false when the value does not parse.
+ */
 struct Flag
 {
     const char *name;
     const char *alias;
-    std::function<void(const char *)> set;
+    std::function<bool(const char *)> set;
 };
 
-/** A flag parsing its value into @p v (an integer, double or string). */
+/** A flag parsing its value into @p v (a number or a string). */
 template <typename T>
 Flag
 flag(const char *name, T &v)
 {
     return {name, nullptr, [&v](const char *s) {
-                if constexpr (std::is_same_v<T, std::string>)
+                if constexpr (std::is_same_v<T, std::string>) {
                     v = s;
-                else if constexpr (std::is_floating_point_v<T>)
-                    v = std::strtod(s, nullptr);
-                else
-                    v = static_cast<T>(std::strtoull(s, nullptr, 10));
+                    return true;
+                } else {
+                    return parseNumber(s, v);
+                }
             }};
 }
 
@@ -81,12 +109,14 @@ threadsFlag(unsigned &v)
 {
     return {"--threads", "-j", [&v](const char *s) {
                 v = lightpc::sim::parseThreadsArg(s);
+                return true;
             }};
 }
 
 /**
  * Parse argv against @p flags, each of which takes one value. An
- * unknown flag or a missing value is a usage() error with @p text.
+ * unknown flag, a missing value or a value that does not parse is a
+ * usage() error with @p text.
  */
 inline void
 parseFlags(int argc, char **argv, const char *text,
@@ -98,9 +128,9 @@ parseFlags(int argc, char **argv, const char *text,
         for (const Flag &f : flags)
             if (arg == f.name || (f.alias && arg == f.alias))
                 match = &f;
-        if (!match || i + 1 >= argc)
+        if (!match || i + 1 >= argc || !match->set(argv[i + 1]))
             usage(argv[0], text);
-        match->set(argv[++i]);
+        ++i;
     }
 }
 

@@ -87,16 +87,14 @@ printKvCells(const ClusterCampaignResult &res, const std::string &axis,
 }
 
 /**
- * Write @p res to @p path: the run shape, @p check (the bench's
- * in-run rerun anchor, e.g. {"deterministic", true}), every counter
- * of the campaign total, one object per cell, and the digest.
+ * Write @p res to @p path: the run shape, every counter of the
+ * campaign total, one object per cell, and the digest.
  * @return false (after perror) when @p path cannot be written.
  */
 inline bool
 writeKvCampaignJson(const std::string &path, const char *bench,
                     const ClusterCampaignConfig &config,
-                    const ClusterCampaignResult &res,
-                    std::pair<const char *, bool> check)
+                    const ClusterCampaignResult &res)
 {
     JsonWriter json(path);
     json.field("bench", bench)
@@ -108,7 +106,6 @@ writeKvCampaignJson(const std::string &path, const char *bench,
         .field("clients", config.clients)
         .field("aging_spread", config.agingSpread, "%.3f")
         .field("threads", config.threads)
-        .field(check.first, check.second)
         .counters(res.total)
         .array("cells");
     for (const ClusterCell &c : res.cells)

@@ -58,7 +58,9 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("old")
     parser.add_argument("new")
-    parser.add_argument("--ignore", nargs="*", default=[], metavar="KEY")
+    # "extend": a repeated --ignore adds its keys to the earlier ones.
+    parser.add_argument("--ignore", nargs="*", action="extend",
+                        default=[], metavar="KEY")
     args = parser.parse_args()
     try:
         with open(args.old) as f:

@@ -1,19 +1,18 @@
 #!/usr/bin/env bash
 # Build everything, run the full test suite, regenerate every paper
-# figure, and refresh BENCH_kernel.json, BENCH_service.json,
-# BENCH_fault.json, BENCH_ras.json, BENCH_compound.json,
-# BENCH_cluster.json, BENCH_partition.json and BENCH_energy.json (the
-# bench loop below runs bench_service_availability,
-# fault_campaign_main, ras_campaign_main, bench_compound_fault,
-# bench_cluster, bench_partition and bench_energy with their
-# default full-size arguments from the repo root), teeing the
-# transcripts the repository ships with (test_output.txt /
-# bench_output.txt).
+# figure, and refresh BENCH_service.json, BENCH_fault.json,
+# BENCH_ras.json, BENCH_compound.json, BENCH_cluster.json,
+# BENCH_partition.json and BENCH_energy.json (the bench loop below
+# runs bench_service_availability, fault_campaign_main,
+# ras_campaign_main, bench_compound_fault, bench_cluster,
+# bench_partition and bench_energy with their default full-size
+# arguments from the repo root), teeing the transcripts the
+# repository ships with (test_output.txt / bench_output.txt).
 #
 # Usage: scripts/run_all.sh [-j N]
-#   -j N   parallelism for the build, the test run, the kernel sweep
-#          driver, and the campaign benches (--threads N; results are
-#          digest-identical at any thread count).
+#   -j N   parallelism for the build, the test run and the campaign
+#          benches (--threads N; results are digest-identical at any
+#          thread count).
 #
 # pipefail matters: every stage tees into a transcript, and without
 # it a failing ctest/bench exit status would be masked by tee's.
@@ -47,8 +46,6 @@ ctest --test-dir build --output-on-failure -j "$jobs" 2>&1 \
 : > bench_output.txt
 for b in build/bench/*; do
     [ -x "$b" ] && [ -f "$b" ] || continue
-    # The sweep driver runs below with its own arguments.
-    [ "$(basename "$b")" = sweep_main ] && continue
     echo "### $(basename "$b")" | tee -a bench_output.txt
     # The campaign benches fan seeded trials across a worker pool;
     # their merged results (digests included) are identical at any
@@ -63,6 +60,3 @@ for b in build/bench/*; do
     esac
     echo | tee -a bench_output.txt
 done
-
-echo "### sweep_main" | tee -a bench_output.txt
-build/bench/sweep_main -j "$jobs" 2>&1 | tee -a bench_output.txt

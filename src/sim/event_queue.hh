@@ -187,7 +187,7 @@ class EventQueue
     /** Execute exactly one event. @return false if the queue is empty. */
     bool step() { return stepOne(maxTick); }
 
-    // --- introspection (tests, BENCH_kernel.json) ------------------
+    // --- introspection (tests) ------------------------------------
 
     /** Ordering entries currently held (live + not-yet-swept stale). */
     std::size_t pendingEntries() const { return liveCount + staleCount; }

@@ -101,18 +101,21 @@ TEST(ParallelDeterminism, FaultCampaignDigestIsThreadInvariant)
 
     cfg.threads = 1;
     const fault::CampaignResult seq = runSngCampaign(cfg);
-    cfg.threads = 4;
-    const fault::CampaignResult par = runSngCampaign(cfg);
-
     EXPECT_EQ(seq.violations, 0u);
-    EXPECT_EQ(par.digest, seq.digest);
-    EXPECT_EQ(par.cuts, seq.cuts);
-    EXPECT_EQ(par.phaseCuts, seq.phaseCuts);
-    EXPECT_EQ(par.resumes, seq.resumes);
-    EXPECT_EQ(par.coldBoots, seq.coldBoots);
-    EXPECT_EQ(par.droppedWrites, seq.droppedWrites);
-    EXPECT_EQ(par.tornWrites, seq.tornWrites);
-    EXPECT_EQ(par.violationNotes, seq.violationNotes);
+
+    for (const unsigned threads : {2u, 4u}) {
+        SCOPED_TRACE(threads);
+        cfg.threads = threads;
+        const fault::CampaignResult par = runSngCampaign(cfg);
+        EXPECT_EQ(par.digest, seq.digest);
+        EXPECT_EQ(par.cuts, seq.cuts);
+        EXPECT_EQ(par.phaseCuts, seq.phaseCuts);
+        EXPECT_EQ(par.resumes, seq.resumes);
+        EXPECT_EQ(par.coldBoots, seq.coldBoots);
+        EXPECT_EQ(par.droppedWrites, seq.droppedWrites);
+        EXPECT_EQ(par.tornWrites, seq.tornWrites);
+        EXPECT_EQ(par.violationNotes, seq.violationNotes);
+    }
 }
 
 TEST(ParallelDeterminism, ImageCampaignDigestIsThreadInvariant)
