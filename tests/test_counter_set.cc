@@ -364,6 +364,17 @@ TEST(CampaignGoldenDigest, Energy)
     cfg.seed = 42;
     cfg.agingSpreadCycles = 300.0;
     EXPECT_EQ(fault::runEnergyCampaign(cfg).digest, 0x146bdd8d570de0d5ULL);
+
+    // Every mode at every intensity, at a scale where some modes ride
+    // the outage out and some do not: the S-CheckPC, A-CheckPC and
+    // SnG-OpLog persist paths have no other digest pin.
+    fault::EnergyCampaignConfig all;
+    all.sizingScales = {0.05};
+    all.intensities = {1, 2, 3};
+    all.seedsPerCell = 1;
+    all.seed = 42;
+    all.agingSpreadCycles = 300.0;
+    EXPECT_EQ(fault::runEnergyCampaign(all).digest, 0x7d74847f27a28a8eULL);
 }
 
 // The two serving planes drive one machine model. Their digests pin

@@ -551,6 +551,7 @@ TEST(EnergyCampaign, CellGridFollowsConfigOrder)
 TEST(EnergyCampaign, DigestIsInvariantAcrossThreadCounts)
 {
     EnergyCampaignConfig cfg = smallCampaign();
+    cfg.modes = EnergyCampaignConfig().modes;
     cfg.threads = 1;
     const EnergyCampaignResult one = fault::runEnergyCampaign(cfg);
     cfg.threads = 3;
