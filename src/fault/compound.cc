@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "fault/fault_injector.hh"
+#include "fault/persist_probe.hh"
 #include "fault/power_rail.hh"
 #include "mem/timed_mem.hh"
 #include "net/kv_service.hh"
@@ -265,42 +266,7 @@ compoundCounters()
     return set;
 }
 
-namespace
-{
-
-/** One fresh SnG platform (identical construction every trial). */
-struct SngRig
-{
-    kernel::Kernel kern;
-    psm::Psm psm;
-    mem::BackingStore store;
-    pecos::Sng sng{kern, psm, store, {}};
-};
-
-/** The image-baseline fabric for brownout retry trials. */
-struct ImageRig
-{
-    mem::BackingStore store;
-    psm::Psm psm;
-    psm::PsmPort port{psm};
-    mem::TimedMem pmem{port, &store};
-};
-
 using stats::flagViolation;
-
-double
-busyWatts(const power::PowerModel &model, std::uint32_t cores,
-          std::uint32_t pram_dimms)
-{
-    power::ActivitySample sample;
-    sample.coresActive = cores;
-    sample.coresIdle = 0;
-    sample.coreUtilization = 1.0;
-    sample.pramDimms = pram_dimms;
-    return model.staticWattsOf(sample);
-}
-
-} // namespace
 
 CompoundResult
 runCompoundCampaign(const CompoundConfig &config)
@@ -325,7 +291,7 @@ runCompoundCampaign(const CompoundConfig &config)
     const Tick goWindow = dryGo.done - dryGo.start;
 
     const power::PowerModel power_model;
-    const double watts = busyWatts(power_model, cores, dimms);
+    const double watts = phaseWatts(power_model, cores, 0, dimms);
     const Tick holdup = config.psu.holdupTime(watts);
 
     // Each trial's randomness is a pure function of (seed, i): an
@@ -729,11 +695,7 @@ runCompoundCampaign(const CompoundConfig &config)
             // state passes the version-sum audit.
             ++result.oplogTrials;
 
-            net::KvParams kp;
-            kp.writePath = net::WritePath::OpLog;
-            kp.keyCapacity = 64;
-            kp.dedupCapacity = 256;
-            kp.oplog.capacity = 16 * net::OpLog::recordBytes;
+            const net::KvParams kp = oplogKvParams(16);
 
             ImageRig rig;
             net::KvService kv(rig.store, rig.pmem, kp);

@@ -5,16 +5,9 @@
 
 #include "energy/storage.hh"
 #include "fault/fault_injector.hh"
+#include "fault/persist_probe.hh"
 #include "fault/power_rail.hh"
-#include "kernel/kernel.hh"
-#include "mem/backing_store.hh"
-#include "mem/timed_mem.hh"
-#include "net/kv_service.hh"
 #include "pecos/energy_guard.hh"
-#include "pecos/sng.hh"
-#include "persist/checkpoint.hh"
-#include "power/power_model.hh"
-#include "psm/psm.hh"
 #include "sim/digest.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
@@ -48,25 +41,14 @@ energyCounters()
 namespace
 {
 
-/** Shared fabric of one image-baseline event. */
-struct ImageRig
-{
-    mem::BackingStore store;
-    psm::Psm psm;
-    psm::PsmPort port{psm};
-    mem::TimedMem pmem{port, &store};
-};
-
 // Emergency-persist footprints. Unlike the commit-window campaigns
 // (which scale their cut windows off the dump length and can use
 // small images), the provisioning question is absolute: the
 // checkpointing baselines must land a *machine-sized* image on AC
 // loss, while Stop-and-Go persists only the bounded CPU/device
 // state — that asymmetry is the headline.
-constexpr std::uint64_t sysPcBaseBytes = 4 << 20;
 constexpr std::uint64_t sysPcDumpBytes = 48 << 20;
 constexpr std::uint64_t sCheckVmBytes = 24 << 20;
-constexpr Tick sCheckPeriod = 50 * tickMs;
 
 // A-CheckPC's AC-loss action: a sweep of per-function captures
 // covering the dirty footprint, each body + fence + ledger record.
@@ -79,18 +61,6 @@ constexpr std::uint64_t oplogKeys = 4;
 
 /** Post-commit trickle: the halted machine's retention load. */
 constexpr double haltWatts = 0.2;
-
-double
-phaseWatts(const power::PowerModel &model, std::uint32_t active,
-           std::uint32_t idle, std::uint32_t pram_dimms)
-{
-    power::ActivitySample sample;
-    sample.coresActive = active;
-    sample.coresIdle = idle;
-    sample.coreUtilization = 1.0;
-    sample.pramDimms = pram_dimms;
-    return model.staticWattsOf(sample);
-}
 
 /** One mode's outage-relative load profile and commit deadline. */
 struct ModeDry
@@ -124,55 +94,6 @@ guardMode(net::PersistMode mode)
         || mode == net::PersistMode::OpLog;
 }
 
-std::uint64_t
-modeSalt(net::PersistMode mode)
-{
-    switch (mode) {
-    case net::PersistMode::SnG: return 0x536e47ULL;
-    case net::PersistMode::SysPc: return 0x537973ULL;
-    case net::PersistMode::SCheckPc: return 0x5343506bULL;
-    case net::PersistMode::ACheckPc: return 0x414350ULL;
-    case net::PersistMode::OpLog: return 0x4f704c6fULL;
-    }
-    return 0;
-}
-
-net::KvParams
-oplogParams()
-{
-    net::KvParams params;
-    params.writePath = net::WritePath::OpLog;
-    params.keyCapacity = 64;
-    params.dedupCapacity = 256;
-    params.oplog.capacity = 8 * net::OpLog::recordBytes;
-    return params;
-}
-
-net::RpcRequest
-oplogPutReq(std::uint64_t id, std::uint64_t key, std::uint64_t seed)
-{
-    net::RpcRequest req;
-    req.reqId = id;
-    req.client = static_cast<std::uint32_t>(id % 5);
-    req.op = workload::KvOp::Put;
-    req.key = key;
-    req.valueSeed = seed;
-    req.deadline = maxTick;
-    return req;
-}
-
-std::uint64_t
-acheckBodyBytes(std::uint64_t k)
-{
-    return 4096 + (k * 2654435761ULL) % (28 << 10);
-}
-
-mem::Addr
-acheckSlotAddr(mem::Addr slot_base, std::uint64_t seq)
-{
-    return slot_base + (seq & 1) * (1 << 20);
-}
-
 DryData
 buildDry()
 {
@@ -183,13 +104,10 @@ buildDry()
     // trial's Stop timeline is identical to this one).
     pecos::StopReport stop;
     {
-        kernel::Kernel kern;
-        psm::Psm psm;
-        mem::BackingStore store;
-        pecos::Sng sng(kern, psm, store, {});
-        stop = sng.stop(0);
-        dry.cores = kern.cores();
-        dry.dimms = psm.params().dimms;
+        SngRig rig;
+        stop = rig.sng.stop(0);
+        dry.cores = rig.kern.cores();
+        dry.dimms = rig.psm.params().dimms;
     }
     const double w_all =
         phaseWatts(power_model, dry.cores, 0, dry.dimms);
@@ -211,7 +129,7 @@ buildDry()
     // runs at full load before the Stop begins.
     {
         ImageRig rig;
-        net::KvService svc(rig.store, rig.pmem, oplogParams());
+        net::KvService svc(rig.store, rig.pmem, oplogKvParams(8));
         Tick t = 0;
         for (std::uint64_t p = 1; p <= oplogPuts; ++p)
             svc.execute(t, oplogPutReq(p, 1 + (p - 1) % oplogKeys, p));
@@ -230,48 +148,21 @@ buildDry()
     dry.oplogDrain.joules += w_all * ticksToSec(dry.oplogLen);
     dry.oplogDrain.ticks += dry.oplogLen;
 
-    // SysPC: the emergency hibernate image (base image pre-exists).
-    {
-        ImageRig rig;
-        persist::SysPc syspc(rig.pmem);
-        Tick t = syspc.dumpImageCommitted(0, sysPcBaseBytes, 7);
-        const Tick ac = t + tickMs;
-        syspc.dumpImageCommitted(ac, sysPcDumpBytes, 8);
-        ModeDry &md = dry.mode[modeOrd(net::PersistMode::SysPc)];
-        md.commitLen = syspc.lastCommitAt() - ac;
-        md.steps = {{0, w_all}, {md.commitLen, haltWatts}};
-    }
-
-    // S-CheckPC: the emergency BLCR-style dump.
-    {
-        ImageRig rig;
-        persist::SCheckPc scheck(rig.pmem, sCheckPeriod);
-        Tick t = scheck.dumpCommitted(0, sCheckVmBytes, 7);
-        const Tick ac = t + tickMs;
-        scheck.dumpCommitted(ac, sCheckVmBytes, 8);
-        ModeDry &md = dry.mode[modeOrd(net::PersistMode::SCheckPc)];
-        md.commitLen = scheck.lastCommitAt() - ac;
-        md.steps = {{0, w_all}, {md.commitLen, haltWatts}};
-    }
-
-    // A-CheckPC: the decorator sweep of per-function captures.
-    {
-        ImageRig rig;
-        const persist::ACheckPcParams params;
-        persist::CheckpointLedger ledger(rig.pmem, params.pmemBase);
-        const mem::Addr slot_base = params.pmemBase + (1 << 20);
-        Tick t = 0;
-        for (std::uint64_t k = 1; k <= acheckSweep; ++k) {
-            t += acheckThink;
-            t = persist::writeBodyPattern(rig.pmem, t,
-                                          acheckSlotAddr(slot_base, k),
-                                          acheckBodyBytes(k), k);
-            t = rig.pmem.fence(t);
-            t = ledger.commit(t, k, k & 1, acheckBodyBytes(k), k);
-        }
-        ModeDry &md = dry.mode[modeOrd(net::PersistMode::ACheckPc)];
-        md.commitLen = ledger.lastCommitAt();
-        md.steps = {{0, w_all}, {md.commitLen, haltWatts}};
+    // The checkpoint baselines: every core runs flat out until the
+    // final commit lands (SysPC's hibernate image over a base image,
+    // S-CheckPC's BLCR-style dump, A-CheckPC's decorator sweep).
+    const DumpWindows syspc = sysPcWindows(sysPcDumpBytes);
+    const DumpWindows scheck = sCheckPcWindows(1, sCheckVmBytes, tickMs);
+    const std::pair<net::PersistMode, Tick> images[] = {
+        {net::PersistMode::SysPc, syspc.commitAt - syspc.ac},
+        {net::PersistMode::SCheckPc, scheck.commitAt - scheck.ac},
+        {net::PersistMode::ACheckPc,
+         aCheckPcLastCommit(acheckSweep, acheckThink)},
+    };
+    for (const auto &[mode, commit_len] : images) {
+        ModeDry &md = dry.mode[modeOrd(mode)];
+        md.commitLen = commit_len;
+        md.steps = {{0, w_all}, {commit_len, haltWatts}};
     }
 
     return dry;
@@ -376,64 +267,16 @@ struct TrialScratch
 };
 
 /**
- * One SnG Stop racing a power cut at outage-relative @p cut. Counts
- * the commit/resume outcome; true when the machine came back with
- * byte-exact state.
- */
-bool
-runSngCore(Tick cut, Rng &rng, TrialScratch &scratch)
-{
-    EnergyCellStats &cell = scratch.cell;
-
-    kernel::Kernel kern;
-    psm::Psm psm;
-    mem::BackingStore store;
-    pecos::Sng sng(kern, psm, store, {});
-    FaultInjector injector(store);
-
-    const kernel::SystemSnapshot before = kern.snapshot();
-    injector.armCut(cut, rng.next());
-
-    const pecos::StopReport stop = sng.stop(0);
-    const bool durable = stop.commitAt < cut;
-    if (durable)
-        ++cell.commitsDurable;
-    if (sng.hasCommit() != durable)
-        scratch.violation("energy SnG cut@", cut, ": commit durable=",
-                          sng.hasCommit(), " expected=", durable);
-
-    kern.scramble(rng);
-    injector.powerRestored();
-
-    const pecos::GoReport go = sng.resume(cut + 100 * tickMs);
-    if (go.coldBoot == durable)
-        scratch.violation("energy SnG cut@", cut, ": coldBoot=", go.coldBoot,
-                          " but durable=", durable);
-
-    bool ok = durable && !go.coldBoot;
-    if (!go.coldBoot) {
-        if (!kern.snapshot().registersMatch(before)) {
-            scratch.violation("energy SnG cut@", cut,
-                              ": resumed with corrupt register state");
-            ok = false;
-        }
-        ++cell.resumes;
-    } else {
-        ++cell.coldBoots;
-    }
-    return ok;
-}
-
-/**
  * SnG + op-log: the pending tail's emergency group commit runs
  * first, then the Stop rides whatever hold-up is left. Losing the
- * (un-acked) tail is legal; losing machine state is not.
+ * (un-acked) tail is legal; losing machine state is not. Returns the
+ * Stop's cut tick.
  */
-bool
-runOpLogEvent(Tick cut, Rng &rng, TrialScratch &scratch)
+Tick
+oplogEmergencyCommit(Tick cut, Rng &rng)
 {
     ImageRig rig;
-    net::KvService svc(rig.store, rig.pmem, oplogParams());
+    net::KvService svc(rig.store, rig.pmem, oplogKvParams(8));
     Tick t = 0;
     for (std::uint64_t p = 1; p <= oplogPuts; ++p)
         svc.execute(t,
@@ -444,156 +287,49 @@ runOpLogEvent(Tick cut, Rng &rng, TrialScratch &scratch)
     injector.armCut(prep + cut, rng.next());
     svc.logCommit(t);
     const Tick spent = t - prep;
-
-    const Tick rem = cut > spent ? cut - spent : 1;
-    return runSngCore(rem, rng, scratch);
+    return cut > spent ? cut - spent : 1;
 }
 
+/**
+ * One emergency persist in @p mode racing rails that fail @p cut
+ * ticks into the outage. Counts the commit/resume outcome; true when
+ * the latest state committed and came back intact.
+ */
 bool
-runSysPcEvent(Tick cut, Rng &rng, TrialScratch &scratch)
+persistEvent(net::PersistMode mode, Tick cut, Rng &rng,
+             TrialScratch &scratch)
 {
     EnergyCellStats &cell = scratch.cell;
+    std::uint64_t &violations = cell.violations;
+    std::vector<std::string> &notes = scratch.notes;
+    const auto after_ac = [cut](Tick ac) { return ac + cut; };
 
-    ImageRig rig;
-    persist::SysPc syspc(rig.pmem);
-    FaultInjector injector(rig.store);
-
-    const Tick t = syspc.dumpImageCommitted(0, sysPcBaseBytes,
-                                            rng.next());
-    const Tick ac = t + tickMs;
-    const Tick cut_abs = ac + cut;
-    injector.armCut(cut_abs, rng.next());
-
-    syspc.dumpImageCommitted(ac, sysPcDumpBytes, rng.next());
-    const Tick body_done = syspc.lastBodyDoneAt();
-    const Tick commit_at = syspc.lastCommitAt();
-    const bool durable = commit_at < cut_abs;
-    if (durable)
-        ++cell.commitsDurable;
-
-    injector.powerRestored();
-    syspc.recover(cut_abs + 100 * tickMs);
-    const std::uint64_t got = syspc.recoveredSeq();
-
-    bool ok;
-    if (durable)
-        ok = got == 2;
-    else if (cut_abs <= body_done)
-        ok = got == 1;
-    else
-        ok = got == 1 || got == 2;
-    if (ok && got == 2)
-        ok = syspc.committedImageIntact(syspc.committedImage());
-
-    if (!ok)
-        scratch.violation("energy SysPC cut@", cut, " recovered seq ", got,
-                          " (commit@", commit_at, ")");
-    got != 0 ? ++cell.resumes : ++cell.coldBoots;
-    return durable && got == 2 && ok;
-}
-
-bool
-runSCheckPcEvent(Tick cut, Rng &rng, TrialScratch &scratch)
-{
-    EnergyCellStats &cell = scratch.cell;
-
-    ImageRig rig;
-    persist::SCheckPc scheck(rig.pmem, sCheckPeriod);
-    FaultInjector injector(rig.store);
-
-    const Tick t = scheck.dumpCommitted(0, sCheckVmBytes, rng.next());
-    const Tick ac = t + tickMs;
-    const Tick cut_abs = ac + cut;
-    injector.armCut(cut_abs, rng.next());
-
-    scheck.dumpCommitted(ac, sCheckVmBytes, rng.next());
-    const Tick body_done = scheck.lastBodyDoneAt();
-    const Tick commit_at = scheck.lastCommitAt();
-    const bool durable = commit_at < cut_abs;
-    if (durable)
-        ++cell.commitsDurable;
-
-    injector.powerRestored();
-    scheck.recoverAfterLoss(cut_abs + 100 * tickMs);
-    const std::uint64_t got = scheck.recoveredSeq();
-
-    bool ok;
-    if (durable)
-        ok = got == 2;
-    else if (cut_abs <= body_done)
-        ok = got == 1;
-    else
-        ok = got == 1 || got == 2;
-    if (ok && got == 2)
-        ok = scheck.commitIntact(scheck.latestCommit());
-
-    if (!ok)
-        scratch.violation("energy S-CheckPC cut@", cut, " recovered seq ", got,
-                          " (commit@", commit_at, ")");
-    got != 0 ? ++cell.resumes : ++cell.coldBoots;
-    return durable && got == 2 && ok;
-}
-
-bool
-runACheckPcEvent(Tick cut, Rng &rng, TrialScratch &scratch)
-{
-    EnergyCellStats &cell = scratch.cell;
-
-    ImageRig rig;
-    const persist::ACheckPcParams params;
-    persist::CheckpointLedger ledger(rig.pmem, params.pmemBase);
-    const mem::Addr slot_base = params.pmemBase + (1 << 20);
-    FaultInjector injector(rig.store);
-    injector.armCut(cut, rng.next());
-
-    std::vector<std::uint64_t> seeds(acheckSweep + 1, 0);
-    std::vector<Tick> commit_at(acheckSweep + 1, 0);
-    std::vector<Tick> body_done(acheckSweep + 1, 0);
-    Tick t = 0;
-    for (std::uint64_t k = 1; k <= acheckSweep; ++k) {
-        seeds[k] = rng.next();
-        t += acheckThink;
-        t = persist::writeBodyPattern(rig.pmem, t,
-                                      acheckSlotAddr(slot_base, k),
-                                      acheckBodyBytes(k), seeds[k]);
-        t = rig.pmem.fence(t);
-        body_done[k] = t;
-        t = ledger.commit(t, k, k & 1, acheckBodyBytes(k), seeds[k]);
-        commit_at[k] = ledger.lastCommitAt();
+    ProbeOutcome out;
+    switch (mode) {
+    case net::PersistMode::SnG:
+        out = probeSng(cut, rng, violations, notes);
+        break;
+    case net::PersistMode::OpLog:
+        out = probeSng(oplogEmergencyCommit(cut, rng), rng, violations,
+                       notes);
+        break;
+    case net::PersistMode::SysPc:
+        out = probeSysPc(true, sysPcDumpBytes, rng, after_ac, violations,
+                         notes);
+        break;
+    case net::PersistMode::SCheckPc:
+        out = probeSCheckPc(1, sCheckVmBytes, tickMs, rng, after_ac,
+                            violations, notes);
+        break;
+    case net::PersistMode::ACheckPc:
+        out = probeACheckPc(acheckSweep, acheckThink, cut, rng,
+                            violations, notes);
+        break;
     }
-    const bool durable = commit_at[acheckSweep] < cut;
-    if (durable)
+    if (out.durable)
         ++cell.commitsDurable;
-
-    injector.powerRestored();
-    const persist::CheckpointLedger::Record rec = ledger.latest();
-    const std::uint64_t got = rec.seq;
-
-    std::uint64_t expect = 0;
-    std::uint64_t window_k = 0;
-    for (std::uint64_t k = 1; k <= acheckSweep; ++k) {
-        if (commit_at[k] < cut)
-            expect = k;
-        if (window_k == 0 && cut <= commit_at[k]
-            && cut > body_done[k])
-            window_k = k;
-    }
-    const bool straddle_ok = window_k != 0 && got == window_k;
-
-    bool ok = got == expect || straddle_ok;
-    if (ok && got != 0) {
-        ok = rec.valid()
-            && persist::verifyBodyPattern(
-                   rig.store, acheckSlotAddr(slot_base, rec.seq),
-                   std::min<std::uint64_t>(rec.bytes,
-                                           acheckBodyBytes(rec.seq)),
-                   seeds[rec.seq]);
-    }
-    if (!ok)
-        scratch.violation("energy A-CheckPC cut@", cut, " recovered seq ", got,
-                          " expected ", expect);
-    got != 0 ? ++cell.resumes : ++cell.coldBoots;
-    return durable && got == acheckSweep && ok;
+    out.resumed ? ++cell.resumes : ++cell.coldBoots;
+    return out.durable && out.intact;
 }
 
 /**
@@ -609,24 +345,7 @@ runOutageEvent(net::PersistMode mode, const DryData &dry,
     const Tick off = std::max<Tick>(
         cutOffset(dry.mode[modeOrd(mode)], plane), 1);
 
-    bool survived = false;
-    switch (mode) {
-    case net::PersistMode::SnG:
-        survived = runSngCore(off, rng, scratch);
-        break;
-    case net::PersistMode::OpLog:
-        survived = runOpLogEvent(off, rng, scratch);
-        break;
-    case net::PersistMode::SysPc:
-        survived = runSysPcEvent(off, rng, scratch);
-        break;
-    case net::PersistMode::SCheckPc:
-        survived = runSCheckPcEvent(off, rng, scratch);
-        break;
-    case net::PersistMode::ACheckPc:
-        survived = runACheckPcEvent(off, rng, scratch);
-        break;
-    }
+    const bool survived = persistEvent(mode, off, rng, scratch);
     ++scratch.cell.cuts;
     zeroPlane(plane);
     return survived;
@@ -653,17 +372,14 @@ voluntaryAttempt(const DryData &dry, energy::StoragePlane &plane,
     for (int attempt = 0; attempt < 6; ++attempt) {
         pecos::EnergyGuard guard(plane, drain);
 
-        kernel::Kernel kern;
-        psm::Psm psm;
-        mem::BackingStore store;
-        pecos::Sng sng(kern, psm, store, {});
-        sng.bindEnergyGuard(&guard);
-        FaultInjector injector(store);
+        SngRig rig;
+        rig.sng.bindEnergyGuard(&guard);
+        FaultInjector injector(rig.store);
 
         const Tick off = std::max<Tick>(cutOffset(md, plane), 1);
         injector.armCut(off, rng.next());
 
-        const pecos::StopReport rep = sng.stopVoluntary(0);
+        const pecos::StopReport rep = rig.sng.stopVoluntary(0);
         if (rep.deferred) {
             ++cell.stopsDeferred;
             was_deferred = true;
@@ -802,9 +518,7 @@ runSiege(net::PersistMode mode, const DryData &dry,
 
         const Tick off = std::max<Tick>(
             sagCutOffset(md, plane, supply, rest), 1);
-        const bool survived = mode == net::PersistMode::OpLog
-            ? runOpLogEvent(off, mode_rng, scratch)
-            : runSngCore(off, mode_rng, scratch);
+        const bool survived = persistEvent(mode, off, mode_rng, scratch);
         ++cell.cuts;
         zeroPlane(plane);
         if (survived && !cf_commits)
