@@ -103,7 +103,11 @@ flag(const char *name, T &v)
             }};
 }
 
-/** --threads N / -j N (0 = every host thread). */
+/**
+ * --threads N / -j N. Leaving the flag out runs every host thread.
+ * An explicit value must be a positive integer; anything else, 0
+ * included, warns and runs one worker.
+ */
 inline Flag
 threadsFlag(unsigned &v)
 {
