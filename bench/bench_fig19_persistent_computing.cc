@@ -86,11 +86,11 @@ runSysPc(const workload::WorkloadSpec &spec)
     const auto run = system.run(spec);
 
     mem::TimedMem pmem(system.memoryPort());
-    persist::SysPc syspc(pmem);
+    persist::ImageCheckpoint syspc(pmem, persist::sysPcKind);
     const std::uint64_t image = system.kernel().systemImageBytes();
     const Tick t0 = system.eventQueue().now();
-    const Tick dumped = syspc.dumpImage(t0, image);
-    const Tick loaded = syspc.loadImage(dumped, image);
+    const Tick dumped = syspc.dump(t0, image);
+    const Tick loaded = syspc.load(dumped, image);
 
     MechanismResult result;
     result.execTicks = fullExec(run.elapsed);
@@ -162,11 +162,11 @@ runSCheckPc(const workload::WorkloadSpec &spec)
     // One BLCR dump per second of full-scale execution,
     // stop-the-world while the VM image goes out.
     mem::TimedMem pmem(system.memoryPort());
-    persist::SCheckPc blcr(pmem, tickSec);
+    persist::ImageCheckpoint blcr(pmem, persist::sCheckPcKind);
     const std::uint64_t vm_bytes =
         (std::uint64_t(7) << 28) + spec.footprintBytes * 6;
     const std::uint64_t dumps =
-        std::max<std::uint64_t>(1, exec_full / blcr.period());
+        std::max<std::uint64_t>(1, exec_full / tickSec);
     Tick persist_ticks = 0;
     for (std::uint64_t i = 0; i < std::min<std::uint64_t>(dumps, 4);
          ++i)
@@ -181,7 +181,7 @@ runSCheckPc(const workload::WorkloadSpec &spec)
     persist::ImageCosts costs;
     const Tick t0 = system.eventQueue().now();
     Tick recovered = t0 + costs.coldReboot;
-    recovered = blcr.restore(recovered, vm_bytes);
+    recovered = blcr.load(recovered, vm_bytes);
     persist_ticks += recovered - t0;
 
     MechanismResult result;

@@ -48,10 +48,10 @@ main()
     {
         System system(config);
         mem::TimedMem pmem(system.memoryPort());
-        persist::SysPc syspc(pmem);
+        persist::ImageCheckpoint syspc(pmem, persist::sysPcKind);
         const std::uint64_t image =
             system.kernel().systemImageBytes();
-        syspc_flush = syspc.dumpImage(0, image);
+        syspc_flush = syspc.dump(0, image);
     }
 
     // S-CheckPC: flush the in-flight checkpoint chunk (~tens of MB)

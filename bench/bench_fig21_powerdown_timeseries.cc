@@ -217,17 +217,17 @@ main()
             system.core(c).stop();
 
         mem::TimedMem pmem(system.memoryPort());
-        persist::SysPc syspc(pmem);
+        persist::ImageCheckpoint syspc(pmem, persist::sysPcKind);
         const std::uint64_t image =
             system.kernel().systemImageBytes();
         const Tick t0 = system.eventQueue().now();
-        const Tick dumped = syspc.dumpImage(t0, image);
+        const Tick dumped = syspc.dump(t0, image);
         sys_store_ticks = dumped - t0;
         recordPhase(sys, t0, dumped,
                     persistWatts(system, true, true), false);
 
         const Tick up_at = dumped + offGap;
-        const Tick loaded = syspc.loadImage(up_at, image);
+        const Tick loaded = syspc.load(up_at, image);
         sys_load_ticks = loaded - up_at;
         recordPhase(sys, up_at, loaded,
                     persistWatts(system, true, true), true);

@@ -77,12 +77,12 @@ main()
         System system(config);
         const auto run = system.run(spec);
         mem::TimedMem pmem(system.memoryPort());
-        persist::SysPc syspc(pmem);
+        persist::ImageCheckpoint syspc(pmem, persist::sysPcKind);
         const std::uint64_t image =
             system.kernel().systemImageBytes();
         const Tick t0 = system.eventQueue().now();
-        const Tick dump = syspc.dumpImage(t0, image) - t0;
-        const Tick load = syspc.loadImage(t0, image) - t0;
+        const Tick dump = syspc.dump(t0, image) - t0;
+        const Tick load = syspc.load(t0, image) - t0;
         outcomes.push_back({"SysPC (image)", full(run.elapsed), dump,
                             load, dump <= 16 * tickMs});
     }
@@ -134,17 +134,17 @@ main()
         const auto run = system.run(spec);
         const Tick exec_full = full(run.elapsed);
         mem::TimedMem pmem(system.memoryPort());
-        persist::SCheckPc blcr(pmem, tickSec);
+        persist::ImageCheckpoint blcr(pmem, persist::sCheckPcKind);
         const std::uint64_t vm =
             (std::uint64_t(7) << 28) + spec.footprintBytes * 6;
         const Tick one_dump =
             blcr.dump(system.eventQueue().now(), vm)
             - system.eventQueue().now();
         const std::uint64_t dumps = std::max<std::uint64_t>(
-            1, exec_full / blcr.period());
+            1, exec_full / tickSec);
         persist::ImageCosts costs;
         const Tick recovery = costs.coldReboot
-            + (blcr.restore(0, vm) - 0);
+            + (blcr.load(0, vm) - 0);
         outcomes.push_back({"S-CheckPC", exec_full + dumps * one_dump,
                             one_dump / 3, recovery, true});
     }

@@ -216,7 +216,7 @@ runSysPcCampaign(const CampaignConfig &config)
 {
     // Dry run (with a base image) for the dump/commit windows used
     // by the forced commit-window trials.
-    const DumpWindows dry = sysPcWindows(sysPcDumpBytes);
+    const DumpWindows dry = imageWindows(sysPcRun(true, sysPcDumpBytes));
     const double dump_watts = dumpWatts();
 
     return runSeededTrials(
@@ -239,8 +239,9 @@ runSysPcCampaign(const CampaignConfig &config)
                     ac + span + span / 4,
                     sweepFraction(i, config.cuts, rng));
             };
-            return probeSysPc(have_base, sysPcDumpBytes, rng, pick,
-                              result.violations, result.violationNotes);
+            return probeImage(sysPcRun(have_base, sysPcDumpBytes), rng,
+                              pick, result.violations,
+                              result.violationNotes);
         });
 }
 
@@ -248,7 +249,7 @@ CampaignResult
 runSCheckPcCampaign(const CampaignConfig &config)
 {
     const DumpWindows dry =
-        sCheckPcWindows(2, sCheckVmBytes, sCheckPcPeriod);
+        imageWindows(sCheckPcRun(2, sCheckVmBytes, sCheckPcPeriod));
     const Tick window = dry.commitAt - dry.ac;
     const double dump_watts = dumpWatts();
 
@@ -264,9 +265,10 @@ runSCheckPcCampaign(const CampaignConfig &config)
                     ac + window + window / 4,
                     sweepFraction(i, config.cuts, rng));
             };
-            return probeSCheckPc(have_history ? 2 : 0, sCheckVmBytes,
-                                 sCheckPcPeriod, rng, pick,
-                                 result.violations, result.violationNotes);
+            return probeImage(
+                sCheckPcRun(have_history ? 2 : 0, sCheckVmBytes,
+                            sCheckPcPeriod),
+                rng, pick, result.violations, result.violationNotes);
         });
 }
 

@@ -548,7 +548,8 @@ runCompoundCampaign(const CompoundConfig &config)
                 // service retries with capped exponential backoff
                 // until AC is stable.
                 ImageRig rig;
-                persist::SysPc syspc(rig.pmem);
+                persist::ImageCheckpoint syspc(rig.pmem,
+                                               persist::sysPcKind);
                 FaultInjector injector(rig.store);
 
                 constexpr std::uint64_t image_bytes = 2 << 20;
@@ -563,10 +564,9 @@ runCompoundCampaign(const CompoundConfig &config)
                         const Tick cut =
                             t + tickMs + rng.below(tickMs);
                         injector.armCut(cut, rng.next());
-                        syspc.dumpImageCommitted(t, image_bytes,
-                                                 rng.next());
+                        syspc.dumpCommitted(t, image_bytes, rng.next());
                         injector.powerRestored();
-                        if (syspc.committedImage().seq != 0)
+                        if (syspc.latestCommit().seq != 0)
                             flagViolation(result,
                                           "brownout-baseline: dump "
                                           "committed past the cut");
@@ -577,11 +577,9 @@ runCompoundCampaign(const CompoundConfig &config)
                                      config.supervisor.backoffCap);
                     } else {
                         // AC stable: this dump must land.
-                        syspc.dumpImageCommitted(t, image_bytes,
-                                                 rng.next());
-                        const auto rec = syspc.committedImage();
-                        if (rec.seq != attempt
-                            || !syspc.committedImageIntact(rec)) {
+                        syspc.dumpCommitted(t, image_bytes, rng.next());
+                        const auto rec = syspc.latestCommit();
+                        if (rec.seq != attempt || !syspc.intact(rec)) {
                             flagViolation(result,
                                           "brownout-baseline: "
                                           "post-sag dump did not "

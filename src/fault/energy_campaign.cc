@@ -151,8 +151,9 @@ buildDry()
     // The checkpoint baselines: every core runs flat out until the
     // final commit lands (SysPC's hibernate image over a base image,
     // S-CheckPC's BLCR-style dump, A-CheckPC's decorator sweep).
-    const DumpWindows syspc = sysPcWindows(sysPcDumpBytes);
-    const DumpWindows scheck = sCheckPcWindows(1, sCheckVmBytes, tickMs);
+    const DumpWindows syspc = imageWindows(sysPcRun(true, sysPcDumpBytes));
+    const DumpWindows scheck =
+        imageWindows(sCheckPcRun(1, sCheckVmBytes, tickMs));
     const std::pair<net::PersistMode, Tick> images[] = {
         {net::PersistMode::SysPc, syspc.commitAt - syspc.ac},
         {net::PersistMode::SCheckPc, scheck.commitAt - scheck.ac},
@@ -314,12 +315,12 @@ persistEvent(net::PersistMode mode, Tick cut, Rng &rng,
                        notes);
         break;
     case net::PersistMode::SysPc:
-        out = probeSysPc(true, sysPcDumpBytes, rng, after_ac, violations,
-                         notes);
+        out = probeImage(sysPcRun(true, sysPcDumpBytes), rng, after_ac,
+                         violations, notes);
         break;
     case net::PersistMode::SCheckPc:
-        out = probeSCheckPc(1, sCheckVmBytes, tickMs, rng, after_ac,
-                            violations, notes);
+        out = probeImage(sCheckPcRun(1, sCheckVmBytes, tickMs), rng,
+                         after_ac, violations, notes);
         break;
     case net::PersistMode::ACheckPc:
         out = probeACheckPc(acheckSweep, acheckThink, cut, rng,

@@ -64,29 +64,26 @@ namespace
 constexpr std::uint64_t sysPcBaseBytes = 4 << 20;
 
 // A-CheckPC captures are sized like the decorator's stack/heap
-// captures (4-32 KB) and alternate between two body slots.
+// captures (4-32 KB).
 std::uint64_t
 acheckBodyBytes(std::uint64_t k)
 {
     return 4096 + (k * 2654435761ULL) % (28 << 10);
 }
 
-mem::Addr
-acheckSlotAddr(std::uint64_t seq)
-{
-    return persist::ACheckPcParams().pmemBase + (1 << 20)
-        + (seq & 1) * (1 << 20);
-}
-
-/** Capture @p k of an A-CheckPC run: body, fence, ledger record. */
+/**
+ * Run @p run's prior dumps on @p image, drawing each body seed from
+ * @p seed. @return the tick AC drops.
+ */
+template <typename Seed>
 Tick
-acheckCapture(ImageRig &rig, persist::CheckpointLedger &ledger, Tick t,
-              std::uint64_t k, std::uint64_t seed, Tick &body_done)
+runPrior(persist::ImageCheckpoint &image, const ImageRun &run,
+         Seed &&seed)
 {
-    t = persist::writeBodyPattern(rig.pmem, t, acheckSlotAddr(k),
-                                  acheckBodyBytes(k), seed);
-    body_done = rig.pmem.fence(t);
-    return ledger.commit(body_done, k, k & 1, acheckBodyBytes(k), seed);
+    Tick ac = run.start;
+    for (std::uint64_t k = 0; k < run.prior; ++k)
+        ac = image.dumpCommitted(ac, run.priorBytes, seed(k)) + run.gap;
+    return ac;
 }
 
 /** The cut's write counters, read before power returns. */
@@ -97,43 +94,6 @@ cutOutcome(const mem::BackingStore &store)
     out.droppedWrites = store.cutStats().droppedWrites;
     out.tornWrites = store.cutStats().tornWrites;
     return out;
-}
-
-/**
- * The image baselines' judge. Recovery must find the new image iff
- * its commit record beat the rails, the prior image (@p base_seq) if
- * the cut landed mid-body, and either one if the cut landed inside
- * the record's own write: the record then lands whole over a fully
- * durable body or tears and reads as "no commit". A recovered new
- * image must also pass @p verify.
- */
-void
-judgeImage(ProbeOutcome &out, const char *mode, Tick cut,
-           const DumpWindows &w, std::uint64_t base_seq,
-           std::uint64_t got, const std::function<bool()> &verify,
-           std::uint64_t &violations, std::vector<std::string> &notes)
-{
-    out.phase = cut <= w.bodyDone ? CutPhase::MidDump
-        : cut <= w.commitAt       ? CutPhase::CommitWindow
-                                  : CutPhase::PostCommit;
-    out.durable = w.commitAt < cut;
-    out.resumed = got != 0;
-
-    const std::uint64_t final_seq = base_seq + 1;
-    if (out.durable)
-        out.intact = got == final_seq;
-    else if (out.phase == CutPhase::MidDump)
-        out.intact = got == base_seq;
-    else
-        out.intact = got == base_seq || got == final_seq;
-    if (out.intact && got == final_seq)
-        out.intact = verify();
-
-    if (!out.intact)
-        stats::noteViolation(violations, notes, mode, " cut@", cut, " ",
-                             cutPhaseName(out.phase), ": recovered seq ",
-                             got, " (base ", base_seq, ", commit@",
-                             w.commitAt, ")");
 }
 
 } // namespace
@@ -187,62 +147,65 @@ probeSng(Tick cut, Rng &rng, std::uint64_t &violations,
     return out;
 }
 
-ProbeOutcome
-probeSysPc(bool have_base, std::uint64_t dump_bytes, Rng &rng,
-           const CutPicker &pick, std::uint64_t &violations,
-           std::vector<std::string> &notes)
+ImageRun
+sysPcRun(bool have_base, std::uint64_t dump_bytes)
 {
-    ImageRig rig;
-    persist::SysPc syspc(rig.pmem);
-    FaultInjector injector(rig.store);
+    return {persist::sysPcKind, have_base ? 1u : 0u, sysPcBaseBytes,
+            tickMs, dump_bytes, have_base ? 0 : tickMs};
+}
 
-    DumpWindows w;
-    if (have_base)
-        w.ac = syspc.dumpImageCommitted(0, sysPcBaseBytes, rng.next());
-    w.ac += tickMs;
-    const Tick cut = pick(w.ac);
-    injector.armCut(cut, rng.next());
-    syspc.dumpImageCommitted(w.ac, dump_bytes, rng.next());
-    w.bodyDone = syspc.lastBodyDoneAt();
-    w.commitAt = syspc.lastCommitAt();
-    ProbeOutcome out = cutOutcome(rig.store);
-
-    injector.powerRestored();
-    syspc.recover(cut + 100 * tickMs);
-    judgeImage(
-        out, "SysPC", cut, w, have_base ? 1 : 0, syspc.recoveredSeq(),
-        [&syspc] {
-            return syspc.committedImageIntact(syspc.committedImage());
-        },
-        violations, notes);
-    return out;
+ImageRun
+sCheckPcRun(std::uint64_t prior, std::uint64_t vm_bytes, Tick gap)
+{
+    return {persist::sCheckPcKind, prior, vm_bytes, gap, vm_bytes, 0};
 }
 
 ProbeOutcome
-probeSCheckPc(std::uint64_t prior, std::uint64_t vm_bytes, Tick gap,
-              Rng &rng, const CutPicker &pick, std::uint64_t &violations,
-              std::vector<std::string> &notes)
+probeImage(const ImageRun &run, Rng &rng, const CutPicker &pick,
+           std::uint64_t &violations, std::vector<std::string> &notes)
 {
     ImageRig rig;
-    persist::SCheckPc scheck(rig.pmem, sCheckPcPeriod);
+    persist::ImageCheckpoint image(rig.pmem, run.kind);
     FaultInjector injector(rig.store);
 
     DumpWindows w;
-    for (std::uint64_t k = 0; k < prior; ++k)
-        w.ac = scheck.dumpCommitted(w.ac, vm_bytes, rng.next()) + gap;
+    w.ac = runPrior(image, run, [&rng](std::uint64_t) { return rng.next(); });
     const Tick cut = pick(w.ac);
     injector.armCut(cut, rng.next());
-    scheck.dumpCommitted(w.ac, vm_bytes, rng.next());
-    w.bodyDone = scheck.lastBodyDoneAt();
-    w.commitAt = scheck.lastCommitAt();
+    image.dumpCommitted(w.ac, run.dumpBytes, rng.next());
+    w.bodyDone = image.lastBodyDoneAt();
+    w.commitAt = image.lastCommitAt();
     ProbeOutcome out = cutOutcome(rig.store);
 
     injector.powerRestored();
-    scheck.recoverAfterLoss(cut + 100 * tickMs);
-    judgeImage(
-        out, "S-CheckPC", cut, w, prior, scheck.recoveredSeq(),
-        [&scheck] { return scheck.commitIntact(scheck.latestCommit()); },
-        violations, notes);
+    image.recover(cut + 100 * tickMs);
+    const std::uint64_t got = image.recoveredSeq();
+
+    // Recovery must find the new image iff its commit record beat the
+    // rails, the prior one if the cut landed mid-body, and either one
+    // if the cut landed inside the record's own write: the record then
+    // lands whole over a fully durable body or tears and reads as "no
+    // commit". A recovered new image must also verify.
+    out.phase = cut <= w.bodyDone ? CutPhase::MidDump
+        : cut <= w.commitAt       ? CutPhase::CommitWindow
+                                  : CutPhase::PostCommit;
+    out.durable = w.commitAt < cut;
+    out.resumed = got != 0;
+    const std::uint64_t final_seq = run.prior + 1;
+    if (out.durable)
+        out.intact = got == final_seq;
+    else if (out.phase == CutPhase::MidDump)
+        out.intact = got == run.prior;
+    else
+        out.intact = got == run.prior || got == final_seq;
+    if (out.intact && got == final_seq)
+        out.intact = image.intact(image.latestCommit());
+
+    if (!out.intact)
+        stats::noteViolation(violations, notes, run.kind.name, " cut@",
+                             cut, " ", cutPhaseName(out.phase),
+                             ": recovered seq ", got, " (base ",
+                             run.prior, ", commit@", w.commitAt, ")");
     return out;
 }
 
@@ -251,8 +214,7 @@ probeACheckPc(std::uint64_t captures, Tick think, Tick cut, Rng &rng,
               std::uint64_t &violations, std::vector<std::string> &notes)
 {
     ImageRig rig;
-    persist::CheckpointLedger ledger(rig.pmem,
-                                     persist::ACheckPcParams().pmemBase);
+    persist::ImageCheckpoint acheck(rig.pmem, persist::aCheckPcKind);
     FaultInjector injector(rig.store);
     injector.armCut(cut, rng.next());
 
@@ -262,9 +224,9 @@ probeACheckPc(std::uint64_t captures, Tick think, Tick cut, Rng &rng,
     Tick t = 0;
     for (std::uint64_t k = 1; k <= captures; ++k) {
         seeds[k] = rng.next();
-        t = acheckCapture(rig, ledger, t + think, k, seeds[k],
-                          body_done[k]);
-        commit_at[k] = ledger.lastCommitAt();
+        t = acheck.dumpCommitted(t + think, acheckBodyBytes(k), seeds[k]);
+        body_done[k] = acheck.lastBodyDoneAt();
+        commit_at[k] = acheck.lastCommitAt();
     }
     ProbeOutcome out = cutOutcome(rig.store);
     out.durable = commit_at[captures] < cut;
@@ -282,7 +244,7 @@ probeACheckPc(std::uint64_t captures, Tick think, Tick cut, Rng &rng,
     }
 
     injector.powerRestored();
-    const persist::CheckpointLedger::Record rec = ledger.latest();
+    const persist::CheckpointLedger::Record rec = acheck.latestCommit();
     const std::uint64_t got = rec.seq;
     out.resumed = got != 0;
 
@@ -293,7 +255,7 @@ probeACheckPc(std::uint64_t captures, Tick think, Tick cut, Rng &rng,
     if (out.intact && got != 0) {
         out.intact = rec.valid()
             && persist::verifyBodyPattern(
-                   rig.store, acheckSlotAddr(got),
+                   rig.store, acheck.slotAddr(got & 1),
                    std::min<std::uint64_t>(rec.bytes,
                                            acheckBodyBytes(got)),
                    seeds[got]);
@@ -307,29 +269,15 @@ probeACheckPc(std::uint64_t captures, Tick think, Tick cut, Rng &rng,
 }
 
 DumpWindows
-sysPcWindows(std::uint64_t dump_bytes)
+imageWindows(const ImageRun &run)
 {
     ImageRig rig;
-    persist::SysPc syspc(rig.pmem);
+    persist::ImageCheckpoint image(rig.pmem, run.kind);
     DumpWindows w;
-    w.ac = syspc.dumpImageCommitted(0, sysPcBaseBytes, 7) + tickMs;
-    syspc.dumpImageCommitted(w.ac, dump_bytes, 8);
-    w.bodyDone = syspc.lastBodyDoneAt();
-    w.commitAt = syspc.lastCommitAt();
-    return w;
-}
-
-DumpWindows
-sCheckPcWindows(std::uint64_t prior, std::uint64_t vm_bytes, Tick gap)
-{
-    ImageRig rig;
-    persist::SCheckPc scheck(rig.pmem, sCheckPcPeriod);
-    DumpWindows w;
-    for (std::uint64_t k = 0; k < prior; ++k)
-        w.ac = scheck.dumpCommitted(w.ac, vm_bytes, 7 + k) + gap;
-    scheck.dumpCommitted(w.ac, vm_bytes, 7 + prior);
-    w.bodyDone = scheck.lastBodyDoneAt();
-    w.commitAt = scheck.lastCommitAt();
+    w.ac = runPrior(image, run, [](std::uint64_t k) { return 7 + k; });
+    image.dumpCommitted(w.ac, run.dumpBytes, 7 + run.prior);
+    w.bodyDone = image.lastBodyDoneAt();
+    w.commitAt = image.lastCommitAt();
     return w;
 }
 
@@ -337,13 +285,11 @@ Tick
 aCheckPcLastCommit(std::uint64_t captures, Tick think)
 {
     ImageRig rig;
-    persist::CheckpointLedger ledger(rig.pmem,
-                                     persist::ACheckPcParams().pmemBase);
+    persist::ImageCheckpoint acheck(rig.pmem, persist::aCheckPcKind);
     Tick t = 0;
-    Tick body_done = 0;
     for (std::uint64_t k = 1; k <= captures; ++k)
-        t = acheckCapture(rig, ledger, t + think, k, k, body_done);
-    return ledger.lastCommitAt();
+        t = acheck.dumpCommitted(t + think, acheckBodyBytes(k), k);
+    return acheck.lastCommitAt();
 }
 
 } // namespace lightpc::fault

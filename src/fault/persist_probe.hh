@@ -9,12 +9,16 @@
  *
  *  - SnG resumes iff its EP-cut commit beat the rails, and a resume
  *    restores every PCB register file byte-exactly;
- *  - SysPC and S-CheckPC recover the newest checksummed image whose
- *    body verifies: the new image iff its commit record beat the
- *    rails, the prior one if the cut landed mid-body, either one if
- *    the cut landed inside the record's own write;
+ *  - SysPC and S-CheckPC (one probe, probeImage) recover the newest
+ *    checksummed image whose body verifies: the new image iff its
+ *    commit record beat the rails, the prior one if the cut landed
+ *    mid-body, either one if the cut landed inside the record's own
+ *    write;
  *  - A-CheckPC recovers the newest capture whose record beat the
  *    rails, or the capture whose record write the cut straddled.
+ *
+ * All three image baselines dump through persist::ImageCheckpoint,
+ * each with its own kind.
  *
  * The power-cut campaign and the energy provisioning campaign run
  * their persist trials through these probes. They differ only in the
@@ -37,6 +41,7 @@
 #include "net/kv_service.hh"
 #include "net/machine.hh"
 #include "pecos/sng.hh"
+#include "persist/checkpoint.hh"
 #include "power/power_model.hh"
 #include "psm/psm.hh"
 #include "sim/rng.hh"
@@ -120,24 +125,38 @@ ProbeOutcome probeSng(Tick cut, Rng &rng, std::uint64_t &violations,
                       std::vector<std::string> &notes);
 
 /**
- * SysPC: a committed base image if @p have_base, AC loss one
- * millisecond after it (or after tick 0), then the hibernate dump of
- * @p dump_bytes racing the cut @p pick chooses.
+ * The image run a SysPC or S-CheckPC probe races: @p prior committed
+ * dumps of @p priorBytes from @p start, each followed by @p gap, then
+ * the dump of @p dumpBytes that starts as AC drops.
  */
-ProbeOutcome probeSysPc(bool have_base, std::uint64_t dump_bytes,
-                        Rng &rng, const CutPicker &pick,
-                        std::uint64_t &violations,
-                        std::vector<std::string> &notes);
+struct ImageRun
+{
+    persist::ImageKind kind;
+    std::uint64_t prior = 0;
+    std::uint64_t priorBytes = 0;
+    Tick gap = 0;
+    std::uint64_t dumpBytes = 0;
+    Tick start = 0;
+};
 
 /**
- * S-CheckPC: @p prior committed dumps of @p vm_bytes, each followed
- * by @p gap, then the dump running when AC drops, racing the cut
- * @p pick chooses.
+ * SysPC's run: a committed base image if @p have_base, AC loss one
+ * millisecond after it (or after tick 0), then the hibernate dump of
+ * @p dump_bytes.
  */
-ProbeOutcome probeSCheckPc(std::uint64_t prior, std::uint64_t vm_bytes,
-                           Tick gap, Rng &rng, const CutPicker &pick,
-                           std::uint64_t &violations,
-                           std::vector<std::string> &notes);
+ImageRun sysPcRun(bool have_base, std::uint64_t dump_bytes);
+
+/**
+ * S-CheckPC's run: @p prior committed dumps of @p vm_bytes, each
+ * followed by @p gap, then the dump running when AC drops.
+ */
+ImageRun sCheckPcRun(std::uint64_t prior, std::uint64_t vm_bytes,
+                     Tick gap);
+
+/** @p run's racing dump against the cut @p pick chooses. */
+ProbeOutcome probeImage(const ImageRun &run, Rng &rng,
+                        const CutPicker &pick, std::uint64_t &violations,
+                        std::vector<std::string> &notes);
 
 /**
  * A-CheckPC: a run of @p captures per-function checkpoints, each
@@ -155,12 +174,8 @@ struct DumpWindows
     Tick commitAt = 0;  ///< the commit record landed
 };
 
-/** probeSysPc()'s timeline with a base image and no cut. */
-DumpWindows sysPcWindows(std::uint64_t dump_bytes);
-
-/** probeSCheckPc()'s timeline with no cut. */
-DumpWindows sCheckPcWindows(std::uint64_t prior, std::uint64_t vm_bytes,
-                            Tick gap);
+/** probeImage()'s timeline for @p run with no cut. */
+DumpWindows imageWindows(const ImageRun &run);
 
 /** When probeACheckPc()'s last record lands with no cut. */
 Tick aCheckPcLastCommit(std::uint64_t captures, Tick think);

@@ -116,9 +116,9 @@ Machine::Machine(const MachineParams &params, PersistMode mode,
           sys->pmemStore(), *timed,
           kvParamsFor(params, mode, setup.dedupSlack))),
       injector(std::make_unique<fault::FaultInjector>(sys->pmemStore())),
-      sysPc(std::make_unique<persist::SysPc>(*timed)),
-      sCheck(std::make_unique<persist::SCheckPc>(*timed,
-                                                 params.scheckPeriod)),
+      image(std::make_unique<persist::ImageCheckpoint>(
+          *timed, mode == PersistMode::SCheckPc ? persist::sCheckPcKind
+                                                : persist::sysPcKind)),
       rng(setup.rngSeed), scrambleRng(setup.scrambleSeed)
 {
 }
@@ -345,7 +345,7 @@ Tick
 Machine::startDump(Tick now)
 {
     dumpStall = true;
-    return sCheck->dumpCommitted(now, params.scheckVmBytes, rng.next());
+    return image->dumpCommitted(now, params.scheckVmBytes, rng.next());
 }
 
 void
@@ -409,8 +409,8 @@ Machine::powerFail(Tick now)
         // durability cursor drops it.
         serverBusy = false;
         havePendingResp = false;
-        sysPc->dumpImageCommitted(now, sys->kernel().systemImageBytes(),
-                                  rng.next());
+        image->dumpCommitted(now, sys->kernel().systemImageBytes(),
+                             rng.next());
         coldBootPending = true;
         break;
     case PersistMode::SCheckPc:
@@ -460,9 +460,8 @@ Machine::recover(Tick now)
         }
         return {coldBoot(now + costs.coldReboot), true};
     case PersistMode::SysPc:
-        return {coldBoot(sysPc->recover(now)), true};
     case PersistMode::SCheckPc:
-        return {coldBoot(sCheck->recoverAfterLoss(now)), true};
+        return {coldBoot(image->recover(now)), true};
     case PersistMode::ACheckPc:
         return {coldBoot(now + costs.coldReboot), true};
     }

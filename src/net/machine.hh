@@ -5,7 +5,7 @@
  * A Machine owns a full platform::System (kernel, dpm devices,
  * PSM-backed OC-PMEM), the NIC it registers in the dpm_list, a
  * KvService over a persistent ObjectPool, the PSU-rail fault
- * injector and the checkpoint baselines' image engines. It runs the
+ * injector and the checkpoint baselines' image engine. It runs the
  * serving pump (RX admit -> execute -> TX drain) and the op-log
  * group-commit and drain timers on the caller's event queue, and it
  * carries the per-mode persistence mechanics of a power event:
@@ -43,7 +43,7 @@ namespace lightpc
 class EventQueue;
 namespace fault { class FaultInjector; }
 namespace mem { class TimedMem; }
-namespace persist { class SCheckPc; class SysPc; }
+namespace persist { class ImageCheckpoint; }
 namespace platform { class System; }
 } // namespace lightpc
 
@@ -238,8 +238,8 @@ class Machine
     std::unique_ptr<mem::TimedMem> timed;
     std::unique_ptr<KvService> kv;
     std::unique_ptr<fault::FaultInjector> injector;
-    std::unique_ptr<persist::SysPc> sysPc;
-    std::unique_ptr<persist::SCheckPc> sCheck;
+    /** SysPC's or S-CheckPC's image engine, per the mode. */
+    std::unique_ptr<persist::ImageCheckpoint> image;
     Rng rng;          ///< torn seeds, dump body seeds
     Rng scrambleRng;  ///< volatile-loss corruption
 

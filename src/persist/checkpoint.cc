@@ -26,6 +26,15 @@ patternWord(std::uint64_t seed, std::uint64_t index)
     return mix64(seed ^ mix64(index + 1));
 }
 
+/** Functional pattern prefix per committed image body. */
+constexpr std::uint64_t patternBytes = 64 << 10;
+
+std::uint64_t
+pagesOf(std::uint64_t bytes)
+{
+    return (bytes + 4095) / 4096;
+}
+
 } // namespace
 
 bool
@@ -129,104 +138,63 @@ verifyBodyPattern(const mem::BackingStore &store, mem::Addr addr,
 }
 
 Tick
-SysPc::dumpImageCommitted(Tick when, std::uint64_t image_bytes,
-                          std::uint64_t body_seed)
+ImageCheckpoint::dump(Tick when, std::uint64_t bytes)
+{
+    return pmem.writeSpan(when + pagesOf(bytes) * kind.dumpPerPage,
+                          imageBase, bytes);
+}
+
+Tick
+ImageCheckpoint::load(Tick when, std::uint64_t bytes)
+{
+    return pmem.readSpan(when + pagesOf(bytes) * ImageCosts().loadPerPage,
+                         imageBase, bytes);
+}
+
+Tick
+ImageCheckpoint::dumpCommitted(Tick when, std::uint64_t bytes,
+                               std::uint64_t body_seed)
 {
     const std::uint64_t seq = ++_seq;
     const std::uint64_t slot = seq & 1;
     const mem::Addr body = slotAddr(slot);
 
-    const std::uint64_t pages = (image_bytes + 4095) / 4096;
-    Tick t = when + pages * costs.dumpPerPage;
-
-    const std::uint64_t pattern =
-        std::min(image_bytes, patternBytes);
+    Tick t = when + pagesOf(bytes) * kind.dumpPerPage;
+    const std::uint64_t pattern = std::min(bytes, patternBytes);
     t = writeBodyPattern(pmem, t, body, pattern, body_seed);
-    if (image_bytes > pattern)
-        t = pmem.writeSpan(t, body + pattern, image_bytes - pattern);
-    t = pmem.fence(t);
-    _lastBodyDoneAt = t;
+    if (bytes > pattern)
+        t = pmem.writeSpan(t, body + pattern, bytes - pattern);
+    _lastBodyDoneAt = pmem.fence(t);
 
-    return _ledger.commit(t, seq, slot, image_bytes, body_seed);
+    return _ledger.commit(_lastBodyDoneAt, seq, slot, bytes, body_seed);
 }
 
 bool
-SysPc::committedImageIntact(const CheckpointLedger::Record &record)
+ImageCheckpoint::intact(const CheckpointLedger::Record &record)
 {
     const mem::BackingStore *store = pmem.backing();
-    if (!store || !record.valid())
-        return false;
-    const std::uint64_t pattern =
-        std::min(record.bytes, patternBytes);
-    return verifyBodyPattern(*store, slotAddr(record.slot), pattern,
+    return store && record.valid()
+        && verifyBodyPattern(*store, slotAddr(record.slot),
+                             std::min(record.bytes, patternBytes),
                              record.bodySeed);
 }
 
 Tick
-SysPc::recover(Tick when)
+ImageCheckpoint::recover(Tick when)
 {
+    const ImageCosts costs;
+    // Checkpoint-restart kinds never skip the reboot: machine-mode and
+    // kernel state are outside their checkpoints.
+    const Tick up = kind.rebootsFirst ? when + costs.coldReboot : when;
     const CheckpointLedger::Record record = _ledger.latest();
-    if (record.valid() && committedImageIntact(record)) {
+    if (intact(record)) {
         _recoveredSeq = record.seq;
-        const std::uint64_t pages = (record.bytes + 4095) / 4096;
-        Tick t = when + pages * costs.loadPerPage;
-        return pmem.readSpan(t, slotAddr(record.slot), record.bytes);
+        return pmem.readSpan(up + pagesOf(record.bytes) * costs.loadPerPage,
+                             slotAddr(record.slot), record.bytes);
     }
     // Nothing durable (or a torn commit was rejected): cold boot.
     _recoveredSeq = 0;
     return when + costs.coldReboot;
-}
-
-Tick
-SCheckPc::dumpCommitted(Tick when, std::uint64_t vm_bytes,
-                        std::uint64_t body_seed)
-{
-    ++_dumps;
-    const std::uint64_t seq = ++_seq;
-    const std::uint64_t slot = seq & 1;
-    const mem::Addr body = slotAddr(slot);
-
-    const std::uint64_t pages = (vm_bytes + 4095) / 4096;
-    Tick t = when + pages * (costs.dumpPerPage / 4);
-
-    const std::uint64_t pattern =
-        std::min(vm_bytes, SysPc::patternBytes);
-    t = writeBodyPattern(pmem, t, body, pattern, body_seed);
-    if (vm_bytes > pattern)
-        t = pmem.writeSpan(t, body + pattern, vm_bytes - pattern);
-    t = pmem.fence(t);
-    _lastBodyDoneAt = t;
-
-    return _ledger.commit(t, seq, slot, vm_bytes, body_seed);
-}
-
-bool
-SCheckPc::commitIntact(const CheckpointLedger::Record &record)
-{
-    const mem::BackingStore *store = pmem.backing();
-    if (!store || !record.valid())
-        return false;
-    const std::uint64_t pattern =
-        std::min(record.bytes, SysPc::patternBytes);
-    return verifyBodyPattern(*store, slotAddr(record.slot), pattern,
-                             record.bodySeed);
-}
-
-Tick
-SCheckPc::recoverAfterLoss(Tick when)
-{
-    // Checkpoint-restart can never skip the reboot: machine-mode and
-    // kernel state are outside the checkpoint.
-    Tick t = when + costs.coldReboot;
-    const CheckpointLedger::Record record = _ledger.latest();
-    if (record.valid() && commitIntact(record)) {
-        _recoveredSeq = record.seq;
-        const std::uint64_t pages = (record.bytes + 4095) / 4096;
-        t += pages * costs.loadPerPage;
-        return pmem.readSpan(t, slotAddr(record.slot), record.bytes);
-    }
-    _recoveredSeq = 0;
-    return t;
 }
 
 ACheckPcStream::ACheckPcStream(cpu::InstrStream &inner_in,

@@ -2,27 +2,33 @@
  * @file
  * The orthogonal-persistence baselines (Section VI):
  *
- *  - SysPc: system images. Execution runs unencumbered on LegacyPC;
+ *  - SysPC: system images. Execution runs unencumbered on LegacyPC;
  *    on a power event the whole system image (every process
  *    footprint + kernel) is dumped to OC-PMEM, and recovery loads it
  *    back. The dump takes seconds — orders of magnitude past any
  *    PSU hold-up time (Fig. 20) — so it needs external energy.
  *
- *  - ACheckPcStream: application-level checkpoint-restart (based on
- *    user-level HPC checkpointing [59]). At the end of every
- *    function the touched stack/heap bytes are copied DRAM ->
- *    OC-PMEM *synchronously*, stalling the benchmark; implemented as
- *    an instruction-stream decorator that interleaves real copy
- *    loads/stores, so the slowdown arises in the memory system.
- *
- *  - SCheckPc: system-level checkpoint-restart (BLCR [60]). A kernel
+ *  - S-CheckPC: system-level checkpoint-restart (BLCR [60]). A kernel
  *    service periodically dumps the target's vm_area_struct spans to
  *    OC-PMEM; execution is quiesced during each dump (stop-the-world
  *    first-order model).
  *
+ *  - A-CheckPC: application-level checkpoint-restart (based on
+ *    user-level HPC checkpointing [59]). At the end of every
+ *    function the touched stack/heap bytes are copied DRAM ->
+ *    OC-PMEM *synchronously*, stalling the benchmark. ACheckPcStream
+ *    models that as an instruction-stream decorator that interleaves
+ *    real copy loads/stores, so the slowdown arises in the memory
+ *    system.
+ *
+ * All three persist the same way, so one engine, ImageCheckpoint,
+ * runs their dumps and recovery. It is built from one of three
+ * constant kinds (sysPcKind, sCheckPcKind, aCheckPcKind) that differ
+ * only in data: the per-page dump cost, the ledger and body-slot
+ * addresses, and whether recovery always pays the cold reboot.
  * A/S-CheckPC cannot capture kernel state or machine-mode registers,
- * so power recovery additionally pays a cold reboot before the
- * restart (Fig. 21a's IPC spike).
+ * so their power recovery pays a cold reboot before the restart
+ * (Fig. 21a's IPC spike).
  */
 
 #ifndef LIGHTPC_PERSIST_CHECKPOINT_HH
@@ -129,182 +135,6 @@ struct ImageCosts
     Tick coldReboot = 1500 * tickMs;
 };
 
-/**
- * SysPC: hibernate-style whole-system images.
- */
-class SysPc
-{
-  public:
-    SysPc(mem::TimedMem &pmem, const ImageCosts &costs = ImageCosts())
-        : pmem(pmem), costs(costs), _ledger(pmem, ledgerBase)
-    {}
-
-    /** Dump @p image_bytes at power-down. @return completion tick. */
-    Tick
-    dumpImage(Tick when, std::uint64_t image_bytes)
-    {
-        const std::uint64_t pages = (image_bytes + 4095) / 4096;
-        Tick t = when + pages * costs.dumpPerPage;
-        return pmem.writeSpan(t, imageBase, image_bytes);
-    }
-
-    /** Load the image at power-up. @return completion tick. */
-    Tick
-    loadImage(Tick when, std::uint64_t image_bytes)
-    {
-        const std::uint64_t pages = (image_bytes + 4095) / 4096;
-        Tick t = when + pages * costs.loadPerPage;
-        return pmem.readSpan(t, imageBase, image_bytes);
-    }
-
-    /**
-     * Crash-consistent dump: pattern-filled body into the slot for
-     * the next sequence number, fence, then the ledger record. Only
-     * the first patternBytes of the body move real bytes (enough to
-     * detect tears); the rest is charged timing-only.
-     *
-     * @return completion tick. The commit-record write's own
-     * completion — what decides durability under a cut — is in
-     * lastCommitAt().
-     */
-    Tick dumpImageCommitted(Tick when, std::uint64_t image_bytes,
-                            std::uint64_t body_seed);
-
-    /**
-     * Power-up recovery: load the latest durable committed image, or
-     * pay the cold reboot when none (or only a torn one) survived.
-     * recoveredSeq() tells which commit was restored (0 = cold boot).
-     */
-    Tick recover(Tick when);
-
-    /** The latest durable, checksum-valid commit record. */
-    CheckpointLedger::Record committedImage() { return _ledger.latest(); }
-
-    /** Byte-exact body-prefix check of @p record's image slot. */
-    bool committedImageIntact(const CheckpointLedger::Record &record);
-
-    /** Body done (post-fence) tick of the last committed dump. */
-    Tick lastBodyDoneAt() const { return _lastBodyDoneAt; }
-
-    /** Commit-record write completion of the last committed dump. */
-    Tick lastCommitAt() const { return _ledger.lastCommitAt(); }
-
-    /** Sequence restored by the last recover(); 0 = cold boot. */
-    std::uint64_t recoveredSeq() const { return _recoveredSeq; }
-
-    static constexpr mem::Addr imageBase = std::uint64_t(1) << 40;
-
-    /** Ledger record lines live just below the image slots. */
-    static constexpr mem::Addr ledgerBase = imageBase - 4096;
-
-    /** Functional pattern prefix per image body. */
-    static constexpr std::uint64_t patternBytes = 64 << 10;
-
-    /** Double-buffered body slots, 4 GB apart. */
-    static mem::Addr
-    slotAddr(std::uint64_t slot)
-    {
-        return imageBase + slot * (std::uint64_t(1) << 32);
-    }
-
-  private:
-    mem::TimedMem &pmem;
-    ImageCosts costs;
-    CheckpointLedger _ledger;
-    std::uint64_t _seq = 0;
-    Tick _lastBodyDoneAt = 0;
-    std::uint64_t _recoveredSeq = 0;
-};
-
-/**
- * S-CheckPC: periodic BLCR-style VM dumps.
- */
-class SCheckPc
-{
-  public:
-    SCheckPc(mem::TimedMem &pmem, Tick period,
-             const ImageCosts &costs = ImageCosts())
-        : pmem(pmem), _period(period), costs(costs),
-          _ledger(pmem, ledgerBase)
-    {}
-
-    Tick period() const { return _period; }
-
-    /** One periodic dump of @p vm_bytes. @return completion tick. */
-    Tick
-    dump(Tick when, std::uint64_t vm_bytes)
-    {
-        ++_dumps;
-        const std::uint64_t pages = (vm_bytes + 4095) / 4096;
-        // BLCR walks vm_area_structs; handling is lighter than a
-        // hibernate snapshot.
-        Tick t = when + pages * (costs.dumpPerPage / 4);
-        return pmem.writeSpan(t, SysPc::imageBase, vm_bytes);
-    }
-
-    /** Restore after the post-crash cold reboot. */
-    Tick
-    restore(Tick when, std::uint64_t vm_bytes)
-    {
-        const std::uint64_t pages = (vm_bytes + 4095) / 4096;
-        Tick t = when + pages * costs.loadPerPage;
-        return pmem.readSpan(t, SysPc::imageBase, vm_bytes);
-    }
-
-    /**
-     * Crash-consistent periodic dump: body, fence, ledger record —
-     * the same protocol as SysPc::dumpImageCommitted, with BLCR's
-     * lighter page handling.
-     */
-    Tick dumpCommitted(Tick when, std::uint64_t vm_bytes,
-                       std::uint64_t body_seed);
-
-    /**
-     * Power-loss recovery: cold reboot (kernel state is never in a
-     * BLCR checkpoint), then restart from the latest durable commit
-     * when one survived untorn. recoveredSeq() is 0 when the process
-     * restarts from scratch.
-     */
-    Tick recoverAfterLoss(Tick when);
-
-    /** The latest durable, checksum-valid commit record. */
-    CheckpointLedger::Record latestCommit() { return _ledger.latest(); }
-
-    /** Byte-exact body-prefix check of @p record's slot. */
-    bool commitIntact(const CheckpointLedger::Record &record);
-
-    /** Body done (post-fence) tick of the last committed dump. */
-    Tick lastBodyDoneAt() const { return _lastBodyDoneAt; }
-
-    /** Commit-record write completion of the last committed dump. */
-    Tick lastCommitAt() const { return _ledger.lastCommitAt(); }
-
-    /** Sequence restored by the last recoverAfterLoss(); 0 = none. */
-    std::uint64_t recoveredSeq() const { return _recoveredSeq; }
-
-    std::uint64_t dumps() const { return _dumps; }
-
-    /** Separate ledger lines from SysPc's. */
-    static constexpr mem::Addr ledgerBase = SysPc::imageBase - 8192;
-
-    /** Body slots above SysPc's pair. */
-    static mem::Addr
-    slotAddr(std::uint64_t slot)
-    {
-        return SysPc::slotAddr(2 + slot);
-    }
-
-  private:
-    mem::TimedMem &pmem;
-    Tick _period;
-    ImageCosts costs;
-    CheckpointLedger _ledger;
-    std::uint64_t _dumps = 0;
-    std::uint64_t _seq = 0;
-    Tick _lastBodyDoneAt = 0;
-    std::uint64_t _recoveredSeq = 0;
-};
-
 /** Parameters of the per-function checkpoint decorator. */
 struct ACheckPcParams
 {
@@ -321,6 +151,118 @@ struct ACheckPcParams
     mem::Addr pmemBase = std::uint64_t(1) << 41;
 
     std::uint64_t seed = 97;
+};
+
+/** Where every timing-only dump and load lands. */
+inline constexpr mem::Addr imageBase = std::uint64_t(1) << 40;
+
+/**
+ * What sets one image baseline apart: its dump handling, where its
+ * ledger and body slots live, and whether recovery pays the cold
+ * reboot even when an image survives.
+ */
+struct ImageKind
+{
+    const char *name;          ///< as the campaigns print it
+    Tick dumpPerPage;          ///< dump handling per 4 KB page
+    mem::Addr ledgerBase;      ///< the two commit-record lines
+    mem::Addr slotBase;        ///< body slot 0; slot 1 follows
+    std::uint64_t slotStride;  ///< bytes between the two body slots
+    bool rebootsFirst;         ///< recovery always pays the reboot
+};
+
+/** SysPC: a hibernate snapshot; recovery skips the reboot. */
+inline constexpr ImageKind sysPcKind{
+    "SysPC", ImageCosts{}.dumpPerPage, imageBase - 4096, imageBase,
+    std::uint64_t(1) << 32, false};
+
+/**
+ * S-CheckPC: BLCR walks vm_area_structs, lighter handling than a
+ * hibernate snapshot. Its ledger and slots sit beside SysPC's.
+ */
+inline constexpr ImageKind sCheckPcKind{
+    "S-CheckPC", ImageCosts{}.dumpPerPage / 4, imageBase - 8192,
+    imageBase + (std::uint64_t(2) << 32), std::uint64_t(1) << 32, true};
+
+/**
+ * A-CheckPC: a per-function capture, copied without page handling.
+ * Its ledger opens the checkpoint region; two 1 MiB slots follow.
+ */
+inline constexpr ImageKind aCheckPcKind{
+    "A-CheckPC", 0, ACheckPcParams{}.pmemBase,
+    ACheckPcParams{}.pmemBase + (1 << 20), 1 << 20, true};
+
+/**
+ * One image baseline's dumps and recovery, shaped by its ImageKind.
+ *
+ * Timing-only dump()/load() charge the page handling and the media
+ * traffic of an image at imageBase. dumpCommitted() runs the
+ * crash-consistent protocol: the pattern-filled body goes into the
+ * slot for the next sequence number, a fence, then the ledger record.
+ * recover() loads the newest record whose body verifies.
+ */
+class ImageCheckpoint
+{
+  public:
+    ImageCheckpoint(mem::TimedMem &pmem, const ImageKind &kind)
+        : pmem(pmem), kind(kind), _ledger(pmem, kind.ledgerBase)
+    {}
+
+    /** Timing-only dump of @p bytes. @return completion tick. */
+    Tick dump(Tick when, std::uint64_t bytes);
+
+    /** Timing-only load of @p bytes. @return completion tick. */
+    Tick load(Tick when, std::uint64_t bytes);
+
+    /**
+     * Crash-consistent dump of @p bytes. Only the first 64 KB of the
+     * body move real bytes (enough to detect tears); the rest is
+     * charged timing-only.
+     *
+     * @return completion tick. The commit-record write's own
+     * completion — what decides durability under a cut — is in
+     * lastCommitAt().
+     */
+    Tick dumpCommitted(Tick when, std::uint64_t bytes,
+                       std::uint64_t body_seed);
+
+    /**
+     * Power-up recovery: load the newest durable image whose body
+     * verifies, or cold-boot when none survived. Kinds that reboot
+     * first pay the cold reboot either way. recoveredSeq() tells
+     * which commit was restored (0 = none).
+     */
+    Tick recover(Tick when);
+
+    /** The latest durable, checksum-valid commit record. */
+    CheckpointLedger::Record latestCommit() { return _ledger.latest(); }
+
+    /** Byte-exact body-prefix check of @p record's slot. */
+    bool intact(const CheckpointLedger::Record &record);
+
+    /** Body slot @p slot (0 or 1). */
+    mem::Addr
+    slotAddr(std::uint64_t slot) const
+    {
+        return kind.slotBase + slot * kind.slotStride;
+    }
+
+    /** Body done (post-fence) tick of the last committed dump. */
+    Tick lastBodyDoneAt() const { return _lastBodyDoneAt; }
+
+    /** Commit-record write completion of the last committed dump. */
+    Tick lastCommitAt() const { return _ledger.lastCommitAt(); }
+
+    /** Sequence restored by the last recover(); 0 = none. */
+    std::uint64_t recoveredSeq() const { return _recoveredSeq; }
+
+  private:
+    mem::TimedMem &pmem;
+    const ImageKind kind;
+    CheckpointLedger _ledger;
+    std::uint64_t _seq = 0;
+    Tick _lastBodyDoneAt = 0;
+    std::uint64_t _recoveredSeq = 0;
 };
 
 /**
