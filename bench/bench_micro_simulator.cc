@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "cache/l1_cache.hh"
 #include "mem/backing_store.hh"
 #include "mem/pmem_dimm.hh"
@@ -186,6 +188,26 @@ BM_BackingStoreWrite64(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_BackingStoreWrite64);
+
+/** One 16-byte field read, as an object-table probe does it. */
+void
+BM_BackingStoreRead16(benchmark::State &state)
+{
+    constexpr std::uint64_t region = std::uint64_t(4) << 20;
+    mem::BackingStore store;
+    std::vector<std::uint8_t> fill(region, 0x5a);
+    store.write(0, fill.data(), fill.size());
+    Rng rng(7);
+    std::uint8_t field[16];
+    for (auto _ : state) {
+        const mem::Addr addr = rng.below(region - 16) & ~7ull;
+        store.read(addr, field, sizeof(field));
+        benchmark::DoNotOptimize(field);
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.SetBytesProcessed(state.iterations() * 16);
+}
+BENCHMARK(BM_BackingStoreRead16);
 
 } // namespace
 

@@ -5,6 +5,42 @@
 namespace lightpc::mem
 {
 
+namespace
+{
+
+/** Copy @p W bytes from the head and from the tail of [0, @p n). */
+template <std::uint64_t W>
+inline void
+copyEnds(std::uint8_t *dst, const std::uint8_t *src, std::uint64_t n)
+{
+    std::memcpy(dst, src, W);
+    std::memcpy(dst + n - W, src + n - W, W);
+}
+
+/**
+ * Copy @p n bytes between a page and a caller's buffer. Nearly every
+ * chunk is one object field or cache line of 8-64 bytes, and a
+ * variable-length memcpy of that size compiles to `rep movsq`, whose
+ * start-up cost dominates the copy. Two overlapping fixed-size copies
+ * cover any such length with a few plain loads and stores.
+ */
+inline void
+copyChunk(std::uint8_t *dst, const std::uint8_t *src, std::uint64_t n)
+{
+    if (n >= 8 && n <= 64) {
+        if (n <= 16)
+            copyEnds<8>(dst, src, n);
+        else if (n <= 32)
+            copyEnds<16>(dst, src, n);
+        else
+            copyEnds<32>(dst, src, n);
+        return;
+    }
+    std::memcpy(dst, src, n);
+}
+
+} // namespace
+
 BackingStore::Page *
 BackingStore::findPage(Addr page_id) const
 {
@@ -32,7 +68,7 @@ BackingStore::read(Addr addr, void *out, std::uint64_t len) const
         const std::uint64_t offset = addr % pageBytes;
         const std::uint64_t chunk = std::min(len, pageBytes - offset);
         if (const Page *page = findPage(page_id))
-            std::memcpy(dst, page->data() + offset, chunk);
+            copyChunk(dst, page->data() + offset, chunk);
         else
             std::memset(dst, 0, chunk);
         dst += chunk;
@@ -50,7 +86,7 @@ BackingStore::writeRaw(Addr addr, const void *in, std::uint64_t len)
         const std::uint64_t offset = addr % pageBytes;
         const std::uint64_t chunk = std::min(len, pageBytes - offset);
         Page &page = materialize(page_id);
-        std::memcpy(page.data() + offset, src, chunk);
+        copyChunk(page.data() + offset, src, chunk);
         src += chunk;
         addr += chunk;
         len -= chunk;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "mem/request.hh"
+#include "sim/fast_div.hh"
 #include "sim/logging.hh"
 
 namespace lightpc::mem
@@ -55,6 +56,8 @@ class TagCache
         numSets = static_cast<std::uint32_t>(lines / ways);
         if (numSets == 0)
             numSets = 1;
+        lineDecode.set(lineBytes);
+        setDecode.set(numSets);
         sets.assign(std::size_t(numSets) * numWays, Line{});
     }
 
@@ -200,14 +203,16 @@ class TagCache
     std::pair<std::size_t, std::uint32_t>
     setRange(Addr block) const
     {
-        const std::uint32_t set =
-            static_cast<std::uint32_t>((block / lineBytes) % numSets);
+        const std::uint32_t set = static_cast<std::uint32_t>(
+            setDecode.mod(lineDecode.div(block)));
         return {std::size_t(set) * numWays, set};
     }
 
     std::uint32_t lineBytes;
     std::uint32_t numWays;
     std::uint32_t numSets;
+    FastDiv lineDecode;  ///< divisor: lineBytes
+    FastDiv setDecode;   ///< divisor: numSets
     std::uint64_t useClock = 0;
     std::vector<Line> sets;
 };

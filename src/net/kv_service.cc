@@ -1,6 +1,7 @@
 #include "net/kv_service.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 
 #include "sim/logging.hh"
@@ -162,13 +163,31 @@ KvService::probeDedup(std::uint64_t req_id, bool &found) const
     fatal("KvService dedup set full (dedupCapacity too small)");
 }
 
+template <typename Entry, typename Visit>
+void
+KvService::forEachEntry(std::uint64_t offset, std::uint32_t count,
+                        Visit &&visit) const
+{
+    constexpr std::uint32_t run = 256;
+    std::array<Entry, run> buf;
+    for (std::uint32_t i = 0; i < count; i += run) {
+        const std::uint32_t n = std::min(run, count - i);
+        _pool->readObject(root, offset + std::uint64_t(i) * sizeof(Entry),
+                          buf.data(), std::uint64_t(n) * sizeof(Entry));
+        for (std::uint32_t j = 0; j < n; ++j)
+            visit(buf[j]);
+    }
+}
+
 void
 KvService::rebuildDedupLive()
 {
     dedupLive = 0;
-    for (std::uint32_t i = 0; i < _params.dedupCapacity; ++i)
-        if (dedupAt(i).id != 0)
-            ++dedupLive;
+    forEachEntry<DedupEntry>(dedupOffset(), _params.dedupCapacity,
+                             [this](const DedupEntry &entry) {
+                                 if (entry.id != 0)
+                                     ++dedupLive;
+                             });
     compactionHoldoff = 0;
 }
 
@@ -638,15 +657,16 @@ KvService::maybeCompactDedup(Tick &t)
     std::vector<DedupEntry> survivors;
     survivors.reserve(dedupLive);
     std::uint64_t evicted = 0;
-    for (std::uint32_t i = 0; i < _params.dedupCapacity; ++i) {
-        const DedupEntry entry = dedupAt(i);
-        if (entry.id == 0)
-            continue;
-        if (entry.appliedAt >= floor)
-            survivors.push_back(entry);
-        else
-            ++evicted;
-    }
+    forEachEntry<DedupEntry>(
+        dedupOffset(), _params.dedupCapacity,
+        [&](const DedupEntry &entry) {
+            if (entry.id == 0)
+                return;
+            if (entry.appliedAt >= floor)
+                survivors.push_back(entry);
+            else
+                ++evicted;
+        });
     if (evicted == 0) {
         // Everything is still inside the retry horizon. Hold off
         // until the table has grown materially so a hot service does
@@ -765,11 +785,11 @@ std::vector<std::uint64_t>
 KvService::appliedIds() const
 {
     std::vector<std::uint64_t> out;
-    for (std::uint32_t i = 0; i < _params.dedupCapacity; ++i) {
-        const DedupEntry entry = dedupAt(i);
-        if (entry.id != 0)
-            out.push_back(entry.id);
-    }
+    forEachEntry<DedupEntry>(dedupOffset(), _params.dedupCapacity,
+                             [&out](const DedupEntry &entry) {
+                                 if (entry.id != 0)
+                                     out.push_back(entry.id);
+                             });
     return out;
 }
 
@@ -905,13 +925,13 @@ std::vector<KvKeyState>
 KvService::snapshotRecords() const
 {
     std::vector<KvKeyState> out;
-    for (std::uint32_t i = 0; i < _params.keyCapacity; ++i) {
-        KvSlot slot;
-        readSlot(i, slot);
-        if (slot.key != 0)
-            out.push_back(KvKeyState{slot.key, slot.version,
+    forEachEntry<KvSlot>(keyTableOffset(), _params.keyCapacity,
+                         [&out](const KvSlot &slot) {
+                             if (slot.key != 0)
+                                 out.push_back(KvKeyState{
+                                     slot.key, slot.version,
                                      slot.lastReqId, slot.valueSeed});
-    }
+                         });
     return out;
 }
 

@@ -435,6 +435,16 @@ class KvService
     void readSlot(std::uint32_t idx, KvSlot &out) const;
     DedupEntry dedupAt(std::uint32_t idx) const;
 
+    /**
+     * Visit each of the @p count @p Entry records at root offset
+     * @p offset in order, reading them in runs of 256 (a few store
+     * pages) instead of one entry at a time. Host-side only: charges
+     * no simulated time.
+     */
+    template <typename Entry, typename Visit>
+    void forEachEntry(std::uint64_t offset, std::uint32_t count,
+                      Visit &&visit) const;
+
     /** Recount occupied dedup slots (ctor / recovery). */
     void rebuildDedupLive();
 

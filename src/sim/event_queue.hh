@@ -23,7 +23,12 @@
  *  - A calendar-queue front end (a ring of width-2^bucketShift tick
  *    buckets) makes near-horizon scheduling O(1); only events beyond
  *    the ring's window go through the binary heap, and they migrate
- *    into the ring as time advances.
+ *    into the ring as time advances. The ring is sized to the timers
+ *    it serves: 256 buckets of 2^18 ticks (262 ns) span a 67 us
+ *    window, which holds the network, heartbeat and op-log drain
+ *    timers of a replicated-KV cluster (mostly 1-34 us ahead). A
+ *    bucket is kept sorted, so events that share one pay a sorted
+ *    insert instead of a heap push, pop and migration.
  *
  * Ordering entries are 24-byte PODs; priority and sequence number are
  * packed into one comparison key, so equal-tick ordering (priority,
@@ -89,7 +94,16 @@ constexpr EventId invalidEventId = 0;
  */
 class EventQueue
 {
+    // Ring of 2^8 buckets, each 2^bucketShift ticks wide; events inside
+    // the window [curAbs, curAbs + bucketCount) bucket widths go into
+    // the ring, later ones into the far heap.
+    static constexpr unsigned bucketShift = 18;
+    static constexpr unsigned bucketCount = 256;
+
   public:
+    /** Ticks spanned by the calendar ring's window (about 67 us). */
+    static constexpr Tick ringSpan = Tick(bucketCount) << bucketShift;
+
     EventQueue() = default;
 
     EventQueue(const EventQueue &) = delete;
@@ -199,11 +213,6 @@ class EventQueue
     std::size_t poolCapacity() const { return slotCount; }
 
   private:
-    // Ring of 2^8 buckets, each bucketWidth ticks wide; events inside
-    // the window [curAbs, curAbs + bucketCount) bucket widths go into
-    // the ring, later ones into the far heap.
-    static constexpr unsigned bucketShift = 12;
-    static constexpr unsigned bucketCount = 256;
     static constexpr unsigned bucketMask = bucketCount - 1;
     static constexpr unsigned slabShift = 8;
     static constexpr unsigned slabSize = 1u << slabShift;

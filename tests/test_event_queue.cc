@@ -233,12 +233,14 @@ class ReferenceQueue
 
 /**
  * One seeded fuzz run against @p Queue. Top-level ops schedule
- * single events (a few beyond the calendar ring, in the far heap),
- * same-tick bursts across all four priorities and rare waves of 500
- * events; cancel one event or, rarely, most of them (after a wave,
- * enough to trigger the stale-entry sweep); run() to a limit; and
- * step(). Firing events schedule follow-ups at now() and later and
- * cancel other pending events. The trace records every firing (its
+ * single events (some at cluster-timer delays of 1 us to 2 ms, far
+ * enough out for the far heap, the rest within 4 us, where many
+ * share a calendar bucket), same-tick bursts across all four
+ * priorities and rare waves of 500 events; cancel one event or,
+ * rarely, most of them (after a wave, enough to trigger the
+ * stale-entry sweep); run() to a limit, sometimes a timer delay
+ * ahead; and step(). Firing events schedule follow-ups at now() and
+ * later, re-arm timers and cancel other pending events. The trace records every firing (its
  * label and tick) and, after every op and the final drain, its
  * result, now() and size(). With @p widened false only the retired
  * legacy comparison's ops remain: single schedules within 300'000
@@ -262,6 +264,8 @@ class KernelFuzz
             if (widened && roll < 60 && rng.below(100) == 0) {
                 for (int i = 0; i < 500; ++i)
                     add(q.now() + rng.below(4'000'000));
+            } else if (widened && roll < 60 && rng.below(6) == 0) {
+                add(q.now() + timerDelay());
             } else if (roll < 60) {
                 const Tick when = q.now()
                     + rng.below(widened && rng.below(8) == 0 ? 4'000'000
@@ -273,10 +277,13 @@ class KernelFuzz
                         q.deschedule(h);
             } else if (roll < 80 && !handles.empty()) {
                 q.deschedule(handles[rng.below(handles.size())]);
+            } else if (widened && rng.below(4) == 0) {
+                trace.push_back(q.step());
             } else {
-                trace.push_back(widened && rng.below(4) == 0
-                                    ? q.step()
-                                    : q.run(q.now() + rng.below(50'000)));
+                const Tick reach = widened && rng.below(8) == 0
+                    ? timerDelay()
+                    : rng.below(50'000);
+                trace.push_back(q.run(q.now() + reach));
             }
             trace.push_back(q.now());
             trace.push_back(q.size());
@@ -291,6 +298,18 @@ class KernelFuzz
   private:
     using Handle = decltype(std::declval<Queue &>().schedule(
         Tick{}, [] {}, EventPriority::Default));
+
+    /**
+     * A cluster-timer-like delay: 1 us to 2 ms, log-uniform in
+     * octaves. Short ones share calendar buckets with other events
+     * (the sorted insert); long ones go through the far heap.
+     */
+    Tick
+    timerDelay()
+    {
+        const Tick octave = tickUs << rng.below(11);
+        return octave + rng.below(octave);
+    }
 
     /** @p n events at tick @p when, each at a random priority. */
     void
@@ -325,6 +344,8 @@ class KernelFuzz
             add(when, 2 + rng.below(4));
         else if (roll < 50)
             q.deschedule(handles[rng.below(handles.size())]);
+        else if (roll < 58)
+            add(q.now() + timerDelay());  // a re-armed timer
     }
 
     Queue q;

@@ -61,12 +61,15 @@ namespace
 
 using namespace lightpc;
 
+/** Ticks between consecutive churn events. */
+constexpr Tick churnStride = 10;
+
 /**
- * Enough churn iterations at +10 ticks/event to cycle the calendar
- * ring (256 buckets x 4096 ticks) several times, so every bucket
- * vector has grown to its steady capacity.
+ * Enough churn iterations to cycle the calendar ring twice, so every
+ * bucket vector has grown to its steady capacity.
  */
-constexpr std::uint64_t warmupEvents = 400'000;
+constexpr std::uint64_t warmupEvents =
+    2 * EventQueue::ringSpan / churnStride;
 constexpr std::uint64_t measuredEvents = 200'000;
 
 TEST(KernelAlloc, EventQueueChurnIsAllocationFree)
@@ -75,7 +78,7 @@ TEST(KernelAlloc, EventQueueChurnIsAllocationFree)
     Tick t = eq.now();
     auto churn = [&](std::uint64_t n) {
         for (std::uint64_t i = 0; i < n; ++i) {
-            t += 10;
+            t += churnStride;
             eq.schedule(t, [] {});
             eq.step();
         }
@@ -95,7 +98,7 @@ TEST(KernelAlloc, EventQueueCapture32ChurnIsAllocationFree)
     volatile std::uint64_t out = 0;
     auto churn = [&](std::uint64_t n) {
         for (std::uint64_t i = 0; i < n; ++i) {
-            t += 10;
+            t += churnStride;
             eq.schedule(t, [sink, &out] { out = sink[0]; });
             eq.step();
         }
@@ -113,7 +116,7 @@ TEST(KernelAlloc, EventQueueScheduleCancelIsAllocationFree)
     Tick t = eq.now();
     auto churn = [&](std::uint64_t n) {
         for (std::uint64_t i = 0; i < n; ++i) {
-            t += 10;
+            t += churnStride;
             eq.schedule(t, [] {});
             const EventId doomed = eq.schedule(t + 5, [] {});
             eq.deschedule(doomed);

@@ -894,6 +894,106 @@ TEST(KvService, DedupCompactionPreservesRetryHorizon)
               rig.kv.appliedIds().size() + rig.kv.compactedCount());
 }
 
+/** KvService's slot hash (the splitmix64 finalizer), mirrored. */
+std::uint64_t
+kvSlotHash(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
+/**
+ * One nonzero ID per target slot of a @p capacity-slot table, in
+ * target order: the first ID, counting up from @p from, whose hash
+ * lands on that slot. Distinct home slots mean no probing, so the
+ * table holds each ID exactly at its target.
+ */
+std::vector<std::uint64_t>
+idsForSlots(const std::vector<std::uint32_t> &targets,
+            std::uint32_t capacity, std::uint64_t from)
+{
+    std::vector<std::uint64_t> by_slot(capacity, 0);
+    std::size_t missing = targets.size();
+    for (const std::uint32_t slot : targets)
+        by_slot[slot] = ~std::uint64_t(0);  // wanted, not yet found
+    for (std::uint64_t id = from; missing != 0; ++id) {
+        auto &cell = by_slot[kvSlotHash(id) & (capacity - 1)];
+        if (cell == ~std::uint64_t(0)) {
+            cell = id;
+            --missing;
+        }
+    }
+    std::vector<std::uint64_t> ids;
+    for (const std::uint32_t slot : targets)
+        ids.push_back(by_slot[slot]);
+    return ids;
+}
+
+/**
+ * The table scans (dedup recount, appliedIds, snapshotRecords) read
+ * in runs of entries; they must match a slot-by-slot walk after a
+ * fresh open over existing state and after recover(). Entries sit
+ * in the first and last slots and in a contiguous block longer than
+ * one 4 KiB store page (so two neighbours straddle a page boundary
+ * wherever the root lands) that also crosses a 256-entry run.
+ */
+TEST(KvService, TableScansMatchASlotBySlotWalk)
+{
+    KvParams params;
+    params.keyCapacity = 1024;
+    params.dedupCapacity = 1024;
+    auto targets = [](std::uint32_t first, std::uint32_t block_end) {
+        std::vector<std::uint32_t> slots{0};
+        for (std::uint32_t s = first; s < block_end; ++s)
+            slots.push_back(s);
+        slots.push_back(1023);
+        return slots;
+    };
+    // 260 x 24 B dedup entries and 260 x 32 B key slots: > 4 KiB each.
+    const std::vector<std::uint64_t> req_ids =
+        idsForSlots(targets(150, 410), params.dedupCapacity, 1);
+    const std::vector<std::uint64_t> keys =
+        idsForSlots(targets(100, 360), params.keyCapacity, 1 << 20);
+    ASSERT_EQ(req_ids.size(), keys.size());
+
+    KvRig rig(params);
+    EXPECT_EQ(rig.kv.dedupLiveCount(), 0u);
+    EXPECT_TRUE(rig.kv.appliedIds().empty());
+    EXPECT_TRUE(rig.kv.snapshotRecords().empty());
+
+    // PUT i writes req_ids[i] and keys[i]; both lists are in slot
+    // order, so the slot-by-slot walk visits them in list order.
+    Tick t = 0;
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        ASSERT_EQ(rig.kv
+                      .execute(t, makeReq(req_ids[i], workload::KvOp::Put,
+                                          keys[i], 7 * i + 1))
+                      .status,
+                  RpcStatus::Ok);
+
+    auto expectWalk = [&](const KvService &kv) {
+        EXPECT_EQ(kv.dedupLiveCount(), req_ids.size());
+        EXPECT_EQ(kv.appliedIds(), req_ids);
+        const std::vector<KvKeyState> snap = kv.snapshotRecords();
+        ASSERT_EQ(snap.size(), keys.size());
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            EXPECT_EQ(snap[i].key, keys[i]);
+            EXPECT_EQ(snap[i].version, 1u);
+            EXPECT_EQ(snap[i].lastReqId, req_ids[i]);
+            EXPECT_EQ(snap[i].valueSeed, 7 * i + 1);
+        }
+    };
+    expectWalk(rig.kv);
+
+    KvService reopened(rig.store, rig.timed, params);
+    expectWalk(reopened);
+
+    rig.kv.recover(t);
+    expectWalk(rig.kv);
+}
+
 // --- ClientFleet ---------------------------------------------------
 
 TEST(ClientFleet, BackoffDoublesAndCaps)

@@ -123,4 +123,47 @@ TEST(TagCache, CapacityWorksAsExpected)
         EXPECT_TRUE(cache.access(i * 64, false).hit);
 }
 
+TEST(TagCache, NonPowerOfTwoSetCountIndexesByModulo)
+{
+    // 384 B / 64 B lines / 2 ways -> 3 sets: line n maps to set n % 3,
+    // through FastDiv's division fallback rather than a mask.
+    TagCache cache(384, 64, 2);
+    ASSERT_EQ(cache.setCount(), 3u);
+    EXPECT_FALSE(cache.access(0 * 64, false).hit);  // set 0
+    EXPECT_FALSE(cache.access(1 * 64, true).hit);   // set 1
+    EXPECT_FALSE(cache.access(2 * 64, false).hit);  // set 2
+    EXPECT_FALSE(cache.access(3 * 64, true).hit);   // set 0, way B
+    EXPECT_TRUE(cache.access(0, false).hit);        // line 3 now LRU
+
+    // Line 6 is set 0 again: the set is full, so line 3 goes.
+    auto out = cache.access(6 * 64, false);
+    EXPECT_FALSE(out.hit);
+    EXPECT_TRUE(out.evicted);
+    EXPECT_TRUE(out.evictedDirty);
+    EXPECT_EQ(out.evictedBlock, 3u * 64);
+
+    // Line 4 is set 1 (a mask would say set 0): a free way, no victim.
+    out = cache.access(4 * 64, false);
+    EXPECT_FALSE(out.hit);
+    EXPECT_FALSE(out.evicted);
+
+    // Line 7 fills set 1 past its ways: the LRU line 1 goes, dirty.
+    out = cache.access(7 * 64, false);
+    EXPECT_TRUE(out.evicted);
+    EXPECT_TRUE(out.evictedDirty);
+    EXPECT_EQ(out.evictedBlock, 1u * 64);
+
+    // A high line index: (2^40 + 1) % 3 == 2, set 2's free way.
+    out = cache.access(((std::uint64_t(1) << 40) + 1) * 64, true);
+    EXPECT_FALSE(out.hit);
+    EXPECT_FALSE(out.evicted);
+
+    for (const std::uint64_t line : {0, 2, 4, 6, 7})
+        EXPECT_TRUE(cache.contains(line * 64)) << "line " << line;
+    EXPECT_FALSE(cache.contains(1 * 64));
+    EXPECT_FALSE(cache.contains(3 * 64));
+    EXPECT_EQ(cache.validLines(), 6u);
+    EXPECT_EQ(cache.dirtyLines(), 1u);
+}
+
 } // namespace
