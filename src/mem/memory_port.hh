@@ -29,6 +29,30 @@ class MemoryPort
     virtual AccessResult access(const MemRequest &req, Tick when) = 0;
 
     /**
+     * Service @p lines back-to-back line accesses, the first at the
+     * line-aligned @p first_line and each issued when the previous
+     * one completes (TimedMem's span walk).
+     *
+     * The default issues one access() per line. A port overrides it
+     * only with a walk that returns the same tick and leaves the same
+     * model state.
+     *
+     * @return The completion tick of the last line (@p when if none).
+     */
+    virtual Tick
+    accessLines(MemOp op, Addr first_line, std::uint64_t lines,
+                Tick when)
+    {
+        MemRequest req;
+        req.op = op;
+        for (std::uint64_t i = 0; i < lines; ++i) {
+            req.addr = first_line + i * cacheLineBytes;
+            when = access(req, when).completeAt;
+        }
+        return when;
+    }
+
+    /**
      * Fence: drain all buffered/outstanding work.
      * @return The tick at which the memory below is quiescent.
      */

@@ -48,7 +48,7 @@ PramDevice::read(Tick when)
 }
 
 void
-PramDevice::recordWear(Addr addr)
+PramDevice::recordWear(Addr addr, std::uint64_t n)
 {
     const std::uint64_t region = wearRegions.mod(wearRegion.div(addr));
     // Saturate at the rated endurance: a counter that wrapped would
@@ -58,7 +58,7 @@ PramDevice::recordWear(Addr addr)
     // only skews the wear histograms.
     std::uint64_t &w = wear[region];
     if (w < _params.enduranceCycles)
-        ++w;
+        w = std::min(w + n, _params.enduranceCycles);
 }
 
 void
@@ -99,6 +99,24 @@ PramDevice::write(Tick when, Addr addr, bool early_return)
         // write, so it accumulates stuck cells at the same rate.
         maybeStick(granule | pramParityTag, frac);
     }
+    return result;
+}
+
+AccessResult
+PramDevice::writeBurst(Tick when, Addr page_addr, std::uint64_t n)
+{
+    if (n == 0 || _params.faults.enabled)
+        panic("PramDevice::writeBurst needs n > 0 and the media-fault "
+              "model off");
+    AccessResult result;
+    const Tick wl = _params.writeLatency;
+    const Tick start = std::max(when, _busyUntil);
+    stalled += n * (start - when) + wl * (n * (n - 1) / 2);
+    _busyUntil = start + n * wl;
+    result.mediaFreeAt = _busyUntil;
+    result.completeAt = _busyUntil - wl;
+    writes += n;
+    recordWear(page_addr, n);
     return result;
 }
 

@@ -151,6 +151,22 @@ class PramDevice
     AccessResult write(Tick when, Addr addr, bool early_return);
 
     /**
+     * Service @p n early-return line writes, all issued at @p when
+     * and all in the wear region of @p page_addr (a row-buffer
+     * drain). Same result and state as n calls of
+     * write(when, line_addr, true), in closed form: the media runs
+     * them back to back, so with start = max(when, busyUntil()) the
+     * die is busy until start + n * writeLatency and the k-th write
+     * stalls start - when + k * writeLatency.
+     *
+     * @pre n > 0, and the media-fault model is off: it draws
+     *      stuck-at faults at each line's own granule address, so
+     *      fault-model drains must call write() per line.
+     * @return The last write's result.
+     */
+    AccessResult writeBurst(Tick when, Addr page_addr, std::uint64_t n);
+
+    /**
      * MemoryPort-style entry: service @p req starting no earlier
      * than @p when. Writes are synchronous (no early return) — the
      * PSM layers above decide when early-return semantics apply and
@@ -245,8 +261,8 @@ class PramDevice
     void reset();
 
   private:
-    /** Saturating wear increment for the region holding @p addr. */
-    void recordWear(Addr addr);
+    /** @p n saturating wear increments for @p addr's region. */
+    void recordWear(Addr addr, std::uint64_t n = 1);
 
     /** Stochastic stuck-at creation for a written granule. */
     void maybeStick(Addr granule_addr, double wear_fraction);

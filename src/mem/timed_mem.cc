@@ -1,5 +1,7 @@
 #include "mem/timed_mem.hh"
 
+#include <algorithm>
+
 namespace lightpc::mem
 {
 
@@ -15,17 +17,8 @@ TimedMem::span(Tick when, Addr addr, std::uint64_t len, MemOp op)
     const std::uint64_t lines =
         (last_line - first_line) / cacheLineBytes + 1;
 
-    Tick t = when;
     const std::uint64_t exact = std::min(lines, sampleLimit);
-    PooledRequest *req = pool.acquire();
-    req->op = op;
-    req->size = cacheLineBytes;
-    for (std::uint64_t i = 0; i < exact; ++i) {
-        req->addr = first_line + i * cacheLineBytes;
-        const AccessResult result = port.access(*req, t);
-        t = result.completeAt;
-    }
-    pool.release(req);
+    Tick t = port.accessLines(op, first_line, exact, when);
 
     if (lines > exact) {
         // Extrapolate the remainder at the sampled per-line rate.

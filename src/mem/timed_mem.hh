@@ -10,8 +10,9 @@
  * Large spans (system images, multi-megabyte checkpoints) are
  * extrapolated from a simulated sample prefix so that multi-gigabyte
  * dumps do not require tens of millions of access() calls; the
- * sampled prefix still runs through the real port, so mode
- * differences (early-return vs blocking, DRAM vs PRAM) are captured.
+ * sampled prefix still runs through the real port (one
+ * MemoryPort::accessLines() call per span), so mode differences
+ * (early-return vs blocking, DRAM vs PRAM) are captured.
  */
 
 #ifndef LIGHTPC_MEM_TIMED_MEM_HH
@@ -96,8 +97,6 @@ class TimedMem
     MemoryPort &port;
     BackingStore *store;
     std::uint64_t sampleLimit = sampleLines;
-    /** Line requests issued by span() come from this pool. */
-    RequestPool pool;
 };
 
 } // namespace lightpc::mem

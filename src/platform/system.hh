@@ -217,6 +217,26 @@ class System
             return psm.access(local, when);
         }
 
+        /**
+         * One PSM walk when every line lands on one side of
+         * pmemWindowBase and none in DRAM; otherwise per line.
+         */
+        Tick
+        accessLines(mem::MemOp op, mem::Addr first_line,
+                    std::uint64_t lines, Tick when) override
+        {
+            if (lines == 0)
+                return when;
+            const mem::Addr last_line =
+                first_line + (lines - 1) * mem::cacheLineBytes;
+            if (first_line >= pmemWindowBase)
+                return psm.accessLines(op, first_line - pmemWindowBase,
+                                       lines, when);
+            if (!dram && last_line < pmemWindowBase)
+                return psm.accessLines(op, first_line, lines, when);
+            return MemoryPort::accessLines(op, first_line, lines, when);
+        }
+
         Tick fence(Tick when) override { return psm.flush(when); }
 
       private:

@@ -1,6 +1,7 @@
 #include "psm/psm.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "psm/xcc.hh"
 #include "sim/logging.hh"
@@ -99,6 +100,10 @@ Psm::Psm(const PsmParams &params)
     pageDecode.set(page_lines);
     unitDecode.set(units);
     groupDecode.set(nvdimms[0]->groupCount());
+    burstDrain = !_params.dimm.device.faults.enabled
+        && !nvdimms[0]->needsReadModifyWrite()
+        && _params.dimm.device.wearRegionBytes % _params.rowBufferBytes
+            == 0;
 
     if (_params.dimm.device.faults.enabled || _params.symbolEccFallback)
         symbolTier = std::make_unique<SymbolEcc>(2, 2);
@@ -145,10 +150,8 @@ Psm::routePhysical(std::uint64_t physical_line) const
 }
 
 Psm::Route
-Psm::route(mem::Addr addr) const
+Psm::route(std::uint64_t logical_line) const
 {
-    const std::uint64_t logical_line =
-        lineDecode.mod(addr / mem::cacheLineBytes);
     const std::uint64_t physical_line = _params.wearLeveling
         ? wearLevel->remap(logical_line)
         : logical_line;
@@ -181,19 +184,26 @@ Psm::closeRowBuffer(std::uint32_t unit, Tick when)
         // The deferred dirty lines hit the media now, one cooling
         // window each (the device serializes internally). Early-
         // return semantics apply to the *requester*; the media
-        // always pays the full write time. On the DramLike layout
-        // every line write first reads the surrounding 256 B rank
-        // access (read-modify-write).
-        std::uint64_t mask = rb.dirtyMask;
-        for (std::uint32_t line = 0; mask != 0; ++line, mask >>= 1) {
-            if (!(mask & 1))
-                continue;
-            const mem::Addr line_addr =
-                rb.pageAddr + mem::Addr(line) * mem::cacheLineBytes;
-            Tick start = when;
-            if (dimm.needsReadModifyWrite())
-                start = dev.read(when).completeAt;
-            drain = dev.write(start, line_addr, /*early_return=*/true);
+        // always pays the full write time.
+        if (burstDrain) {
+            drain = dev.writeBurst(when, rb.pageAddr,
+                                   std::popcount(rb.dirtyMask));
+        } else {
+            // On the DramLike layout every line write first reads the
+            // surrounding 256 B rank access (read-modify-write).
+            std::uint64_t mask = rb.dirtyMask;
+            for (std::uint32_t line = 0; mask != 0;
+                 ++line, mask >>= 1) {
+                if (!(mask & 1))
+                    continue;
+                const mem::Addr line_addr = rb.pageAddr
+                    + mem::Addr(line) * mem::cacheLineBytes;
+                Tick start = when;
+                if (dimm.needsReadModifyWrite())
+                    start = dev.read(when).completeAt;
+                drain = dev.write(start, line_addr,
+                                  /*early_return=*/true);
+            }
         }
         rb.dirtyMask = 0;
     }
@@ -354,7 +364,7 @@ Psm::retireSlot(const Route &r, Tick when)
 bool
 Psm::retireFaultyLine(mem::Addr addr, Tick when)
 {
-    const Route r = route(addr);
+    const Route r = route(logicalLine(addr));
     if (!retire.canRetire()) {
         ++_stats.spareExhausted;
         return false;
@@ -367,7 +377,7 @@ Psm::ScrubOutcome
 Psm::scrubLine(std::uint64_t logical_line, Tick when)
 {
     ScrubOutcome out;
-    const Route r = route(logical_line * mem::cacheLineBytes);
+    const Route r = route(logical_line);
     mem::PramDevice &dev = unitDevice(r);
     RowBuffer &rb = rowBuffers[r.unit];
 
@@ -423,14 +433,33 @@ Psm::wearHistogram() const
 mem::AccessResult
 Psm::access(const mem::MemRequest &req, Tick when)
 {
+    return accessLine(req.op, logicalLine(req.addr), when);
+}
+
+Tick
+Psm::accessLines(mem::MemOp op, mem::Addr first_line,
+                 std::uint64_t lines, Tick when)
+{
+    std::uint64_t line = logicalLine(first_line);
+    for (std::uint64_t i = 0; i < lines; ++i) {
+        when = accessLine(op, line, when).completeAt;
+        if (++line == lineCount)
+            line = 0;
+    }
+    return when;
+}
+
+mem::AccessResult
+Psm::accessLine(mem::MemOp op, std::uint64_t logical_line, Tick when)
+{
     mem::AccessResult result;
     Tick t = when + _params.busLatency;
-    const Route r = route(req.addr);
+    const Route r = route(logical_line);
     mem::PramDevice &dev = unitDevice(r);
     RowBuffer &rb = rowBuffers[r.unit];
     const mem::Addr page_base = r.page * _params.rowBufferBytes;
 
-    if (req.op == mem::MemOp::Write) {
+    if (op == mem::MemOp::Write) {
         ++_stats.writes;
 
         // Start-Gap bookkeeping: every threshold-th write moves the
@@ -455,7 +484,6 @@ Psm::access(const mem::MemRequest &req, Tick when)
                 dev.write(start, r.localAddr, /*early_return=*/false);
             result.completeAt = media.completeAt;
             result.mediaFreeAt = media.mediaFreeAt;
-            writeHist.add(result.completeAt - when);
             return result;
         }
 
@@ -466,7 +494,6 @@ Psm::access(const mem::MemRequest &req, Tick when)
             result.rowBufferHit = true;
             result.completeAt = t + _params.rowBufferLatency;
             result.mediaFreeAt = dev.busyUntil();
-            writeHist.add(result.completeAt - when);
             return result;
         }
 
@@ -479,7 +506,6 @@ Psm::access(const mem::MemRequest &req, Tick when)
         rb.dirtyMask = std::uint64_t(1) << r.lineInPage;
         result.completeAt = t + _params.rowBufferLatency;
         result.mediaFreeAt = dev.busyUntil();
-        writeHist.add(result.completeAt - when);
         return result;
     }
 
@@ -608,7 +634,6 @@ Psm::resetPort()
     retire.reset();
     _stats = PsmStats{};
     readHist.reset();
-    writeHist.reset();
 }
 
 void
@@ -616,7 +641,6 @@ Psm::resetStats()
 {
     _stats = PsmStats{};
     readHist.reset();
-    writeHist.reset();
 }
 
 void

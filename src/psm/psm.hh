@@ -179,6 +179,19 @@ class Psm
     mem::AccessResult access(const mem::MemRequest &req, Tick when);
 
     /**
+     * Service @p lines back-to-back line accesses from the line at
+     * @p first_line, each issued when the previous one completes:
+     * MemoryPort::accessLines with the address decoded once. The
+     * walk wraps at managedLines() as access() does, and runs the
+     * same per-line body, so ticks, statistics and device state are
+     * those of one access() per line.
+     *
+     * @return The completion tick of the last line (@p when if none).
+     */
+    Tick accessLines(mem::MemOp op, mem::Addr first_line,
+                     std::uint64_t lines, Tick when);
+
+    /**
      * Flush port: close every dirty row buffer and fence until all
      * media work (including background early-return writes) retires.
      *
@@ -296,12 +309,6 @@ class Psm
     /** Read latency distribution (processor-visible). */
     const stats::Histogram &readLatencyHist() const { return readHist; }
 
-    /** Write latency distribution (processor-visible). */
-    const stats::Histogram &writeLatencyHist() const
-    {
-        return writeHist;
-    }
-
     /** The wear-leveler registers (persisted at the EP-cut). */
     StartGapState saveWearState() const { return wearLevel->save(); }
 
@@ -345,14 +352,28 @@ class Psm
         mem::Addr pageAddr = 0;
     };
 
-    Route route(mem::Addr addr) const;
+    /** Logical line of byte address @p addr (wraps at lineCount). */
+    std::uint64_t logicalLine(mem::Addr addr) const
+    {
+        return lineDecode.mod(addr / mem::cacheLineBytes);
+    }
+
+    Route route(std::uint64_t logical_line) const;
     Route routePhysical(std::uint64_t physical_line) const;
+
+    /** The per-line body of access() and accessLines(). */
+    mem::AccessResult accessLine(mem::MemOp op,
+                                 std::uint64_t logical_line, Tick when);
+
     mem::PramDevice &unitDevice(const Route &r);
 
     /** Re-salt every unit's fault RNG (construction and reset). */
     void seedUnitFaultRngs();
 
-    /** Close a dirty row buffer, emitting its media write. */
+    /**
+     * Close a dirty row buffer, emitting its media write: one device
+     * burst when burstDrain holds, else one write per dirty line.
+     */
     mem::AccessResult closeRowBuffer(std::uint32_t unit, Tick when);
 
     /** Sampled media state of one line's three codeword lanes. */
@@ -405,6 +426,13 @@ class Psm
     FastDiv pageDecode;    ///< divisor: rowBufferBytes / cacheLineBytes
     FastDiv unitDecode;    ///< divisor: units
     FastDiv groupDecode;   ///< divisor: groups per DIMM
+    /**
+     * Row-buffer drains may use PramDevice::writeBurst: the fault
+     * model is off (it draws faults per line granule), the layout
+     * needs no read-modify-write, and no row page straddles a wear
+     * region.
+     */
+    bool burstDrain = false;
     std::vector<std::unique_ptr<BareNvdimm>> nvdimms;
     std::vector<RowBuffer> rowBuffers;
     /** Reconstruction lanes: one ECC timeline per two groups. */
@@ -418,7 +446,6 @@ class Psm
     std::unique_ptr<SymbolEcc> symbolTier;
     PsmStats _stats;
     stats::Histogram readHist;
-    stats::Histogram writeHist;
 };
 
 /**
@@ -435,6 +462,13 @@ class PsmPort final : public mem::MemoryPort
     access(const mem::MemRequest &req, Tick when) override
     {
         return psm.access(req, when);
+    }
+
+    Tick
+    accessLines(mem::MemOp op, mem::Addr first_line,
+                std::uint64_t lines, Tick when) override
+    {
+        return psm.accessLines(op, first_line, lines, when);
     }
 
     Tick fence(Tick when) override { return psm.flush(when); }

@@ -46,20 +46,9 @@ StartGap::StartGap(const StartGapParams &params)
     halfMask = halfBits >= 32 ? 0xffffffffu : ((1u << halfBits) - 1);
 }
 
-std::uint64_t
-StartGap::randomize(std::uint64_t line) const
+void
+StartGap::permutePage(std::uint64_t page) const
 {
-    if (!_params.randomize)
-        return line;
-
-    // Permute at page granularity: consecutive lines within a page
-    // stay adjacent (preserving row-buffer locality), while pages
-    // scatter over the whole space for wear spreading.
-    const std::uint64_t page = pageDecode.div(line);
-    const std::uint64_t offset = line - page * _params.pageLines;
-    if (page == memoPage)
-        return memoBase + offset;
-
     // Cycle-walk values that land outside [0, pageCount).
     std::uint64_t value = page;
     do {
@@ -77,21 +66,12 @@ StartGap::randomize(std::uint64_t line) const
     } while (value >= pageCount);
     memoPage = page;
     memoBase = value * _params.pageLines;
-    return memoBase + offset;
 }
 
-std::uint64_t
-StartGap::remap(std::uint64_t logical_line) const
+void
+StartGap::remapOutOfRange(std::uint64_t line)
 {
-    if (logical_line >= _params.lines)
-        panic("StartGap remap out of range: ", logical_line);
-    // Both addends are below lines, so one subtract wraps the sum.
-    std::uint64_t pa = randomize(logical_line) + startReg;
-    if (pa >= _params.lines)
-        pa -= _params.lines;
-    if (pa >= gapReg)
-        ++pa;
-    return pa;
+    panic("StartGap remap out of range: ", line);
 }
 
 bool

@@ -109,6 +109,12 @@ class StartGap
     /** Static bijective randomizer over [0, lines). */
     std::uint64_t randomize(std::uint64_t line) const;
 
+    /** Run the Feistel network for @p page and memoize the result. */
+    void permutePage(std::uint64_t page) const;
+
+    /** remap()'s out-of-line panic for a line past the range. */
+    [[noreturn]] static void remapOutOfRange(std::uint64_t line);
+
     StartGapParams _params;
     /** Randomizer constants derived once from the geometry. */
     FastDiv pageDecode;           ///< divisor: pageLines
@@ -128,6 +134,38 @@ class StartGap
     std::uint64_t writeCounter = 0;
     std::uint64_t moves = 0;
 };
+
+// The memo-hit path is inline: a span walks a page's lines in a row,
+// so only a page change leaves the header.
+inline std::uint64_t
+StartGap::randomize(std::uint64_t line) const
+{
+    if (!_params.randomize)
+        return line;
+
+    // Permute at page granularity: consecutive lines within a page
+    // stay adjacent (preserving row-buffer locality), while pages
+    // scatter over the whole space for wear spreading.
+    const std::uint64_t page = pageDecode.div(line);
+    const std::uint64_t offset = line - page * _params.pageLines;
+    if (page != memoPage) [[unlikely]]
+        permutePage(page);
+    return memoBase + offset;
+}
+
+inline std::uint64_t
+StartGap::remap(std::uint64_t logical_line) const
+{
+    if (logical_line >= _params.lines) [[unlikely]]
+        remapOutOfRange(logical_line);
+    // Both addends are below lines, so one subtract wraps the sum.
+    std::uint64_t pa = randomize(logical_line) + startReg;
+    if (pa >= _params.lines)
+        pa -= _params.lines;
+    if (pa >= gapReg)
+        ++pa;
+    return pa;
+}
 
 } // namespace lightpc::psm
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "mem/dram_device.hh"
 #include "mem/pmem_dimm.hh"
 #include "mem/pram_device.hh"
@@ -68,6 +71,46 @@ TEST(PramDevice, WearTracksRegions)
     EXPECT_EQ(dev.wearByRegion()[0], 2u);
     EXPECT_EQ(dev.wearByRegion()[1], 1u);
     EXPECT_EQ(dev.maxRegionWear(), 2u);
+}
+
+TEST(PramDevice, WriteBurstMatchesRepeatedWrites)
+{
+    // A row-buffer drain: n early-return line writes issued at one
+    // tick into one page. writeBurst must leave the die exactly where
+    // n write() calls leave it: on an idle die, on one still cooling
+    // off an earlier write, and on a region whose wear saturates at
+    // the endurance mid-burst.
+    PramParams params;
+    params.capacityBytes = 4 << 20;
+    params.wearRegionBytes = 1 << 20;
+    const Addr page = (1 << 20) + 4096 * 5;
+    const Tick when = 1000;
+    for (const std::uint64_t n : {1, 2, 32, 64}) {
+        for (const std::string_view state : {"idle", "busy", "worn"}) {
+            SCOPED_TRACE(std::to_string(n) + " lines, "
+                         + std::string(state));
+            PramDevice burst(params), lines(params);
+            for (PramDevice *dev : {&burst, &lines}) {
+                if (state == "busy")
+                    dev->write(when - 100, 0, /*early_return=*/true);
+                if (state == "worn")
+                    dev->preWear(params.enduranceCycles - 3);
+            }
+
+            AccessResult want;
+            for (std::uint64_t k = 0; k < n; ++k)
+                want = lines.write(when, page + k * cacheLineBytes,
+                                   /*early_return=*/true);
+            const AccessResult got = burst.writeBurst(when, page, n);
+
+            EXPECT_EQ(got.completeAt, want.completeAt);
+            EXPECT_EQ(got.mediaFreeAt, want.mediaFreeAt);
+            EXPECT_EQ(burst.busyUntil(), lines.busyUntil());
+            EXPECT_EQ(burst.stallTicks(), lines.stallTicks());
+            EXPECT_EQ(burst.writeCount(), lines.writeCount());
+            EXPECT_EQ(burst.wearByRegion(), lines.wearByRegion());
+        }
+    }
 }
 
 TEST(PramDevice, LifetimeShrinksWithWear)

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "psm/psm.hh"
 #include "sim/logging.hh"
 
@@ -91,6 +94,46 @@ TEST(PsmReliability, SymbolEccFallbackRecoversDoubleFault)
     EXPECT_GE(result.completeAt,
               params.dimm.device.readLatency
                   + params.symbolEccLatency);
+}
+
+TEST(PsmReliability, WornDrainSticksEachDirtyLinesOwnGranules)
+{
+    // With the media-fault model on, a row-buffer drain writes every
+    // dirty line at its own address: each line's two data granules
+    // and its parity granule draw their own stuck-at faults. On fully
+    // worn media with a stuck rate of one, every write sticks exactly
+    // one symbol per granule, and the clean lines of the page none.
+    PsmParams params = quietParams();
+    params.dimm.device.faults.enabled = true;
+    params.dimm.device.faults.wearStuckRate = 1.0;
+    params.dimm.device.faults.wearOnsetFraction = 0.5;
+    Psm psm(params);
+    mem::PramDevice &dev = psm.dimm(0).group(0);
+    dev.preWear(params.dimm.device.enduranceCycles);
+
+    // Page 0 lands on unit (0, 0) with wear leveling off.
+    const std::vector<std::uint32_t> dirty{0, 3, 7, 31};
+    for (const std::uint32_t line : dirty) {
+        MemRequest req;
+        req.op = MemOp::Write;
+        req.addr = line * mem::cacheLineBytes;
+        psm.access(req, 0);
+    }
+    EXPECT_EQ(dev.writeCount(), 0u);
+    psm.flush(0);
+    EXPECT_EQ(dev.writeCount(), dirty.size());
+
+    for (std::uint32_t line = 0; line < 32; ++line) {
+        const bool is_dirty =
+            std::find(dirty.begin(), dirty.end(), line) != dirty.end();
+        const std::uint32_t want = is_dirty ? 1 : 0;
+        const mem::Addr a = mem::Addr(line) * mem::cacheLineBytes;
+        EXPECT_EQ(dev.stuckSymbols(a), want) << "line " << line;
+        EXPECT_EQ(dev.stuckSymbols(a + mem::pramDeviceGranularity), want)
+            << "line " << line;
+        EXPECT_EQ(dev.stuckSymbols(a | mem::pramParityTag), want)
+            << "line " << line;
+    }
 }
 
 TEST(PsmReliability, FaultsOnOtherUnitsDoNotInterfere)

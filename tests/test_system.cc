@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "mem/timed_mem.hh"
 #include "platform/system.hh"
 #include "sim/logging.hh"
 #include "workload/spec.hh"
@@ -81,6 +84,57 @@ TEST(System, LightPcRoutesEverythingToPsm)
     req.addr = 4096;
     system.memoryPort().access(req, 0);
     EXPECT_EQ(system.psm().stats().reads, 1u);
+}
+
+TEST(System, TimedMemSpanMatchesLineByLineAccess)
+{
+    // memoryPort() serves a span in one PSM walk where every line
+    // reaches the PSM on one side of pmemWindowBase, and line by line
+    // where the span touches DRAM or crosses the window. Either way
+    // the result is that of one access() per line on a twin system.
+    struct Case
+    {
+        PlatformKind kind;
+        mem::Addr base;
+    };
+    constexpr mem::Addr window = System::pmemWindowBase;
+    for (const Case c : {Case{PlatformKind::LightPC, 4096},
+                         Case{PlatformKind::LightPC, window - 640},
+                         Case{PlatformKind::LegacyPC, 4096},
+                         Case{PlatformKind::LegacyPC, window - 640},
+                         Case{PlatformKind::LegacyPC, window + 4096}}) {
+        SCOPED_TRACE(platformName(c.kind) + " at "
+                     + std::to_string(c.base));
+        System spans(configFor(c.kind)), lines(configFor(c.kind));
+        mem::TimedMem timed(spans.memoryPort());
+        Tick t_span = 0, t_line = 0;
+        for (std::uint64_t round = 0; round < 24; ++round) {
+            const mem::MemOp op = round % 3 ? mem::MemOp::Write
+                                            : mem::MemOp::Read;
+            const mem::Addr addr = c.base + round * 37 * 64;
+            const std::uint64_t n = 1 + round * 13;
+            t_span = op == mem::MemOp::Write
+                ? timed.writeSpan(t_span, addr, n * 64)
+                : timed.readSpan(t_span, addr, n * 64);
+            mem::MemRequest req;
+            req.op = op;
+            for (std::uint64_t k = 0; k < n; ++k) {
+                req.addr = addr + k * 64;
+                t_line = lines.memoryPort().access(req, t_line).completeAt;
+            }
+            ASSERT_EQ(t_span, t_line) << "round " << round;
+        }
+        EXPECT_EQ(spans.memoryPort().fence(t_span),
+                  lines.memoryPort().fence(t_line));
+        EXPECT_EQ(spans.psm().stats().reads, lines.psm().stats().reads);
+        EXPECT_EQ(spans.psm().stats().writes, lines.psm().stats().writes);
+        EXPECT_EQ(spans.psm().stats().rowBufferWriteHits,
+                  lines.psm().stats().rowBufferWriteHits);
+        if (spans.dram()) {
+            EXPECT_EQ(spans.dram()->totalAccesses(),
+                      lines.dram()->totalAccesses());
+        }
+    }
 }
 
 TEST(System, FenceReachesThePsmFlushPort)
