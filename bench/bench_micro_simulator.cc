@@ -11,6 +11,7 @@
 
 #include "cache/l1_cache.hh"
 #include "mem/backing_store.hh"
+#include "mem/tag_cache.hh"
 #include "mem/pmem_dimm.hh"
 #include "mem/timed_mem.hh"
 #include "psm/psm.hh"
@@ -18,6 +19,8 @@
 #include "psm/xcc.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
+#include "workload/spec.hh"
+#include "workload/synthetic.hh"
 
 using namespace lightpc;
 
@@ -208,6 +211,96 @@ BM_BackingStoreRead16(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * 16);
 }
 BENCHMARK(BM_BackingStoreRead16);
+
+// The Table II instruction supply: one gcc thread at perfbench's
+// table2_machine scale, timed per instruction through each entry
+// point. The stream rewinds when it runs dry.
+
+workload::SyntheticStream
+gccStream()
+{
+    workload::SyntheticConfig config;
+    config.scaleDivisor = 20000;
+    return workload::SyntheticStream(workload::findWorkload("gcc"),
+                                     config, 0, std::uint64_t(16) << 20);
+}
+
+void
+BM_SyntheticStreamNext(benchmark::State &state)
+{
+    workload::SyntheticStream stream = gccStream();
+    cpu::Instr instr;
+    std::uint64_t instructions = 0;
+    for (auto _ : state) {
+        if (!stream.next(instr)) {
+            stream.rewind();
+            stream.next(instr);
+        }
+        benchmark::DoNotOptimize(instr);
+        ++instructions;
+    }
+    state.counters["per_instr"] = benchmark::Counter(
+        static_cast<double>(instructions),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SyntheticStreamNext);
+
+// The same stream merged into run entries of up to one core episode
+// (256 instructions), as Core::episode asks for them.
+void
+BM_SyntheticStreamRun(benchmark::State &state)
+{
+    workload::SyntheticStream stream = gccStream();
+    cpu::Instr instr;
+    std::uint64_t instructions = 0;
+    for (auto _ : state) {
+        if (!stream.nextRun(instr, 256)) {
+            stream.rewind();
+            stream.nextRun(instr, 256);
+        }
+        benchmark::DoNotOptimize(instr);
+        instructions += instr.count;
+    }
+    state.counters["per_instr"] = benchmark::Counter(
+        static_cast<double>(instructions),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SyntheticStreamRun);
+
+// L1 D$ geometry (16 KB, 4 ways) under the synthetic streams' 6 KB
+// resident hot set. A warm-up that mixes in a cold streaming tail
+// scatters the hot lines over the ways, as in a run; then every timed
+// access hits, in a way that varies from access to access.
+void
+BM_TagCacheHit(benchmark::State &state)
+{
+    const cache::L1Params l1;
+    mem::TagCache tags(l1.capacityBytes, l1.lineBytes, l1.ways);
+    const std::uint64_t hot_lines = 6 * 1024 / l1.lineBytes;
+    Rng rng(1);
+    mem::Addr cold = std::uint64_t(1) << 30;
+    for (int i = 0; i < 200000; ++i) {
+        if (rng.chance(0.9)) {
+            tags.access(rng.below(hot_lines) * l1.lineBytes, false);
+        } else {
+            tags.access(cold, false);
+            cold += l1.lineBytes;
+        }
+    }
+    for (std::uint64_t line = 0; line < hot_lines; ++line)
+        tags.access(line * l1.lineBytes, false);
+
+    std::vector<mem::Addr> addrs(4096);
+    for (auto &addr : addrs)
+        addr = rng.below(hot_lines) * l1.lineBytes;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            tags.access(addrs[i++ & (addrs.size() - 1)], false));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TagCacheHit);
 
 } // namespace
 

@@ -65,6 +65,8 @@ struct L1Stats
     std::uint64_t writebacks = 0;
     Tick writebackStallTicks = 0;
 
+    bool operator==(const L1Stats &) const = default;
+
     double
     loadHitRate() const
     {

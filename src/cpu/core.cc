@@ -139,17 +139,27 @@ Core::episode()
     if (!active)
         return;
 
-    for (std::uint32_t n = 0; n < _params.episodeLimit; ++n) {
+    for (std::uint32_t n = 0; n < _params.episodeLimit;) {
+        // A run entry never crosses the episode boundary; with
+        // instruction fetch modelled, every instruction fetches.
+        const std::uint32_t budget =
+            _icache ? 1 : _params.episodeLimit - n;
         Instr instr;
-        if (!stream->next(instr)) {
+        if (!stream->nextRun(instr, budget)) {
             active = false;
             streamDone = true;
             if (finishedCb)
                 finishedCb();
             return;
         }
+        n += instr.count;
+        _stats.instructions += instr.count;
 
-        ++_stats.instructions;
+        // The run's leading ALU instructions retire at issue rate.
+        const Tick alu_ticks = Tick(instr.count - 1) * issueCost;
+        now += alu_ticks;
+        _stats.busyTicks += alu_ticks;
+
         if (_icache)
             fetch();
         switch (instr.kind) {

@@ -78,6 +78,8 @@ struct CoreStats
     Tick loadStallTicks = 0;   ///< blocked on L1 load misses
     Tick storeStallTicks = 0;  ///< store buffer backpressure
     Tick fetchStallTicks = 0;  ///< frontend blocked on I$ misses
+
+    bool operator==(const CoreStats &) const = default;
 };
 
 /**

@@ -11,6 +11,7 @@
 #ifndef LIGHTPC_MEM_TAG_CACHE_HH
 #define LIGHTPC_MEM_TAG_CACHE_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -50,8 +51,8 @@ class TagCache
     {
         if (line_bytes == 0 || (line_bytes & (line_bytes - 1)) != 0)
             fatal("TagCache line size must be a power of two");
-        if (ways == 0)
-            fatal("TagCache requires at least one way");
+        if (ways == 0 || ways > 64)
+            fatal("TagCache associativity must be 1..64 ways");
         const std::uint64_t lines = capacity_bytes / line_bytes;
         numSets = static_cast<std::uint32_t>(lines / ways);
         if (numSets == 0)
@@ -73,13 +74,7 @@ class TagCache
     contains(Addr addr) const
     {
         const Addr block = blockOf(addr);
-        const auto [base, _] = setRange(block);
-        for (std::uint32_t w = 0; w < numWays; ++w) {
-            const Line &line = sets[base + w];
-            if (line.valid && line.block == block)
-                return true;
-        }
-        return false;
+        return matchMask(setRange(block).first, block) != 0;
     }
 
     /**
@@ -92,19 +87,24 @@ class TagCache
     access(Addr addr, bool dirty)
     {
         const Addr block = blockOf(addr);
-        const auto [base, _] = setRange(block);
+        const std::size_t base = setRange(block).first;
         Outcome out;
 
+        // Compare every way before branching: which way hits is as
+        // random as the workload, so a per-way early exit mispredicts.
+        if (const std::uint64_t hits = matchMask(base, block)) {
+            Line &line = sets[base + std::countr_zero(hits)];
+            out.hit = true;
+            line.lastUse = ++useClock;
+            line.dirty = line.dirty || dirty;
+            return out;
+        }
+
+        // Miss: the last invalid way, else the least recently used.
         std::uint32_t victim = 0;
         std::uint64_t oldest = ~std::uint64_t(0);
         for (std::uint32_t w = 0; w < numWays; ++w) {
-            Line &line = sets[base + w];
-            if (line.valid && line.block == block) {
-                out.hit = true;
-                line.lastUse = ++useClock;
-                line.dirty = line.dirty || dirty;
-                return out;
-            }
+            const Line &line = sets[base + w];
             if (!line.valid) {
                 victim = w;
                 oldest = 0;
@@ -132,16 +132,14 @@ class TagCache
     invalidate(Addr addr)
     {
         const Addr block = blockOf(addr);
-        const auto [base, _] = setRange(block);
-        for (std::uint32_t w = 0; w < numWays; ++w) {
-            Line &line = sets[base + w];
-            if (line.valid && line.block == block) {
-                const bool dirty = line.dirty;
-                line = Line{};
-                return dirty;
-            }
-        }
-        return false;
+        const std::size_t base = setRange(block).first;
+        const std::uint64_t hits = matchMask(base, block);
+        if (hits == 0)
+            return false;
+        Line &line = sets[base + std::countr_zero(hits)];
+        const bool dirty = line.dirty;
+        line = Line{};
+        return dirty;
     }
 
     /** Number of valid lines. */
@@ -198,6 +196,22 @@ class TagCache
         Addr block = 0;
         std::uint64_t lastUse = 0;
     };
+
+    /**
+     * Bit w set when way w of the set starting at @p base holds
+     * @p block. A block lives in at most one way, so at most one bit
+     * is set.
+     */
+    std::uint64_t
+    matchMask(std::size_t base, Addr block) const
+    {
+        const Line *set = &sets[base];
+        std::uint64_t hits = 0;
+        for (std::uint32_t w = 0; w < numWays; ++w)
+            hits |= std::uint64_t(set[w].valid & (set[w].block == block))
+                << w;
+        return hits;
+    }
 
     /** First index of the set holding @p block, plus the set index. */
     std::pair<std::size_t, std::uint32_t>

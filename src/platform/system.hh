@@ -117,6 +117,8 @@ struct RunResult
 
     psm::PsmStats psmStats;
     cpu::CoreStats coreTotals;
+
+    bool operator==(const RunResult &) const = default;
 };
 
 /**

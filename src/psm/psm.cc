@@ -138,10 +138,14 @@ Psm::routePhysical(std::uint64_t physical_line) const
 
     Route r;
     r.slot = physical_line;
-    r.unit = static_cast<std::uint32_t>(unitDecode.mod(global_page));
+    // One division by the unit count gives both the page and, by a
+    // multiply-subtract, the unit; GCC does not merge a separate
+    // `/` and `%` by a runtime divisor into one `div`.
+    r.page = unitDecode.div(global_page);
+    r.unit = static_cast<std::uint32_t>(
+        global_page - r.page * unitDecode.value());
     r.dimm = static_cast<std::uint32_t>(groupDecode.div(r.unit));
     r.group = static_cast<std::uint32_t>(groupDecode.mod(r.unit));
-    r.page = unitDecode.div(global_page);
     r.lineInPage =
         static_cast<std::uint32_t>(pageDecode.mod(physical_line));
     r.localAddr = (r.page * pageDecode.value() + r.lineInPage)

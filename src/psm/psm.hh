@@ -154,6 +154,8 @@ struct PsmStats
     std::uint64_t scrubDeferrals = 0;
     /** Uncorrectable codewords detected (containment raised). */
     std::uint64_t uncorrectableReads = 0;
+
+    bool operator==(const PsmStats &) const = default;
 };
 
 /**

@@ -12,6 +12,7 @@
 #ifndef LIGHTPC_SIM_RNG_HH
 #define LIGHTPC_SIM_RNG_HH
 
+#include <cmath>
 #include <cstdint>
 
 namespace lightpc
@@ -95,6 +96,35 @@ class Rng
 
     /** Bernoulli draw with probability @p p of true. */
     bool chance(double p) { return uniform() < p; }
+
+    /**
+     * chance(p) for a probability fixed ahead of time, with
+     * @p threshold = chanceThreshold(p): the same draw and the same
+     * outcome, decided by one integer compare. On a hot path whose
+     * branch on the outcome mispredicts, that compare resolves it
+     * sooner than the convert, multiply and compare of chance(p).
+     */
+    bool
+    chanceFixed(std::uint64_t threshold)
+    {
+        return (next() >> 11) < threshold;
+    }
+
+    /**
+     * The threshold for chanceFixed(). uniform() maps a draw x to
+     * m * 2^-53 exactly (m = x >> 11 < 2^53), and scaling p by 2^53
+     * is exact, so m * 2^-53 < p holds iff m < ceil(p * 2^53). p <= 0
+     * and NaN never hit; p >= 1 always does.
+     */
+    static std::uint64_t
+    chanceThreshold(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return std::uint64_t(1) << 53;
+        return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+    }
 
   private:
     static std::uint64_t

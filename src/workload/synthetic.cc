@@ -45,10 +45,10 @@ SyntheticStream::SyntheticStream(const WorkloadSpec &spec_in,
         (cpu_reads + cpu_writes)
         / static_cast<double>(config.scaleDivisor)
         / config.threads);
-    probMem = spec.memFraction;
-    probRead = cpu_reads / (cpu_reads + cpu_writes);
+    const double prob_mem = spec.memFraction;
+    const double prob_read = cpu_reads / (cpu_reads + cpu_writes);
     totalInstr = static_cast<std::uint64_t>(
-        static_cast<double>(mem_ops) / probMem);
+        static_cast<double>(mem_ops) / prob_mem);
 
     // The cold footprint scales with the run so that, like the real
     // workload, the working set is traversed several times: caches
@@ -56,8 +56,8 @@ SyntheticStream::SyntheticStream(const WorkloadSpec &spec_in,
     // seeing a compulsory-unique stream. Bounded below so it still
     // dwarfs L1.
     const double cold_rate =
-        (1.0 - spec.readHitRate) * probRead
-        + (1.0 - spec.writeHitRate) * (1.0 - probRead);
+        (1.0 - spec.readHitRate) * prob_read
+        + (1.0 - spec.writeHitRate) * (1.0 - prob_read);
     const std::uint64_t cold_accesses = static_cast<std::uint64_t>(
         static_cast<double>(mem_ops) * cold_rate);
     coldLines = std::max<std::uint64_t>(
@@ -65,15 +65,23 @@ SyntheticStream::SyntheticStream(const WorkloadSpec &spec_in,
                  cold_accesses / 4),
         32 * 1024);
 
+    memThreshold = Rng::chanceThreshold(prob_mem);
+    readThreshold = Rng::chanceThreshold(prob_read);
+    readHitThreshold = Rng::chanceThreshold(spec.readHitRate);
+    writeHitThreshold = Rng::chanceThreshold(spec.writeHitRate);
+    rawThreshold = Rng::chanceThreshold(spec.rawAffinity);
+    runEndThreshold =
+        Rng::chanceThreshold(1.0 / std::max(spec.seqRunLines, 1.0));
+
     cursorLine = rng.below(coldLines);
 
     // A cold line is written back roughly when the whole L1 has
     // been refilled by newer cold allocations; express that age in
     // cold-*write* counts so it indexes the ring below.
     const double cold_write_rate =
-        (1.0 - spec.writeHitRate) * (1.0 - probRead);
+        (1.0 - spec.writeHitRate) * (1.0 - prob_read);
     const double cold_alloc_rate = cold_write_rate
-        + (1.0 - spec.readHitRate) * probRead;
+        + (1.0 - spec.readHitRate) * prob_read;
     const double share = cold_alloc_rate > 0.0
         ? cold_write_rate / cold_alloc_rate : 0.0;
     evictionAge = std::max<std::uint64_t>(
@@ -106,7 +114,7 @@ mem::Addr
 SyntheticStream::coldAddr(bool is_read)
 {
     if (is_read && recentCount == recentWrites.size()
-        && rng.chance(spec.rawAffinity)) {
+        && rng.chanceFixed(rawThreshold)) {
         // Read-after-write: target a line written about an eviction
         // age ago — written back from L1 by now (so the read reaches
         // the memory and the Table II hit rates stay faithful),
@@ -130,10 +138,8 @@ SyntheticStream::coldAddr(bool is_read)
         // Start a new sequential run somewhere else in the footprint.
         cursorLine = rng.below(coldLines);
         // Geometric run length with the spec's mean (>= 1).
-        const double mean = std::max(spec.seqRunLines, 1.0);
-        const double p = 1.0 / mean;
         runRemaining = 1;
-        while (runRemaining < 512 && !rng.chance(p))
+        while (runRemaining < 512 && !rng.chanceFixed(runEndThreshold))
             ++runRemaining;
     }
     --runRemaining;
@@ -150,22 +156,32 @@ SyntheticStream::coldAddr(bool is_read)
 }
 
 bool
-SyntheticStream::next(cpu::Instr &out)
+SyntheticStream::generate(cpu::Instr &out, std::uint32_t budget)
 {
     if (count >= totalInstr)
         return false;
-    ++count;
 
-    if (!rng.chance(probMem)) {
+    // Every instruction starts with its memory-op decision. Each "no"
+    // is one ALU instruction of the entry; stop at the first "yes",
+    // at the budget, or at the end of the stream.
+    const std::uint64_t limit =
+        std::min<std::uint64_t>(budget, totalInstr - count);
+    std::uint64_t alu = 0;
+    while (alu < limit && !rng.chanceFixed(memThreshold))
+        ++alu;
+    if (alu == limit) {
+        count += alu;
         out.kind = cpu::InstrKind::Alu;
+        out.count = static_cast<std::uint32_t>(alu);
         out.addr = 0;
         return true;
     }
+    count += alu + 1;
+    out.count = static_cast<std::uint32_t>(alu + 1);
 
-    const bool is_read = rng.chance(probRead);
-    const double hit_rate =
-        is_read ? spec.readHitRate : spec.writeHitRate;
-    const bool hot = rng.chance(hit_rate);
+    const bool is_read = rng.chanceFixed(readThreshold);
+    const bool hot =
+        rng.chanceFixed(is_read ? readHitThreshold : writeHitThreshold);
     out.kind = is_read ? cpu::InstrKind::Load : cpu::InstrKind::Store;
     out.addr = hot ? hotAddr() : coldAddr(is_read);
     return true;

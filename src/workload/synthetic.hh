@@ -77,7 +77,17 @@ class SyntheticStream : public cpu::InstrStream
                     const SyntheticConfig &config,
                     std::uint32_t thread_id, mem::Addr base_addr);
 
-    bool next(cpu::Instr &out) override;
+    bool next(cpu::Instr &out) override { return generate(out, 1); }
+
+    /**
+     * Merge up to @p budget instructions into one entry: the ALU
+     * instructions before the next memory op, then that op.
+     */
+    bool
+    nextRun(cpu::Instr &out, std::uint32_t budget) override
+    {
+        return generate(out, budget);
+    }
 
     /** Total instructions this stream will produce. */
     std::uint64_t totalInstructions() const { return totalInstr; }
@@ -89,6 +99,9 @@ class SyntheticStream : public cpu::InstrStream
     void rewind();
 
   private:
+    /** The one generation body behind next() and nextRun(). */
+    bool generate(cpu::Instr &out, std::uint32_t budget);
+
     mem::Addr hotAddr();
     mem::Addr coldAddr(bool is_read);
 
@@ -102,8 +115,13 @@ class SyntheticStream : public cpu::InstrStream
     std::uint64_t totalInstr;
     std::uint64_t count = 0;
 
-    double probMem;
-    double probRead;
+    /** Rng::chanceThreshold of each fixed probability. */
+    std::uint64_t memThreshold;
+    std::uint64_t readThreshold;
+    std::uint64_t readHitThreshold;
+    std::uint64_t writeHitThreshold;
+    std::uint64_t rawThreshold;
+    std::uint64_t runEndThreshold;  ///< 1 / mean sequential run
 
     /** Sequential-run state. */
     std::uint64_t cursorLine = 0;

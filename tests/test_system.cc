@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <tuple>
 #include <string>
+#include <vector>
 
 #include "mem/timed_mem.hh"
 #include "platform/system.hh"
 #include "sim/logging.hh"
 #include "workload/spec.hh"
+#include "workload/synthetic.hh"
 
 namespace
 {
@@ -203,6 +207,119 @@ TEST(System, ZeroCoresRejected)
     SystemConfig config;
     config.cores = 0;
     EXPECT_THROW(System{config}, FatalError);
+}
+
+/** Forwards next() only, so a core gets one instruction per entry. */
+class SingleStep : public cpu::InstrStream
+{
+  public:
+    explicit SingleStep(cpu::InstrStream &inner) : inner(inner) {}
+
+    bool next(cpu::Instr &out) override { return inner.next(out); }
+
+  private:
+    cpu::InstrStream &inner;
+};
+
+/** Everything a Table II run leaves behind that a figure could read. */
+struct RunRecord
+{
+    RunResult result;
+    Tick endTick = 0;
+    std::vector<cpu::CoreStats> cores;
+    std::vector<cache::L1Stats> caches;
+    std::vector<Tick> localTimes;
+
+    bool operator==(const RunRecord &) const = default;
+};
+
+RunRecord
+runSpec(PlatformKind kind, const workload::WorkloadSpec &spec,
+        bool single_step)
+{
+    SystemConfig config = configFor(kind);
+    config.scaleDivisor = 200000;
+    System system(config);
+
+    workload::SyntheticConfig wconfig;
+    wconfig.scaleDivisor = config.scaleDivisor;
+    wconfig.seed = config.seed;
+    auto streams = workload::makeStreams(spec, wconfig, system.coreCount(),
+                                         System::workloadBase);
+    std::vector<std::unique_ptr<SingleStep>> wrapped;
+    std::vector<cpu::InstrStream *> raw;
+    for (auto &stream : streams) {
+        if (single_step) {
+            wrapped.push_back(std::make_unique<SingleStep>(*stream));
+            raw.push_back(wrapped.back().get());
+        } else {
+            raw.push_back(stream.get());
+        }
+    }
+
+    RunRecord record;
+    record.result = system.runStreams(raw);
+    record.endTick = system.eventQueue().now();
+    for (std::uint32_t c = 0; c < system.coreCount(); ++c) {
+        record.cores.push_back(system.core(c).stats());
+        record.caches.push_back(system.core(c).dcache().stats());
+        record.localTimes.push_back(system.core(c).localTime());
+    }
+    return record;
+}
+
+TEST(System, RunEntriesRetireExactlyAsSingleSteps)
+{
+    // Every Table II spec (multithreaded ones on all eight cores) on
+    // both OC-PMEM platforms: merged ALU runs must not move a tick.
+    for (const PlatformKind kind :
+         {PlatformKind::LightPC, PlatformKind::LightPCB}) {
+        for (const auto &spec : workload::tableTwo()) {
+            SCOPED_TRACE(spec.name + " on " + platformName(kind));
+            const RunRecord direct = runSpec(kind, spec, false);
+            const RunRecord single = runSpec(kind, spec, true);
+            ASSERT_GT(direct.result.instructions, 0u);
+            EXPECT_EQ(direct.result.elapsed, single.result.elapsed);
+            EXPECT_EQ(direct.result.coreTotals, single.result.coreTotals);
+            EXPECT_EQ(direct.result.psmStats, single.result.psmStats);
+            EXPECT_TRUE(direct == single);
+        }
+    }
+}
+
+TEST(System, InstructionFetchCoreIsUnchangedByRunEntries)
+{
+    // With modelIFetch on, the core asks for one instruction at a
+    // time; the wrapped and direct streams must agree exactly.
+    auto run = [](bool single_step) {
+        SystemConfig config;
+        config.scaleDivisor = 100000;
+        System system(config);
+        workload::SyntheticConfig wconfig;
+        wconfig.scaleDivisor = config.scaleDivisor;
+        workload::SyntheticStream stream(workload::findWorkload("gcc"),
+                                         wconfig, 0, System::workloadBase);
+        SingleStep wrapped(stream);
+
+        cpu::CoreParams params;
+        params.modelIFetch = true;
+        params.branchProbability = 0.08;
+        cpu::Core core("icore", system.eventQueue(), params,
+                       system.memoryPort());
+        core.setCodeRegion(std::uint64_t(3) << 30, 512 << 10);
+        if (single_step)
+            core.run(wrapped, 0);
+        else
+            core.run(stream, 0);
+        system.eventQueue().run();
+        EXPECT_TRUE(core.finished());
+        return std::make_tuple(core.stats(), core.dcache().stats(),
+                               core.icache()->stats(), core.localTime(),
+                               system.psm().stats());
+    };
+    const auto direct = run(false);
+    EXPECT_GT(std::get<0>(direct).fetchStallTicks, 0u);
+    EXPECT_TRUE(direct == run(true));
 }
 
 } // namespace

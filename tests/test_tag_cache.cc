@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mem/tag_cache.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 
 namespace
 {
@@ -110,6 +114,7 @@ TEST(TagCache, RejectsBadGeometry)
 {
     EXPECT_THROW(TagCache(1024, 63, 2), FatalError);
     EXPECT_THROW(TagCache(1024, 64, 0), FatalError);
+    EXPECT_THROW(TagCache(std::uint64_t(65) * 64, 64, 65), FatalError);
 }
 
 TEST(TagCache, CapacityWorksAsExpected)
@@ -164,6 +169,190 @@ TEST(TagCache, NonPowerOfTwoSetCountIndexesByModulo)
     EXPECT_FALSE(cache.contains(3 * 64));
     EXPECT_EQ(cache.validLines(), 6u);
     EXPECT_EQ(cache.dirtyLines(), 1u);
+}
+
+/**
+ * Reference LRU, a plain scan per operation: a hit is any valid way
+ * holding the block; a miss fills the highest-numbered invalid way,
+ * else evicts the least recently used one. The way a line lands in
+ * fixes the order of collectDirty() (and so of an L1 flush).
+ */
+class ReferenceLru
+{
+  public:
+    ReferenceLru(std::uint32_t sets, std::uint32_t ways,
+                 std::uint32_t line_bytes)
+        : lineBytes(line_bytes), numWays(ways),
+          lines(std::size_t(sets) * ways)
+    {}
+
+    TagCache::Outcome
+    access(mem::Addr addr, bool dirty)
+    {
+        const mem::Addr block = addr / lineBytes * lineBytes;
+        Line *set = setOf(block);
+        TagCache::Outcome out;
+        if (Line *line = find(set, block)) {
+            out.hit = true;
+            line->dirty = line->dirty || dirty;
+            line->lastUse = ++clock;
+            return out;
+        }
+        Line *victim = nullptr;
+        for (std::uint32_t w = numWays; w-- > 0 && !victim;)
+            if (!set[w].valid)
+                victim = &set[w];
+        for (std::uint32_t w = 0; w < numWays && !victim; ++w)
+            if (set[w].lastUse == minUse(set))
+                victim = &set[w];
+        if (victim->valid) {
+            out.evicted = true;
+            out.evictedDirty = victim->dirty;
+            out.evictedBlock = victim->block;
+        }
+        *victim = Line{true, dirty, block, ++clock};
+        return out;
+    }
+
+    bool
+    contains(mem::Addr addr)
+    {
+        const mem::Addr block = addr / lineBytes * lineBytes;
+        return find(setOf(block), block) != nullptr;
+    }
+
+    bool
+    invalidate(mem::Addr addr)
+    {
+        const mem::Addr block = addr / lineBytes * lineBytes;
+        Line *line = find(setOf(block), block);
+        if (!line)
+            return false;
+        const bool dirty = line->dirty;
+        *line = Line{};
+        return dirty;
+    }
+
+    void
+    cleanAll()
+    {
+        for (auto &line : lines)
+            line.dirty = false;
+    }
+
+    void
+    invalidateAll()
+    {
+        std::fill(lines.begin(), lines.end(), Line{});
+    }
+
+    std::uint64_t
+    validLines() const
+    {
+        return std::count_if(lines.begin(), lines.end(),
+                             [](const Line &l) { return l.valid; });
+    }
+
+    /** Dirty blocks in set order, then way order. */
+    std::vector<mem::Addr>
+    dirtyBlocks() const
+    {
+        std::vector<mem::Addr> blocks;
+        for (const auto &line : lines)
+            if (line.valid && line.dirty)
+                blocks.push_back(line.block);
+        return blocks;
+    }
+
+  private:
+    struct Line
+    {
+        bool valid = false;
+        bool dirty = false;
+        mem::Addr block = 0;
+        std::uint64_t lastUse = 0;
+    };
+
+    Line *
+    setOf(mem::Addr block)
+    {
+        const std::size_t sets = lines.size() / numWays;
+        return &lines[block / lineBytes % sets * numWays];
+    }
+
+    Line *
+    find(Line *set, mem::Addr block)
+    {
+        for (std::uint32_t w = 0; w < numWays; ++w)
+            if (set[w].valid && set[w].block == block)
+                return &set[w];
+        return nullptr;
+    }
+
+    std::uint64_t
+    minUse(const Line *set) const
+    {
+        std::uint64_t oldest = ~std::uint64_t(0);
+        for (std::uint32_t w = 0; w < numWays; ++w)
+            oldest = std::min(oldest, set[w].lastUse);
+        return oldest;
+    }
+
+    std::uint32_t lineBytes;
+    std::uint32_t numWays;
+    std::vector<Line> lines;
+    std::uint64_t clock = 0;
+};
+
+TEST(TagCache, MatchesReferenceLruUnderFuzz)
+{
+    constexpr std::uint32_t line = 64;
+    Rng rng(31);
+    for (std::uint32_t ways = 1; ways <= 8; ++ways) {
+        for (const std::uint32_t sets : {1u, 3u, 4u, 5u, 12u, 16u}) {
+            SCOPED_TRACE(testing::Message()
+                         << ways << " ways, " << sets << " sets");
+            TagCache cache(std::uint64_t(sets) * ways * line, line, ways);
+            ASSERT_EQ(cache.setCount(), sets);
+            ReferenceLru ref(sets, ways, line);
+            // Twice the capacity in distinct blocks: hits and misses.
+            const std::uint64_t blocks = 2 * std::uint64_t(sets) * ways;
+            for (int op = 0; op < 4000; ++op) {
+                const mem::Addr addr =
+                    rng.below(blocks) * line + rng.below(line);
+                const std::uint64_t pick = rng.below(100);
+                if (pick < 70) {
+                    const bool dirty = rng.chance(0.4);
+                    const auto got = cache.access(addr, dirty);
+                    const auto want = ref.access(addr, dirty);
+                    ASSERT_EQ(got.hit, want.hit) << "op " << op;
+                    ASSERT_EQ(got.evicted, want.evicted) << "op " << op;
+                    ASSERT_EQ(got.evictedDirty, want.evictedDirty)
+                        << "op " << op;
+                    ASSERT_EQ(got.evictedBlock, want.evictedBlock)
+                        << "op " << op;
+                } else if (pick < 85) {
+                    ASSERT_EQ(cache.contains(addr), ref.contains(addr))
+                        << "op " << op;
+                } else if (pick < 98) {
+                    ASSERT_EQ(cache.invalidate(addr),
+                              ref.invalidate(addr))
+                        << "op " << op;
+                } else if (pick < 99) {
+                    cache.cleanAll();
+                    ref.cleanAll();
+                } else if (rng.chance(0.2)) {
+                    cache.invalidateAll();
+                    ref.invalidateAll();
+                }
+                const auto dirty = ref.dirtyBlocks();
+                ASSERT_EQ(cache.validLines(), ref.validLines())
+                    << "op " << op;
+                ASSERT_EQ(cache.dirtyLines(), dirty.size()) << "op " << op;
+                ASSERT_EQ(cache.collectDirty(), dirty) << "op " << op;
+            }
+        }
+    }
 }
 
 } // namespace

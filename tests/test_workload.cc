@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 #include "workload/spec.hh"
 #include "workload/stream_bench.hh"
 #include "platform/system.hh"
@@ -151,6 +155,100 @@ TEST(SyntheticStream, MakeStreamsHonoursMultithreading)
     EXPECT_EQ(mt.size(), 8u);
     const auto st = makeStreams(findWorkload("mcf"), config, 8, 0);
     EXPECT_EQ(st.size(), 1u);
+}
+
+/** One instruction as next() yields it. */
+struct Step
+{
+    cpu::InstrKind kind;
+    mem::Addr addr;
+
+    bool operator==(const Step &) const = default;
+};
+
+/** Drain @p stream one next() call at a time. */
+std::vector<Step>
+drainSingle(SyntheticStream &stream)
+{
+    std::vector<Step> steps;
+    cpu::Instr instr;
+    while (stream.next(instr)) {
+        EXPECT_EQ(instr.count, 1u);
+        steps.push_back({instr.kind, instr.addr});
+    }
+    return steps;
+}
+
+/**
+ * Drain @p stream through nextRun() with random budgets, expanding
+ * each entry into its ALU prefix and its own instruction, and check
+ * produced() after every entry.
+ */
+std::vector<Step>
+drainRuns(SyntheticStream &stream, Rng &budgets)
+{
+    std::vector<Step> steps;
+    cpu::Instr instr;
+    for (;;) {
+        const auto budget =
+            static_cast<std::uint32_t>(budgets.between(1, 256));
+        if (!stream.nextRun(instr, budget))
+            break;
+        EXPECT_GE(instr.count, 1u);
+        EXPECT_LE(instr.count, budget);
+        steps.insert(steps.end(), instr.count - 1,
+                     Step{cpu::InstrKind::Alu, 0});
+        steps.push_back({instr.kind, instr.addr});
+        EXPECT_EQ(stream.produced(), steps.size());
+    }
+    return steps;
+}
+
+TEST(SyntheticStream, RunEntriesExpandToTheSingleStepSequence)
+{
+    SyntheticConfig config;
+    config.scaleDivisor = 400000;
+    Rng budgets(37);
+    for (const auto &spec : tableTwo()) {
+        for (const std::uint64_t seed : {1u, 5u}) {
+            SCOPED_TRACE(spec.name + " seed " + std::to_string(seed));
+            config.seed = seed;
+            auto single = makeStreams(spec, config, 2, 1 << 20);
+            auto runs = makeStreams(spec, config, 2, 1 << 20);
+            for (std::size_t t = 0; t < single.size(); ++t) {
+                const auto want = drainSingle(*single[t]);
+                ASSERT_EQ(want.size(), single[t]->totalInstructions());
+                ASSERT_TRUE(drainRuns(*runs[t], budgets) == want);
+
+                // After rewind() both entry points start over alike.
+                runs[t]->rewind();
+                ASSERT_TRUE(drainRuns(*runs[t], budgets) == want);
+                single[t]->rewind();
+                ASSERT_TRUE(drainSingle(*single[t]) == want);
+            }
+        }
+    }
+}
+
+TEST(SyntheticStream, RunEntriesStopAtTheBudgetAndTheEnd)
+{
+    SyntheticConfig config;
+    config.scaleDivisor = 4000000;
+    SyntheticStream stream(findWorkload("AES"), config, 0, 0);
+    cpu::Instr instr;
+    std::uint64_t total = 0;
+    while (stream.nextRun(instr, 7)) {
+        ASSERT_LE(instr.count, 7u);
+        // An entry shorter than the budget ends in a memory op or at
+        // the end of the stream.
+        if (instr.count < 7 && instr.kind == cpu::InstrKind::Alu) {
+            ASSERT_EQ(stream.produced(), stream.totalInstructions());
+        }
+        total += instr.count;
+    }
+    EXPECT_EQ(total, stream.totalInstructions());
+    EXPECT_FALSE(stream.nextRun(instr, 7));
+    EXPECT_FALSE(stream.next(instr));
 }
 
 TEST(StreamBench, KernelShapes)
