@@ -1,14 +1,13 @@
 #include "fault/campaign.hh"
 
 #include <algorithm>
-#include <functional>
 
 #include "fault/fault_injector.hh"
 #include "fault/persist_probe.hh"
 #include "fault/power_rail.hh"
 #include "sim/digest.hh"
-#include "sim/parallel.hh"
 #include "sim/rng.hh"
+#include "stats/trial_grid.hh"
 
 namespace lightpc::fault
 {
@@ -119,49 +118,39 @@ sweepFraction(std::uint64_t i, std::uint64_t cuts, Rng &rng)
 }
 
 /**
- * One trial: draws from @p rng, notes violations in @p result and
- * returns what its probe saw.
+ * The driver every mode shares: run config.cuts isolated trials on the
+ * grid runner, count each outcome, stamp mode/PSU and digest the
+ * folded counters. @p trial(i, rng, result) draws from rng, notes
+ * violations in result and returns what its probe saw. Trial i draws
+ * from the independent stream Rng(Rng::streamSeed(campaignSeed(...),
+ * i)), a pure function of (config, i), so the campaign is
+ * bit-identical at any thread count.
  */
-using Trial =
-    std::function<ProbeOutcome(std::uint64_t i, Rng &rng,
-                               CampaignResult &result)>;
-
-/**
- * The deterministic reduction driver every mode shares: fan
- * config.cuts isolated trials across the pool, count each outcome,
- * fold the per-trial results in ascending seed order (tagging each
- * violation note with its trial index), stamp mode/PSU, and digest
- * the folded counters. Trial i draws from the independent stream
- * Rng(Rng::streamSeed(campaignSeed(...), i)), a pure function of
- * (config, i), so the pool may run trials in any order and still
- * reproduce the sequential campaign bit-for-bit.
- */
+template <typename Trial>
 CampaignResult
 runSeededTrials(const CampaignConfig &config, const char *mode,
                 net::PersistMode salt, const Trial &trial)
 {
     const std::uint64_t seed = campaignSeed(config, modeSalt(salt));
-    sim::ParallelExecutor pool(config.threads);
-    const std::vector<CampaignResult> trials = pool.map<CampaignResult>(
-        config.cuts, [&trial, seed](std::uint64_t i) {
-            CampaignResult result;
-            Rng rng(Rng::streamSeed(seed, i));
-            const ProbeOutcome out = trial(i, rng, result);
-            ++result.phaseCuts[static_cast<std::size_t>(out.phase)];
-            result.droppedWrites += out.droppedWrites;
-            result.tornWrites += out.tornWrites;
-            out.resumed ? ++result.resumes : ++result.coldBoots;
-            ++result.cuts;
-            return result;
-        });
-
     CampaignResult result;
     result.mode = mode;
     result.psu = config.psu.spec().name;
-    const std::string cell = result.mode + " " + result.psu;
-    stats::foldTrials(
-        campaignCounters(), result, trials,
-        [&cell](std::uint64_t) -> std::string_view { return cell; });
+    stats::runGrid(
+        campaignCounters(), config.threads,
+        stats::TrialGrid<1>{{config.cuts}},
+        [&trial, seed](std::uint64_t i) {
+            CampaignResult r;
+            Rng rng(Rng::streamSeed(seed, i));
+            const ProbeOutcome out = trial(i, rng, r);
+            ++r.phaseCuts[static_cast<std::size_t>(out.phase)];
+            r.droppedWrites += out.droppedWrites;
+            r.tornWrites += out.tornWrites;
+            out.resumed ? ++r.resumes : ++r.coldBoots;
+            ++r.cuts;
+            return r;
+        },
+        stats::GridFold{result, result.violationNotes},
+        [&result](std::uint64_t) { return result.mode + " " + result.psu; });
     sim::Fnv64 digest;
     campaignCounters().mix(digest, result);
     result.digest = digest.h;

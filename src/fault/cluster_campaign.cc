@@ -5,8 +5,8 @@
 #include "fault/compound.hh"
 #include "sim/digest.hh"
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
 #include "sim/rng.hh"
+#include "stats/trial_grid.hh"
 
 namespace lightpc::fault
 {
@@ -22,27 +22,12 @@ using Result = cluster::ClusterResult;
  */
 constexpr std::uint32_t campaignRacks = 2;
 
-/** A trial index decoded into its grid position. */
-struct GridPoint
+/** Replicas-major, then intensity, then mode, then seed. */
+stats::TrialGrid<4>
+clusterGrid(const ClusterCampaignConfig &config)
 {
-    std::size_t replicas = 0;   ///< index into replicaCounts
-    std::size_t intensity = 0;  ///< index into intensities
-    std::size_t mode = 0;       ///< index into modes
-    std::uint64_t seed = 0;     ///< seed index within the cell
-};
-
-/** Decode replicas-major, then intensity, then mode, then seed. */
-GridPoint
-locate(const ClusterCampaignConfig &config, std::uint64_t index)
-{
-    GridPoint at;
-    at.seed = index % config.seedsPerCell;
-    std::uint64_t cell = index / config.seedsPerCell;
-    at.mode = cell % config.modes.size();
-    cell /= config.modes.size();
-    at.intensity = cell % config.intensities.size();
-    at.replicas = cell / config.intensities.size();
-    return at;
+    return {{config.replicaCounts.size(), config.intensities.size(),
+             config.modes.size(), config.seedsPerCell}};
 }
 
 void
@@ -70,20 +55,7 @@ validate(const ClusterCampaignConfig &config)
             if (replicas < 3)
                 fatal("cluster campaign: the nemesis ladder needs >= 3"
                       " replicas, not ", replicas);
-    // The stream-column packing gives seedIdx 32 bits, intIdx 8 and
-    // repIdx the rest; overflow would silently alias storm/arrival
-    // streams across cells and void the paired comparison.
-    if (config.seedsPerCell > (std::uint64_t(1) << 32))
-        fatal("cluster campaign: seedsPerCell ", config.seedsPerCell,
-              " overflows the 32-bit seed field of the stream "
-              "column packing");
-    if (config.intensities.size() > 256)
-        fatal("cluster campaign: ", config.intensities.size(),
-              " intensities overflow the 8-bit intensity field of "
-              "the stream column packing");
-    if (config.replicaCounts.size() > (std::size_t(1) << 24))
-        fatal("cluster campaign: ", config.replicaCounts.size(),
-              " replica counts overflow the stream column packing");
+    stats::checkStreamColumn("cluster campaign", clusterGrid(config));
     if (config.runFor == 0)
         fatal("cluster campaign: runFor must be nonzero");
     if (config.clients == 0)
@@ -308,9 +280,7 @@ clusterCounters()
 std::uint64_t
 clusterCampaignTrials(const ClusterCampaignConfig &config)
 {
-    return std::uint64_t(config.replicaCounts.size())
-           * config.intensities.size() * config.modes.size()
-           * config.seedsPerCell;
+    return clusterGrid(config).trials();
 }
 
 cluster::ClusterConfig
@@ -321,11 +291,11 @@ clusterTrialConfig(const ClusterCampaignConfig &config,
     if (index >= clusterCampaignTrials(config))
         fatal("cluster campaign: trial index ", index, " past the ",
               clusterCampaignTrials(config), "-trial grid");
-    const GridPoint at = locate(config, index);
+    const auto [rep, ints, mode, seed] = clusterGrid(config).decode(index);
 
     cluster::ClusterConfig cc;
-    cc.mode = config.modes[at.mode];
-    cc.replicas = config.replicaCounts[at.replicas];
+    cc.mode = config.modes[mode];
+    cc.replicas = config.replicaCounts[rep];
     cc.racks = campaignRacks;
     cc.agingSpread = config.agingSpread;
 
@@ -341,21 +311,19 @@ clusterTrialConfig(const ClusterCampaignConfig &config,
 
     // One stream per grid position, mode EXCLUDED: the same seed index
     // replays identical schedules against every mode in the cell's
-    // column, so the comparison is paired. The column packs (repIdx,
-    // intIdx, seedIdx) into disjoint wide fields — validate() bounds
-    // each so they cannot collide — and each ladder has its own tag.
-    const std::uint64_t column =
-        ((std::uint64_t(at.replicas) * 256 + at.intensity) << 32)
-        | at.seed;
+    // column, so the comparison is paired. validate() bounds the
+    // column's fields so they cannot collide, and each ladder has its
+    // own tag.
     const std::uint64_t tag =
         config.ladder == Ladder::Storm ? 0x636c7573ULL : 0x706172ULL;
-    cc.seed = Rng::streamSeed(config.seed, tag + column);
+    cc.seed = Rng::streamSeed(config.seed,
+                              tag + stats::streamColumn(rep, ints, seed));
 
-    const std::uint32_t intensity = config.intensities[at.intensity];
+    const std::uint32_t intensity = config.intensities[ints];
     if (config.ladder == Ladder::Storm)
         climbStormLadder(cc, intensity);
     else
-        climbNemesisLadder(cc, intensity, at.seed);
+        climbNemesisLadder(cc, intensity, seed);
     return cc;
 }
 
@@ -364,32 +332,31 @@ foldClusterCampaign(const ClusterCampaignConfig &config,
                     const std::vector<cluster::ClusterResult> &runs)
 {
     validate(config);
-    if (runs.size() != clusterCampaignTrials(config))
+    const stats::TrialGrid<4> grid = clusterGrid(config);
+    if (runs.size() != grid.trials())
         fatal("cluster campaign: ", runs.size(), " runs for a ",
-              clusterCampaignTrials(config), "-trial grid");
+              grid.trials(), "-trial grid");
 
-    // Trial i belongs to cell i / seedsPerCell; cells come out
-    // replicas-major, in canonical index order.
     ClusterCampaignResult result;
-    result.cells.resize(runs.size() / config.seedsPerCell);
-    for (std::uint64_t i = 0; i < runs.size(); ++i) {
-        const cluster::ClusterResult &r = runs[i];
-        ClusterCell &cell = result.cells[i / config.seedsPerCell];
-        if (cell.trials == 0) {
-            const GridPoint at = locate(config, i);
-            cell.replicas = config.replicaCounts[at.replicas];
-            cell.intensity = config.intensities[at.intensity];
-            cell.mode = config.modes[at.mode];
-            cell.modeName = net::persistModeName(cell.mode);
-        }
-        cell.add(r);
-        result.total.add(r);
-        stats::appendTrialNotes(
-            result.violationNotes, i,
-            stats::streamed(cell.modeName, " x", cell.replicas,
-                            " intensity ", cell.intensity),
-            r.violations);
+    result.cells.resize(grid.cells());
+    for (std::uint64_t c = 0; c < grid.cells(); ++c) {
+        const auto [rep, ints, mode, seed] = grid.cellAt(c);
+        ClusterCell &cell = result.cells[c];
+        cell.replicas = config.replicaCounts[rep];
+        cell.intensity = config.intensities[ints];
+        cell.mode = config.modes[mode];
+        cell.modeName = net::persistModeName(cell.mode);
     }
+    stats::foldGrid(
+        clusterCounters(), grid, runs,
+        stats::GridFold{result.total, result.violationNotes,
+                        &result.cells},
+        [&result, &grid](std::uint64_t i) {
+            const ClusterCell &cell = result.cells[grid.cellOf(i)];
+            return stats::streamed(cell.modeName, " x", cell.replicas,
+                                   " intensity ", cell.intensity);
+        },
+        &Result::violations);
 
     // Determinism anchor: the per-trial run digests, then every cell
     // counter in table order.
@@ -413,16 +380,14 @@ foldClusterCampaign(const ClusterCampaignConfig &config,
 ClusterCampaignResult
 runClusterCampaign(const ClusterCampaignConfig &config)
 {
-    validate(config);
-    sim::ParallelExecutor pool(config.threads);
-    const std::vector<cluster::ClusterResult> runs =
-        pool.map<cluster::ClusterResult>(
-            clusterCampaignTrials(config),
-            [&config](std::uint64_t index) {
-                return cluster::runCluster(
-                    clusterTrialConfig(config, index));
-            });
-    return foldClusterCampaign(config, runs);
+    // Each trial validates config (clusterTrialConfig), and the fold
+    // validates it again, so a grid with no trials is rejected too.
+    return foldClusterCampaign(
+        config, stats::mapGrid(config.threads, clusterGrid(config),
+                               [&config](std::uint64_t index) {
+                                   return cluster::runCluster(
+                                       clusterTrialConfig(config, index));
+                               }));
 }
 
 } // namespace lightpc::fault

@@ -12,9 +12,9 @@
  * via Rng::streamSeed. The stream column packs (replicas, intensity,
  * seed index) but NOT the mode, so the same seed index replays
  * identical schedules against every mode: the availability comparison
- * is paired. Trials fan across sim::ParallelExecutor and fold in
- * canonical index order, so the campaign digest is bit-identical at
- * any thread count.
+ * is paired. Trials run on the shared grid runner
+ * (stats/trial_grid.hh) and fold in canonical index order, so the
+ * campaign digest is bit-identical at any thread count.
  *
  * The storm ladder (rack-correlated cut storms):
  *

@@ -13,7 +13,7 @@
 #include "psm/psm.hh"
 #include "sim/digest.hh"
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
+#include "stats/trial_grid.hh"
 
 namespace lightpc::fault
 {
@@ -800,18 +800,16 @@ runCompoundCampaign(const CompoundConfig &config)
         return result;
     };
 
-    sim::ParallelExecutor pool(config.threads);
-    const std::vector<CompoundResult> trials =
-        pool.map<CompoundResult>(config.trials, trial);
-
-    // Fold in trial-index order; each note names its trial and the
-    // scenario class (i % 5) that produced it.
+    // Each note names its trial and the scenario class (i % 5) that
+    // produced it.
     static constexpr const char *scenarios[] = {
         "stop-cut", "go-cut", "brownout", "storm", "oplog"};
     CompoundResult result;
     result.psu = config.psu.spec().name;
-    stats::foldTrials(compoundCounters(), result, trials,
-                      [](std::uint64_t i) { return scenarios[i % 5]; });
+    stats::runGrid(compoundCounters(), config.threads,
+                   stats::TrialGrid<1>{{config.trials}}, trial,
+                   stats::GridFold{result, result.violationNotes},
+                   [](std::uint64_t i) { return scenarios[i % 5]; });
     sim::Fnv64 fnv;
     compoundCounters().mix(fnv, result);
     result.digest = fnv.h;

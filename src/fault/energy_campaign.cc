@@ -10,8 +10,8 @@
 #include "pecos/energy_guard.hh"
 #include "sim/digest.hh"
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
 #include "sim/rng.hh"
+#include "stats/trial_grid.hh"
 
 namespace lightpc::fault
 {
@@ -253,18 +253,10 @@ recordMinSoc(EnergyCellStats &cell, const energy::StoragePlane &plane)
                  static_cast<std::uint64_t>(soc * 1000.0));
 }
 
-/** One trial's counters and kept violation notes. */
-struct TrialScratch
+/** One trial's counters and its violation notes. */
+struct EnergyTrial : EnergyCellStats
 {
-    EnergyCellStats cell;
-    std::vector<std::string> notes;
-
-    template <typename... Parts>
-    void
-    violation(const Parts &...parts)
-    {
-        stats::noteViolation(cell.violations, notes, parts...);
-    }
+    std::vector<std::string> violationNotes;
 };
 
 /**
@@ -298,11 +290,10 @@ oplogEmergencyCommit(Tick cut, Rng &rng)
  */
 bool
 persistEvent(net::PersistMode mode, Tick cut, Rng &rng,
-             TrialScratch &scratch)
+             EnergyTrial &cell)
 {
-    EnergyCellStats &cell = scratch.cell;
     std::uint64_t &violations = cell.violations;
-    std::vector<std::string> &notes = scratch.notes;
+    std::vector<std::string> &notes = cell.violationNotes;
     const auto after_ac = [cut](Tick ac) { return ac + cut; };
 
     ProbeOutcome out;
@@ -340,14 +331,14 @@ persistEvent(net::PersistMode mode, Tick cut, Rng &rng,
 bool
 runOutageEvent(net::PersistMode mode, const DryData &dry,
                energy::StoragePlane &plane, Rng &rng,
-               TrialScratch &scratch)
+               EnergyTrial &cell)
 {
-    recordMinSoc(scratch.cell, plane);
+    recordMinSoc(cell, plane);
     const Tick off = std::max<Tick>(
         cutOffset(dry.mode[modeOrd(mode)], plane), 1);
 
-    const bool survived = persistEvent(mode, off, rng, scratch);
-    ++scratch.cell.cuts;
+    const bool survived = persistEvent(mode, off, rng, cell);
+    ++cell.cuts;
     zeroPlane(plane);
     return survived;
 }
@@ -362,10 +353,9 @@ runOutageEvent(net::PersistMode mode, const DryData &dry,
  */
 void
 voluntaryAttempt(const DryData &dry, energy::StoragePlane &plane,
-                 Rng &rng, TrialScratch &scratch, Tick gap,
+                 Rng &rng, EnergyTrial &cell, Tick gap,
                  const pecos::DrainEstimate &drain)
 {
-    EnergyCellStats &cell = scratch.cell;
     const ModeDry &md = dry.mode[modeOrd(net::PersistMode::SnG)];
 
     bool was_deferred = false;
@@ -401,9 +391,9 @@ voluntaryAttempt(const DryData &dry, energy::StoragePlane &plane,
         if (was_deferred)
             ++cell.deferredStopsAdmitted;
         if (rep.commitFailed) {
-            scratch.violation("energy guard admitted a Stop at soc ",
-                              rep.socAtStop, " whose commit missed the"
-                              " rails (cut@", off, ")");
+            stats::flagViolation(cell, "energy guard admitted a Stop at "
+                                 "soc ", rep.socAtStop, " whose commit "
+                                 "missed the rails (cut@", off, ")");
         } else {
             ++cell.commitsDurable;
         }
@@ -419,13 +409,13 @@ voluntaryAttempt(const DryData &dry, energy::StoragePlane &plane,
 bool
 runStorm(net::PersistMode mode, const DryData &dry,
          energy::StoragePlane &plane, Rng &sched, Rng &mode_rng,
-         TrialScratch &scratch)
+         EnergyTrial &cell)
 {
     const double h0 = plane.ticksDeliverable(dry.busyWatts);
     bool all = true;
     for (int event = 0; event < 3; ++event) {
         const bool s =
-            runOutageEvent(mode, dry, plane, mode_rng, scratch);
+            runOutageEvent(mode, dry, plane, mode_rng, cell);
         all = all && s;
         if (event == 2)
             break;
@@ -441,8 +431,8 @@ runStorm(net::PersistMode mode, const DryData &dry,
             const pecos::DrainEstimate &drain =
                 mode == net::PersistMode::OpLog ? dry.oplogDrain
                                                 : dry.sngDrain;
-            voluntaryAttempt(dry, plane, mode_rng, scratch,
-                             gap - lead, drain);
+            voluntaryAttempt(dry, plane, mode_rng, cell, gap - lead,
+                             drain);
         } else {
             plane.recharge(gap);
         }
@@ -460,9 +450,8 @@ runStorm(net::PersistMode mode, const DryData &dry,
 bool
 runSiege(net::PersistMode mode, const DryData &dry,
          energy::StoragePlane &plane, Rng &sched, Rng &mode_rng,
-         TrialScratch &scratch)
+         EnergyTrial &cell)
 {
-    EnergyCellStats &cell = scratch.cell;
     const ModeDry &md = dry.mode[modeOrd(mode)];
 
     const double supply = 0.35 + 0.30 * sched.uniform();
@@ -519,7 +508,7 @@ runSiege(net::PersistMode mode, const DryData &dry,
 
         const Tick off = std::max<Tick>(
             sagCutOffset(md, plane, supply, rest), 1);
-        const bool survived = persistEvent(mode, off, mode_rng, scratch);
+        const bool survived = persistEvent(mode, off, mode_rng, cell);
         ++cell.cuts;
         zeroPlane(plane);
         if (survived && !cf_commits)
@@ -528,7 +517,7 @@ runSiege(net::PersistMode mode, const DryData &dry,
     }
 
     // The sag deepens into the outage with the plane run down.
-    return runOutageEvent(mode, dry, plane, mode_rng, scratch);
+    return runOutageEvent(mode, dry, plane, mode_rng, cell);
 }
 
 std::uint64_t
@@ -540,6 +529,54 @@ campaignBaseSeed(const EnergyCampaignConfig &config)
     return h;
 }
 
+/** Scale-major, then intensity, then mode, then seed. */
+stats::TrialGrid<4>
+energyGrid(const EnergyCampaignConfig &config)
+{
+    return {{config.sizingScales.size(), config.intensities.size(),
+             config.modes.size(), config.seedsPerCell}};
+}
+
+/** Trial @p index: one aged plane facing its cell's outage. */
+EnergyTrial
+runTrial(const EnergyCampaignConfig &config, const DryData &dry,
+         std::uint64_t index)
+{
+    const auto [s, iv, m, k] = energyGrid(config).decode(index);
+    const net::PersistMode mode = config.modes[m];
+
+    // Mode-independent stream: every mode faces the same machine aging
+    // and the same outage schedule (paired comparison across the
+    // provisioning sweep).
+    const std::uint64_t base_seed = campaignBaseSeed(config);
+    const std::uint64_t column = stats::streamColumn(s, iv, k);
+    Rng sched(Rng::streamSeed(base_seed, column));
+    Rng mode_rng(Rng::streamSeed(base_seed ^ modeSalt(mode), column));
+
+    energy::StoragePlane plane(
+        energy::serverHierarchy(config.sizingScales[s]));
+    plane.applyAgingCycles(sched.uniform() * config.agingSpreadCycles);
+
+    EnergyTrial trial;
+    bool survived = false;
+    switch (config.intensities[iv]) {
+    case 1:
+        survived = runOutageEvent(mode, dry, plane, mode_rng, trial);
+        break;
+    case 2:
+        survived = runStorm(mode, dry, plane, sched, mode_rng, trial);
+        break;
+    case 3:
+        survived = runSiege(mode, dry, plane, sched, mode_rng, trial);
+        break;
+    default: break;
+    }
+    ++trial.trials;
+    if (survived)
+        ++trial.survivedTrials;
+    return trial;
+}
+
 } // namespace
 
 void
@@ -547,8 +584,6 @@ validateEnergyCampaignConfig(const EnergyCampaignConfig &config)
 {
     if (config.sizingScales.empty())
         fatal("energy campaign: no sizing scales");
-    if (config.sizingScales.size() > (1u << 16))
-        fatal("energy campaign: too many sizing scales");
     double prev = 0.0;
     for (const double scale : config.sizingScales) {
         if (!(scale > 0.0))
@@ -563,8 +598,6 @@ validateEnergyCampaignConfig(const EnergyCampaignConfig &config)
         fatal("energy campaign: no persistence modes");
     if (config.intensities.empty())
         fatal("energy campaign: no intensities");
-    if (config.intensities.size() > 256)
-        fatal("energy campaign: too many intensities");
     for (const std::uint32_t intensity : config.intensities) {
         if (intensity < 1 || intensity > 3)
             fatal("energy campaign: intensity ", intensity,
@@ -572,9 +605,7 @@ validateEnergyCampaignConfig(const EnergyCampaignConfig &config)
     }
     if (config.seedsPerCell == 0)
         fatal("energy campaign: seedsPerCell must be >= 1");
-    if (config.seedsPerCell >= (std::uint64_t(1) << 32))
-        fatal("energy campaign: seedsPerCell must fit the stream "
-              "column packing (< 2^32)");
+    stats::checkStreamColumn("energy campaign", energyGrid(config));
     if (config.agingSpreadCycles < 0.0
         || !std::isfinite(config.agingSpreadCycles))
         fatal("energy campaign: agingSpreadCycles must be finite "
@@ -584,8 +615,7 @@ validateEnergyCampaignConfig(const EnergyCampaignConfig &config)
 std::uint64_t
 energyCampaignTrials(const EnergyCampaignConfig &config)
 {
-    return config.sizingScales.size() * config.intensities.size()
-        * config.modes.size() * config.seedsPerCell;
+    return energyGrid(config).trials();
 }
 
 EnergyCampaignResult
@@ -594,124 +624,53 @@ runEnergyCampaign(const EnergyCampaignConfig &config)
     validateEnergyCampaignConfig(config);
 
     const DryData dry = buildDry();
-    const std::uint64_t base_seed = campaignBaseSeed(config);
-
-    const std::size_t n_scales = config.sizingScales.size();
-    const std::size_t n_ints = config.intensities.size();
-    const std::size_t n_modes = config.modes.size();
-    const std::size_t n_cells = n_scales * n_ints * n_modes;
-    const std::uint64_t trials = energyCampaignTrials(config);
+    const stats::TrialGrid<4> grid = energyGrid(config);
 
     // The result's cells carry the cell metadata; trials only add
     // counters.
     EnergyCampaignResult result;
-    result.cells.resize(n_cells);
-    for (std::size_t s = 0; s < n_scales; ++s) {
-        for (std::size_t iv = 0; iv < n_ints; ++iv) {
-            for (std::size_t m = 0; m < n_modes; ++m) {
-                EnergyCellStats &cell =
-                    result.cells[(s * n_ints + iv) * n_modes + m];
-                cell.scale = config.sizingScales[s];
-                cell.provisionedJoules =
-                    energy::StoragePlane(
-                        energy::serverHierarchy(
-                            config.sizingScales[s]))
-                        .totalCapacityJoules();
-                cell.mode = config.modes[m];
-                cell.intensity = config.intensities[iv];
-            }
-        }
+    result.cells.resize(grid.cells());
+    for (std::uint64_t c = 0; c < grid.cells(); ++c) {
+        const auto [s, iv, m, k] = grid.cellAt(c);
+        EnergyCellStats &cell = result.cells[c];
+        cell.scale = config.sizingScales[s];
+        cell.provisionedJoules =
+            energy::StoragePlane(energy::serverHierarchy(cell.scale))
+                .totalCapacityJoules();
+        cell.mode = config.modes[m];
+        cell.intensity = config.intensities[iv];
     }
 
-    sim::ParallelExecutor pool(config.threads);
-    const std::vector<TrialScratch> runs = pool.map<TrialScratch>(
-        trials,
-        [&config, &dry, base_seed, n_ints,
-         n_modes](std::uint64_t i) {
-            const std::uint64_t k_idx = i % config.seedsPerCell;
-            std::uint64_t rest = i / config.seedsPerCell;
-            const std::size_t m_idx = rest % n_modes;
-            rest /= n_modes;
-            const std::size_t i_idx = rest % n_ints;
-            const std::size_t s_idx = rest / n_ints;
-
-            const net::PersistMode mode = config.modes[m_idx];
-            const std::uint32_t intensity =
-                config.intensities[i_idx];
-            const double scale = config.sizingScales[s_idx];
-
-            // Mode-independent stream: every mode faces the same
-            // machine aging and the same outage schedule (paired
-            // comparison across the provisioning sweep).
-            const std::uint64_t column =
-                ((static_cast<std::uint64_t>(s_idx) * 256 + i_idx)
-                 << 32)
-                | k_idx;
-            Rng sched(Rng::streamSeed(base_seed, column));
-            Rng mode_rng(Rng::streamSeed(
-                base_seed ^ modeSalt(mode), column));
-
-            energy::StoragePlane plane(
-                energy::serverHierarchy(scale));
-            plane.applyAgingCycles(sched.uniform()
-                                   * config.agingSpreadCycles);
-
-            TrialScratch scratch;
-            bool survived = false;
-            switch (intensity) {
-            case 1:
-                survived = runOutageEvent(mode, dry, plane,
-                                          mode_rng, scratch);
-                break;
-            case 2:
-                survived = runStorm(mode, dry, plane, sched,
-                                    mode_rng, scratch);
-                break;
-            case 3:
-                survived = runSiege(mode, dry, plane, sched,
-                                    mode_rng, scratch);
-                break;
-            default: break;
-            }
-            ++scratch.cell.trials;
-            if (survived)
-                ++scratch.cell.survivedTrials;
-            return scratch;
+    stats::runGrid(
+        energyCounters(), config.threads, grid,
+        [&config, &dry](std::uint64_t i) {
+            return runTrial(config, dry, i);
+        },
+        stats::GridFold{result.total, result.violationNotes,
+                        &result.cells},
+        [&result, &grid](std::uint64_t i) {
+            const EnergyCellStats &cell = result.cells[grid.cellOf(i)];
+            return stats::streamed("scale ", cell.scale, " intensity ",
+                                   cell.intensity, " ",
+                                   net::persistModeName(cell.mode));
         });
 
-    // Fold in trial-index order (trial i belongs to cell
-    // i / seedsPerCell), then the fleet total over the cells.
-    for (std::uint64_t i = 0; i < runs.size(); ++i) {
-        EnergyCellStats &cell = result.cells[i / config.seedsPerCell];
-        energyCounters().merge(cell, runs[i].cell);
-        stats::appendTrialNotes(
-            result.violationNotes, i,
-            stats::streamed("scale ", cell.scale, " intensity ",
-                            cell.intensity, " ",
-                            net::persistModeName(cell.mode)),
-            runs[i].notes);
-    }
-    for (const EnergyCellStats &cell : result.cells)
-        energyCounters().merge(result.total, cell);
-
-    // The minimum-provisioning table.
-    for (std::size_t m = 0; m < n_modes; ++m) {
-        for (std::size_t iv = 0; iv < n_ints; ++iv) {
-            EnergyProvision prov;
-            prov.mode = config.modes[m];
-            prov.intensity = config.intensities[iv];
-            for (std::size_t s = 0; s < n_scales; ++s) {
-                const EnergyCellStats &cell =
-                    result.cells[(s * n_ints + iv) * n_modes + m];
-                if (cell.trials > 0
-                    && cell.survivedTrials == cell.trials) {
-                    prov.met = true;
-                    prov.scale = cell.scale;
-                    prov.joules = cell.provisionedJoules;
-                    break;
-                }
-            }
-            result.provisioning.push_back(prov);
+    // The minimum-provisioning table, modes-major. Cells come
+    // scale-major, so the first cell of a (mode, intensity) that
+    // survived every trial has the smallest such scale.
+    const std::size_t n_ints = config.intensities.size();
+    result.provisioning.resize(config.modes.size() * n_ints);
+    for (std::uint64_t c = 0; c < grid.cells(); ++c) {
+        const auto [s, iv, m, k] = grid.cellAt(c);
+        const EnergyCellStats &cell = result.cells[c];
+        EnergyProvision &prov = result.provisioning[m * n_ints + iv];
+        prov.mode = cell.mode;
+        prov.intensity = cell.intensity;
+        if (!prov.met && cell.trials > 0
+            && cell.survivedTrials == cell.trials) {
+            prov.met = true;
+            prov.scale = cell.scale;
+            prov.joules = cell.provisionedJoules;
         }
     }
 

@@ -137,7 +137,7 @@ struct EnergyCampaignResult
     /** Scale-major, then intensity, then mode (config order). */
     std::vector<EnergyCellStats> cells;
 
-    /** Every cell folded into one: the fleet totals. */
+    /** Every trial folded into one: the fleet totals. */
     EnergyCellStats total;
 
     /** Per (mode, intensity), modes-major (config order). */
@@ -151,9 +151,9 @@ struct EnergyCampaignResult
 };
 
 /**
- * Run the sweep. Trials fan out over a sim::ParallelExecutor; the
- * merged result (and its digest) is bit-identical at any thread
- * count.
+ * Run the sweep. Trials fan out on the grid runner
+ * (stats/trial_grid.hh); the merged result (and its digest) is
+ * bit-identical at any thread count.
  */
 EnergyCampaignResult
 runEnergyCampaign(const EnergyCampaignConfig &config);

@@ -9,8 +9,8 @@
 #include "pecos/sng.hh"
 #include "psm/scrub.hh"
 #include "sim/digest.hh"
-#include "sim/parallel.hh"
 #include "sim/rng.hh"
+#include "stats/trial_grid.hh"
 
 namespace lightpc::fault
 {
@@ -88,6 +88,162 @@ struct PsmFold
     }
 };
 
+/** The MCE policies every (ber, wear) pair runs, in cell order. */
+constexpr psm::McePolicy policies[] = {psm::McePolicy::Contain,
+                                       psm::McePolicy::ResetColdBoot};
+
+/** The (ber, wear, policy, seed) grid, seeds innermost. */
+stats::TrialGrid<4>
+rasGrid(const RasCampaignConfig &config)
+{
+    return {{config.bers.size(), config.wearLevels.size(),
+             std::size(policies), config.seedsPerCell}};
+}
+
+/**
+ * Trial @p index: demand traffic on media aged and corrupted per its
+ * cell, then an SnG stop (power-cut on every powerCutEvery-th trial)
+ * and resume. @p dry_stop_ticks sizes the cut window.
+ */
+RasCampaignResult
+runTrial(const RasCampaignConfig &config, Tick dry_stop_ticks,
+         std::uint64_t index)
+{
+    RasCampaignResult result;
+    const auto [b, w, p, s] = rasGrid(config).decode(index);
+    const psm::McePolicy policy = policies[p];
+    const std::uint64_t trial_seed = Rng::streamSeed(
+        config.seed ^ 0x726173736e67ULL /* "rassng" */, index);
+    Rng rng(trial_seed);
+
+    // Odd seeds run the Section VIII symbol-erasure fallback:
+    // double-erasures become counted RS corrections instead of machine
+    // checks, so both ECC tiers see traffic in every cell.
+    kernel::Kernel kern(trialKernelParams());
+    psm::Psm psm(trialPsmParams(config, config.bers[b], policy, trial_seed,
+                                s % 2 == 1));
+    mem::BackingStore store;
+    pecos::Sng sng(kern, psm, store, {});
+    pecos::MceHandler mce(kern, psm);
+    psm::ScrubParams sp;
+    sp.linesPerStep = config.scrubLinesPerStep;
+    psm::PatrolScrubber scrubber(psm, sp);
+    FaultInjector injector(store);
+
+    // Pre-condition the media to the cell's wear level (campaign
+    // aging, not simulated writes).
+    const auto wear_cycles = static_cast<std::uint64_t>(
+        config.wearLevels[w]
+        * static_cast<double>(psm.params().dimm.device.enduranceCycles));
+    for (std::uint32_t d = 0; d < psm.params().dimms; ++d)
+        for (std::uint32_t g = 0; g < psm.dimm(d).groupCount(); ++g)
+            psm.dimm(d).group(g).preWear(wear_cycles);
+
+    // Register the hot region's ownership: a few user processes, each
+    // owning one slice, so successive contained MCEs blame (and kill)
+    // different tasks.
+    const std::uint64_t region_bytes =
+        config.regionLines * mem::cacheLineBytes;
+    std::vector<std::uint32_t> victim_pids;
+    for (const auto &proc : kern.processes()) {
+        if (proc->pid() == 1 || proc->isKernelThread())
+            continue;
+        victim_pids.push_back(proc->pid());
+        if (victim_pids.size() >= config.victims)
+            break;
+    }
+    const std::uint64_t slice =
+        region_bytes / std::max<std::size_t>(victim_pids.size(), 1);
+    for (std::size_t v = 0; v < victim_pids.size(); ++v)
+        mce.registerOwner(v * slice, slice, victim_pids[v]);
+
+    // --- demand phase -------------------------------------------------
+    PsmFold fold;
+    bool contained_this_trial = false;
+    bool retired_on_contain = false;
+    Tick t = 0;
+    for (std::uint64_t op = 0; op < config.opsPerTrial; ++op) {
+        mem::MemRequest req;
+        req.addr = rng.below(config.regionLines) * mem::cacheLineBytes;
+        req.op = rng.chance(config.writeFraction) ? mem::MemOp::Write
+                                                  : mem::MemOp::Read;
+        const mem::AccessResult res = psm.access(req, t);
+        t = res.completeAt + 5 * tickNs;
+        req.op == mem::MemOp::Read ? ++result.reads : ++result.writes;
+
+        if (res.containment) {
+            // Escalate: the host machine check. The ColdBoot arm wipes
+            // the PSM stats, so fold the epoch first.
+            fold.fold(psm.stats(), result);
+            const pecos::MceOutcome out = mce.handle(req.addr, t);
+            fold.prev = psm.stats();
+            if (out.action == pecos::MceAction::Contained) {
+                contained_this_trial = true;
+                if (out.lineRetired)
+                    retired_on_contain = true;
+            }
+        }
+        if (config.scrubEveryOps && op % config.scrubEveryOps == 0)
+            scrubber.step(t);
+    }
+
+    // --- SnG phase: stop, lose power, resume --------------------------
+    const bool cut_armed =
+        config.powerCutEvery && index % config.powerCutEvery == 0;
+    Tick cut = maxTick;
+    if (cut_armed) {
+        cut = t + rng.below(dry_stop_ticks + dry_stop_ticks / 4 + 1);
+        injector.armCut(cut, rng.next());
+        ++result.cutTrials;
+    }
+
+    const kernel::SystemSnapshot before = kern.snapshot();
+    const pecos::StopReport stop = sng.stop(t);
+    result.droppedWrites += stop.writesDropped;
+    result.tornWrites += stop.writesTorn;
+
+    // Power loss: volatile state is gone either way (the stop was for
+    // a shutdown); scramble so a resume reading stale volatile copies
+    // cannot pass the register check.
+    kern.scramble(rng);
+    if (cut_armed)
+        injector.powerRestored();
+
+    const bool expect_resume = stop.commitAt < cut;
+    if (sng.hasCommit() != expect_resume)
+        flagViolation(result, "cut@", cut, ": commit durable=",
+                      sng.hasCommit(), " expected=", expect_resume);
+
+    const pecos::GoReport go = sng.resume(
+        (cut_armed ? cut : stop.offlineDone) + 100 * tickMs);
+    if (go.coldBoot == expect_resume)
+        flagViolation(result, "coldBoot=", go.coldBoot,
+                      " but commit durable=", expect_resume);
+
+    if (!go.coldBoot) {
+        // Byte-exact register + device-cookie round-trip through
+        // OC-PMEM (scramble above guarantees stale volatile copies
+        // cannot pass). Task state is excluded: resume legitimately
+        // transitions it.
+        if (!kern.snapshot().registersMatch(before))
+            flagViolation(result, "resumed with corrupt state");
+        ++result.resumes;
+        if (policy == psm::McePolicy::Contain && contained_this_trial
+            && retired_on_contain)
+            ++result.containSurvivedSng;
+    } else {
+        ++result.coldBootResumes;
+    }
+
+    fold.fold(psm.stats(), result);
+    result.mceContained += mce.stats().contained;
+    result.mceColdBoots += mce.stats().coldBoots;
+    result.tasksKilled += mce.stats().tasksKilled;
+    result.kernelEscalations += mce.stats().kernelEscalations;
+    ++result.trials;
+    return result;
+}
+
 } // namespace
 
 const stats::CounterSet<RasCounts> &
@@ -153,226 +309,35 @@ runRasCampaign(const RasCampaignConfig &config)
     Tick dry_stop_ticks = 0;
     {
         kernel::Kernel kern(trialKernelParams());
-        psm::Psm psm(trialPsmParams(config, 0.0,
-                                    psm::McePolicy::ResetColdBoot, 1,
-                                    false));
+        psm::Psm psm(trialPsmParams(
+            config, 0.0, psm::McePolicy::ResetColdBoot, 1, false));
         mem::BackingStore store;
         pecos::Sng sng(kern, psm, store, {});
         dry_stop_ticks = sng.stop(0).totalTicks();
     }
 
-    const psm::McePolicy policies[] = {psm::McePolicy::Contain,
-                                       psm::McePolicy::ResetColdBoot};
-
-    // Flatten the (ber x wear x policy x seed) nest into one trial
-    // index so the pool can fan the whole sweep out: cell-major in
-    // the sequential nest's order, seeds innermost.
-    std::vector<RasCell> cells;
-    for (const double ber : config.bers)
-        for (const double wear : config.wearLevels)
-            for (const psm::McePolicy policy : policies) {
-                RasCell &cell = cells.emplace_back();
-                cell.ber = ber;
-                cell.wear = wear;
-                cell.policy = policy == psm::McePolicy::Contain
-                    ? "contain" : "reset-cold-boot";
-            }
-    const std::uint64_t sweep_seed =
-        config.seed ^ 0x726173736e67ULL;  // "rassng"
-
-    auto trial = [&config, &policies, &cells, dry_stop_ticks,
-                  sweep_seed](std::uint64_t trial_idx) {
-        RasCampaignResult result;
-        const std::uint64_t s = trial_idx % config.seedsPerCell;
-        const std::uint64_t cell_idx = trial_idx / config.seedsPerCell;
-        const double ber = cells[cell_idx].ber;
-        const double wear = cells[cell_idx].wear;
-        const psm::McePolicy policy =
-            policies[cell_idx % std::size(policies)];
-
-        const std::uint64_t trial_seed =
-            Rng::streamSeed(sweep_seed, trial_idx);
-        Rng rng(trial_seed);
-
-        // Odd seeds run the Section VIII symbol-erasure
-        // fallback: double-erasures become counted RS
-        // corrections instead of machine checks, so both
-        // ECC tiers see traffic in every cell.
-        const bool rs_fallback = s % 2 == 1;
-
-        kernel::Kernel kern(trialKernelParams());
-        psm::Psm psm(trialPsmParams(config, ber, policy,
-                                    trial_seed,
-                                    rs_fallback));
-        mem::BackingStore store;
-        pecos::Sng sng(kern, psm, store, {});
-        pecos::MceHandler mce(kern, psm);
-        psm::ScrubParams sp;
-        sp.linesPerStep = config.scrubLinesPerStep;
-        psm::PatrolScrubber scrubber(psm, sp);
-        FaultInjector injector(store);
-
-        // Pre-condition the media to the cell's wear
-        // level (campaign aging, not simulated writes).
-        const std::uint64_t wear_cycles =
-            static_cast<std::uint64_t>(
-                wear
-                * static_cast<double>(
-                    psm.params()
-                        .dimm.device.enduranceCycles));
-        for (std::uint32_t d = 0;
-             d < psm.params().dimms; ++d)
-            for (std::uint32_t g = 0;
-                 g < psm.dimm(d).groupCount(); ++g)
-                psm.dimm(d).group(g).preWear(wear_cycles);
-
-        // Register the hot region's ownership: a few
-        // user processes, each owning one slice, so
-        // successive contained MCEs blame (and kill)
-        // different tasks.
-        const std::uint64_t region_bytes =
-            config.regionLines * mem::cacheLineBytes;
-        std::vector<std::uint32_t> victim_pids;
-        for (const auto &proc : kern.processes()) {
-            if (proc->pid() == 1
-                || proc->isKernelThread())
-                continue;
-            victim_pids.push_back(proc->pid());
-            if (victim_pids.size() >= config.victims)
-                break;
-        }
-        const std::uint64_t slice =
-            region_bytes
-            / std::max<std::size_t>(victim_pids.size(),
-                                    1);
-        for (std::size_t v = 0; v < victim_pids.size();
-             ++v)
-            mce.registerOwner(v * slice, slice,
-                              victim_pids[v]);
-
-        // --- demand phase -----------------------------
-        PsmFold fold;
-        bool contained_this_trial = false;
-        bool retired_on_contain = false;
-        Tick t = 0;
-        for (std::uint64_t op = 0;
-             op < config.opsPerTrial; ++op) {
-            mem::MemRequest req;
-            req.addr =
-                rng.below(config.regionLines)
-                * mem::cacheLineBytes;
-            req.op = rng.chance(config.writeFraction)
-                ? mem::MemOp::Write : mem::MemOp::Read;
-            const mem::AccessResult res =
-                psm.access(req, t);
-            t = res.completeAt + 5 * tickNs;
-            req.op == mem::MemOp::Read ? ++result.reads
-                                       : ++result.writes;
-
-            if (res.containment) {
-                // Escalate: the host machine check. The
-                // ColdBoot arm wipes the PSM stats, so
-                // fold the epoch first.
-                fold.fold(psm.stats(), result);
-                const pecos::MceOutcome out =
-                    mce.handle(req.addr, t);
-                fold.prev = psm.stats();
-                if (out.action
-                    == pecos::MceAction::Contained) {
-                    contained_this_trial = true;
-                    if (out.lineRetired)
-                        retired_on_contain = true;
-                }
-            }
-            if (config.scrubEveryOps
-                && op % config.scrubEveryOps == 0)
-                scrubber.step(t);
-        }
-
-        // --- SnG phase: stop, lose power, resume ------
-        const bool cut_armed = config.powerCutEvery
-            && trial_idx % config.powerCutEvery == 0;
-        Tick cut = maxTick;
-        if (cut_armed) {
-            cut = t
-                + rng.below(dry_stop_ticks
-                            + dry_stop_ticks / 4 + 1);
-            injector.armCut(cut, rng.next());
-            ++result.cutTrials;
-        }
-
-        const kernel::SystemSnapshot before =
-            kern.snapshot();
-        const pecos::StopReport stop = sng.stop(t);
-        result.droppedWrites += stop.writesDropped;
-        result.tornWrites += stop.writesTorn;
-
-        // Power loss: volatile state is gone either way
-        // (the stop was for a shutdown); scramble so a
-        // resume reading stale volatile copies cannot
-        // pass the register check.
-        kern.scramble(rng);
-        if (cut_armed)
-            injector.powerRestored();
-
-        const bool expect_resume = stop.commitAt < cut;
-        if (sng.hasCommit() != expect_resume)
-            flagViolation(result, "cut@", cut, ": commit durable=",
-                          sng.hasCommit(), " expected=", expect_resume);
-
-        const pecos::GoReport go =
-            sng.resume((cut_armed ? cut : stop.offlineDone)
-                       + 100 * tickMs);
-        if (go.coldBoot == expect_resume)
-            flagViolation(result, "coldBoot=", go.coldBoot,
-                          " but commit durable=", expect_resume);
-
-        if (!go.coldBoot) {
-            // Byte-exact register + device-cookie
-            // round-trip through OC-PMEM (scramble above
-            // guarantees stale volatile copies cannot
-            // pass). Task state is excluded: resume
-            // legitimately transitions it.
-            if (!kern.snapshot().registersMatch(before))
-                flagViolation(result, "resumed with corrupt state");
-            ++result.resumes;
-            if (policy == psm::McePolicy::Contain
-                && contained_this_trial
-                && retired_on_contain)
-                ++result.containSurvivedSng;
-        } else {
-            ++result.coldBootResumes;
-        }
-
-        fold.fold(psm.stats(), result);
-        result.mceContained += mce.stats().contained;
-        result.mceColdBoots += mce.stats().coldBoots;
-        result.tasksKilled += mce.stats().tasksKilled;
-        result.kernelEscalations +=
-            mce.stats().kernelEscalations;
-        ++result.trials;
-        return result;
-    };
-
-    // Fan the trials out, then fold in ascending trial index into the
-    // sweep and each trial's cell.
-    sim::ParallelExecutor pool(config.threads);
-    const std::vector<RasCampaignResult> trials =
-        pool.map<RasCampaignResult>(cells.size() * config.seedsPerCell,
-                                    trial);
-
+    const stats::TrialGrid<4> grid = rasGrid(config);
     RasCampaignResult result;
-    result.cells = std::move(cells);
-    for (std::uint64_t i = 0; i < trials.size(); ++i) {
-        RasCell &cell = result.cells[i / config.seedsPerCell];
-        rasCounters().merge(result, trials[i]);
-        rasCounters().merge(cell, trials[i]);
-        stats::appendTrialNotes(
-            result.violationNotes, i,
-            stats::streamed("ber ", cell.ber, " wear ", cell.wear, " ",
-                            cell.policy),
-            trials[i].violationNotes);
+    result.cells.resize(grid.cells());
+    for (std::uint64_t c = 0; c < grid.cells(); ++c) {
+        const auto [b, w, p, s] = grid.cellAt(c);
+        RasCell &cell = result.cells[c];
+        cell.ber = config.bers[b];
+        cell.wear = config.wearLevels[w];
+        cell.policy = policies[p] == psm::McePolicy::Contain
+            ? "contain" : "reset-cold-boot";
     }
+    stats::runGrid(rasCounters(), config.threads, grid,
+                   [&config, dry_stop_ticks](std::uint64_t i) {
+                       return runTrial(config, dry_stop_ticks, i);
+                   },
+                   stats::GridFold{result, result.violationNotes,
+                                   &result.cells},
+                   [&result, &grid](std::uint64_t i) {
+                       const RasCell &cell = result.cells[grid.cellOf(i)];
+                       return stats::streamed("ber ", cell.ber, " wear ",
+                                              cell.wear, " ", cell.policy);
+                   });
 
     sim::Fnv64 digest;
     rasCounters().mix(digest, result);

@@ -18,11 +18,11 @@
  *
  *  - The reduction layer decides *what the campaign reports*: map()
  *    lands every trial's result in its canonical per-index slot, and
- *    the campaign folds those slots in ascending index order
- *    regardless of completion order (stats::foldTrials). A campaign
- *    digest computed from that fold is therefore bit-identical at
- *    --threads 1 and --threads N — the determinism proof the benches
- *    and CI enforce.
+ *    the campaign grid runner (stats/trial_grid.hh) folds those slots
+ *    in ascending index order regardless of completion order. A
+ *    campaign digest computed from that fold is therefore
+ *    bit-identical at --threads 1 and --threads N — the determinism
+ *    proof the benches and CI enforce.
  *
  * Event execution inside one trial stays single-threaded: the kernel
  * is a sequential discrete-event simulator and its determinism

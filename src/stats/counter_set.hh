@@ -19,9 +19,10 @@
  * Adding a counter means adding one row. A dotted key
  * ("phase_cuts.ep-cut") nests the value one object deep in the JSON,
  * and histogram() declares a row per element of an array member. The
- * notes helpers at the end are the fold's other half: a trial flags a
- * violation with a note, and the fold tags each kept note with the
- * trial index that replays it.
+ * notes helpers at the end are the trial's half of violation
+ * reporting: a trial flags a violation with a note, and the grid fold
+ * (stats/trial_grid.hh) tags each kept note with the trial index that
+ * replays it.
  */
 
 #ifndef LIGHTPC_STATS_COUNTER_SET_HH
@@ -339,40 +340,6 @@ void
 flagViolation(R &r, const Parts &...parts)
 {
     noteViolation(r.violations, r.violationNotes, parts...);
-}
-
-/**
- * The shared fold's note step: append trial @p index's @p notes to
- * @p out as "trial <index> [<cell>]: <note>", so every kept note
- * names the (seed, trial index) pair that replays it, up to the cap.
- */
-inline void
-appendTrialNotes(std::vector<std::string> &out, std::uint64_t index,
-                 std::string_view cell,
-                 const std::vector<std::string> &notes)
-{
-    for (const std::string &note : notes) {
-        if (out.size() >= maxViolationNotes)
-            return;
-        out.push_back(streamed("trial ", index, " [", cell, "]: ", note));
-    }
-}
-
-/**
- * The shared fold of a campaign whose trials all land in one result:
- * merge @p trials into @p acc in trial-index order and keep their
- * notes, each tagged with its index and @p cell(index).
- */
-template <typename R, typename Cell>
-void
-foldTrials(const CounterSet<R> &set, R &acc, const std::vector<R> &trials,
-           Cell cell)
-{
-    for (std::uint64_t i = 0; i < trials.size(); ++i) {
-        set.merge(acc, trials[i]);
-        appendTrialNotes(acc.violationNotes, i, cell(i),
-                         trials[i].violationNotes);
-    }
 }
 
 } // namespace lightpc::stats

@@ -690,8 +690,11 @@ TEST(ClusterCampaign, SeedColumnsDoNotCollidePastTheOldPacking)
         seeds.insert(fault::clusterTrialConfig(cfg, i).seed);
     EXPECT_EQ(seeds.size(), trials);  // one mode: all trials distinct
 
-    // Bounds on the packed fields are enforced, not assumed.
+    // Bounds on the packed fields are enforced, not assumed: the
+    // 32-bit seed field holds seed indices 0 .. 2^32 - 1.
     cfg = tinyCampaign();
+    cfg.seedsPerCell = std::uint64_t(1) << 32;
+    EXPECT_NO_THROW(fault::clusterTrialConfig(cfg, 0));
     cfg.seedsPerCell = (std::uint64_t(1) << 32) + 1;
     EXPECT_THROW(fault::clusterTrialConfig(cfg, 0), FatalError);
 }

@@ -492,6 +492,12 @@ TEST(EnergyCampaignValidation, RejectsMalformedGrids)
     cfg.seedsPerCell = 0;
     EXPECT_THROW(fault::validateEnergyCampaignConfig(cfg), FatalError);
 
+    // The stream column's 32-bit seed field holds 0 .. 2^32 - 1.
+    cfg.seedsPerCell = std::uint64_t(1) << 32;
+    EXPECT_NO_THROW(fault::validateEnergyCampaignConfig(cfg));
+    cfg.seedsPerCell = (std::uint64_t(1) << 32) + 1;
+    EXPECT_THROW(fault::validateEnergyCampaignConfig(cfg), FatalError);
+
     cfg = good;
     cfg.agingSpreadCycles = -1.0;
     EXPECT_THROW(fault::validateEnergyCampaignConfig(cfg), FatalError);

@@ -1,13 +1,16 @@
 /**
  * @file
  * Tests for the parallel campaign engine: ParallelExecutor coverage
- * and exception semantics, the determinism contract (a campaign's
- * digest is bit-identical at every thread count), and the
- * thread-safety of the shared logging sink.
+ * and exception semantics, the grid runner every campaign folds
+ * through (its index decoder and its fold), the determinism contract
+ * (a campaign's digest is bit-identical at every thread count), and
+ * the thread-safety of the shared logging sink.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <iostream>
@@ -16,12 +19,15 @@
 #include <vector>
 
 #include "fault/campaign.hh"
+#include "fault/cluster_campaign.hh"
 #include "fault/compound.hh"
 #include "fault/ras_campaign.hh"
 #include "net/service_plane.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
 #include "sim/rng.hh"
+#include "stats/counter_set.hh"
+#include "stats/trial_grid.hh"
 
 namespace
 {
@@ -213,6 +219,201 @@ TEST(ParallelDeterminism, ServiceSuiteMatchesSequentialRuns)
         EXPECT_EQ(par[i].completed, seq.completed);
         EXPECT_TRUE(par[i].violations.empty());
     }
+}
+
+// --- the grid runner -----------------------------------------------
+
+/**
+ * Every trial index of a @p a x @p b x @p c x @p seeds grid, counted
+ * by nested loops (outermost axis first, seeds innermost), checked
+ * against the shared decoder.
+ */
+void
+expectNestOrder(std::uint64_t a, std::uint64_t b, std::uint64_t c,
+                std::uint64_t seeds)
+{
+    const stats::TrialGrid<4> grid{{a, b, c, seeds}};
+    EXPECT_EQ(grid.cells(), a * b * c);
+    EXPECT_EQ(grid.trials(), a * b * c * seeds);
+    std::uint64_t i = 0;
+    for (std::uint64_t x = 0; x < a; ++x)
+        for (std::uint64_t y = 0; y < b; ++y)
+            for (std::uint64_t z = 0; z < c; ++z)
+                for (std::uint64_t s = 0; s < seeds; ++s, ++i) {
+                    const std::array<std::uint64_t, 4> at{x, y, z, s};
+                    EXPECT_EQ(grid.decode(i), at) << "trial " << i;
+                    EXPECT_EQ(grid.cellOf(i), (x * b + y) * c + z);
+                    const std::array<std::uint64_t, 4> cell{x, y, z, 0};
+                    EXPECT_EQ(grid.cellAt(grid.cellOf(i)), cell);
+                }
+}
+
+TEST(ParallelGrid, DecoderReproducesTheCampaignIndexOrders)
+{
+    // Cluster: replicas, intensity, mode, seed.
+    expectNestOrder(2, 3, 5, 2);
+    // Energy: scale, intensity, mode, seed.
+    expectNestOrder(3, 2, 4, 3);
+    // RAS: ber, wear, policy, seed.
+    expectNestOrder(4, 3, 2, 5);
+
+    // The cluster campaign's trial configs follow that order.
+    fault::ClusterCampaignConfig cfg;
+    cfg.replicaCounts = {3, 5};
+    cfg.intensities = {1, 2, 3};
+    cfg.modes = {net::PersistMode::SnG, net::PersistMode::SysPc};
+    cfg.seedsPerCell = 2;
+    std::uint64_t i = 0;
+    for (const std::uint32_t replicas : cfg.replicaCounts)
+        for (std::size_t k = 0; k < cfg.intensities.size(); ++k)
+            for (const net::PersistMode mode : cfg.modes)
+                for (std::uint64_t s = 0; s < cfg.seedsPerCell; ++s, ++i) {
+                    const cluster::ClusterConfig cc =
+                        fault::clusterTrialConfig(cfg, i);
+                    EXPECT_EQ(cc.replicas, replicas) << "trial " << i;
+                    EXPECT_EQ(cc.mode, mode) << "trial " << i;
+                }
+    EXPECT_EQ(i, fault::clusterCampaignTrials(cfg));
+}
+
+/** A synthetic trial result with one row per fold kind. */
+struct GridTrial
+{
+    std::uint64_t trials = 0;
+    std::uint64_t weight = 0;
+    std::uint64_t peak = 0;
+    double share = 0.0;
+    std::uint64_t violations = 0;
+    std::vector<std::string> violationNotes;
+};
+
+const stats::CounterSet<GridTrial> &
+gridTrialCounters()
+{
+    using stats::counter;
+    static const stats::CounterSet<GridTrial> set(
+        counter<&GridTrial::trials>("trials"),
+        counter<&GridTrial::weight>("weight"),
+        counter<&GridTrial::peak>("peak", stats::Fold::Max),
+        counter<&GridTrial::share>("share", stats::Fold::Mean,
+                                   stats::Unit::Ratio),
+        counter<&GridTrial::violations>("violations"));
+    return set;
+}
+
+/** Trial @p i: every value a function of i; every fifth one flags. */
+GridTrial
+gridTrial(std::uint64_t i)
+{
+    GridTrial t;
+    t.trials = 1;
+    t.weight = i * i + 1;
+    t.peak = (i * 7) % 11;
+    t.share = 1.0 / static_cast<double>(i + 2);
+    if (i % 5 == 2)
+        stats::flagViolation(t, "flagged ", i);
+    return t;
+}
+
+/** A 3 x 2 grid of 4 seeds run on @p threads workers. */
+struct GridRun
+{
+    explicit GridRun(unsigned threads)
+    {
+        const stats::TrialGrid<3> grid{{3, 2, 4}};
+        cells.resize(grid.cells());
+        slots = stats::mapGrid(threads, grid, gridTrial);
+        stats::foldGrid(gridTrialCounters(), grid, slots,
+                        stats::GridFold{total, notes, &cells},
+                        [&grid](std::uint64_t i) {
+                            const auto [a, b, s] = grid.decode(i);
+                            return stats::streamed("a", a, " b", b);
+                        });
+        total.finish();
+    }
+
+    std::vector<GridTrial> cells;
+    stats::Folded<GridTrial> total{gridTrialCounters()};
+    std::vector<std::string> notes;
+    std::vector<GridTrial> slots;
+};
+
+TEST(ParallelGrid, FoldIsThreadInvariant)
+{
+    const GridRun one(1);
+    const GridRun three(3);
+
+    ASSERT_EQ(one.slots.size(), 24u);
+    ASSERT_EQ(one.cells.size(), 6u);
+    for (std::uint64_t i = 0; i < one.slots.size(); ++i)
+        EXPECT_EQ(three.slots[i].weight, one.slots[i].weight);
+
+    // Each cell folds its own four seeds: trials 4c .. 4c + 3.
+    for (std::size_t c = 0; c < one.cells.size(); ++c) {
+        std::uint64_t weight = 0;
+        std::uint64_t peak = 0;
+        for (std::uint64_t i = 4 * c; i < 4 * c + 4; ++i) {
+            weight += i * i + 1;
+            peak = std::max<std::uint64_t>(peak, (i * 7) % 11);
+        }
+        EXPECT_EQ(one.cells[c].trials, 4u) << "cell " << c;
+        EXPECT_EQ(one.cells[c].weight, weight) << "cell " << c;
+        EXPECT_EQ(one.cells[c].peak, peak) << "cell " << c;
+        EXPECT_EQ(three.cells[c].trials, one.cells[c].trials);
+        EXPECT_EQ(three.cells[c].weight, one.cells[c].weight);
+        EXPECT_EQ(three.cells[c].peak, one.cells[c].peak);
+        EXPECT_EQ(three.cells[c].share, one.cells[c].share);
+        EXPECT_EQ(three.cells[c].violations, one.cells[c].violations);
+        // A merged cell keeps no notes; the runner keeps them.
+        EXPECT_TRUE(one.cells[c].violationNotes.empty());
+    }
+
+    // The total folds every trial; its mean is over all 24.
+    EXPECT_EQ(one.total.trials, 24u);
+    EXPECT_EQ(one.total["violations"], 5.0);
+    EXPECT_EQ(three.total.values, one.total.values);
+
+    const std::vector<std::string> notes = {
+        "trial 2 [a0 b0]: flagged 2",   "trial 7 [a0 b1]: flagged 7",
+        "trial 12 [a1 b1]: flagged 12", "trial 17 [a2 b0]: flagged 17",
+        "trial 22 [a2 b1]: flagged 22",
+    };
+    EXPECT_EQ(one.notes, notes);
+    EXPECT_EQ(three.notes, notes);
+}
+
+TEST(ParallelGrid, NotesAreCappedAcrossCells)
+{
+    // Three notes per trial, 30 trials over 5 cells: 90 notes, of
+    // which the first maxViolationNotes are kept in index order.
+    const stats::TrialGrid<2> grid{{5, 6}};
+    std::vector<GridTrial> cells(grid.cells());
+    GridTrial total;
+    std::vector<std::string> notes;
+    std::uint64_t labels = 0;
+    stats::runGrid(
+        gridTrialCounters(), 3, grid,
+        [](std::uint64_t) {
+            GridTrial t;
+            for (const char *note : {"x", "y", "z"})
+                stats::flagViolation(t, note);
+            return t;
+        },
+        stats::GridFold{total, notes, &cells},
+        [&grid, &labels](std::uint64_t i) {
+            ++labels;
+            return stats::streamed("cell ", grid.cellOf(i));
+        });
+
+    EXPECT_EQ(total.violations, 90u);
+    for (const GridTrial &cell : cells)
+        EXPECT_EQ(cell.violations, 18u);
+    ASSERT_EQ(notes.size(), stats::maxViolationNotes);
+    EXPECT_EQ(notes.front(), "trial 0 [cell 0]: x");
+    EXPECT_EQ(notes[18], "trial 6 [cell 1]: x");
+    EXPECT_EQ(notes.back(), "trial 21 [cell 3]: x");
+    // Only kept notes are labelled.
+    EXPECT_EQ(labels, stats::maxViolationNotes);
 }
 
 // --- logging under concurrency -------------------------------------
