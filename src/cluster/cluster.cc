@@ -31,6 +31,75 @@ constexpr std::uint64_t retransmitWindow = 32;
 /** A follower further behind than this is out of the write quorum. */
 constexpr std::uint64_t syncedLagRecords = 64;
 
+// --- control plane ------------------------------------------------
+
+/** Leader heartbeat period. */
+constexpr Tick heartbeatInterval = 3 * tickMs;
+
+/** Follower election timeout (plus per-replica jitter). */
+constexpr Tick electionTimeout = 24 * tickMs;
+constexpr Tick electionJitter = 12 * tickMs;
+
+/** Leader marks a silent follower unsynced after this long. */
+constexpr Tick replicaTimeout = 30 * tickMs;
+
+/**
+ * Retransmission pacing to a laggard follower: the first re-send of
+ * the missing pendingOps window comes one heartbeat after the lag is
+ * noticed, then the gap doubles per fruitless round up to this cap;
+ * any forward progress by the follower resets the rung. Keeps a
+ * partitioned or lossy follower from being hammered with the same
+ * window on every heartbeat.
+ */
+constexpr Tick retransmitBackoffCap = 24 * tickMs;
+
+/**
+ * Catch-up request pacing: an unanswered SyncRequest is re-issued
+ * after replicaTimeout, then the wait doubles per unanswered round up
+ * to this cap (reset when any sync payload arrives).
+ */
+constexpr Tick syncRetryCap = 240 * tickMs;
+
+static_assert(heartbeatInterval > 0);
+static_assert(electionTimeout > heartbeatInterval,
+              "a healthy leader must be able to refute suspicion");
+static_assert(retransmitBackoffCap >= heartbeatInterval,
+              "the first retransmit rung is one heartbeat");
+static_assert(syncRetryCap >= replicaTimeout,
+              "the first sync retry waits one replica timeout");
+
+// --- replication links --------------------------------------------
+
+/** One-way replica <-> replica propagation. */
+constexpr Tick linkLatency = 15 * tickUs;
+
+/** Per-destination link bandwidth (serialization model). */
+constexpr double linkGbitPerSec = 10.0;
+
+/** Wire size of one replicated record / one control message. */
+constexpr std::uint64_t replRecordBytes = 96;
+constexpr std::uint64_t controlMsgBytes = 64;
+
+/** Full-resync payload (machine state image over the link). */
+constexpr std::uint64_t resyncStateBytes = std::uint64_t(512) << 20;
+
+/**
+ * Committed records each node retains in its (volatile, DRAM) journal
+ * window for serving delta syncs. A rejoiner whose applied prefix fell
+ * behind the window needs a full resync; an empty journal would force
+ * one on every rejoin.
+ */
+constexpr std::uint64_t journalRetain = 512;
+
+static_assert(linkGbitPerSec > 0.0);
+static_assert(replRecordBytes > 0 && controlMsgBytes > 0);
+static_assert(journalRetain > 0);
+
+// --- client plane -------------------------------------------------
+
+/** Client-side pause before a NOT_LEADER/READ_ONLY re-issue. */
+constexpr Tick redirectDelay = 150 * tickUs;
+
 /**
  * Replica @p id's stored-energy hold-up under the fleet's aging
  * spread: a normalized battery-style cell is pre-aged by a seeded
@@ -482,7 +551,7 @@ struct Plane : net::MachineHost
     serializeTicks(std::uint64_t bytes) const
     {
         const double secs = static_cast<double>(bytes) * 8.0
-            / (cfg.linkGbitPerSec * 1e9);
+            / (linkGbitPerSec * 1e9);
         return static_cast<Tick>(secs * static_cast<double>(tickSec));
     }
 
@@ -505,7 +574,7 @@ struct Plane : net::MachineHost
         Tick &busy = from.linkBusyTo[to];
         const Tick depart = std::max({now, notBefore, busy});
         busy = depart + serializeTicks(bytes);
-        const Tick arrive = busy + cfg.linkLatency;
+        const Tick arrive = busy + linkLatency;
         if (!nemesis.active()) {
             eq.schedule(arrive, [this, to, m] { deliver(to, m); });
             return;
@@ -514,24 +583,16 @@ struct Plane : net::MachineHost
         // The nemesis judges at the departure tick: the sender has
         // already burned its serialization window even when the wire
         // eats the message (a cut link does not refund TX time).
+        // The nemesis counts what it eats; finish() copies its stats.
         const fault::LinkFate fate = nemesis.judge(from.id, to, depart);
-        if (fate.cutByPartition) {
-            ++res.partitionCuts;
+        if (fate.cutByPartition || fate.cutByFlap)
             return;
-        }
-        if (fate.cutByFlap) {
-            ++res.flapCuts;
-            return;
-        }
         if (!fate.dropped) {
             const Tick when = shapeArrival(from, to,
                                            arrive + fate.jitter);
             eq.schedule(when, [this, to, m] { deliver(to, m); });
-        } else {
-            ++res.msgsDropped;
         }
         if (fate.duplicated) {
-            ++res.msgsDuplicated;
             const Tick when = shapeArrival(from, to,
                                            arrive + fate.dupJitter);
             eq.schedule(when, [this, to, m] { deliver(to, m); });
@@ -697,7 +758,7 @@ struct Plane : net::MachineHost
             // chain from ping-ponging a client between two replicas
             // that each name the other leader — past the budget the
             // armed timeout's paced backoff takes over.
-            eq.schedule(now + cfg.redirectDelay,
+            eq.schedule(now + redirectDelay,
                         [this, id = resp.reqId, att = resp.attempt] {
                             const Tick rnow = eq.now();
                             auto next =
@@ -721,7 +782,7 @@ struct Plane : net::MachineHost
              net::RpcResponse &resp) override
     {
         Replica &r = static_cast<Replica &>(m);
-        t += r.kv->params().parseCost;
+        t += net::KvParams::parseCost;
         resp = net::RpcResponse{};
         resp.reqId = req.reqId;
         resp.client = req.client;
@@ -821,7 +882,7 @@ struct Plane : net::MachineHost
         m.lastEpoch = epochAt(r, rec.seq - 1);  // chain check anchor
         m.rec = rec;
         ++res.proposals;
-        sendMsg(r, to, m, cfg.replRecordBytes, notBefore);
+        sendMsg(r, to, m, replRecordBytes, notBefore);
     }
 
     void
@@ -971,7 +1032,7 @@ struct Plane : net::MachineHost
     void
     pruneJournal(Replica &r)
     {
-        while (r.journal.size() > cfg.journalRetain)
+        while (r.journal.size() > journalRetain)
             r.journal.erase(r.journal.begin());
     }
 
@@ -1033,7 +1094,7 @@ struct Plane : net::MachineHost
         Msg a = msgFrom(r, kind);
         a.seq = r.matchedSeq;
         a.commit = r.seqApplied;
-        sendMsg(r, to, a, cfg.controlMsgBytes, notBefore);
+        sendMsg(r, to, a, controlMsgBytes, notBefore);
     }
 
     void
@@ -1169,7 +1230,7 @@ struct Plane : net::MachineHost
         m.epoch = r.preVoteEpoch;  // prospective; nobody adopts it
         m.seq = r.stagedTop();
         m.lastEpoch = epochAt(r, r.stagedTop());
-        broadcast(r, m, cfg.controlMsgBytes);
+        broadcast(r, m, controlMsgBytes);
     }
 
     void
@@ -1180,7 +1241,7 @@ struct Plane : net::MachineHost
         // leader refuses the probe.
         if (r.role == Role::Leader)
             return;
-        if (now - r.lastLeaderHeard < cfg.electionTimeout)
+        if (now - r.lastLeaderHeard < electionTimeout)
             return;
         if (m.epoch <= r.epoch)
             return;  // probe for an epoch we already reached
@@ -1191,7 +1252,7 @@ struct Plane : net::MachineHost
         // does not constrain the real vote.
         Msg g = msgFrom(r, MsgKind::PreVoteGrant);
         g.epoch = m.epoch;
-        sendMsg(r, m.from, g, cfg.controlMsgBytes);
+        sendMsg(r, m.from, g, controlMsgBytes);
     }
 
     void
@@ -1214,12 +1275,6 @@ struct Plane : net::MachineHost
     startElection(Replica &r)
     {
         ++res.elections;
-        for (const auto &o : reps)
-            if (o->id != r.id && o->role == Role::Leader && o->powerOn
-                && o->serviceUp) {
-                ++res.falseSuspicions;
-                break;
-            }
         r.epoch += 1;
         r.role = Role::Candidate;
         r.leaderKnown = invalidReplica;
@@ -1236,7 +1291,7 @@ struct Plane : net::MachineHost
         Msg m = msgFrom(r, MsgKind::RequestVote);
         m.seq = r.stagedTop();
         m.lastEpoch = epochAt(r, r.stagedTop());
-        broadcast(r, m, cfg.controlMsgBytes, votedBy);
+        broadcast(r, m, controlMsgBytes, votedBy);
     }
 
     void
@@ -1248,7 +1303,7 @@ struct Plane : net::MachineHost
         // depose a healthy leader).
         if (r.role == Role::Leader)
             return;
-        if (now - r.lastLeaderHeard < cfg.electionTimeout)
+        if (now - r.lastLeaderHeard < electionTimeout)
             return;
         if (m.epoch > r.epoch)
             adoptEpoch(r, m.epoch);
@@ -1270,7 +1325,7 @@ struct Plane : net::MachineHost
         const Tick votedBy = persistMeta(r);
         r.lastLeaderHeard = now;  // back off our own candidacy a beat
         Msg g = msgFrom(r, MsgKind::VoteGrant);
-        sendMsg(r, m.from, g, cfg.controlMsgBytes, votedBy);
+        sendMsg(r, m.from, g, controlMsgBytes, votedBy);
     }
 
     void
@@ -1354,7 +1409,7 @@ struct Plane : net::MachineHost
     armHeartbeat(Replica &r)
     {
         const std::uint64_t g = r.gen;
-        eq.scheduleIn(cfg.heartbeatInterval, [this, rp = &r, g] {
+        eq.scheduleIn(heartbeatInterval, [this, rp = &r, g] {
             if (g != rp->gen)
                 return;  // power event; cutFire cleared hbArmed
             if (rp->role != Role::Leader) {
@@ -1379,7 +1434,7 @@ struct Plane : net::MachineHost
             if (p == r.id)
                 continue;
             Peer &pe = r.peers[p];
-            if (pe.synced && now - pe.lastAck > cfg.replicaTimeout) {
+            if (pe.synced && now - pe.lastAck > replicaTimeout) {
                 pe.synced = false;
                 changed = true;
             }
@@ -1388,7 +1443,7 @@ struct Plane : net::MachineHost
             hb.commit = r.seqApplied;
             hb.lastEpoch = r.appliedEpoch;
             ++res.heartbeats;
-            sendMsg(r, p, hb, cfg.controlMsgBytes);
+            sendMsg(r, p, hb, controlMsgBytes);
             // Retransmit a window of pending proposals to laggards —
             // a proposal sent into a dead replica (or eaten by the
             // network) is otherwise never re-sent and the commit
@@ -1406,9 +1461,9 @@ struct Plane : net::MachineHost
                 if (n != 0) {
                     res.retransmits += n;
                     pe.resendBackoff = pe.resendBackoff == 0
-                        ? cfg.heartbeatInterval
+                        ? heartbeatInterval
                         : std::min(pe.resendBackoff * 2,
-                                   cfg.retransmitBackoffCap);
+                                   retransmitBackoffCap);
                     pe.nextResendAt = now + pe.resendBackoff;
                 }
             }
@@ -1430,20 +1485,20 @@ struct Plane : net::MachineHost
         // (reset when any sync payload arrives): a lossy or severed
         // path to the leader must not turn into a request storm.
         const Tick wait =
-            r.syncBackoff == 0 ? cfg.replicaTimeout : r.syncBackoff;
+            r.syncBackoff == 0 ? replicaTimeout : r.syncBackoff;
         if (r.syncInFlight && now - r.syncRequestedAt < wait)
             return;
         if (r.syncInFlight) {
             ++res.syncRetries;
-            r.syncBackoff = std::min(wait * 2, cfg.syncRetryCap);
+            r.syncBackoff = std::min(wait * 2, syncRetryCap);
         } else {
-            r.syncBackoff = cfg.replicaTimeout;
+            r.syncBackoff = replicaTimeout;
         }
         r.syncInFlight = true;
         r.syncRequestedAt = now;
         Msg m = msgFrom(r, MsgKind::SyncRequest);
         m.seq = r.seqApplied;
-        sendMsg(r, r.leaderKnown, m, cfg.controlMsgBytes);
+        sendMsg(r, r.leaderKnown, m, controlMsgBytes);
     }
 
     void
@@ -1465,8 +1520,8 @@ struct Plane : net::MachineHost
                 recs->push_back(it->second);
             ++res.syncDeltas;
             res.syncRecords += recs->size();
-            const std::uint64_t bytes = cfg.controlMsgBytes
-                + recs->size() * cfg.replRecordBytes;
+            const std::uint64_t bytes = controlMsgBytes
+                + recs->size() * replRecordBytes;
             res.syncBytes += bytes;
             Msg d = msgFrom(r, MsgKind::SyncDelta);
             d.commit = r.seqApplied;
@@ -1480,13 +1535,13 @@ struct Plane : net::MachineHost
             Tick t = eq.now();
             r.flushLog(t);
             ++res.syncFulls;
-            res.syncBytes += cfg.resyncStateBytes;
+            res.syncBytes += resyncStateBytes;
             Msg f = msgFrom(r, MsgKind::SyncFull);
             f.commit = r.seqApplied;
             f.lastEpoch = r.appliedEpoch;
             f.snap = std::make_shared<std::vector<net::KvKeyState>>(
                 r.kv->snapshotRecords());
-            sendMsg(r, m.from, f, cfg.resyncStateBytes);
+            sendMsg(r, m.from, f, resyncStateBytes);
         }
     }
 
@@ -1590,10 +1645,10 @@ struct Plane : net::MachineHost
                 return;  // the chain restarts at serviceUpFire
             if (rp->canServe() && rp->role != Role::Leader
                 && !rp->syncInFlight
-                && eq.now() - rp->lastLeaderHeard >= cfg.electionTimeout)
+                && eq.now() - rp->lastLeaderHeard >= electionTimeout)
                 startPreVote(*rp);
-            armElection(*rp, cfg.electionTimeout
-                                 + rp->ctrlRng.below(cfg.electionJitter + 1));
+            armElection(*rp, electionTimeout
+                                 + rp->ctrlRng.below(electionJitter + 1));
         });
     }
 
@@ -1709,10 +1764,10 @@ struct Plane : net::MachineHost
         // Back off after failed resume attempts (capped).
         if (r.failedResumes > 0) {
             const Tick backoff = std::min<Tick>(
-                cfg.supervisor.retryBackoff
+                fault::SupervisorConfig::retryBackoff
                     << std::min<std::uint32_t>(r.failedResumes - 1,
                                                16),
-                cfg.supervisor.backoffCap);
+                fault::SupervisorConfig::backoffCap);
             upAt += backoff;
         }
         const std::uint64_t g = r.gen;
@@ -1779,8 +1834,8 @@ struct Plane : net::MachineHost
         // stale rejoiners could convert each other's probes first
         // and elect a leader missing committed records. A live
         // leader restores stickiness with its first heartbeat.
-        armElection(r, cfg.electionTimeout
-                           + r.ctrlRng.below(cfg.electionJitter + 1));
+        armElection(r, electionTimeout
+                           + r.ctrlRng.below(electionJitter + 1));
         if (cfg.mode == net::PersistMode::SCheckPc)
             armScheck(r, cfg.scheckPeriod);
         r.resumeService();
@@ -1972,9 +2027,9 @@ struct Plane : net::MachineHost
             // more. The bootstrap leader is deterministic — and it
             // lives in rack 0, the first storm's target.
             const Tick delay = r.id == 0
-                ? cfg.electionTimeout
-                : cfg.electionTimeout + cfg.electionJitter
-                    + r.ctrlRng.below(cfg.electionJitter + 1);
+                ? electionTimeout
+                : electionTimeout + electionJitter
+                    + r.ctrlRng.below(electionJitter + 1);
             armElection(r, delay);
             if (cfg.mode == net::PersistMode::SCheckPc)
                 armScheck(r, cfg.scheckPeriod
@@ -2028,38 +2083,12 @@ validateClusterConfig(const ClusterConfig &config)
     if (config.storms > 0 && config.offDwell == 0)
         fatal("ClusterConfig: offDwell must be nonzero when storms "
               "are configured (a zero-length outage never restores)");
-    if (config.heartbeatInterval == 0)
-        fatal("ClusterConfig: heartbeatInterval must be nonzero");
-    if (config.electionTimeout <= config.heartbeatInterval)
-        fatal("ClusterConfig: electionTimeout (",
-              config.electionTimeout,
-              ") must exceed heartbeatInterval (",
-              config.heartbeatInterval,
-              "); a healthy leader must be able to refute suspicion");
-    if (config.linkGbitPerSec <= 0.0)
-        fatal("ClusterConfig: linkGbitPerSec must be positive");
-    if (config.replRecordBytes == 0)
-        fatal("ClusterConfig: replRecordBytes must be nonzero");
-    if (config.journalRetain == 0)
-        fatal("ClusterConfig: journalRetain must be >= 1 (an empty "
-              "journal forces a full resync on every rejoin)");
     if (config.supervisor.maxAttempts == 0)
         fatal("ClusterConfig: supervisor.maxAttempts must be >= 1");
     if (config.agingSpread < 0.0 || config.agingSpread > 1.0)
         fatal("ClusterConfig: agingSpread (", config.agingSpread,
               ") must be within [0, 1]");
     net::validateMachineParams(config, config.runFor, "ClusterConfig");
-    if (config.retransmitBackoffCap < config.heartbeatInterval)
-        fatal("ClusterConfig: retransmitBackoffCap (",
-              config.retransmitBackoffCap,
-              ") must be at least heartbeatInterval (",
-              config.heartbeatInterval,
-              "); the first backoff rung is one heartbeat");
-    if (config.syncRetryCap < config.replicaTimeout)
-        fatal("ClusterConfig: syncRetryCap (", config.syncRetryCap,
-              ") must be at least replicaTimeout (",
-              config.replicaTimeout,
-              "); the first retry waits one replica timeout");
     fault::validateNemesisConfig(config.nemesis, config.replicas,
                                  config.racks);
 }

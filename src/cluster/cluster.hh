@@ -12,7 +12,7 @@
  *
  *  - The leader assigns each acked PUT a (seq, epoch, version) and
  *    proposes it to the followers over simulated NIC links
- *    (serialization at linkGbitPerSec plus linkLatency, per
+ *    (serialization at 10 Gbit/s plus 15 us propagation, per
  *    destination). Followers durably stage the record (a small undo
  *    transaction over the replica's own pool metadata) before
  *    acking; the leader applies and acks the client only once a
@@ -37,7 +37,7 @@
  *    baseline; SnG only after a failed EP-cut) lost its journal and
  *    admission state and was down ~15x longer, so the journal window
  *    has moved past it and it needs a *full* state resync
- *    (resyncStateBytes over the link) before it counts toward the
+ *    (a 512 MiB state image over the link) before it counts toward the
  *    write quorum again. That asymmetry — Stop-and-Go resumes with
  *    its volatile replication state intact, checkpointing baselines
  *    re-enter through cold boot + full resync — is the paper's
@@ -75,7 +75,8 @@ namespace lightpc::cluster
 /**
  * One cluster experiment. The machine knobs (net::MachineParams) apply
  * to every replica; the kernel population defaults small, since a
- * trial holds N machines.
+ * trial holds N machines. The control-plane timers, link model and
+ * journal window are constants of the plane (cluster.cc).
  */
 struct ClusterConfig : net::MachineParams
 {
@@ -112,63 +113,8 @@ struct ClusterConfig : net::MachineParams
      */
     double agingSpread = 0.0;
 
-    // --- control plane --------------------------------------------
-
-    Tick heartbeatInterval = 3 * tickMs;
-
-    /** Follower election timeout (plus per-replica jitter). */
-    Tick electionTimeout = 24 * tickMs;
-    Tick electionJitter = 12 * tickMs;
-
-    /** Leader marks a silent follower unsynced after this long. */
-    Tick replicaTimeout = 30 * tickMs;
-
-    /**
-     * Retransmission pacing to a laggard follower: the first re-send
-     * of the missing pendingOps window comes one heartbeat after the
-     * lag is noticed, then the gap doubles per fruitless round up to
-     * this cap; any forward progress by the follower resets the rung.
-     * Keeps a partitioned or lossy follower from being hammered with
-     * the same window on every heartbeat.
-     */
-    Tick retransmitBackoffCap = 24 * tickMs;
-
-    /**
-     * Catch-up request pacing: an unanswered SyncRequest is re-issued
-     * after replicaTimeout, then the wait doubles per unanswered
-     * round up to this cap (reset when any sync payload arrives).
-     */
-    Tick syncRetryCap = 240 * tickMs;
-
-    // --- replication links ----------------------------------------
-
-    /** One-way replica <-> replica propagation. */
-    Tick linkLatency = 15 * tickUs;
-
-    /** Per-destination link bandwidth (serialization model). */
-    double linkGbitPerSec = 10.0;
-
-    /** Wire size of one replicated record / one control message. */
-    std::uint64_t replRecordBytes = 96;
-    std::uint64_t controlMsgBytes = 64;
-
-    /** Full-resync payload (machine state image over the link). */
-    std::uint64_t resyncStateBytes = std::uint64_t(512) << 20;
-
-    /**
-     * Committed records each node retains in its (volatile, DRAM)
-     * journal window for serving delta syncs. A rejoiner whose
-     * applied prefix fell behind the window needs a full resync.
-     */
-    std::uint64_t journalRetain = 512;
-
     /** Recovery-window cut policy (capped backoff, escalation). */
     fault::SupervisorConfig supervisor;
-
-    // --- client plane ---------------------------------------------
-
-    /** Client-side pause before a NOT_LEADER/READ_ONLY re-issue. */
-    Tick redirectDelay = 150 * tickUs;
 
     /**
      * Adversarial network plane over every replica<->replica link
@@ -204,7 +150,6 @@ struct ClusterResult
     // Control plane.
     std::uint64_t elections = 0;      ///< candidacies started
     std::uint64_t leaderChanges = 0;  ///< becomeLeader events
-    std::uint64_t falseSuspicions = 0;///< elections vs a live leader
     std::uint64_t stepDowns = 0;
     std::uint64_t proposals = 0;
     std::uint64_t commits = 0;
@@ -284,10 +229,10 @@ struct ClusterResult
 /**
  * Reject degenerate cluster configurations with a clear message: a
  * replica count of zero (or past the 64-wide ack mask), more racks
- * than replicas, a storm span wider than the rack set, an election
- * timeout that cannot outlast a heartbeat, and every degenerate
- * machine knob (net::validateMachineParams: zero clients,
- * zero-capacity rings, ...).
+ * than replicas, a storm span wider than the rack set, a zero
+ * supervisor attempt budget, and every degenerate machine knob
+ * (net::validateMachineParams: zero clients, zero-capacity rings,
+ * ...).
  * Called at runCluster entry; exposed for tests.
  */
 void validateClusterConfig(const ClusterConfig &config);

@@ -10,6 +10,7 @@
 #include "net/kv_service.hh"
 #include "persist/checkpoint.hh"
 #include "power/power_model.hh"
+#include "power/psu.hh"
 #include "psm/psm.hh"
 #include "sim/digest.hh"
 #include "sim/logging.hh"
@@ -268,6 +269,17 @@ compoundCounters()
 
 using stats::flagViolation;
 
+namespace
+{
+
+/** Poisson storm: cuts per trial is 3 + below(stormExtraCuts + 1). */
+constexpr std::uint32_t stormExtraCuts = 2;
+
+/** Storm mean gap as a fraction of the measured hold-up. */
+constexpr double stormGapFraction = 0.6;
+
+} // namespace
+
 CompoundResult
 runCompoundCampaign(const CompoundConfig &config)
 {
@@ -292,7 +304,8 @@ runCompoundCampaign(const CompoundConfig &config)
 
     const power::PowerModel power_model;
     const double watts = phaseWatts(power_model, cores, 0, dimms);
-    const Tick holdup = config.psu.holdupTime(watts);
+    const power::PsuModel psu = power::PsuModel::atx();
+    const Tick holdup = psu.holdupTime(watts);
 
     // Each trial's randomness is a pure function of (seed, i): an
     // Rng stream and a CutStorm stream of its own, so trials can run
@@ -302,7 +315,7 @@ runCompoundCampaign(const CompoundConfig &config)
     const std::uint64_t storm_seed =
         config.seed * 0x9e3779b97f4a7c15ULL + 1;
 
-    auto trial = [&config, &dryStop, &dryGo, goWindow, watts, holdup,
+    auto trial = [&psu, &dryStop, &dryGo, goWindow, watts, holdup,
                   rng_seed, storm_seed](std::uint64_t i) {
         CompoundResult result;
         Rng rng(Rng::streamSeed(rng_seed, i));
@@ -349,8 +362,7 @@ runCompoundCampaign(const CompoundConfig &config)
                               "): commit durable=", rig.sng.hasCommit(),
                               " expected=", expect);
 
-            RecoverySupervisor sup(rig.sng, rig.kern, rig.store,
-                                   config.supervisor);
+            RecoverySupervisor sup(rig.sng, rig.kern, rig.store);
             const SupervisorOutcome out =
                 sup.supervise(cut + 100 * tickMs, {}, rng);
             result.supervisorRetries += out.attempts - 1;
@@ -457,7 +469,7 @@ runCompoundCampaign(const CompoundConfig &config)
                 (0.3 + 1.3 * rng.uniform())
                 * static_cast<double>(floor));
 
-            PowerRail rail(config.psu, watts);
+            PowerRail rail(psu, watts);
             rail.addSag(0, dur, supply);
             const SagOutcome sag = rail.evaluateSags();
 
@@ -476,8 +488,7 @@ runCompoundCampaign(const CompoundConfig &config)
                 const bool expect = stop.commitAt < sag.failTick;
                 rig.kern.scramble(rng);
                 rig.store.disarmPowerCut();
-                RecoverySupervisor sup(rig.sng, rig.kern, rig.store,
-                                       config.supervisor);
+                RecoverySupervisor sup(rig.sng, rig.kern, rig.store);
                 const SupervisorOutcome out = sup.supervise(
                     sag.failTick + 100 * tickMs, {}, rng);
                 if (out.coldBoot == expect)
@@ -556,7 +567,7 @@ runCompoundCampaign(const CompoundConfig &config)
                 const std::uint32_t failures =
                     1 + static_cast<std::uint32_t>(rng.below(3));
                 Tick t = 0;
-                Tick backoff = config.supervisor.retryBackoff;
+                Tick backoff = SupervisorConfig::retryBackoff;
                 std::uint32_t attempt = 0;
                 for (;;) {
                     ++attempt;
@@ -572,9 +583,8 @@ runCompoundCampaign(const CompoundConfig &config)
                                           "committed past the cut");
                         ++result.baselineRetries;
                         t = cut + backoff;
-                        backoff =
-                            std::min(backoff * 2,
-                                     config.supervisor.backoffCap);
+                        backoff = std::min(backoff * 2,
+                                           SupervisorConfig::backoffCap);
                     } else {
                         // AC stable: this dump must land.
                         syspc.dumpCommitted(t, image_bytes, rng.next());
@@ -600,10 +610,9 @@ runCompoundCampaign(const CompoundConfig &config)
             SngRig rig;
             const std::size_t n_cuts = 3
                 + static_cast<std::size_t>(
-                      rng.below(config.stormExtraCuts + 1));
+                      rng.below(stormExtraCuts + 1));
             const Tick mean_gap = static_cast<Tick>(
-                config.stormGapFraction
-                * static_cast<double>(holdup));
+                stormGapFraction * static_cast<double>(holdup));
             const std::vector<Tick> schedule = storm.poisson(
                 storm.uniformIn(0, dryStop.offlineDone), mean_gap,
                 n_cuts);
@@ -646,8 +655,7 @@ runCompoundCampaign(const CompoundConfig &config)
                     schedule.begin()
                         + static_cast<std::ptrdiff_t>(idx),
                     schedule.end());
-                RecoverySupervisor sup(rig.sng, rig.kern, rig.store,
-                                       config.supervisor);
+                RecoverySupervisor sup(rig.sng, rig.kern, rig.store);
                 const SupervisorOutcome out = sup.supervise(
                     cut + mean_gap / 4, remaining, rng);
                 result.supervisorRetries += out.attempts - 1;
@@ -805,7 +813,7 @@ runCompoundCampaign(const CompoundConfig &config)
     static constexpr const char *scenarios[] = {
         "stop-cut", "go-cut", "brownout", "storm", "oplog"};
     CompoundResult result;
-    result.psu = config.psu.spec().name;
+    result.psu = psu.spec().name;
     stats::runGrid(compoundCounters(), config.threads,
                    stats::TrialGrid<1>{{config.trials}}, trial,
                    stats::GridFold{result, result.violationNotes},

@@ -49,7 +49,6 @@
 #include "kernel/kernel.hh"
 #include "mem/backing_store.hh"
 #include "pecos/sng.hh"
-#include "power/psu.hh"
 #include "sim/rng.hh"
 #include "sim/ticks.hh"
 #include "stats/counter_set.hh"
@@ -145,10 +144,11 @@ struct SupervisorConfig
     std::uint32_t maxAttempts = 4;
 
     /** First retry delay after a torn/hung resume. */
-    Tick retryBackoff = 50 * tickMs;
+    static constexpr Tick retryBackoff = 50 * tickMs;
 
     /** Exponential backoff cap. */
-    Tick backoffCap = 400 * tickMs;
+    static constexpr Tick backoffCap = 400 * tickMs;
+    static_assert(retryBackoff > 0 && backoffCap >= retryBackoff);
 };
 
 /** What one supervised recovery did. */
@@ -223,16 +223,6 @@ struct CompoundConfig
 {
     std::uint64_t trials = 500;
     std::uint64_t seed = 2026;
-
-    power::PsuModel psu = power::PsuModel::atx();
-
-    SupervisorConfig supervisor;
-
-    /** Poisson storm: cuts per trial is 3 + below(stormExtraCuts+1). */
-    std::uint32_t stormExtraCuts = 2;
-
-    /** Storm mean gap as a fraction of the measured hold-up. */
-    double stormGapFraction = 0.6;
 
     /**
      * Host threads fanning the trials out (0 = hardware

@@ -20,13 +20,36 @@ namespace
 
 using stats::flagViolation;
 
+/** Fraction of demand accesses that are writes. */
+constexpr double writeFraction = 0.3;
+
+/** Patrol-scrub step every this many demand accesses. */
+constexpr std::uint64_t scrubEveryOps = 64;
+
+/** Scrub budget per step (lines). */
+constexpr std::uint64_t scrubLinesPerStep = 32;
+
+/** Stuck-at creation rate at full wear (see MediaFaultParams). */
+constexpr double wearStuckRate = 0.02;
+
+/** Retirement spare pool (physical line slots). */
+constexpr std::uint64_t spareLines = 2048;
+
+/** Hot working set: lines the demand traffic hammers. */
+constexpr std::uint64_t regionLines = 4096;
+
+/** User processes registered as owners of the working set. */
+constexpr std::uint32_t victims = 8;
+
+static_assert(scrubEveryOps > 0 && scrubLinesPerStep > 0);
+static_assert(regionLines > 0 && victims > 0);
+
 /** Small-geometry PSM so trials stay fast: 2 DIMMs x 4 groups x
  *  16 MB = 128 MB OC-PMEM (still clears the 16 MB reserved region
  *  SnG's control blocks live in). */
 psm::PsmParams
-trialPsmParams(const RasCampaignConfig &config, double ber,
-               psm::McePolicy policy, std::uint64_t fault_seed,
-               bool rs_fallback)
+trialPsmParams(double ber, psm::McePolicy policy,
+               std::uint64_t fault_seed, bool rs_fallback)
 {
     psm::PsmParams pp;
     pp.symbolEccFallback = rs_fallback;
@@ -35,9 +58,9 @@ trialPsmParams(const RasCampaignConfig &config, double ber,
     pp.dimm.device.wearRegionBytes = 64 << 10;
     pp.dimm.device.faults.enabled = true;
     pp.dimm.device.faults.transientBer = ber;
-    pp.dimm.device.faults.wearStuckRate = config.wearStuckRate;
+    pp.dimm.device.faults.wearStuckRate = wearStuckRate;
     pp.dimm.device.faults.seed = fault_seed;
-    pp.spareLines = config.spareLines;
+    pp.spareLines = spareLines;
     pp.mcePolicy = policy;
     return pp;
 }
@@ -120,13 +143,13 @@ runTrial(const RasCampaignConfig &config, Tick dry_stop_ticks,
     // double-erasures become counted RS corrections instead of machine
     // checks, so both ECC tiers see traffic in every cell.
     kernel::Kernel kern(trialKernelParams());
-    psm::Psm psm(trialPsmParams(config, config.bers[b], policy, trial_seed,
+    psm::Psm psm(trialPsmParams(config.bers[b], policy, trial_seed,
                                 s % 2 == 1));
     mem::BackingStore store;
     pecos::Sng sng(kern, psm, store, {});
     pecos::MceHandler mce(kern, psm);
     psm::ScrubParams sp;
-    sp.linesPerStep = config.scrubLinesPerStep;
+    sp.linesPerStep = scrubLinesPerStep;
     psm::PatrolScrubber scrubber(psm, sp);
     FaultInjector injector(store);
 
@@ -142,14 +165,13 @@ runTrial(const RasCampaignConfig &config, Tick dry_stop_ticks,
     // Register the hot region's ownership: a few user processes, each
     // owning one slice, so successive contained MCEs blame (and kill)
     // different tasks.
-    const std::uint64_t region_bytes =
-        config.regionLines * mem::cacheLineBytes;
+    const std::uint64_t region_bytes = regionLines * mem::cacheLineBytes;
     std::vector<std::uint32_t> victim_pids;
     for (const auto &proc : kern.processes()) {
         if (proc->pid() == 1 || proc->isKernelThread())
             continue;
         victim_pids.push_back(proc->pid());
-        if (victim_pids.size() >= config.victims)
+        if (victim_pids.size() >= victims)
             break;
     }
     const std::uint64_t slice =
@@ -164,9 +186,9 @@ runTrial(const RasCampaignConfig &config, Tick dry_stop_ticks,
     Tick t = 0;
     for (std::uint64_t op = 0; op < config.opsPerTrial; ++op) {
         mem::MemRequest req;
-        req.addr = rng.below(config.regionLines) * mem::cacheLineBytes;
-        req.op = rng.chance(config.writeFraction) ? mem::MemOp::Write
-                                                  : mem::MemOp::Read;
+        req.addr = rng.below(regionLines) * mem::cacheLineBytes;
+        req.op = rng.chance(writeFraction) ? mem::MemOp::Write
+                                           : mem::MemOp::Read;
         const mem::AccessResult res = psm.access(req, t);
         t = res.completeAt + 5 * tickNs;
         req.op == mem::MemOp::Read ? ++result.reads : ++result.writes;
@@ -183,7 +205,7 @@ runTrial(const RasCampaignConfig &config, Tick dry_stop_ticks,
                     retired_on_contain = true;
             }
         }
-        if (config.scrubEveryOps && op % config.scrubEveryOps == 0)
+        if (op % scrubEveryOps == 0)
             scrubber.step(t);
     }
 
@@ -309,8 +331,8 @@ runRasCampaign(const RasCampaignConfig &config)
     Tick dry_stop_ticks = 0;
     {
         kernel::Kernel kern(trialKernelParams());
-        psm::Psm psm(trialPsmParams(
-            config, 0.0, psm::McePolicy::ResetColdBoot, 1, false));
+        psm::Psm psm(trialPsmParams(0.0, psm::McePolicy::ResetColdBoot,
+                                    1, false));
         mem::BackingStore store;
         pecos::Sng sng(kern, psm, store, {});
         dry_stop_ticks = sng.stop(0).totalTicks();

@@ -51,29 +51,8 @@ struct RasCampaignConfig
     /** Demand accesses per trial. */
     std::uint64_t opsPerTrial = 1200;
 
-    /** Fraction of demand accesses that are writes. */
-    double writeFraction = 0.3;
-
-    /** Patrol-scrub step every this many demand accesses. */
-    std::uint64_t scrubEveryOps = 64;
-
-    /** Scrub budget per step (lines). */
-    std::uint64_t scrubLinesPerStep = 32;
-
     /** Every Nth trial also arms a power cut during the SnG stop. */
     std::uint64_t powerCutEvery = 4;
-
-    /** Stuck-at creation rate at full wear (see MediaFaultParams). */
-    double wearStuckRate = 0.02;
-
-    /** Retirement spare pool (physical line slots). */
-    std::uint64_t spareLines = 2048;
-
-    /** Hot working set: lines the demand traffic hammers. */
-    std::uint64_t regionLines = 4096;
-
-    /** User processes registered as owners of the working set. */
-    std::uint32_t victims = 8;
 
     /**
      * Host threads fanning the trials out (0 = hardware

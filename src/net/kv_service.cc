@@ -12,6 +12,19 @@ namespace lightpc::net
 namespace
 {
 
+/** Pool placement on OC-PMEM (below the SnG reserved area). */
+constexpr mem::Addr poolBase = std::uint64_t(256) << 20;
+constexpr std::uint64_t poolSize = 24 << 20;
+
+/** Per-slot cost of SCAN iteration. */
+constexpr Tick scanPerSlot = 400 * tickNs;
+
+/** Where the A-CheckPC per-request checkpoints land. */
+constexpr mem::Addr checkpointBase = std::uint64_t(1) << 41;
+
+/** Page-copy handling cost for the per-request checkpoint. */
+constexpr Tick checkpointPerPage = 5 * tickUs;
+
 bool
 isPowerOfTwo(std::uint64_t x)
 {
@@ -32,7 +45,7 @@ KvService::KvService(mem::BackingStore &store_in, mem::TimedMem &timed_in,
     if (_params.dedupRetention == 0)
         fatal("KvService dedup retention must be nonzero");
     queue.reserve(_params.queueCapacity);
-    _pool.emplace(store, _params.poolBase, _params.poolSize);
+    _pool.emplace(store, poolBase, poolSize);
     Tick t = 0;
     openRoot(t);
     if (opLogEnabled())
@@ -76,7 +89,7 @@ KvService::openLog(Tick &t)
 {
     OpLogParams lp = _params.oplog;
     if (lp.base == 0)
-        lp.base = (_params.poolBase + _params.poolSize + 63)
+        lp.base = (poolBase + poolSize + 63)
             & ~mem::Addr(63);
     _params.oplog = lp;
     _log.emplace(store, timed, lp);
@@ -228,8 +241,8 @@ KvService::chargeCheckpoint(Tick &t)
         return;
     const std::uint64_t pages =
         (_params.checkpointBytesPerOp + 4095) / 4096;
-    t += pages * _params.checkpointPerPage;
-    t = timed.writeSpan(t, _params.checkpointBase,
+    t += pages * checkpointPerPage;
+    t = timed.writeSpan(t, checkpointBase,
                         _params.checkpointBytesPerOp);
 }
 
@@ -239,7 +252,7 @@ KvService::execute(Tick &t, const RpcRequest &req, bool *deferred)
     ++_stats.executed;
     if (deferred)
         *deferred = false;
-    t += _params.parseCost;
+    t += KvParams::parseCost;
     clock(t);
 
     RpcResponse resp;
@@ -555,7 +568,7 @@ KvService::executeScan(Tick &t, const RpcRequest &req)
         KvSlot slot;
         readSlot(idx, slot);
         digest ^= hashOf(slot.key ^ (slot.version << 32));
-        t += _params.scanPerSlot;
+        t += scanPerSlot;
         idx = (idx + 1) & mask;
     }
     t = timed.readSpan(t, rootAddr + keyTableOffset(),
@@ -731,7 +744,7 @@ KvService::recover(Tick &t)
     ++_stats.recoveries;
     // Reopen over the same region: the constructor rolls back any
     // transaction whose commit truncation did not beat the rails.
-    _pool.emplace(store, _params.poolBase, _params.poolSize);
+    _pool.emplace(store, poolBase, poolSize);
     if (!_pool->openedExisting())
         fatal("KvService recovery found no pool header");
     // Runtime re-attach: root lookup and swizzle, plus a fixed

@@ -65,10 +65,6 @@ enum class WritePath
 /** Service sizing and per-operation costs. */
 struct KvParams
 {
-    /** Pool placement on OC-PMEM (below the SnG reserved area). */
-    mem::Addr poolBase = std::uint64_t(256) << 20;
-    std::uint64_t poolSize = 24 << 20;
-
     /** Open-addressed key-table slots (power of two). */
     std::uint32_t keyCapacity = 4096;
 
@@ -93,10 +89,7 @@ struct KvParams
     std::uint32_t queueCapacity = 512;
 
     /** RPC decode + handler dispatch. */
-    Tick parseCost = 3 * tickUs;
-
-    /** Per-slot cost of SCAN iteration. */
-    Tick scanPerSlot = 400 * tickNs;
+    static constexpr Tick parseCost = 3 * tickUs;
 
     /**
      * A-CheckPC baseline: synchronous per-request checkpoint copy of
@@ -104,12 +97,6 @@ struct KvParams
      * timed memory so the overhead arises in the memory system.
      */
     std::uint64_t checkpointBytesPerOp = 0;
-
-    /** Where the per-request checkpoints land (A-CheckPC region). */
-    mem::Addr checkpointBase = std::uint64_t(1) << 41;
-
-    /** Page-copy handling cost for the per-request checkpoint. */
-    Tick checkpointPerPage = 5 * tickUs;
 };
 
 /** Service-side counters. */

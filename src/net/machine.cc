@@ -41,8 +41,6 @@ validateMachineParams(const MachineParams &params, Tick run_for,
         fatal(who, ": kv.queueCapacity must be >= 1");
     if (run_for == 0)
         fatal(who, ": runFor must be nonzero");
-    if (params.goodputWindow == 0)
-        fatal(who, ": goodputWindow must be nonzero");
 }
 
 FleetParams
@@ -63,6 +61,18 @@ MachineHost::servePut(Machine &m, const RpcRequest &req, Tick &t,
 
 namespace
 {
+
+/** NIC TX drain interval (one response frame per interval). */
+constexpr Tick txDrainInterval = 2 * tickUs;
+
+/** S-CheckPC: VM footprint of the periodic dump. */
+constexpr std::uint64_t scheckVmBytes = std::uint64_t(48) << 20;
+
+/** A-CheckPC: synchronous checkpoint bytes per request. */
+constexpr std::uint64_t acheckBytesPerOp = 18000;
+
+/** OpLog mode: background drain cadence. */
+constexpr Tick oplogDrainInterval = 150 * tickUs;
 
 platform::SystemConfig
 sysConfigFor(const MachineParams &params, std::uint64_t seed)
@@ -90,7 +100,7 @@ kvParamsFor(const MachineParams &params, PersistMode mode,
 {
     KvParams kp = params.kv;
     if (mode == PersistMode::ACheckPc)
-        kp.checkpointBytesPerOp = params.acheckBytesPerOp;
+        kp.checkpointBytesPerOp = acheckBytesPerOp;
     if (mode == PersistMode::OpLog)
         kp.writePath = WritePath::OpLog;
     kp.dedupRetention = params.fleet.maxRetrySpan()
@@ -217,7 +227,7 @@ Machine::kickTx()
         return;
     txDraining = true;
     const std::uint64_t g = gen;
-    eq.scheduleIn(params.txDrainInterval, [this, g] {
+    eq.scheduleIn(txDrainInterval, [this, g] {
         if (g == gen)
             txDrainFire();
     });
@@ -320,7 +330,7 @@ Machine::scheduleDrain()
         return;
     drainScheduled = true;
     const std::uint64_t g = gen;
-    eq.scheduleIn(params.oplogDrainInterval, [this, g] {
+    eq.scheduleIn(oplogDrainInterval, [this, g] {
         drainScheduled = false;
         if (g == gen)
             drainFire();
@@ -345,7 +355,7 @@ Tick
 Machine::startDump(Tick now)
 {
     dumpStall = true;
-    return image->dumpCommitted(now, params.scheckVmBytes, rng.next());
+    return image->dumpCommitted(now, scheckVmBytes, rng.next());
 }
 
 void

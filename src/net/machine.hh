@@ -63,7 +63,10 @@ enum class PersistMode
 /** Display name. */
 const char *persistModeName(PersistMode mode);
 
-/** The knobs of one server machine; both plane configs inherit them. */
+/**
+ * The knobs of one server machine; both plane configs inherit them.
+ * The static members are constants both planes and the machine read.
+ */
 struct MachineParams
 {
     /** AC-off dwell between the power event and restoration. */
@@ -73,23 +76,17 @@ struct MachineParams
     Tick holdup = 16 * tickMs;
 
     /** One-way client <-> server propagation. */
-    Tick wireLatency = 20 * tickUs;
-
-    /** NIC TX drain interval (one response frame per interval). */
-    Tick txDrainInterval = 2 * tickUs;
+    static constexpr Tick wireLatency = 20 * tickUs;
 
     /** Server-side deadline granted to each attempt. */
-    Tick requestDeadline = 250 * tickMs;
+    static constexpr Tick requestDeadline = 250 * tickMs;
 
     /** Goodput sampling window. */
-    Tick goodputWindow = 10 * tickMs;
+    static constexpr Tick goodputWindow = 10 * tickMs;
+    static_assert(goodputWindow > 0);
 
-    /** S-CheckPC: period and VM footprint of the periodic dump. */
-    Tick scheckPeriod = 100 * tickMs;
-    std::uint64_t scheckVmBytes = std::uint64_t(48) << 20;
-
-    /** A-CheckPC: synchronous checkpoint bytes per request. */
-    std::uint64_t acheckBytesPerOp = 18000;
+    /** S-CheckPC: period of the periodic dump. */
+    static constexpr Tick scheckPeriod = 100 * tickMs;
 
     /**
      * OpLog mode: group-commit cadence. A commit fires when either
@@ -97,12 +94,11 @@ struct MachineParams
      * the first deferred ack of the batch — amortizing the tail
      * persist + fence across the batch while bounding ack latency.
      */
-    Tick oplogCommitInterval = 25 * tickUs;
-    std::uint32_t oplogCommitRecords = 16;
+    static constexpr Tick oplogCommitInterval = 25 * tickUs;
+    static constexpr std::uint32_t oplogCommitRecords = 16;
 
-    /** OpLog mode: background drain cadence and batch size. */
-    Tick oplogDrainInterval = 150 * tickUs;
-    std::uint32_t oplogDrainBatch = 32;
+    /** OpLog mode: records the background drain applies per batch. */
+    static constexpr std::uint32_t oplogDrainBatch = 32;
 
     /** Kernel population behind the service. */
     std::uint32_t userProcesses = 24;

@@ -10,6 +10,18 @@
 namespace lightpc::net
 {
 
+namespace
+{
+
+/** MMIO register window copied by Auto-Stop. */
+constexpr std::uint64_t mmioBytes = 16384;
+
+/** dpm callback latencies (eth-class driver). */
+constexpr kernel::DpmCosts dpmCosts{3 * tickUs,  18 * tickUs, 4 * tickUs,
+                                    4 * tickUs,  18 * tickUs, 3 * tickUs};
+
+} // namespace
+
 NicDevice::NicDevice(kernel::DeviceManager &devices, std::string name,
                      const NicParams &params)
     : _params(params),
@@ -19,8 +31,8 @@ NicDevice::NicDevice(kernel::DeviceManager &devices, std::string name,
     if (_params.ringEntries == 0)
         fatal("NicDevice needs at least one ring entry");
     dev = &devices.add(std::make_unique<kernel::Device>(
-        std::move(name), kernel::DeviceClass::Network, _params.dpm,
-        contextImageBytes(), _params.mmioBytes));
+        std::move(name), kernel::DeviceClass::Network, dpmCosts,
+        contextImageBytes(), mmioBytes));
     dev->bindContext(this, contextImageBytes());
 }
 

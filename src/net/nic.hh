@@ -28,18 +28,11 @@
 namespace lightpc::net
 {
 
-/** NIC geometry and dpm costs. */
+/** NIC geometry (the MMIO window and dpm costs are fixed, nic.cc). */
 struct NicParams
 {
     /** Descriptor entries per direction. */
     std::uint32_t ringEntries = 256;
-
-    /** MMIO register window copied by Auto-Stop. */
-    std::uint64_t mmioBytes = 16384;
-
-    /** dpm callback latencies (eth-class driver). */
-    kernel::DpmCosts dpm{3 * tickUs,  18 * tickUs, 4 * tickUs,
-                         4 * tickUs,  18 * tickUs, 3 * tickUs};
 };
 
 /** Traffic counters. */

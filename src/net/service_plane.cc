@@ -19,6 +19,16 @@ namespace
 {
 
 /**
+ * Each cut lands while the service is mid-flight (server busy or
+ * frames queued in a NIC ring): from its nominal instant, the power
+ * event probes every cutProbeInterval until it catches the service
+ * under load, up to half the inter-cut spacing. This is the
+ * adversarial case — queued traffic and an unsent ack are at stake —
+ * and what makes DCB ring resurrection observable.
+ */
+constexpr Tick cutProbeInterval = 37 * tickUs;
+
+/**
  * Fixed-latency port for the scratch-copy durability audit: the
  * audit replays recovery against a *copy* of the PMEM store, and
  * must not perturb the live PSM pipeline's timing state.
@@ -147,15 +157,14 @@ struct Plane : MachineHost
         const Tick now = eq.now();
         const bool underLoad = m.serverBusy || m.nic->rxOccupancy() > 0
             || m.nic->txOccupancy() > 0;
-        // Never cut into an outage still in progress; and (when
-        // configured) hold the cut until the service is mid-flight.
-        // Follow-up storm cuts carry an already-expired probe
-        // deadline, so they fire the instant the service is back up.
+        // Never cut into an outage still in progress; and hold the
+        // cut until the service is mid-flight. Follow-up storm cuts
+        // carry an already-expired probe deadline, so they fire the
+        // instant the service is back up.
         if (!m.powerOn || !m.serviceUp
-            || (cfg.cutUnderLoad && !underLoad
-                && now < probe_deadline)) {
+            || (!underLoad && now < probe_deadline)) {
             eq.scheduleIn(
-                cfg.cutProbeInterval,
+                cutProbeInterval,
                 [this, probe_deadline, follow_ups_left, is_follow_up] {
                     powerFailFire(probe_deadline, follow_ups_left,
                                   is_follow_up);

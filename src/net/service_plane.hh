@@ -58,19 +58,12 @@ struct ServiceConfig : MachineParams
     /** Extra drain time after the last arrival. */
     Tick drainGrace = 3 * tickSec;
 
-    /** Power events, evenly spaced inside runFor. */
-    std::uint32_t cuts = 3;
-
     /**
-     * Land each cut while the service is mid-flight (server busy or
-     * frames queued in a NIC ring): from its nominal instant, the
-     * power event probes every cutProbeInterval until it catches the
-     * service under load, up to half the inter-cut spacing. This is
-     * the adversarial case — queued traffic and an unsent ack are at
-     * stake — and what makes DCB ring resurrection observable.
+     * Power events, evenly spaced inside runFor; each waits (probing
+     * every 37 us, up to half the spacing) until the service is under
+     * load.
      */
-    bool cutUnderLoad = true;
-    Tick cutProbeInterval = 37 * tickUs;
+    std::uint32_t cuts = 3;
 
     /**
      * Cut storms: after each scheduled cut fires, this many follow-up

@@ -246,7 +246,7 @@ TEST(Supervisor, RetriesThroughExternalCutsThenConverges)
     SupervisorConfig cfg;
     const std::vector<Tick> cuts = {
         start + tickMs,
-        start + tickMs + cfg.retryBackoff + tickMs,
+        start + tickMs + SupervisorConfig::retryBackoff + tickMs,
     };
     RecoverySupervisor sup(rig.sng, rig.kern, rig.store, cfg);
     const SupervisorOutcome out = sup.supervise(start, cuts, rng);

@@ -327,7 +327,7 @@ TEST(KvService, TornPutRollsBackOnRecovery)
     // Power dies right after parse: every write of the second PUT's
     // transaction carries a stamp at or past the cut and is dropped
     // at the media, exactly as the rails would drop it.
-    const Tick cut = t + rig.kv.params().parseCost + 1;
+    const Tick cut = t + KvParams::parseCost + 1;
     rig.store.armPowerCut(cut, 0xdead);
     (void)rig.kv.execute(t, makeReq(2, workload::KvOp::Put, 22, 501));
     rig.store.disarmPowerCut();
@@ -1281,7 +1281,7 @@ TEST(Machine, OpLogAckDeferredAtTheCutLeavesStampedAtTheEventTick)
     // The cut beats the timer: the emergency commit makes the record
     // durable and the ack rides the TX ring, stamped at the event.
     const Tick servedAt = m.deferredAcks[0].servedAt;
-    const Tick cutAt = eq.now() + params.oplogCommitInterval / 2;
+    const Tick cutAt = eq.now() + MachineParams::oplogCommitInterval / 2;
     EXPECT_FALSE(m.powerFail(cutAt));
     EXPECT_TRUE(m.deferredAcks.empty());
     EXPECT_EQ(m.kv->stats().logCommits, commitsBefore + 1);

@@ -194,17 +194,6 @@ TEST(NemesisValidation, RejectsConcurrentPartitions)
     expectValid(nem);
 }
 
-TEST(ClusterConfigNemesis, RejectsDegenerateBackoffCaps)
-{
-    ClusterConfig cfg;
-    cfg.retransmitBackoffCap = cfg.heartbeatInterval - 1;
-    EXPECT_THROW(cluster::validateClusterConfig(cfg), FatalError);
-
-    cfg = ClusterConfig();
-    cfg.syncRetryCap = cfg.replicaTimeout - 1;
-    EXPECT_THROW(cluster::validateClusterConfig(cfg), FatalError);
-}
-
 TEST(ClusterConfigNemesis, NemesisArmsRejectThroughClusterConfig)
 {
     ClusterConfig cfg;
