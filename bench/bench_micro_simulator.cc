@@ -60,11 +60,13 @@ BM_PsmWrite(benchmark::State &state)
 BENCHMARK(BM_PsmWrite);
 
 /** One image span through the PSM, as Stop/Go and the checkpoint
- *  baselines move it: 4096 line writes walking page after page. */
+ *  baselines move it: 4096 line accesses walking page after page. */
 void
-BM_PsmSpanWrite(benchmark::State &state)
+psmSpan(benchmark::State &state, mem::MemOp op, bool early_return)
 {
-    psm::Psm psm;
+    psm::PsmParams params;
+    params.earlyReturnWrites = early_return;
+    psm::Psm psm(params);
     psm::PsmPort port(psm);
     mem::TimedMem timed(port);
     const std::uint64_t len =
@@ -72,13 +74,37 @@ BM_PsmSpanWrite(benchmark::State &state)
     Tick t = 0;
     mem::Addr addr = 0;
     for (auto _ : state) {
-        t = timed.writeSpan(t, addr, len);
+        t = op == mem::MemOp::Write ? timed.writeSpan(t, addr, len)
+                                    : timed.readSpan(t, addr, len);
         addr = (addr + len) % (std::uint64_t(1) << 30);
     }
     state.SetItemsProcessed(state.iterations()
                             * mem::TimedMem::sampleLines);
 }
+
+/** LightPC: early-return writes, mostly open row-buffer hits. */
+void
+BM_PsmSpanWrite(benchmark::State &state)
+{
+    psmSpan(state, mem::MemOp::Write, true);
+}
 BENCHMARK(BM_PsmSpanWrite);
+
+/** LightPC-B: every line write waits for the media. */
+void
+BM_PsmSpanWriteLightPcB(benchmark::State &state)
+{
+    psmSpan(state, mem::MemOp::Write, false);
+}
+BENCHMARK(BM_PsmSpanWriteLightPcB);
+
+/** The image read back (Go, recovery): one media read per line. */
+void
+BM_PsmSpanRead(benchmark::State &state)
+{
+    psmSpan(state, mem::MemOp::Read, true);
+}
+BENCHMARK(BM_PsmSpanRead);
 
 void
 BM_PmemDimmAccess(benchmark::State &state)

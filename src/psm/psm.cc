@@ -154,6 +154,26 @@ Psm::routePhysical(std::uint64_t physical_line) const
 }
 
 Psm::Route
+Psm::routeRun(std::uint64_t logical_line, std::uint64_t &run) const
+{
+    // A retired slot inside the run would leave it; the table is
+    // nearly always empty, so any entry at all makes runs one line.
+    if (retire.mappedCount() != 0) {
+        run = 1;
+        return route(logical_line);
+    }
+    std::uint64_t physical_line = logical_line;
+    if (_params.wearLeveling)
+        physical_line = wearLevel->remapRun(logical_line, run);
+    else
+        run = lineCount - logical_line;
+    const Route r = routePhysical(physical_line);
+    run = std::min<std::uint64_t>(run,
+                                  pageDecode.value() - r.lineInPage);
+    return r;
+}
+
+Psm::Route
 Psm::route(std::uint64_t logical_line) const
 {
     const std::uint64_t physical_line = _params.wearLeveling
@@ -445,20 +465,69 @@ Psm::accessLines(mem::MemOp op, mem::Addr first_line,
                  std::uint64_t lines, Tick when)
 {
     std::uint64_t line = logicalLine(first_line);
-    for (std::uint64_t i = 0; i < lines; ++i) {
-        when = accessLine(op, line, when).completeAt;
-        if (++line == lineCount)
-            line = 0;
+    if (lines == 1)
+        return accessLine(op, line, when).completeAt;
+    const bool write_hits =
+        op == mem::MemOp::Write && _params.earlyReturnWrites;
+    while (lines != 0) {
+        std::uint64_t run = 0;
+        Route r = routeRun(line, run);
+        run = std::min(run, lines);
+        const std::uint64_t epoch = mappingEpoch();
+        std::uint64_t done = 0;
+        while (true) {
+            when = serveLine(op, r, when).completeAt;
+            if (++done == run || mappingEpoch() != epoch)
+                break;
+            stepRoute(r, 1);
+            if (!write_hits)
+                continue;
+            // The line just served left r.page open on r.unit, so
+            // every following write of the run is a hit until one
+            // moves the gap; that one takes the body and a new route.
+            std::uint64_t hits = run - done;
+            if (_params.wearLeveling)
+                hits = std::min(hits, wearLevel->writesBeforeMove());
+            if (hits == 0)
+                continue;
+            when = absorbWriteHits(r, hits, when);
+            done += hits;
+            if (done == run)
+                break;
+            stepRoute(r, hits);
+        }
+        lines -= done;
+        line += done;
+        if (line >= lineCount)
+            line -= lineCount;
     }
     return when;
+}
+
+Tick
+Psm::absorbWriteHits(const Route &r, std::uint64_t lines, Tick when)
+{
+    // lines < pageLines <= 64: the run's first line is not among them.
+    rowBuffers[r.unit].dirtyMask |=
+        (~std::uint64_t(0) >> (64 - lines)) << r.lineInPage;
+    _stats.writes += lines;
+    _stats.rowBufferWriteHits += lines;
+    if (_params.wearLeveling)
+        wearLevel->recordWrites(lines);
+    return when + lines * (_params.busLatency + _params.rowBufferLatency);
 }
 
 mem::AccessResult
 Psm::accessLine(mem::MemOp op, std::uint64_t logical_line, Tick when)
 {
+    return serveLine(op, route(logical_line), when);
+}
+
+mem::AccessResult
+Psm::serveLine(mem::MemOp op, const Route &r, Tick when)
+{
     mem::AccessResult result;
     Tick t = when + _params.busLatency;
-    const Route r = route(logical_line);
     mem::PramDevice &dev = unitDevice(r);
     RowBuffer &rb = rowBuffers[r.unit];
     const mem::Addr page_base = r.page * _params.rowBufferBytes;

@@ -184,9 +184,18 @@ class Psm
      * Service @p lines back-to-back line accesses from the line at
      * @p first_line, each issued when the previous one completes:
      * MemoryPort::accessLines with the address decoded once. The
-     * walk wraps at managedLines() as access() does, and runs the
-     * same per-line body, so ticks, statistics and device state are
-     * those of one access() per line.
+     * walk wraps at managedLines() as access() does. Ticks,
+     * statistics and device state are those of one access() per line.
+     *
+     * The walk routes once per run: a stretch of lines that share a
+     * service unit and row page at consecutive physical slots
+     * (StartGap::remapRun, cut at the row page's end, and one line
+     * long while any slot is retired). Inside a run it steps the
+     * route, and it routes again after a gap move or a retirement.
+     * Reads, LightPC-B writes and each run's first write go through
+     * the per-line body. With early-return writes the first write
+     * leaves the run's page open, so the following writes that move
+     * no gap are row-buffer hits and are retired in closed form.
      *
      * @return The completion tick of the last line (@p when if none).
      */
@@ -363,9 +372,42 @@ class Psm
     Route route(std::uint64_t logical_line) const;
     Route routePhysical(std::uint64_t physical_line) const;
 
-    /** The per-line body of access() and accessLines(). */
+    /**
+     * route() that also sets @p run to how many lines from
+     * @p logical_line onward sit at consecutive slots of the same row
+     * page (see accessLines()).
+     */
+    Route routeRun(std::uint64_t logical_line, std::uint64_t &run) const;
+
+    /** Move @p r on by @p lines slots inside its row page. */
+    static void stepRoute(Route &r, std::uint64_t lines)
+    {
+        r.slot += lines;
+        r.lineInPage += static_cast<std::uint32_t>(lines);
+        r.localAddr += lines * mem::cacheLineBytes;
+    }
+
+    /** Gap moves plus retirements: changes when any route may. */
+    std::uint64_t mappingEpoch() const
+    {
+        return wearLevel->totalMoves() + retire.retiredCount();
+    }
+
+    /** access() of one logical line: route() plus serveLine(). */
     mem::AccessResult accessLine(mem::MemOp op,
                                  std::uint64_t logical_line, Tick when);
+
+    /** The per-line body of access() and accessLines(). */
+    mem::AccessResult serveLine(mem::MemOp op, const Route &r, Tick when);
+
+    /**
+     * Early-return writes to the @p lines lines from @p r onward,
+     * all on @p r's open row page and moving no gap: the row-buffer
+     * hits serveLine() would count, in closed form.
+     *
+     * @return The completion tick of the last of them.
+     */
+    Tick absorbWriteHits(const Route &r, std::uint64_t lines, Tick when);
 
     mem::PramDevice &unitDevice(const Route &r);
 

@@ -21,6 +21,7 @@
 #ifndef LIGHTPC_PSM_START_GAP_HH
 #define LIGHTPC_PSM_START_GAP_HH
 
+#include <algorithm>
 #include <cstdint>
 
 #include "sim/fast_div.hh"
@@ -82,6 +83,19 @@ class StartGap
     std::uint64_t remap(std::uint64_t logical_line) const;
 
     /**
+     * remap() that also sets @p run to how many lines from
+     * @p logical_line onward map to consecutive slots under the
+     * current registers: line `logical_line + k` maps to the returned
+     * slot plus k for every k < run. With x the randomized line plus
+     * start (mod lines), the run stops at the end of the randomizer
+     * page, where x wraps, and, when x is below the gap, at the gap.
+     *
+     * @pre logical_line < params().lines.
+     */
+    std::uint64_t remapRun(std::uint64_t logical_line,
+                           std::uint64_t &run) const;
+
+    /**
      * Record one line write; moves the gap when the threshold is
      * reached.
      *
@@ -89,6 +103,21 @@ class StartGap
      *         extra media line copy for the displaced line).
      */
     bool recordWrite();
+
+    /** How many recordWrite() calls in a row would move no gap. */
+    std::uint64_t writesBeforeMove() const
+    {
+        return writeCounter + 1 >= _params.writeThreshold
+            ? 0 : _params.writeThreshold - 1 - writeCounter;
+    }
+
+    /**
+     * Record @p n line writes that move no gap: the same registers as
+     * @p n recordWrite() calls that all return false.
+     *
+     * @pre n <= writesBeforeMove().
+     */
+    void recordWrites(std::uint64_t n) { writeCounter += n; }
 
     /** Registers to persist at the EP-cut. */
     StartGapState save() const;
@@ -156,13 +185,28 @@ StartGap::randomize(std::uint64_t line) const
 inline std::uint64_t
 StartGap::remap(std::uint64_t logical_line) const
 {
+    // Inlined, the unused run length folds away.
+    std::uint64_t run = 0;
+    return remapRun(logical_line, run);
+}
+
+inline std::uint64_t
+StartGap::remapRun(std::uint64_t logical_line, std::uint64_t &run) const
+{
     if (logical_line >= _params.lines) [[unlikely]]
         remapOutOfRange(logical_line);
     // Both addends are below lines, so one subtract wraps the sum.
     std::uint64_t pa = randomize(logical_line) + startReg;
     if (pa >= _params.lines)
         pa -= _params.lines;
-    if (pa >= gapReg)
+    // The randomizer keeps a page's lines adjacent, the start offset
+    // keeps them adjacent up to the wrap, and the slots below the gap
+    // stay adjacent up to it; past the gap every slot shifts by one.
+    run = std::min(_params.pageLines - pageDecode.mod(logical_line),
+                   _params.lines - pa);
+    if (pa < gapReg)
+        run = std::min(run, gapReg - pa);
+    else
         ++pa;
     return pa;
 }

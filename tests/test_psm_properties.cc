@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstring>
 #include <type_traits>
+#include <vector>
 
 #include "psm/psm.hh"
 #include "sim/rng.hh"
@@ -200,6 +201,236 @@ INSTANTIATE_TEST_SUITE_P(
         PsmCase{true, false, true, 0xDB, DimmLayout::DualChannel, 5},
         PsmCase{true, true, true, 0x00, DimmLayout::DramLike, 6},
         PsmCase{false, false, true, 0xE9, DimmLayout::DramLike, 7}));
+
+/** A geometry small enough to invert the Start-Gap randomizer. */
+PsmParams
+spanRunParams(std::uint64_t wear_threshold)
+{
+    PsmParams params;
+    params.dimms = 2;
+    params.dimm.device.capacityBytes = 1 << 20;
+    params.dimm.device.wearRegionBytes = 64 << 10;
+    params.wearThreshold = wear_threshold;
+    return params;
+}
+
+/**
+ * Finds the logical line whose Start-Gap sum (its randomized line
+ * plus the start register, mod the line count) is a given value, so
+ * a span can start just below the gap or the wrap. The randomizer
+ * permutes whole pages as a function of the seed and the geometry
+ * only, so one inverse page table serves every register state.
+ */
+class SumLocator
+{
+  public:
+    explicit SumLocator(const Psm &psm)
+        : lines(psm.managedLines()),
+          pageLines(psm.params().rowBufferBytes / mem::cacheLineBytes),
+          pageAt(lines / pageLines)
+    {
+        StartGapParams sg;
+        sg.lines = lines;
+        sg.pageLines = pageLines;
+        sg.randomizerSeed = psm.params().wearSeed;
+        // Start 0 with the gap at `lines`: remap is the randomizer.
+        const StartGap randomizer(sg);
+        for (std::uint64_t page = 0; page < pageAt.size(); ++page)
+            pageAt[randomizer.remap(page * pageLines) / pageLines] = page;
+    }
+
+    std::uint64_t
+    lineAt(std::uint64_t sum, std::uint64_t start) const
+    {
+        const std::uint64_t r = (sum + lines - start) % lines;
+        return pageAt[r / pageLines] * pageLines + r % pageLines;
+    }
+
+    /** Lines left in @p line's randomizer page, @p line included. */
+    std::uint64_t pageLeft(std::uint64_t line) const
+    {
+        return pageLines - line % pageLines;
+    }
+
+  private:
+    std::uint64_t lines;
+    std::uint64_t pageLines;
+    std::vector<std::uint64_t> pageAt;
+};
+
+/** Run one span on @p spans and line by line on @p lines. */
+void
+expectSpanMatches(Psm &spans, Psm &lines, mem::MemOp op,
+                  std::uint64_t first_line, std::uint64_t n, Tick &t)
+{
+    const mem::Addr first = first_line * mem::cacheLineBytes;
+    const Tick got = spans.accessLines(op, first, n, t);
+    Tick want = t;
+    mem::MemRequest req;
+    req.op = op;
+    for (std::uint64_t k = 0; k < n; ++k) {
+        req.addr = first + k * mem::cacheLineBytes;
+        want = lines.access(req, want).completeAt;
+    }
+    ASSERT_EQ(got, want) << n << " lines from line " << first_line;
+    t = got;
+}
+
+/** Read @p n lines one at a time on both PSMs; each must hit or
+ *  miss the row buffer alike. */
+void
+expectSameReadHits(Psm &a, Psm &b, std::uint64_t first_line,
+                   std::uint64_t n, Tick &t)
+{
+    mem::MemRequest req;
+    req.op = mem::MemOp::Read;
+    for (std::uint64_t k = 0; k < n; ++k) {
+        req.addr = (first_line + k) * mem::cacheLineBytes;
+        const mem::AccessResult x = a.access(req, t);
+        const mem::AccessResult y = b.access(req, t);
+        ASSERT_EQ(x.rowBufferHit, y.rowBufferHit)
+            << "line " << first_line + k;
+        ASSERT_EQ(x.completeAt, y.completeAt);
+        t = x.completeAt;
+    }
+}
+
+class PsmSpanRuns : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(PsmSpanRuns, CrossGapAndWrapLikeLineByLine)
+{
+    // Spans of 31-64 lines whose physical run crosses the gap or the
+    // wrap of the Start-Gap sum, each starting on a physical row-page
+    // boundary or off one, at the gap-move period under test. A
+    // threshold of 1 moves the gap on every write.
+    const PsmParams params = spanRunParams(GetParam());
+    Psm spans(params), lines(params);
+    const SumLocator locate(spans);
+    const std::uint64_t managed = spans.managedLines();
+    const std::uint64_t page_lines =
+        params.rowBufferBytes / mem::cacheLineBytes;
+
+    // Registers as a recovered EP-cut may hold them. A start off any
+    // page boundary puts the wrap inside a randomizer page.
+    StartGapState regs = spans.saveWearState();
+    regs.start = managed / 3 + 5;
+    regs.gap = managed / 2 + 7;
+    spans.restoreWearState(regs);
+    lines.restoreWearState(regs);
+
+    Rng rng(GetParam());
+    Tick t = 0;
+    int gap_crossings = 0, wrap_crossings = 0;
+    for (const std::uint64_t n : {31, 32, 33, 64}) {
+        for (const bool aligned : {true, false}) {
+            for (const bool at_gap : {true, false}) {
+                for (int rep = 0; rep < 4; ++rep) {
+                    regs = spans.saveWearState();
+                    const std::uint64_t edge = at_gap ? regs.gap : managed;
+                    // A sum in the last page_lines below the edge whose
+                    // slot is (or is not) the first of a row page.
+                    std::uint64_t sum = edge - 1 - rng.below(page_lines);
+                    for (std::uint64_t d = 0; d < page_lines; ++d) {
+                        const std::uint64_t s = edge - 1 - d;
+                        const std::uint64_t slot = s + (s >= regs.gap);
+                        if ((slot % page_lines == 0) == aligned
+                            && (aligned || rng.chance(0.5))) {
+                            sum = s;
+                            break;
+                        }
+                    }
+                    const std::uint64_t first =
+                        locate.lineAt(sum, regs.start);
+                    const std::uint64_t to_edge = edge - sum;
+                    if (to_edge < n && to_edge < locate.pageLeft(first))
+                        ++(at_gap ? gap_crossings : wrap_crossings);
+                    expectSpanMatches(spans, lines, mem::MemOp::Write,
+                                      first, n, t);
+                    if (::testing::Test::HasFatalFailure())
+                        return;
+                    // Reading each line straight back shows where its
+                    // write landed: a read hits the row buffer only
+                    // at a dirty slot.
+                    expectSameReadHits(spans, lines, first, n, t);
+                    expectSpanMatches(spans, lines, mem::MemOp::Read,
+                                      first, n, t);
+                    if (::testing::Test::HasFatalFailure())
+                        return;
+                    t += rng.below(4000 * tickNs);
+                }
+            }
+        }
+    }
+    EXPECT_GT(gap_crossings, 0);
+    EXPECT_GT(wrap_crossings, 0);
+    expectSameModelState(spans, lines);
+    EXPECT_EQ(spans.flush(t), lines.flush(t));
+    expectSameModelState(spans, lines);
+}
+
+INSTANTIATE_TEST_SUITE_P(WearThresholds, PsmSpanRuns,
+                         ::testing::Values(1, 100));
+
+TEST(PsmSpanRuns, RetirementMidSpanLikeLineByLine)
+{
+    // Media faults on fully worn PRAM: every written granule sticks,
+    // so a read span over scattered written lines retires their slots
+    // one by one, mid-span, while writes keep moving the gap.
+    PsmParams params = spanRunParams(7);
+    params.dimm.device.faults.enabled = true;
+    params.dimm.device.faults.wearStuckRate = 1.0;
+    params.dimm.device.faults.wearOnsetFraction = 0.0;
+    params.symbolEccFallback = true;
+    params.spareLines = 1024;
+    Psm spans(params), lines(params);
+    for (Psm *psm : {&spans, &lines})
+        for (std::uint32_t d = 0; d < params.dimms; ++d)
+            for (std::uint32_t g = 0; g < psm->dimm(d).groupCount(); ++g)
+                psm->dimm(d).group(g).preWear(
+                    params.dimm.device.enduranceCycles);
+
+    const std::uint64_t managed = spans.managedLines();
+    Rng rng(11);
+    Tick t = 0;
+    mem::MemRequest req;
+    req.op = mem::MemOp::Write;
+    for (int i = 0; i < 40; ++i) {
+        const std::uint64_t base = rng.below(managed - 256);
+        // Lines written one at a time, at least a few lines into the
+        // read span, so the first retirement comes mid-span.
+        for (int w = 0; w < 4; ++w) {
+            req.addr = (base + 3 + rng.below(120)) * mem::cacheLineBytes;
+            const Tick done = spans.access(req, t).completeAt;
+            ASSERT_EQ(lines.access(req, t).completeAt, done);
+            t = done;
+        }
+        const Tick quiet = spans.flush(t);
+        ASSERT_EQ(lines.flush(t), quiet);
+        t = quiet;
+
+        const std::uint64_t retired = spans.stats().retiredLines;
+        const bool table_empty = spans.retireTable().mappedCount() == 0;
+        expectSpanMatches(spans, lines, mem::MemOp::Read, base, 128, t);
+        if (::testing::Test::HasFatalFailure())
+            return;
+        if (i == 0) {
+            EXPECT_TRUE(table_empty);
+            EXPECT_GT(spans.stats().retiredLines, retired)
+                << "the first read span must retire a slot";
+        }
+        // Write spans over retired slots, moving the gap.
+        expectSpanMatches(spans, lines, mem::MemOp::Write,
+                          base + rng.below(64), 1 + rng.below(96), t);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    EXPECT_EQ(spans.stats().sdcEvents, 0u);
+    expectSameModelState(spans, lines);
+    EXPECT_EQ(spans.flush(t), lines.flush(t));
+    expectSameModelState(spans, lines);
+}
 
 TEST(PsmProperty, DeterministicAcrossIdenticalRuns)
 {

@@ -313,6 +313,71 @@ TEST_P(StartGapProperty, MemoMatchesColdInstance)
     EXPECT_TRUE(wrapped) << "the gap must wrap";
 }
 
+/** remapRun() reports maximal runs: every line of a run maps to the
+ *  next slot, and a run stops at the randomizer page's end or at the
+ *  first line that does not (the wrap or the gap). Registers cover
+ *  the gap at 0 and at lines and a start that wraps the sum. */
+TEST_P(StartGapProperty, RemapRunMatchesRemap)
+{
+    for (const bool randomize : {true, false}) {
+        StartGapParams p = caseParams(GetParam());
+        p.randomize = randomize;
+        const std::uint64_t lines = p.lines;
+        StartGap sg(p);
+        StartGapState regs = sg.save();
+        for (const std::uint64_t start : {std::uint64_t(0),
+                 std::uint64_t(1), lines / 2 + 1, lines - 1}) {
+            for (const std::uint64_t gap : {std::uint64_t(0),
+                     std::uint64_t(1), lines / 2, lines - 1, lines}) {
+                regs.start = start;
+                regs.gap = gap;
+                sg.restore(regs);
+                for (std::uint64_t line = 0; line < lines; ++line) {
+                    std::uint64_t run = 0;
+                    const std::uint64_t slot = sg.remapRun(line, run);
+                    ASSERT_EQ(slot, sg.remap(line));
+                    const std::uint64_t page_left =
+                        p.pageLines - line % p.pageLines;
+                    std::uint64_t want = 1;
+                    while (want < page_left
+                           && sg.remap(line + want) == slot + want)
+                        ++want;
+                    ASSERT_EQ(run, want)
+                        << "line " << line << " start " << start
+                        << " gap " << gap << " randomize " << randomize;
+                }
+            }
+        }
+    }
+}
+
+/** recordWrites(n) is n recordWrite() calls that move no gap, and
+ *  writesBeforeMove() counts exactly those calls. */
+TEST_P(StartGapProperty, RecordWritesMatchesRecordWrite)
+{
+    StartGapParams p = caseParams(GetParam());
+    p.writeThreshold = 7;
+    StartGap bulk(p), single(p);
+    Rng rng(GetParam().seed);
+    for (int i = 0; i < 200; ++i) {
+        const std::uint64_t n = rng.below(bulk.writesBeforeMove() + 1);
+        bulk.recordWrites(n);
+        for (std::uint64_t w = 0; w < n; ++w)
+            ASSERT_FALSE(single.recordWrite());
+        ASSERT_EQ(bulk.writesBeforeMove(), single.writesBeforeMove());
+        if (bulk.writesBeforeMove() == 0) {
+            ASSERT_TRUE(bulk.recordWrite());
+            ASSERT_TRUE(single.recordWrite());
+        }
+        const StartGapState a = bulk.save(), b = single.save();
+        ASSERT_EQ(a.start, b.start);
+        ASSERT_EQ(a.gap, b.gap);
+        ASSERT_EQ(a.writeCounter, b.writeCounter);
+        ASSERT_EQ(a.totalMoves, b.totalMoves);
+    }
+    EXPECT_GT(bulk.totalMoves(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Geometries, StartGapProperty,
                          ::testing::ValuesIn(sgCases));
 
