@@ -19,6 +19,7 @@
 #include "psm/xcc.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
+#include "stats/histogram.hh"
 #include "workload/spec.hh"
 #include "workload/synthetic.hh"
 
@@ -105,6 +106,37 @@ BM_PsmSpanRead(benchmark::State &state)
     psmSpan(state, mem::MemOp::Read, true);
 }
 BENCHMARK(BM_PsmSpanRead);
+
+/** A default six-DIMM PSM built and torn down, as every power-cut
+ *  trial does: wear counters, row buffers, the Start-Gap registers. */
+void
+BM_PsmConstruct(benchmark::State &state)
+{
+    for (auto _ : state) {
+        psm::Psm psm;
+        benchmark::DoNotOptimize(psm.managedLines());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PsmConstruct);
+
+/** A read span's latency samples: runs of equal values, as the PSM's
+ *  closed-form read runs stage them (range(0) samples per run). */
+void
+BM_HistogramAddRuns(benchmark::State &state)
+{
+    const std::uint64_t run = static_cast<std::uint64_t>(state.range(0));
+    stats::Histogram hist;
+    Rng rng(5);
+    for (auto _ : state) {
+        hist.add(60 + rng.below(4), run);
+        if (hist.count() > (std::uint64_t(1) << 24))
+            hist.reset();
+    }
+    benchmark::DoNotOptimize(hist.mean());
+    state.SetItemsProcessed(state.iterations() * run);
+}
+BENCHMARK(BM_HistogramAddRuns)->Arg(1)->Arg(32);
 
 void
 BM_PmemDimmAccess(benchmark::State &state)

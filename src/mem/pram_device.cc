@@ -24,9 +24,11 @@ PramDevice::PramDevice(const PramParams &params)
     const std::uint64_t regions =
         (_params.capacityBytes + _params.wearRegionBytes - 1)
         / _params.wearRegionBytes;
-    wear.assign(regions ? regions : 1, 0);
+    regionCount = regions ? regions : 1;
+    wearChunks.resize((regionCount + wearChunkRegions - 1)
+                      / wearChunkRegions);
     wearRegion.set(_params.wearRegionBytes);
-    wearRegions.set(wear.size());
+    wearRegions.set(regionCount);
     // P(at least one of the 32 symbols flips) = 1 - (1-ber)^32,
     // hoisted out of the per-read path.
     pAnyFlip = 1.0
@@ -47,16 +49,36 @@ PramDevice::read(Tick when)
     return result;
 }
 
+Tick
+PramDevice::readRun(Tick when, std::uint64_t n, Tick gap)
+{
+    if (n == 0)
+        panic("PramDevice::readRun needs n > 0");
+    // Each later read arrives gap after the die frees: no stall.
+    const Tick start = std::max(when, _busyUntil);
+    stalled += start - when;
+    _busyUntil = start + n * _params.readLatency + (n - 1) * gap;
+    reads += n;
+    return _busyUntil;
+}
+
 void
 PramDevice::recordWear(Addr addr, std::uint64_t n)
 {
-    const std::uint64_t region = wearRegions.mod(wearRegion.div(addr));
+    const std::uint64_t region = regionOf(addr);
+    const std::uint64_t c = region / wearChunkRegions;
+    auto &chunk = wearChunks[c];
+    if (!chunk) {
+        const std::uint64_t len = chunkRegions(c);
+        chunk = std::make_unique_for_overwrite<std::uint64_t[]>(len);
+        std::fill_n(chunk.get(), len, wearFloor);
+    }
     // Saturate at the rated endurance: a counter that wrapped would
     // report a hammered region as pristine, silently disarming both
     // the lifetime projection and the wear-driven fault model, and
     // wearFraction() caps at 1.0 anyway — counting past the rating
     // only skews the wear histograms.
-    std::uint64_t &w = wear[region];
+    std::uint64_t &w = chunk[region % wearChunkRegions];
     if (w < _params.enduranceCycles)
         w = std::min(w + n, _params.enduranceCycles);
 }
@@ -120,10 +142,27 @@ PramDevice::writeBurst(Tick when, Addr page_addr, std::uint64_t n)
     return result;
 }
 
+std::vector<std::uint64_t>
+PramDevice::wearByRegion() const
+{
+    std::vector<std::uint64_t> out(regionCount);
+    for (std::uint64_t r = 0; r < regionCount; ++r)
+        out[r] = regionWear(r);
+    return out;
+}
+
 std::uint64_t
 PramDevice::maxRegionWear() const
 {
-    return *std::max_element(wear.begin(), wear.end());
+    // Writes only raise a counter above the floor.
+    std::uint64_t most = wearFloor;
+    for (std::uint64_t c = 0; c < wearChunks.size(); ++c)
+        if (wearChunks[c])
+            most = std::max(most,
+                            *std::max_element(wearChunks[c].get(),
+                                              wearChunks[c].get()
+                                                  + chunkRegions(c)));
+    return most;
 }
 
 stats::Histogram
@@ -137,16 +176,21 @@ PramDevice::wearHistogram() const
 void
 PramDevice::addWearSamples(stats::Histogram &hist) const
 {
-    for (const std::uint64_t w : wear)
-        hist.add(w);
+    for (std::uint64_t c = 0; c < wearChunks.size(); ++c) {
+        if (!wearChunks[c]) {
+            hist.add(wearFloor, chunkRegions(c));
+            continue;
+        }
+        for (std::uint64_t r = 0; r < chunkRegions(c); ++r)
+            hist.add(wearChunks[c][r]);
+    }
 }
 
 double
 PramDevice::wearFraction(Addr addr) const
 {
-    const std::uint64_t region = wearRegions.mod(wearRegion.div(addr));
     return std::min(
-        static_cast<double>(wear[region])
+        static_cast<double>(regionWear(regionOf(addr)))
             / static_cast<double>(_params.enduranceCycles),
         1.0);
 }
@@ -205,9 +249,11 @@ PramDevice::retireGranule(Addr granule_addr)
 void
 PramDevice::preWear(std::uint64_t cycles)
 {
-    // Same saturation point as recordWear().
-    std::fill(wear.begin(), wear.end(),
-              std::min(cycles, _params.enduranceCycles));
+    // Same saturation point as recordWear(). Every region now holds
+    // the floor, which is what a missing chunk reads as.
+    wearFloor = std::min(cycles, _params.enduranceCycles);
+    for (auto &chunk : wearChunks)
+        chunk.reset();
 }
 
 void
@@ -217,7 +263,9 @@ PramDevice::reset()
     stalled = 0;
     reads = 0;
     writes = 0;
-    std::fill(wear.begin(), wear.end(), 0);
+    wearFloor = 0;
+    for (auto &chunk : wearChunks)
+        chunk.reset();
     stuckMap.clear();
     faultRng = Rng(_params.faults.seed);
 }

@@ -24,7 +24,9 @@
 #ifndef LIGHTPC_MEM_PRAM_DEVICE_HH
 #define LIGHTPC_MEM_PRAM_DEVICE_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -167,6 +169,20 @@ class PramDevice
     AccessResult writeBurst(Tick when, Addr page_addr, std::uint64_t n);
 
     /**
+     * Service @p n reads, the first beginning no earlier than
+     * @p when and each later one issued @p gap after the one before
+     * completes (a PSM read run: gap is the bus hop). Same result
+     * and state as those n calls of read(), in closed form: only the
+     * first can wait on the die, so with start = max(when,
+     * busyUntil()) the last read completes at
+     * start + n * readLatency + (n - 1) * gap.
+     *
+     * @pre n > 0.
+     * @return The last read's completion tick.
+     */
+    Tick readRun(Tick when, std::uint64_t n, Tick gap);
+
+    /**
      * MemoryPort-style entry: service @p req starting no earlier
      * than @p when. Writes are synchronous (no early return) — the
      * PSM layers above decide when early-return semantics apply and
@@ -196,10 +212,7 @@ class PramDevice
     Tick stallTicks() const { return stalled; }
 
     /** Per-region write counts (wear-leveling validation). */
-    const std::vector<std::uint64_t> &wearByRegion() const
-    {
-        return wear;
-    }
+    std::vector<std::uint64_t> wearByRegion() const;
 
     /** Largest per-region write count. */
     std::uint64_t maxRegionWear() const;
@@ -261,6 +274,29 @@ class PramDevice
     void reset();
 
   private:
+    /** Wear regions per lazily allocated counter chunk. */
+    static constexpr std::uint64_t wearChunkRegions = 64;
+
+    /** Wear region of device-local address @p addr. */
+    std::uint64_t regionOf(Addr addr) const
+    {
+        return wearRegions.mod(wearRegion.div(addr));
+    }
+
+    /** Regions in chunk @p c (the last one may be short). */
+    std::uint64_t chunkRegions(std::uint64_t c) const
+    {
+        return std::min(wearChunkRegions,
+                        regionCount - c * wearChunkRegions);
+    }
+
+    /** Write count of region @p region. */
+    std::uint64_t regionWear(std::uint64_t region) const
+    {
+        const auto &chunk = wearChunks[region / wearChunkRegions];
+        return chunk ? chunk[region % wearChunkRegions] : wearFloor;
+    }
+
     /** @p n saturating wear increments for @p addr's region. */
     void recordWear(Addr addr, std::uint64_t n = 1);
 
@@ -269,12 +305,20 @@ class PramDevice
 
     PramParams _params;
     FastDiv wearRegion;   ///< divisor: wearRegionBytes
-    FastDiv wearRegions;  ///< divisor: wear.size()
+    FastDiv wearRegions;  ///< divisor: regionCount
     Tick _busyUntil = 0;
     Tick stalled = 0;
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
-    std::vector<std::uint64_t> wear;
+    /**
+     * Per-region write counts, allocated a chunk of wearChunkRegions
+     * at a time on a chunk's first write: a die is gigabytes of
+     * regions and a short run writes few of them. A null chunk's
+     * regions all hold wearFloor, the preWear() level.
+     */
+    std::vector<std::unique_ptr<std::uint64_t[]>> wearChunks;
+    std::uint64_t regionCount = 0;
+    std::uint64_t wearFloor = 0;
 
     /** Fault RNG (sampling order is part of the seeded trace). */
     Rng faultRng;

@@ -121,8 +121,10 @@ NicDevice::scrambleVolatile(Rng &rng)
 void
 NicDevice::resetVolatile()
 {
-    std::memset(rx.data(), 0, rx.size() * sizeof(RpcRequest));
-    std::memset(tx.data(), 0, tx.size() * sizeof(RpcResponse));
+    // Value-initialisation zeroes padding too, so the rings save as
+    // the same bytes as a fresh device's.
+    std::uninitialized_value_construct(rx.begin(), rx.end());
+    std::uninitialized_value_construct(tx.begin(), tx.end());
     rxHead = rxCount = txHead = txCount = 0;
 }
 

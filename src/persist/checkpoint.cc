@@ -1,6 +1,7 @@
 #include "persist/checkpoint.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 
@@ -11,7 +12,7 @@ namespace
 {
 
 /** splitmix64-style mixer for records and body patterns. */
-std::uint64_t
+constexpr std::uint64_t
 mix64(std::uint64_t x)
 {
     x += 0x9e3779b97f4a7c15ULL;
@@ -20,14 +21,25 @@ mix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
+/** Functional pattern prefix per committed image body. */
+constexpr std::uint64_t patternBytes = 64 << 10;
+
+/** mix64(index + 1) for every word of the pattern prefix: the seed
+ *  only enters the outer mix, so every body shares this table. */
+constexpr auto indexMix = [] {
+    std::array<std::uint64_t, patternBytes / 8> table{};
+    for (std::uint64_t i = 0; i < table.size(); ++i)
+        table[i] = mix64(i + 1);
+    return table;
+}();
+
 std::uint64_t
 patternWord(std::uint64_t seed, std::uint64_t index)
 {
-    return mix64(seed ^ mix64(index + 1));
+    return mix64(seed
+                 ^ (index < indexMix.size() ? indexMix[index]
+                                            : mix64(index + 1)));
 }
-
-/** Functional pattern prefix per committed image body. */
-constexpr std::uint64_t patternBytes = 64 << 10;
 
 std::uint64_t
 pagesOf(std::uint64_t bytes)

@@ -469,6 +469,9 @@ Psm::accessLines(mem::MemOp op, mem::Addr first_line,
         return accessLine(op, line, when).completeAt;
     const bool write_hits =
         op == mem::MemOp::Write && _params.earlyReturnWrites;
+    // Media-fault reads draw faults and may retire slots per line.
+    const bool read_runs =
+        op == mem::MemOp::Read && !_params.dimm.device.faults.enabled;
     while (lines != 0) {
         std::uint64_t run = 0;
         Route r = routeRun(line, run);
@@ -480,21 +483,27 @@ Psm::accessLines(mem::MemOp op, mem::Addr first_line,
             if (++done == run || mappingEpoch() != epoch)
                 break;
             stepRoute(r, 1);
-            if (!write_hits)
+            std::uint64_t absorbed = 0;
+            if (write_hits) {
+                // The line just served left r.page open on r.unit, so
+                // every following write of the run is a hit until one
+                // moves the gap; that one takes the body and a new
+                // route.
+                absorbed = run - done;
+                if (_params.wearLeveling)
+                    absorbed =
+                        std::min(absorbed, wearLevel->writesBeforeMove());
+                if (absorbed != 0)
+                    when = absorbWriteHits(r, absorbed, when);
+            } else if (read_runs) {
+                absorbed = absorbReads(r, run - done, when);
+            }
+            if (absorbed == 0)
                 continue;
-            // The line just served left r.page open on r.unit, so
-            // every following write of the run is a hit until one
-            // moves the gap; that one takes the body and a new route.
-            std::uint64_t hits = run - done;
-            if (_params.wearLeveling)
-                hits = std::min(hits, wearLevel->writesBeforeMove());
-            if (hits == 0)
-                continue;
-            when = absorbWriteHits(r, hits, when);
-            done += hits;
+            done += absorbed;
             if (done == run)
                 break;
-            stepRoute(r, hits);
+            stepRoute(r, absorbed);
         }
         lines -= done;
         line += done;
@@ -515,6 +524,55 @@ Psm::absorbWriteHits(const Route &r, std::uint64_t lines, Tick when)
     if (_params.wearLeveling)
         wearLevel->recordWrites(lines);
     return when + lines * (_params.busLatency + _params.rowBufferLatency);
+}
+
+std::uint64_t
+Psm::absorbReads(const Route &r, std::uint64_t lines, Tick &when)
+{
+    if (unitFaults[r.unit] != 0)
+        return 0;
+    // Forwarded lines take the per-line body: stop short of the first
+    // dirty line of the open page.
+    const RowBuffer &rb = rowBuffers[r.unit];
+    if (rb.openPage == r.page) {
+        const std::uint64_t dirty = rb.dirtyMask >> r.lineInPage;
+        if (dirty != 0)
+            lines = std::min<std::uint64_t>(lines,
+                                            std::countr_zero(dirty));
+    }
+    if (lines == 0)
+        return 0;
+
+    mem::PramDevice &dev = unitDevice(r);
+    const Tick bus = _params.busLatency;
+    const Tick media = bus + dev.params().readLatency;
+    Tick t = when;
+    std::uint64_t rebuilt = 0;
+    if (dev.busyAt(t + bus)) {
+        // The die still cools: read i, issued at when + i * c, is
+        // rebuilt on the ECC lane while busyUntil > when + i * c + bus.
+        // A lane still busy from the paired unit or a die that blocks
+        // (LightPC-B) takes the per-line body.
+        Tick &ecc = eccBusyUntil[r.unit / 2];
+        if (!_params.eccReconstruction || ecc > t + bus)
+            return 0;
+        const Tick c = media + _params.xorLatency;
+        rebuilt = std::min(lines,
+                           (dev.busyUntil() - (t + bus) + c - 1) / c);
+        t += rebuilt * c;
+        ecc = t;
+        _stats.reconstructedReads += rebuilt;
+        readHist.add(c, rebuilt);
+    }
+    // The rest find the die free: steady media reads, bus + readLatency
+    // each.
+    if (const std::uint64_t rest = lines - rebuilt; rest != 0) {
+        t = dev.readRun(t + bus, rest, bus);
+        readHist.add(media, rest);
+    }
+    _stats.reads += lines;
+    when = t;
+    return lines;
 }
 
 mem::AccessResult

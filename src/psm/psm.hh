@@ -192,10 +192,14 @@ class Psm
      * (StartGap::remapRun, cut at the row page's end, and one line
      * long while any slot is retired). Inside a run it steps the
      * route, and it routes again after a gap move or a retirement.
-     * Reads, LightPC-B writes and each run's first write go through
-     * the per-line body. With early-return writes the first write
-     * leaves the run's page open, so the following writes that move
-     * no gap are row-buffer hits and are retired in closed form.
+     * Each run's first line goes through the per-line body. With
+     * early-return writes it leaves the run's page open, so the
+     * following writes that move no gap are row-buffer hits and are
+     * retired in closed form (absorbWriteHits). With the media-fault
+     * model off, the following reads of a unit without injected
+     * faults are retired in closed form too (absorbReads), up to the
+     * first line the open row buffer holds dirty. LightPC-B writes
+     * and every fault-model access stay per line.
      *
      * @return The completion tick of the last line (@p when if none).
      */
@@ -408,6 +412,25 @@ class Psm
      * @return The completion tick of the last of them.
      */
     Tick absorbWriteHits(const Route &r, std::uint64_t lines, Tick when);
+
+    /**
+     * Reads of up to @p lines lines from @p r onward, each issued
+     * when the one before completes, in closed form: first the
+     * reads that find the die cooling, rebuilt on the ECC lane at
+     * busLatency + readLatency + xorLatency each, then steady media
+     * reads at busLatency + readLatency each. Stops short of the
+     * first line the open row buffer holds dirty (a forward).
+     *
+     * @pre The media-fault model is off.
+     * @param when Issue tick of the first read; set to the last
+     *             read's completion.
+     * @return Lines retired: 0 when the next line must take the
+     *         per-line body (injected unit faults, a forward, a
+     *         blocking die, or an ECC lane busy past the first
+     *         rebuild's start).
+     */
+    std::uint64_t absorbReads(const Route &r, std::uint64_t lines,
+                              Tick &when);
 
     mem::PramDevice &unitDevice(const Route &r);
 

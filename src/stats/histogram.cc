@@ -60,15 +60,18 @@ Histogram::bucketLow(std::size_t index) const
 void
 Histogram::flush() const
 {
-    // Replay in insertion order: Welford updates are order-dependent,
-    // and sequential replay makes the batched results bit-identical
-    // to unstaged insertion.
+    // Replay in insertion order, one Welford update per sample:
+    // Welford updates are order-dependent, and sequential replay
+    // makes the batched results bit-identical to unstaged insertion.
     for (unsigned i = 0; i < stagedCount; ++i) {
-        const std::uint64_t value = staging[i];
-        ++buckets[bucketIndex(value)];
-        summary.add(static_cast<double>(value));
+        const Staged &s = staging[i];
+        buckets[bucketIndex(s.value)] += s.n;
+        const double x = static_cast<double>(s.value);
+        for (std::uint64_t k = 0; k < s.n; ++k)
+            summary.add(x);
     }
     stagedCount = 0;
+    stagedSamples = 0;
 }
 
 std::uint64_t
@@ -126,6 +129,7 @@ Histogram::reset()
     std::fill(buckets.begin(), buckets.end(), 0);
     summary.reset();
     stagedCount = 0;
+    stagedSamples = 0;
 }
 
 } // namespace lightpc::stats

@@ -9,10 +9,13 @@
  *
  * Samples are staged in a small buffer and folded into the buckets
  * and Welford summary in batches — the simulator records a sample on
- * every memory access, and staging keeps that hot path to one store.
- * The buffer preserves insertion order and the flush replays it
- * sequentially, so every query returns exactly what unstaged
- * insertion would have produced.
+ * every memory access, and staging keeps that hot path to a compare
+ * and a store. The buffer is run-length coded: a value equal to the last staged
+ * one adds to that entry's count, so the PSM's closed-form read runs
+ * stage thousands of equal latencies in one entry. It preserves
+ * insertion order and the flush replays it sequentially, one Welford
+ * update per sample, so every query returns exactly what unstaged
+ * one-at-a-time insertion would have produced.
  */
 
 #ifndef LIGHTPC_STATS_HISTOGRAM_HH
@@ -40,11 +43,16 @@ class Histogram
      */
     explicit Histogram(unsigned sub_buckets = 32);
 
-    /** Record one value. */
+    /** Record @p n samples of @p value, as n calls of add(value). */
     void
-    add(std::uint64_t value)
+    add(std::uint64_t value, std::uint64_t n = 1)
     {
-        staging[stagedCount] = value;
+        stagedSamples += n;
+        if (stagedCount != 0 && staging[stagedCount - 1].value == value) {
+            staging[stagedCount - 1].n += n;
+            return;
+        }
+        staging[stagedCount] = {value, n};
         if (++stagedCount == stagingCapacity)
             flush();
     }
@@ -60,7 +68,7 @@ class Histogram
     std::uint64_t
     count() const
     {
-        return summary.count() + stagedCount;
+        return summary.count() + stagedSamples;
     }
 
     /** Arithmetic mean of recorded values. */
@@ -114,15 +122,25 @@ class Histogram
     std::size_t bucketIndex(std::uint64_t value) const;
     std::uint64_t bucketLow(std::size_t index) const;
 
-    static constexpr unsigned stagingCapacity = 512;
+    /** @p n consecutive samples of one value. */
+    struct Staged
+    {
+        std::uint64_t value;
+        std::uint64_t n;
+    };
+
+    /** 4 KiB of staged entries. */
+    static constexpr unsigned stagingCapacity = 256;
 
     unsigned subBuckets;
     unsigned subBucketShift;
     // Queries flush lazily, so the folded state is mutable.
     mutable std::vector<std::uint64_t> buckets;
     mutable Summary summary;
-    mutable std::array<std::uint64_t, stagingCapacity> staging;
+    mutable std::array<Staged, stagingCapacity> staging;
     mutable unsigned stagedCount = 0;
+    /** Samples in the staged entries. */
+    mutable std::uint64_t stagedSamples = 0;
 };
 
 } // namespace lightpc::stats

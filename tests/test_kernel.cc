@@ -179,9 +179,11 @@ TEST(KernelLifecycle, SpawnBalancesAcrossCores)
     params.userProcesses = 0;
     params.kernelThreads = 0;
     Kernel kern(params);
-    for (int i = 0; i < 16; ++i)
-        kern.spawnProcess("w" + std::to_string(i), false,
-                          TaskState::Runnable);
+    for (int i = 0; i < 16; ++i) {
+        std::string name = "w";
+        name += std::to_string(i);
+        kern.spawnProcess(name, false, TaskState::Runnable);
+    }
     for (std::uint32_t c = 0; c < kern.cores(); ++c)
         EXPECT_EQ(kern.runQueue(c).size(), 2u);
 }

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <string>
+#include <vector>
 #include <string_view>
 
 #include "mem/dram_device.hh"
@@ -109,6 +112,92 @@ TEST(PramDevice, WriteBurstMatchesRepeatedWrites)
             EXPECT_EQ(burst.stallTicks(), lines.stallTicks());
             EXPECT_EQ(burst.writeCount(), lines.writeCount());
             EXPECT_EQ(burst.wearByRegion(), lines.wearByRegion());
+        }
+    }
+}
+
+TEST(PramDevice, SparseWearMatchesDenseReference)
+{
+    // Wear counters are allocated in chunks on first write; a dense
+    // per-region array replayed alongside must agree on every query
+    // through pre-wear, writes, bursts, saturation and reset. 100
+    // regions leave the last chunk short.
+    PramParams params;
+    params.wearRegionBytes = 64 << 10;
+    params.capacityBytes = 100 * params.wearRegionBytes;
+    params.enduranceCycles = 40;
+    PramDevice dev(params);
+    std::vector<std::uint64_t> dense(100, 0);
+    Rng rng(23);
+
+    const auto expect_same = [&] {
+        ASSERT_EQ(dev.wearByRegion(), dense);
+        EXPECT_EQ(dev.maxRegionWear(),
+                  *std::max_element(dense.begin(), dense.end()));
+        stats::Histogram want;
+        for (const std::uint64_t w : dense)
+            want.add(w);
+        const stats::Histogram got = dev.wearHistogram();
+        ASSERT_EQ(got.count(), want.count());
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.mean()),
+                  std::bit_cast<std::uint64_t>(want.mean()));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.stddev()),
+                  std::bit_cast<std::uint64_t>(want.stddev()));
+        for (const double q : {0.0, 0.25, 0.5, 0.9, 1.0})
+            EXPECT_EQ(got.percentile(q), want.percentile(q));
+        for (std::uint64_t r = 0; r < dense.size(); r += 7)
+            EXPECT_DOUBLE_EQ(
+                dev.wearFraction(r * params.wearRegionBytes + 64),
+                std::min(1.0, dense[r] / 40.0));
+    };
+
+    for (int round = 0; round < 6; ++round) {
+        SCOPED_TRACE(round);
+        if (round == 3) {
+            dev.reset();
+            std::fill(dense.begin(), dense.end(), 0);
+        } else if (round % 2 == 1) {
+            const std::uint64_t level = rng.below(60);
+            dev.preWear(level);
+            std::fill(dense.begin(), dense.end(),
+                      std::min<std::uint64_t>(level, 40));
+        }
+        expect_same();
+        // Writes land in a few chunks only; bursts saturate some.
+        for (int i = 0; i < 200; ++i) {
+            const std::uint64_t region =
+                rng.chance(0.5) ? rng.below(10) : 64 + rng.below(36);
+            const Addr addr = region * params.wearRegionBytes
+                + rng.below(params.wearRegionBytes / 64) * 64;
+            const std::uint64_t n = rng.chance(0.2) ? 1 + rng.below(30) : 1;
+            if (n == 1)
+                dev.write(0, addr, /*early_return=*/true);
+            else
+                dev.writeBurst(0, addr & ~Addr(2047), n);
+            dense[region] = std::min<std::uint64_t>(dense[region] + n, 40);
+        }
+        expect_same();
+    }
+}
+
+TEST(PramDevice, ReadRunMatchesRepeatedReads)
+{
+    // n reads, each issued a gap after the one before completes, on
+    // an idle die and on one still cooling off a write.
+    for (const Tick gap : {Tick(0), 10 * tickNs}) {
+        for (const bool busy : {false, true}) {
+            PramDevice run, lines;
+            for (PramDevice *dev : {&run, &lines})
+                if (busy)
+                    dev->write(0, 0, /*early_return=*/true);
+            const Tick when = 100 * tickNs;
+            Tick want = when;
+            for (int k = 0; k < 9; ++k)
+                want = lines.read(k == 0 ? when : want + gap).completeAt;
+            EXPECT_EQ(run.readRun(when, 9, gap), want);
+            EXPECT_EQ(run.busyUntil(), lines.busyUntil());
+            EXPECT_EQ(run.stallTicks(), lines.stallTicks());
+            EXPECT_EQ(run.readCount(), lines.readCount());
         }
     }
 }

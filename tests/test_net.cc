@@ -156,6 +156,24 @@ TEST(Nic, ContextRoundTripBeatsScramble)
     EXPECT_EQ(rout.version, 9u);
 }
 
+TEST(Nic, ColdBootAfterScrambleSavesLikeAFreshDevice)
+{
+    // A cold boot must leave no scrambled byte in the rings, padding
+    // included: the saved image is what the DCB and its digests see.
+    kernel::DeviceManager mgr;
+    NicParams params;
+    params.ringEntries = 8;
+    NicDevice fresh(mgr, "eth0", params), booted(mgr, "eth1", params);
+    Rng rng(9);
+    booted.scrambleVolatile(rng);
+    booted.resetVolatile();
+
+    std::vector<std::uint8_t> want, got;
+    fresh.saveContext(want);
+    booted.saveContext(got);
+    EXPECT_EQ(got, want);
+}
+
 TEST(Nic, QueuedFramesRideTheDcbThroughStopAndGo)
 {
     platform::SystemConfig sc;

@@ -432,6 +432,202 @@ TEST(PsmSpanRuns, RetirementMidSpanLikeLineByLine)
     expectSameModelState(spans, lines);
 }
 
+/** How a read-run case configures its PSMs. */
+enum class ReadRunMode
+{
+    LightPc,      ///< early-return writes, XCC reconstruction
+    LightPcB,     ///< synchronous writes, blocking reads
+    UnitFaults,   ///< LightPC with half of each unit pair dead
+    MediaFaults,  ///< LightPC with the media-fault model on
+};
+
+/**
+ * Small DualChannel geometry, wear leveling off so line L sits in
+ * row page L / 32 of unit (L / 32) % units: the tests can aim spans
+ * at one unit pair and its ECC lane.
+ */
+PsmParams
+readRunParams(ReadRunMode mode)
+{
+    PsmParams params = spanRunParams(100);
+    params.wearLeveling = false;
+    if (mode == ReadRunMode::LightPcB) {
+        params.earlyReturnWrites = false;
+        params.eccReconstruction = false;
+    }
+    if (mode == ReadRunMode::MediaFaults) {
+        params.dimm.device.faults.enabled = true;
+        params.dimm.device.faults.transientBer = 1e-3;
+    }
+    return params;
+}
+
+/** Lines per row page and service units of @p psm. */
+struct ReadRunGeometry
+{
+    std::uint64_t pageLines;
+    std::uint64_t units;
+
+    explicit ReadRunGeometry(const Psm &psm)
+        : pageLines(psm.params().rowBufferBytes / mem::cacheLineBytes),
+          units(psm.serviceUnits())
+    {
+    }
+
+    /** First line of the @p k-th row page of unit @p unit. */
+    std::uint64_t
+    pageStart(std::uint64_t unit, std::uint64_t k) const
+    {
+        return (k * units + unit) * pageLines;
+    }
+};
+
+/** Single-line access on both PSMs at @p when; both must agree. */
+Tick
+expectSameAccess(Psm &a, Psm &b, mem::MemOp op, std::uint64_t line,
+                 Tick when)
+{
+    mem::MemRequest req;
+    req.op = op;
+    req.addr = line * mem::cacheLineBytes;
+    const mem::AccessResult x = a.access(req, when);
+    const mem::AccessResult y = b.access(req, when);
+    EXPECT_EQ(x.completeAt, y.completeAt) << "line " << line;
+    EXPECT_EQ(x.reconstructed, y.reconstructed) << "line " << line;
+    return x.completeAt;
+}
+
+class PsmReadRuns : public ::testing::TestWithParam<ReadRunMode>
+{
+};
+
+TEST_P(PsmReadRuns, ReadSpansLikeLineByLine)
+{
+    // Traffic on one unit pair (units 0 and 1 share an ECC lane):
+    // single writes open row pages, leave lines dirty and, at each
+    // page change, drain a page to the die, which then cools for
+    // hundreds of ns. Read spans of 2-80 lines start anywhere in the
+    // four hot pages of either unit, at closed-loop or random ticks,
+    // so they meet dirty lines, a cooling die, a busy ECC lane and
+    // row-page ends. After each span a read on the paired unit,
+    // issued at the span's start tick, shows where the span left the
+    // shared ECC lane.
+    const ReadRunMode mode = GetParam();
+    const PsmParams params = readRunParams(mode);
+    Psm spans(params), lines(params);
+    if (mode == ReadRunMode::UnitFaults) {
+        for (Psm *psm : {&spans, &lines}) {
+            psm->injectFault(0, 0, 0);
+            psm->injectFault(0, 1, 1);
+        }
+    }
+    const ReadRunGeometry geo(spans);
+    ASSERT_GE(geo.units, 2u);
+    Rng rng(static_cast<std::uint64_t>(mode) + 17);
+
+    const auto hot_line = [&](std::uint64_t unit) {
+        return geo.pageStart(unit, rng.below(4))
+            + rng.below(geo.pageLines);
+    };
+
+    Tick t = 0;
+    int mixed_spans = 0, forwarding_spans = 0;
+    for (int i = 0; i < 3000; ++i) {
+        if (rng.chance(0.4)) {
+            t = expectSameAccess(spans, lines, mem::MemOp::Write,
+                                 hot_line(rng.below(2)), t);
+            continue;
+        }
+        const std::uint64_t unit = rng.below(2);
+        const std::uint64_t first = hot_line(unit);
+        const std::uint64_t n = 2 + rng.below(79);
+        const PsmStats before = spans.stats();
+        const Tick start = t;
+        expectSpanMatches(spans, lines, mem::MemOp::Read, first, n, t);
+        if (::testing::Test::HasFatalFailure())
+            return;
+        const PsmStats &after = spans.stats();
+        const std::uint64_t rebuilt =
+            after.reconstructedReads - before.reconstructedReads;
+        const std::uint64_t forwarded =
+            after.rowBufferReadHits - before.rowBufferReadHits;
+        const std::uint64_t media = n - rebuilt - forwarded;
+        mixed_spans += rebuilt != 0 && media != 0;
+        forwarding_spans += forwarded != 0 && media != 0;
+
+        expectSameAccess(spans, lines, mem::MemOp::Read, hot_line(1 - unit),
+                         start);
+        // Mix closed-loop and open-loop issue.
+        t = rng.chance(0.5) ? t : start + rng.below(1500 * tickNs);
+    }
+
+    if (mode == ReadRunMode::LightPc) {
+        EXPECT_GT(mixed_spans, 50)
+            << "spans must cross from ECC rebuilds to media reads";
+    }
+    if (mode != ReadRunMode::LightPcB) {
+        EXPECT_GT(forwarding_spans, 50);
+    }
+    expectSameModelState(spans, lines);
+    EXPECT_EQ(spans.flush(t), lines.flush(t));
+    expectSameModelState(spans, lines);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, PsmReadRuns,
+    ::testing::Values(ReadRunMode::LightPc, ReadRunMode::LightPcB,
+                      ReadRunMode::UnitFaults, ReadRunMode::MediaFaults),
+    [](const ::testing::TestParamInfo<ReadRunMode> &info) {
+        switch (info.param) {
+        case ReadRunMode::LightPc: return "LightPc";
+        case ReadRunMode::LightPcB: return "LightPcB";
+        case ReadRunMode::UnitFaults: return "UnitFaults";
+        case ReadRunMode::MediaFaults: return "MediaFaults";
+        }
+        return "Unknown";
+    });
+
+TEST(PsmReadRuns, EccLaneBusyAfterAForward)
+{
+    // A span whose first line is forwarded from the open row buffer
+    // reaches its second line with the die cooling and the ECC lane
+    // still busy with the paired unit's rebuild: that line waits for
+    // the lane, which only the per-line body models.
+    const PsmParams params = readRunParams(ReadRunMode::LightPc);
+    Psm spans(params), lines(params);
+    const ReadRunGeometry geo(spans);
+    const Tick bus = params.busLatency;
+    const Tick rebuild =
+        bus + params.dimm.device.readLatency + params.xorLatency;
+
+    // Each unit: open page 1 (lines dirty), then write page 0, which
+    // drains page 1 to the die and leaves page 0's first line dirty.
+    Tick t = 0;
+    for (std::uint64_t unit : {0, 1}) {
+        for (std::uint64_t k = 0; k < 4; ++k)
+            t = expectSameAccess(spans, lines, mem::MemOp::Write,
+                                 geo.pageStart(unit, 1) + k, t);
+        t = expectSameAccess(spans, lines, mem::MemOp::Write,
+                             geo.pageStart(unit, 0), t);
+    }
+    ASSERT_TRUE(spans.dimm(0).group(0).busyAt(t + 4 * rebuild));
+
+    // Unit 1 rebuilds a line and holds the shared lane until
+    // t + rebuild; unit 0's span forwards its first line and is
+    // ready for the second at t + bus + rowBufferLatency.
+    expectSameAccess(spans, lines, mem::MemOp::Read,
+                     geo.pageStart(1, 0) + 5, t);
+    Tick span_done = t;
+    expectSpanMatches(spans, lines, mem::MemOp::Read, geo.pageStart(0, 0),
+                      8, span_done);
+    // Line by line: one forward, one rebuild that starts its media
+    // read when the lane frees at t + rebuild, then six more rebuilds
+    // back to back.
+    EXPECT_EQ(span_done, t + rebuild + (rebuild - bus) + 6 * rebuild);
+    expectSameModelState(spans, lines);
+    EXPECT_EQ(spans.flush(span_done), lines.flush(span_done));
+}
+
 TEST(PsmProperty, DeterministicAcrossIdenticalRuns)
 {
     auto run = [] {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -162,6 +163,58 @@ TEST(Histogram, StagingIsSequentiallyEquivalent)
     EXPECT_EQ(staged.max(), reference.max());
     for (double q : {0.0, 0.1, 0.5, 0.9, 0.99, 1.0})
         EXPECT_EQ(staged.percentile(q), reference.percentile(q));
+}
+
+/** Every query of @p a equals @p b's, the moments bit for bit. */
+void
+expectSameHistogram(const Histogram &a, const Histogram &b)
+{
+    ASSERT_EQ(a.count(), b.count());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.mean()),
+              std::bit_cast<std::uint64_t>(b.mean()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.stddev()),
+              std::bit_cast<std::uint64_t>(b.stddev()));
+    EXPECT_EQ(a.min(), b.min());
+    EXPECT_EQ(a.max(), b.max());
+    for (int i = 0; i <= 100; ++i)
+        ASSERT_EQ(a.percentile(i / 100.0), b.percentile(i / 100.0)) << i;
+}
+
+/**
+ * add(value, n) stages a run in one entry; it must equal n one-at-a-
+ * time insertions for every query, whether the runs still sit in
+ * the staging buffer or a full buffer has flushed them. Repeats are
+ * long and values come from a small set, so equal runs also meet
+ * back to back and merge.
+ */
+TEST(Histogram, RunLengthStagingMatchesOneAtATime)
+{
+    for (const std::uint64_t seed : {1, 2, 3}) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        Histogram runs, reference;
+        std::uint64_t samples = 0;
+        for (int i = 0; i < 1200; ++i) {
+            const std::uint64_t v = rng.chance(0.5)
+                ? 60 + rng.below(8)
+                : rng.below(1'000'000);
+            const std::uint64_t n =
+                rng.chance(0.3) ? 1 + rng.below(3000) : 1 + rng.below(4);
+            runs.add(v, n);
+            for (std::uint64_t k = 0; k < n; ++k)
+                reference.add(v);
+            reference.flush();
+            samples += n;
+            // Query a copy, so the staged state goes on untouched:
+            // the first checks come before any capacity flush.
+            if (i % 97 == 0 || i == 40) {
+                const Histogram snapshot = runs;
+                ASSERT_EQ(snapshot.count(), samples);
+                expectSameHistogram(snapshot, reference);
+            }
+        }
+        expectSameHistogram(runs, reference);
+    }
 }
 
 TEST(Histogram, CountIncludesStagedSamples)

@@ -90,8 +90,9 @@ TEST(Trace, RoundTripsSyntheticWorkloadExactly)
     while (reference.next(a)) {
         ASSERT_TRUE(replay.next(b));
         ASSERT_EQ(a.kind, b.kind);
-        if (a.kind != cpu::InstrKind::Alu)
+        if (a.kind != cpu::InstrKind::Alu) {
             ASSERT_EQ(a.addr, b.addr);
+        }
     }
     EXPECT_FALSE(replay.next(b));
 }

@@ -141,8 +141,9 @@ TEST(SyntheticStream, ThreadsGetDisjointHotSets)
     for (int i = 0; i < 2000; ++i) {
         t0.next(instr);
         if (instr.kind != cpu::InstrKind::Alu
-            && instr.addr < config.threads * config.hotBytes)
+            && instr.addr < config.threads * config.hotBytes) {
             EXPECT_LT(instr.addr, config.hotBytes);
+        }
     }
     (void)t1;
 }
