@@ -142,19 +142,20 @@ main(int argc, char **argv)
                         "attributable ms", "cold boots"});
     using stats::Table;
     for (const net::ServiceResult &r : results)
-        table.addRow({r.modeName, std::to_string(r.completed),
-                      std::to_string(r.failed), Table::num(r.goodputMean, 0),
+        table.addRow({r.modeName, std::to_string(r.fleet.completed),
+                      std::to_string(r.fleet.failed),
+                      Table::num(r.goodputMean, 0),
                       Table::num(r.p99Us / 1000.0),
                       Table::num(r.p999Us / 1000.0),
                       Table::num(msOf(r.worstDowntime)),
                       Table::num(msOf(r.worstAttributable)),
-                      std::to_string(r.coldBoots)});
+                      std::to_string(r.machine.coldBoots)});
     table.print(std::cout);
 
     std::cout << "\nSnG stop+go total: "
-              << msOf(sng.stopTicksTotal + sng.goTicksTotal)
+              << msOf(sng.machine.stopTicks + sng.machine.goTicks)
               << " ms over " << cuts << " cuts, ring frames"
-              << " resurrected: " << sng.ringPreservedFrames << "\n";
+              << " resurrected: " << sng.machine.ringPreservedFrames << "\n";
     for (const net::ServiceResult &r : results)
         for (const std::string &note : r.violations)
             std::cout << "  VIOLATION [" << r.modeName << "] " << note
@@ -178,30 +179,30 @@ main(int argc, char **argv)
         bench::check(closed,
                      r.modeName + ": service recovered after every"
                      " outage");
-        bench::check(r.completed > 0 && r.ackedPuts > 0,
+        bench::check(r.fleet.completed > 0 && r.fleet.ackedPuts > 0,
                      r.modeName + ": fleet completed work and acked"
                      " PUTs");
     }
 
-    bench::check(sng.coldBoots == 0,
+    bench::check(sng.machine.coldBoots == 0,
                  "SnG: EP-cut committed inside the hold-up on every"
                  " cut");
-    bench::check(sng.contextImagesSaved >= cuts
-                     && sng.contextImagesRestored >= cuts,
+    bench::check(sng.machine.contextImagesSaved >= cuts
+                     && sng.machine.contextImagesRestored >= cuts,
                  "SnG: NIC ring context dumped and resurrected on"
                  " every cycle");
-    bench::check(sng.ringPreservedFrames >= cuts,
+    bench::check(sng.machine.ringPreservedFrames >= cuts,
                  "SnG: queued frames rode the DCB through every"
                  " power cycle");
-    bench::check(oplog.coldBoots == 0,
+    bench::check(oplog.machine.coldBoots == 0,
                  "SnG-OpLog: EP-cut committed inside the hold-up on"
                  " every cut");
-    bench::check(oplog.logAppends > 0 && oplog.logCommits > 0
-                     && oplog.logDrainApplied > 0,
+    bench::check(oplog.kv.logAppends > 0 && oplog.kv.logCommits > 0
+                     && oplog.kv.logDrainApplied > 0,
                  "SnG-OpLog: PUTs rode the log (appends, group"
                  " commits, drains all nonzero)");
-    bench::check(oplog.logAppends
-                     >= oplog.logDrainApplied + oplog.logReplayApplied,
+    bench::check(oplog.kv.logAppends
+                     >= oplog.kv.logDrainApplied + oplog.kv.logReplayApplied,
                  "SnG-OpLog: records applied never exceed records"
                  " appended");
     for (std::size_t i = 2; i < results.size(); ++i) {
@@ -218,7 +219,7 @@ main(int argc, char **argv)
         bench::check(oplog.p999Us < base.p999Us,
                      "SnG-OpLog p999 latency below " + base.modeName
                          + "'s");
-        bench::check(base.coldBoots == cuts,
+        bench::check(base.machine.coldBoots == cuts,
                      base.modeName + ": every outage cost a cold"
                      " boot");
     }
@@ -226,7 +227,7 @@ main(int argc, char **argv)
     // of slack still leaves an order of magnitude to the baselines'
     // 1.5 s cold reboot.
     bench::check(sng.worstAttributable
-                     < (sng.stopTicksTotal + sng.goTicksTotal) / cuts
+                     < (sng.machine.stopTicks + sng.machine.goTicks) / cuts
                            + 100 * tickMs,
                  "SnG attributable downtime within stop+go budget");
 
@@ -244,31 +245,31 @@ main(int argc, char **argv)
     for (const net::ServiceResult &r : results) {
         json.object()
             .field("mode", r.modeName)
-            .field("arrivals", r.arrivals)
-            .field("completed", r.completed)
-            .field("failed", r.failed)
-            .field("retries", r.retries)
-            .field("acked_puts", r.ackedPuts)
-            .field("puts_applied", r.putsApplied)
-            .field("idempotent_hits", r.idempotentHits)
-            .field("rejected", r.rejected)
+            .field("arrivals", r.fleet.arrivals)
+            .field("completed", r.fleet.completed)
+            .field("failed", r.fleet.failed)
+            .field("retries", r.fleet.retries)
+            .field("acked_puts", r.fleet.ackedPuts)
+            .field("puts_applied", r.kv.putsApplied)
+            .field("idempotent_hits", r.kv.idempotentHits)
+            .field("rejected", r.kv.rejected)
             .field("goodput_mean", r.goodputMean, "%.1f")
             .field("latency_mean_us", r.meanUs, "%.2f")
             .field("p50_us", r.p50Us, "%.2f")
             .field("p99_us", r.p99Us, "%.2f")
             .field("p999_us", r.p999Us, "%.2f")
-            .field("cold_boots", r.coldBoots)
-            .field("ring_preserved_frames", r.ringPreservedFrames)
-            .field("ring_frames_lost", r.ringFramesLost)
-            .field("stop_ms_total", msOf(r.stopTicksTotal), "%.3f")
-            .field("go_ms_total", msOf(r.goTicksTotal), "%.3f")
-            .field("log_appends", r.logAppends)
-            .field("log_commits", r.logCommits)
-            .field("log_drain_applied", r.logDrainApplied)
-            .field("log_replay_applied", r.logReplayApplied)
-            .field("log_stall_drains", r.logStallDrains)
-            .field("dedup_compactions", r.dedupCompactions)
-            .field("dedup_evicted", r.dedupEvicted)
+            .field("cold_boots", r.machine.coldBoots)
+            .field("ring_preserved_frames", r.machine.ringPreservedFrames)
+            .field("ring_frames_lost", r.machine.ringFramesLost)
+            .field("stop_ms_total", msOf(r.machine.stopTicks), "%.3f")
+            .field("go_ms_total", msOf(r.machine.goTicks), "%.3f")
+            .field("log_appends", r.kv.logAppends)
+            .field("log_commits", r.kv.logCommits)
+            .field("log_drain_applied", r.kv.logDrainApplied)
+            .field("log_replay_applied", r.kv.logReplayApplied)
+            .field("log_stall_drains", r.kv.logStallDrains)
+            .field("dedup_compactions", r.kv.dedupCompactions)
+            .field("dedup_evicted", r.kv.dedupEvicted)
             .field("lost_acked_puts", r.lostAckedPuts)
             .field("duplicate_applied", r.duplicateApplied)
             .field("violations", r.violations.size())

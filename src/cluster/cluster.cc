@@ -232,7 +232,6 @@ struct Replica : net::Machine
     Replica(const ClusterConfig &cfg, std::uint32_t rid,
             EventQueue &eq, net::MachineHost &host)
         : Machine(cfg, cfg.mode, setupFor(cfg, rid), eq, host),
-          recorder(cfg.goodputWindow),
           ctrlRng(Rng::streamSeed(cfg.seed, 3000 + rid)),
           peers(cfg.replicas), linkBusyTo(cfg.replicas),
           lastArriveTo(cfg.replicas)
@@ -1848,7 +1847,6 @@ struct Plane : net::MachineHost
     finish()
     {
         const Tick horizon = cfg.runFor + cfg.drainGrace;
-        res.horizon = horizon;
         accountTo(horizon);
         if (!writeOkNow)
             res.worstWriteGap = std::max(res.worstWriteGap,
@@ -1883,7 +1881,7 @@ struct Plane : net::MachineHost
         // Merge the per-replica recorders in id order (the merge is
         // order-independent; id order keeps the digest canonical), and
         // sum the machines' power-path counters.
-        net::AvailabilityRecorder merged(cfg.goodputWindow);
+        net::AvailabilityRecorder merged;
         for (const auto &rp : reps) {
             merged.merge(rp->recorder);
             res.resumes += rp->stats.resumes;
@@ -1891,28 +1889,8 @@ struct Plane : net::MachineHost
             res.ringPreservedFrames += rp->stats.ringPreservedFrames;
             res.ringFramesLost += rp->stats.ringFramesLost;
         }
-        auto &lat = merged.latency();
-        res.meanUs = merged.latencySummaryUs().mean();
-        res.p50Us = ticksToUs(lat.percentile(0.50));
-        res.p99Us = ticksToUs(lat.percentile(0.99));
-        res.p999Us = ticksToUs(lat.percentile(0.999));
-        res.goodputMean = static_cast<double>(res.completed)
-            / (static_cast<double>(cfg.runFor)
-               / static_cast<double>(tickSec));
-        for (const auto &o : merged.outageRecords()) {
-            net::ServiceOutage so;
-            so.eventAt = o.eventAt;
-            so.lastSuccessBefore = o.lastSuccessBefore;
-            so.firstSuccessAfter =
-                o.closed ? o.firstSuccessAfter : maxTick;
-            so.downtime = o.downtime();
-            so.attributable = so.downtime == maxTick
-                ? maxTick
-                : (so.downtime > cfg.offDwell
-                       ? so.downtime - cfg.offDwell
-                       : 0);
-            res.outages.push_back(so);
-        }
+        for (const auto &o : merged.outageRecords())
+            res.outages.push_back(net::serviceOutage(o, cfg.offDwell));
 
         // Acked-durability audit against the most advanced replica:
         // every client-acked PUT must still be durable there (the
@@ -2008,7 +1986,7 @@ struct Plane : net::MachineHost
             d.mix(rp->epoch);
             d.mix(rp->kv->appliedCount());
         }
-        d.mix(lat.percentile(0.99));
+        d.mix(merged.latency().percentile(0.99));
         d.mix(merged.lastSuccessAt());
         for (const net::ServiceOutage &o : res.outages)
             d.mix(o.downtime);
@@ -2042,7 +2020,6 @@ struct Plane : net::MachineHost
         const auto schedule = gen.correlated(
             cfg.runFor / 5, cfg.runFor, cfg.storms, cfg.replicas,
             cfg.racks, cfg.stormRackSpan, cfg.stormWindow);
-        res.storms = schedule.size();
         for (const fault::CorrelatedStorm &storm : schedule)
             for (const fault::ReplicaCut &cut : storm.cuts)
                 eq.schedule(

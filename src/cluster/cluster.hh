@@ -65,8 +65,8 @@
 
 #include "fault/compound.hh"
 #include "fault/net_nemesis.hh"
+#include "net/availability.hh"
 #include "net/machine.hh"
-#include "net/service_plane.hh"
 #include "sim/ticks.hh"
 
 namespace lightpc::cluster
@@ -134,7 +134,6 @@ struct ClusterResult
     std::string modeName;
     std::uint32_t replicas = 0;
     std::uint32_t racks = 0;
-    std::uint64_t storms = 0;
     std::uint64_t cutsInjected = 0;
 
     // Client side.
@@ -183,20 +182,12 @@ struct ClusterResult
     std::uint64_t ringFramesLost = 0;
 
     // Fleet availability over [0, runFor + drainGrace].
-    Tick horizon = 0;
     Tick writeUnavailableTicks = 0;   ///< no quorum-backed leader
     Tick readUnavailableTicks = 0;    ///< no replica can serve at all
     double writeAvailability = 0.0;
     double readAvailability = 0.0;
     Tick worstWriteGap = 0;           ///< longest write-unavailable span
     std::uint64_t readOnlySpans = 0;  ///< write lost while reads held
-
-    // Merged client-visible latency (first issue -> ack, us).
-    double meanUs = 0.0;
-    double p50Us = 0.0;
-    double p99Us = 0.0;
-    double p999Us = 0.0;
-    double goodputMean = 0.0;
 
     /** Per-replica power events as the clients saw them (merged). */
     std::vector<net::ServiceOutage> outages;

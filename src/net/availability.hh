@@ -2,13 +2,13 @@
  * @file
  * Client-visible availability and tail-latency recorder.
  *
- * Tracks what the *clients* observe: the goodput timeline (completed
- * requests per sampling window), the end-to-end latency distribution
- * (first issue to acknowledgement, so retries and outage dwell count
- * against the tail), and per-outage downtime — the gap between the
- * last acknowledgement before a power event and the first one served
- * after it. The downtime attributable to the persistence mechanism is that
- * gap minus the AC-off dwell, which every mode pays equally.
+ * Tracks what the *clients* observe: the end-to-end latency
+ * distribution (first issue to acknowledgement, so retries and outage
+ * dwell count against the tail), and per-outage downtime — the gap
+ * between the last acknowledgement before a power event and the
+ * first one served after it. The downtime attributable to the
+ * persistence mechanism is that gap minus the AC-off dwell, which
+ * every mode pays equally.
  */
 
 #ifndef LIGHTPC_NET_AVAILABILITY_HH
@@ -18,11 +18,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/logging.hh"
 #include "sim/ticks.hh"
 #include "stats/histogram.hh"
 #include "stats/summary.hh"
-#include "stats/time_series.hh"
 
 namespace lightpc::net
 {
@@ -45,20 +43,41 @@ struct OutageRecord
     }
 };
 
+/** One power event as a plane reports it. */
+struct ServiceOutage
+{
+    Tick eventAt = 0;
+    Tick downtime = 0;      ///< client-visible ack gap (maxTick: open)
+    Tick attributable = 0;  ///< downtime minus the AC-off dwell
+    bool coldBoot = false;  ///< recovery had no usable commit
+};
+
+/**
+ * Report @p rec with the AC-off dwell, which every mode pays equally,
+ * taken out of its downtime. An outage that never closed reports
+ * maxTick as both its downtime and its attributable share.
+ */
+inline ServiceOutage
+serviceOutage(const OutageRecord &rec, Tick off_dwell,
+              bool cold_boot = false)
+{
+    ServiceOutage o;
+    o.eventAt = rec.eventAt;
+    o.downtime = rec.downtime();
+    o.attributable = o.downtime == maxTick
+        ? maxTick
+        : (o.downtime > off_dwell ? o.downtime - off_dwell : 0);
+    o.coldBoot = cold_boot;
+    return o;
+}
+
 /**
  * The recorder. The service plane calls onSuccess() for every
- * acknowledged request, sample() from a periodic stats event, and
- * outageBegin() when a power event fires.
+ * acknowledged request and outageBegin() when a power event fires.
  */
 class AvailabilityRecorder
 {
   public:
-    explicit AvailabilityRecorder(Tick window_in) : window(window_in)
-    {
-        if (window == 0)
-            fatal("AvailabilityRecorder window must be nonzero");
-    }
-
     /**
      * An acknowledgement reached a client. @p served_at is when the
      * server generated the response: an outage only closes on an ack
@@ -71,7 +90,6 @@ class AvailabilityRecorder
     {
         lat.add(now - first_issued_at);
         latSummary.add(ticksToUs(now - first_issued_at));
-        ++windowCompletions;
         lastSuccess = now;
         for (OutageRecord &o : outages) {
             if (o.closed)
@@ -105,36 +123,19 @@ class AvailabilityRecorder
         outages.push_back(o);
     }
 
-    /** Periodic goodput sample (requests/s over the last window). */
-    void
-    sample(Tick now)
-    {
-        const double seconds =
-            static_cast<double>(window) / static_cast<double>(tickSec);
-        goodput.record(now, static_cast<double>(windowCompletions)
-                                / seconds);
-        windowCompletions = 0;
-    }
-
     /**
      * Fold another replica's recorder into this one (fleet-level
      * availability from per-replica views). Commutative up to the
-     * final ordering: latency and goodput merges are order-free, and
-     * the outage ledger is re-sorted into a canonical (eventAt,
+     * final ordering: the latency merges are order-free, and the
+     * outage ledger is re-sorted into a canonical (eventAt,
      * replica-agnostic field) order afterwards — so folding replicas
-     * 0..N-1 in any order yields byte-identical state. Windows must
-     * match; the sampling cadence is part of the goodput unit.
+     * 0..N-1 in any order yields byte-identical state.
      */
     void
     merge(const AvailabilityRecorder &other)
     {
-        if (other.window != window)
-            fatal("AvailabilityRecorder::merge needs matching windows: ",
-                  window, " vs ", other.window);
         lat.merge(other.lat);
         latSummary.merge(other.latSummary);
-        goodput.merge(other.goodput);
-        windowCompletions += other.windowCompletions;
         if (other.lastSuccess > lastSuccess)
             lastSuccess = other.lastSuccess;
         outages.insert(outages.end(), other.outages.begin(),
@@ -153,7 +154,6 @@ class AvailabilityRecorder
                   });
     }
 
-    Tick sampleWindow() const { return window; }
     Tick lastSuccessAt() const { return lastSuccess; }
     const std::vector<OutageRecord> &outageRecords() const
     {
@@ -161,15 +161,11 @@ class AvailabilityRecorder
     }
     stats::Histogram &latency() { return lat; }
     const stats::Summary &latencySummaryUs() const { return latSummary; }
-    const stats::TimeSeries &goodputSeries() const { return goodput; }
 
   private:
-    Tick window;
     Tick lastSuccess = 0;
-    std::uint64_t windowCompletions = 0;
     stats::Histogram lat;           ///< ticks, first issue -> ack
     stats::Summary latSummary;      ///< microseconds (mean/cv)
-    stats::TimeSeries goodput{"goodput"};
     std::vector<OutageRecord> outages;
 };
 

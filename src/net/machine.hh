@@ -81,10 +81,6 @@ struct MachineParams
     /** Server-side deadline granted to each attempt. */
     static constexpr Tick requestDeadline = 250 * tickMs;
 
-    /** Goodput sampling window. */
-    static constexpr Tick goodputWindow = 10 * tickMs;
-    static_assert(goodputWindow > 0);
-
     /** S-CheckPC: period of the periodic dump. */
     static constexpr Tick scheckPeriod = 100 * tickMs;
 

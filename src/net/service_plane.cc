@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_set>
-#include <utility>
 
 #include "mem/timed_mem.hh"
 #include "net/availability.hh"
@@ -61,8 +60,7 @@ struct Plane : MachineHost
     explicit Plane(const ServiceConfig &config)
         : cfg(config),
           m(config, config.mode, setupFor(config), eq, *this),
-          fleet(fleetParamsFor(config, config.seed)),
-          recorder(config.goodputWindow)
+          fleet(fleetParamsFor(config, config.seed))
     {
         res.mode = cfg.mode;
         res.modeName = persistModeName(cfg.mode);
@@ -121,17 +119,6 @@ struct Plane : MachineHost
         const auto outcome = fleet.onResponse(resp, now);
         if (outcome == ClientFleet::AckOutcome::Completed)
             recorder.onSuccess(now, first, resp.servedAt);
-    }
-
-    // --- stats ----------------------------------------------------
-
-    void
-    samplerFire()
-    {
-        recorder.sample(eq.now());
-        if (eq.now() + cfg.goodputWindow <= cfg.runFor + cfg.drainGrace)
-            eq.scheduleIn(cfg.goodputWindow, [this] { samplerFire(); },
-                          EventPriority::Stats);
     }
 
     // --- S-CheckPC periodic dump ----------------------------------
@@ -309,49 +296,10 @@ struct Plane : MachineHost
     void
     finish()
     {
-        const FleetStats &fs = fleet.stats();
-        res.arrivals = fs.arrivals;
-        res.attempts = fs.attempts;
-        res.retries = fs.retries;
-        res.completed = fs.completed;
-        res.failed = fs.failed;
-        res.duplicateAcks = fs.duplicateAcks;
-        res.ackedPuts = fs.ackedPuts;
-
-        const KvStats &ks = m.kv->stats();
-        res.executed = ks.executed;
-        res.putsApplied = ks.putsApplied;
-        res.idempotentHits = ks.idempotentHits;
-        res.rejected = ks.rejected;
-        res.deadlineExceeded = ks.deadlineExceeded;
-        res.queueDropped = ks.queueDropped;
-        res.recoveries = ks.recoveries;
-        res.logAppends = ks.logAppends;
-        res.logCommits = ks.logCommits;
-        res.logDrainApplied = ks.logDrainApplied;
-        res.logReplayApplied = ks.logReplayApplied;
-        res.logStallDrains = ks.logStallDrains;
-        res.dedupCompactions = ks.dedupCompactions;
-        res.dedupEvicted = ks.dedupEvicted;
-
-        const NicStats &ns = m.nic->stats();
-        res.framesRx = ns.framesRx;
-        res.framesTx = ns.framesTx;
-        res.rxDropsDown = ns.rxDropsDown;
-        res.rxDropsFull = ns.rxDropsFull;
-        res.maxQueueDepth = ks.maxQueueDepth;
-        res.maxRxOccupancy = ns.maxRxOccupancy;
-        res.maxTxOccupancy = ns.maxTxOccupancy;
-
-        const MachineStats &ms = m.stats;
-        res.wireDrops = ms.wireDrops;
-        res.ringPreservedFrames = ms.ringPreservedFrames;
-        res.ringFramesLost = ms.ringFramesLost;
-        res.contextImagesSaved = ms.contextImagesSaved;
-        res.contextImagesRestored = ms.contextImagesRestored;
-        res.coldBoots = ms.coldBoots;
-        res.stopTicksTotal = ms.stopTicks;
-        res.goTicksTotal = ms.goTicks;
+        res.fleet = fleet.stats();
+        res.kv = m.kv->stats();
+        res.nic = m.nic->stats();
+        res.machine = m.stats;
 
         auto &lat = recorder.latency();
         res.meanUs = recorder.latencySummaryUs().mean();
@@ -359,25 +307,15 @@ struct Plane : MachineHost
         res.p99Us = ticksToUs(lat.percentile(0.99));
         res.p999Us = ticksToUs(lat.percentile(0.999));
 
-        res.goodputMean = static_cast<double>(res.completed)
+        res.goodputMean = static_cast<double>(res.fleet.completed)
             / (static_cast<double>(cfg.runFor)
                / static_cast<double>(tickSec));
-        for (const auto &s : recorder.goodputSeries().samples())
-            res.goodput.emplace_back(s.when, s.value);
 
+        // powerFailFire opened one record beside each outage.
         const auto &outs = recorder.outageRecords();
-        for (std::size_t i = 0;
-             i < outs.size() && i < res.outages.size(); ++i) {
+        for (std::size_t i = 0; i < res.outages.size(); ++i) {
             ServiceOutage &o = res.outages[i];
-            o.lastSuccessBefore = outs[i].lastSuccessBefore;
-            o.firstSuccessAfter =
-                outs[i].closed ? outs[i].firstSuccessAfter : maxTick;
-            o.downtime = outs[i].downtime();
-            o.attributable = o.downtime == maxTick
-                ? maxTick
-                : (o.downtime > cfg.offDwell
-                       ? o.downtime - cfg.offDwell
-                       : 0);
+            o = serviceOutage(outs[i], cfg.offDwell, o.coldBoot);
             res.worstDowntime =
                 std::max(res.worstDowntime, o.downtime);
             res.worstAttributable =
@@ -385,22 +323,22 @@ struct Plane : MachineHost
         }
 
         sim::Fnv64 d;
-        d.mix(res.arrivals);
-        d.mix(res.attempts);
-        d.mix(res.completed);
-        d.mix(res.failed);
-        d.mix(res.ackedPuts);
-        d.mix(res.executed);
-        d.mix(res.putsApplied);
-        d.mix(res.idempotentHits);
+        d.mix(res.fleet.arrivals);
+        d.mix(res.fleet.attempts);
+        d.mix(res.fleet.completed);
+        d.mix(res.fleet.failed);
+        d.mix(res.fleet.ackedPuts);
+        d.mix(res.kv.executed);
+        d.mix(res.kv.putsApplied);
+        d.mix(res.kv.idempotentHits);
         d.mix(m.kv->appliedCount());
-        d.mix(res.framesRx);
-        d.mix(res.framesTx);
-        d.mix(res.ringPreservedFrames);
+        d.mix(res.nic.framesRx);
+        d.mix(res.nic.framesTx);
+        d.mix(res.machine.ringPreservedFrames);
         d.mix(res.stormFollowUpCuts);
-        d.mix(res.logAppends);
-        d.mix(res.logCommits);
-        d.mix(res.dedupEvicted);
+        d.mix(res.kv.logAppends);
+        d.mix(res.kv.logCommits);
+        d.mix(res.kv.dedupEvicted);
         d.mix(lat.percentile(0.99));
         d.mix(recorder.lastSuccessAt());
         for (const ServiceOutage &o : res.outages)
@@ -413,8 +351,6 @@ struct Plane : MachineHost
     {
         eq.schedule(fleet.nextInterarrival(),
                     [this] { arrivalFire(); });
-        eq.schedule(cfg.goodputWindow, [this] { samplerFire(); },
-                    EventPriority::Stats);
         const Tick spacing = cfg.runFor / (cfg.cuts + 1);
         for (std::uint32_t k = 0; k < cfg.cuts; ++k) {
             const Tick at = spacing * (k + 1);

@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "net/availability.hh"
 #include "net/machine.hh"
 #include "sim/ticks.hh"
 
@@ -78,73 +79,16 @@ struct ServiceConfig : MachineParams
     std::uint64_t seed = 42;
 };
 
-/** One power event as measured at the clients. */
-struct ServiceOutage
-{
-    Tick eventAt = 0;
-    Tick lastSuccessBefore = 0;
-    Tick firstSuccessAfter = 0;  ///< maxTick when never recovered
-    Tick downtime = 0;           ///< client-visible ack gap
-    Tick attributable = 0;       ///< downtime minus the AC-off dwell
-    bool coldBoot = false;       ///< recovery had no usable commit
-};
-
 /** Everything one run produces. */
 struct ServiceResult
 {
     PersistMode mode = PersistMode::SnG;
     std::string modeName;
 
-    // Client side.
-    std::uint64_t arrivals = 0;
-    std::uint64_t attempts = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t duplicateAcks = 0;
-    std::uint64_t ackedPuts = 0;
-
-    // Server side.
-    std::uint64_t executed = 0;
-    std::uint64_t putsApplied = 0;
-    std::uint64_t idempotentHits = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t deadlineExceeded = 0;
-    std::uint64_t queueDropped = 0;
-    std::uint64_t recoveries = 0;
-
-    // Op-log write path (OpLog mode; zero elsewhere).
-    std::uint64_t logAppends = 0;
-    std::uint64_t logCommits = 0;
-    std::uint64_t logDrainApplied = 0;
-    std::uint64_t logReplayApplied = 0;
-    std::uint64_t logStallDrains = 0;
-
-    // Dedup-table compaction (any mode).
-    std::uint64_t dedupCompactions = 0;
-    std::uint64_t dedupEvicted = 0;
-
-    // NIC.
-    std::uint64_t framesRx = 0;
-    std::uint64_t framesTx = 0;
-    std::uint64_t rxDropsDown = 0;
-    std::uint64_t rxDropsFull = 0;
-
-    /** Bounded-queue high-water marks (audited against capacity). */
-    std::uint32_t maxQueueDepth = 0;
-    std::uint32_t maxRxOccupancy = 0;
-    std::uint32_t maxTxOccupancy = 0;
-    std::uint64_t wireDrops = 0;  ///< frames lost to AC-off (plane)
-
-    /** Frames resurrected from the DCB ring images across outages. */
-    std::uint64_t ringPreservedFrames = 0;
-
-    /** Queued frames destroyed by cold boots (baselines pay this). */
-    std::uint64_t ringFramesLost = 0;
-    std::uint64_t contextImagesSaved = 0;
-    std::uint64_t contextImagesRestored = 0;
-
-    std::uint64_t coldBoots = 0;
+    FleetStats fleet;      ///< client side
+    KvStats kv;            ///< server, op-log and dedup-table counters
+    NicStats nic;          ///< frames and ring high-water marks
+    MachineStats machine;  ///< power path: boots, ring images, Stop/Go
 
     /** Storm follow-up cuts that fired (chasing recoveries). */
     std::uint64_t stormFollowUpCuts = 0;
@@ -158,16 +102,9 @@ struct ServiceResult
     /** Mean goodput over the arrival phase (completions / runFor). */
     double goodputMean = 0.0;
 
-    /** Goodput timeline (window samples, req/s). */
-    std::vector<std::pair<Tick, double>> goodput;
-
     std::vector<ServiceOutage> outages;
     Tick worstDowntime = 0;
     Tick worstAttributable = 0;
-
-    /** Accumulated SnG Stop / Go wall time across outages. */
-    Tick stopTicksTotal = 0;
-    Tick goTicksTotal = 0;
 
     // Invariant audit (all must be zero / empty).
     std::uint64_t lostAckedPuts = 0;    ///< acked but not in dedup set

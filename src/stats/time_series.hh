@@ -6,8 +6,6 @@
 #ifndef LIGHTPC_STATS_TIME_SERIES_HH
 #define LIGHTPC_STATS_TIME_SERIES_HH
 
-#include <algorithm>
-#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -91,33 +89,6 @@ class TimeSeries
                            sum / static_cast<double>(n)});
         }
         return out;
-    }
-
-    /**
-     * Fold another trace into this one, interleaving by tick so the
-     * result is time-ordered again. Ties keep this trace's samples
-     * first, then the other's, preserving each input's own order —
-     * so merging per-trial traces in canonical trial order yields
-     * the same series no matter how the trials were scheduled.
-     */
-    void
-    merge(const TimeSeries &other)
-    {
-        if (other._samples.empty())
-            return;
-        if (_samples.empty()) {
-            _samples = other._samples;
-            return;
-        }
-        std::vector<Sample> out;
-        out.reserve(_samples.size() + other._samples.size());
-        std::merge(_samples.begin(), _samples.end(),
-                   other._samples.begin(), other._samples.end(),
-                   std::back_inserter(out),
-                   [](const Sample &a, const Sample &b) {
-                       return a.when < b.when;
-                   });
-        _samples = std::move(out);
     }
 
     void clear() { _samples.clear(); }

@@ -20,6 +20,7 @@
 #include "mem/backing_store.hh"
 #include "net/availability.hh"
 #include "net/client_fleet.hh"
+#include "net/service_plane.hh"
 #include "pecos/sng.hh"
 #include "psm/psm.hh"
 #include "sim/logging.hh"
@@ -360,7 +361,7 @@ TEST(ConcurrentRecovery, OneLivelockedReplicaEscalatesAlone)
 net::AvailabilityRecorder
 replicaView(std::uint64_t salt)
 {
-    net::AvailabilityRecorder rec(10 * tickMs);
+    net::AvailabilityRecorder rec;
     Rng rng(Rng::streamSeed(12, salt));
     Tick now = tickMs + salt * 17;
     for (int i = 0; i < 40; ++i) {
@@ -382,7 +383,7 @@ TEST(AvailabilityMerge, FoldOrderDoesNotChangeTheMergedView)
         {0, 1, 2}, {2, 0, 1}};
     std::vector<net::AvailabilityRecorder> merged;
     for (const auto &order : orders) {
-        net::AvailabilityRecorder acc(10 * tickMs);
+        net::AvailabilityRecorder acc;
         for (const std::uint64_t id : order) {
             const net::AvailabilityRecorder view = replicaView(id);
             acc.merge(view);
@@ -406,13 +407,6 @@ TEST(AvailabilityMerge, FoldOrderDoesNotChangeTheMergedView)
         EXPECT_EQ(a.outageRecords()[i].closed,
                   b.outageRecords()[i].closed);
     }
-}
-
-TEST(AvailabilityMerge, MismatchedWindowsAreFatal)
-{
-    net::AvailabilityRecorder a(10 * tickMs);
-    const net::AvailabilityRecorder b(20 * tickMs);
-    EXPECT_THROW(a.merge(b), FatalError);
 }
 
 // --- per-client jitter streams -------------------------------------

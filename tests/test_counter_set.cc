@@ -389,15 +389,15 @@ fingerprint(const net::ServiceResult &r)
 {
     sim::Fnv64 d;
     d.mix(r.digest);
-    d.mix(r.coldBoots);
-    d.mix(r.ringFramesLost);
-    d.mix(r.contextImagesSaved);
-    d.mix(r.contextImagesRestored);
-    d.mix(r.stopTicksTotal);
-    d.mix(r.goTicksTotal);
-    d.mix(r.wireDrops);
-    d.mix(r.logDrainApplied);
-    d.mix(r.logReplayApplied);
+    d.mix(r.machine.coldBoots);
+    d.mix(r.machine.ringFramesLost);
+    d.mix(r.machine.contextImagesSaved);
+    d.mix(r.machine.contextImagesRestored);
+    d.mix(r.machine.stopTicks);
+    d.mix(r.machine.goTicks);
+    d.mix(r.machine.wireDrops);
+    d.mix(r.kv.logDrainApplied);
+    d.mix(r.kv.logReplayApplied);
     d.mix(r.lostAckedPuts);
     d.mix(r.duplicateApplied);
     d.mix(r.violations.size());

@@ -223,20 +223,20 @@ TEST_P(ServiceFuzz, TrafficAndPowerCutsHoldInvariants)
     EXPECT_EQ(r.lostAckedPuts, 0u) << r.modeName;
     EXPECT_EQ(r.duplicateApplied, 0u) << r.modeName;
     EXPECT_EQ(r.outages.size(), cfg.cuts) << r.modeName;
-    EXPECT_GT(r.completed, 0u) << r.modeName;
+    EXPECT_GT(r.fleet.completed, 0u) << r.modeName;
 
     // Bounded queues stayed bounded.
-    EXPECT_LE(r.maxQueueDepth, cfg.kv.queueCapacity);
-    EXPECT_LE(r.maxRxOccupancy, cfg.nic.ringEntries);
-    EXPECT_LE(r.maxTxOccupancy, cfg.nic.ringEntries);
+    EXPECT_LE(r.kv.maxQueueDepth, cfg.kv.queueCapacity);
+    EXPECT_LE(r.nic.maxRxOccupancy, cfg.nic.ringEntries);
+    EXPECT_LE(r.nic.maxTxOccupancy, cfg.nic.ringEntries);
 
     // SnG (either write path) never cold-boots; every baseline
     // outage costs one.
     if (cfg.mode == net::PersistMode::SnG
         || cfg.mode == net::PersistMode::OpLog)
-        EXPECT_EQ(r.coldBoots, 0u);
+        EXPECT_EQ(r.machine.coldBoots, 0u);
     else
-        EXPECT_EQ(r.coldBoots, r.outages.size()) << r.modeName;
+        EXPECT_EQ(r.machine.coldBoots, r.outages.size()) << r.modeName;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ServiceFuzz,
@@ -285,7 +285,7 @@ TEST_P(ServiceStormFuzz, StormSchedulesHoldInvariantsInEveryMode)
             ADD_FAILURE() << r.modeName << ": " << note;
         EXPECT_EQ(r.lostAckedPuts, 0u) << r.modeName;
         EXPECT_EQ(r.duplicateApplied, 0u) << r.modeName;
-        EXPECT_GT(r.completed, 0u) << r.modeName;
+        EXPECT_GT(r.fleet.completed, 0u) << r.modeName;
 
         // Every follow-up fired, each producing its own outage.
         EXPECT_EQ(r.stormFollowUpCuts,
@@ -294,9 +294,9 @@ TEST_P(ServiceStormFuzz, StormSchedulesHoldInvariantsInEveryMode)
         EXPECT_EQ(r.outages.size(), cfg.cuts + r.stormFollowUpCuts)
             << r.modeName;
 
-        EXPECT_LE(r.maxQueueDepth, cfg.kv.queueCapacity);
-        EXPECT_LE(r.maxRxOccupancy, cfg.nic.ringEntries);
-        EXPECT_LE(r.maxTxOccupancy, cfg.nic.ringEntries);
+        EXPECT_LE(r.kv.maxQueueDepth, cfg.kv.queueCapacity);
+        EXPECT_LE(r.nic.maxRxOccupancy, cfg.nic.ringEntries);
+        EXPECT_LE(r.nic.maxTxOccupancy, cfg.nic.ringEntries);
 
         // Convergence. The 16 ms hold-up covers the Stop even under
         // the storm, so SnG resumes warm from every outage — in
@@ -309,12 +309,11 @@ TEST_P(ServiceStormFuzz, StormSchedulesHoldInvariantsInEveryMode)
         ASSERT_FALSE(r.outages.empty()) << r.modeName;
         if (cfg.mode == net::PersistMode::SnG
             || cfg.mode == net::PersistMode::OpLog) {
-            EXPECT_EQ(r.coldBoots, 0u);
+            EXPECT_EQ(r.machine.coldBoots, 0u);
             for (const net::ServiceOutage &o : r.outages)
-                EXPECT_NE(o.firstSuccessAfter, maxTick)
-                    << r.modeName;
+                EXPECT_NE(o.downtime, maxTick) << r.modeName;
         } else {
-            EXPECT_EQ(r.coldBoots, r.outages.size()) << r.modeName;
+            EXPECT_EQ(r.machine.coldBoots, r.outages.size()) << r.modeName;
         }
     }
 }

@@ -1118,7 +1118,7 @@ TEST(ClientFleet, MaxRetrySpanDominatesEveryBackoffSchedule)
 
 TEST(Availability, StragglerAckDoesNotCloseAnOutage)
 {
-    AvailabilityRecorder rec(10 * tickMs);
+    AvailabilityRecorder rec;
     rec.onSuccess(100, 50, 90);
     rec.outageBegin(200);
 
@@ -1138,7 +1138,7 @@ TEST(Availability, StragglerAckDoesNotCloseAnOutage)
 
 TEST(Availability, AckServedAtEventTickNeitherClosesNorNarrows)
 {
-    AvailabilityRecorder rec(10 * tickMs);
+    AvailabilityRecorder rec;
     rec.onSuccess(100, 50, 90);
     rec.outageBegin(200);
 
@@ -1160,7 +1160,7 @@ TEST(Availability, AckServedAtEventTickNeitherClosesNorNarrows)
 
 TEST(Availability, ImmediateRecoveryClosesWithoutUnderflow)
 {
-    AvailabilityRecorder rec(10 * tickMs);
+    AvailabilityRecorder rec;
     rec.onSuccess(199, 100, 198);
     rec.outageBegin(200);
 
@@ -1176,7 +1176,7 @@ TEST(Availability, ImmediateRecoveryClosesWithoutUnderflow)
 
 TEST(Availability, StragglerNarrowsThenRealRecoveryCloses)
 {
-    AvailabilityRecorder rec(10 * tickMs);
+    AvailabilityRecorder rec;
     rec.onSuccess(100, 50, 90);
     rec.outageBegin(200);
 
@@ -1193,6 +1193,35 @@ TEST(Availability, StragglerNarrowsThenRealRecoveryCloses)
     rec.onSuccess(400, 130, 190);
     EXPECT_EQ(rec.outageRecords()[0].lastSuccessBefore, 210u);
     EXPECT_EQ(rec.outageRecords()[0].firstSuccessAfter, 260u);
+}
+
+TEST(Availability, ServiceOutageTakesTheDwellOutOfTheDowntime)
+{
+    AvailabilityRecorder rec;
+    rec.onSuccess(1000, 900, 990);
+    rec.outageBegin(1100);
+    rec.onSuccess(1400, 1300, 1350);  // closes it: downtime 400
+    rec.outageBegin(1500);            // never closes
+    const auto &outs = rec.outageRecords();
+    ASSERT_EQ(outs.size(), 2u);
+
+    const ServiceOutage closed = serviceOutage(outs[0], 100);
+    EXPECT_EQ(closed.eventAt, 1100u);
+    EXPECT_EQ(closed.downtime, 400u);
+    EXPECT_EQ(closed.attributable, 300u);
+    EXPECT_FALSE(closed.coldBoot);
+
+    // A downtime at or below the dwell is all dwell.
+    EXPECT_EQ(serviceOutage(outs[0], 399).attributable, 1u);
+    EXPECT_EQ(serviceOutage(outs[0], 400).attributable, 0u);
+    EXPECT_EQ(serviceOutage(outs[0], 500).attributable, 0u);
+
+    // An open outage reports maxTick for both.
+    const ServiceOutage open = serviceOutage(outs[1], 100, true);
+    EXPECT_EQ(open.eventAt, 1500u);
+    EXPECT_EQ(open.downtime, maxTick);
+    EXPECT_EQ(open.attributable, maxTick);
+    EXPECT_TRUE(open.coldBoot);
 }
 
 // --- net::Machine ---------------------------------------------------
@@ -1342,24 +1371,24 @@ TEST(ServicePlane, SnGSmokeHoldsInvariants)
     EXPECT_TRUE(r.violations.empty());
     EXPECT_EQ(r.lostAckedPuts, 0u);
     EXPECT_EQ(r.duplicateApplied, 0u);
-    EXPECT_GT(r.completed, 0u);
-    EXPECT_GT(r.ackedPuts, 0u);
+    EXPECT_GT(r.fleet.completed, 0u);
+    EXPECT_GT(r.fleet.ackedPuts, 0u);
 
     ASSERT_EQ(r.outages.size(), 1u);
     EXPECT_LT(r.outages[0].downtime, maxTick);
     EXPECT_FALSE(r.outages[0].coldBoot);
-    EXPECT_EQ(r.coldBoots, 0u);
+    EXPECT_EQ(r.machine.coldBoots, 0u);
 
     // The NIC rings rode the DCB: an image per power cycle, and at
     // least one queued frame resurrected (the cut lands under load).
-    EXPECT_EQ(r.contextImagesSaved, 1u);
-    EXPECT_EQ(r.contextImagesRestored, 1u);
-    EXPECT_GE(r.ringPreservedFrames, 1u);
-    EXPECT_EQ(r.ringFramesLost, 0u);
+    EXPECT_EQ(r.machine.contextImagesSaved, 1u);
+    EXPECT_EQ(r.machine.contextImagesRestored, 1u);
+    EXPECT_GE(r.machine.ringPreservedFrames, 1u);
+    EXPECT_EQ(r.machine.ringFramesLost, 0u);
 
-    EXPECT_LE(r.maxQueueDepth, cfg.kv.queueCapacity);
-    EXPECT_LE(r.maxRxOccupancy, cfg.nic.ringEntries);
-    EXPECT_LE(r.maxTxOccupancy, cfg.nic.ringEntries);
+    EXPECT_LE(r.kv.maxQueueDepth, cfg.kv.queueCapacity);
+    EXPECT_LE(r.nic.maxRxOccupancy, cfg.nic.ringEntries);
+    EXPECT_LE(r.nic.maxTxOccupancy, cfg.nic.ringEntries);
 }
 
 TEST(ServicePlane, SnGBeatsColdRebootOnClientVisibleDowntime)
@@ -1371,7 +1400,7 @@ TEST(ServicePlane, SnGBeatsColdRebootOnClientVisibleDowntime)
 
     EXPECT_TRUE(sng.violations.empty());
     EXPECT_TRUE(syspc.violations.empty());
-    EXPECT_EQ(syspc.coldBoots, 1u);
+    EXPECT_EQ(syspc.machine.coldBoots, 1u);
     ASSERT_EQ(sng.outages.size(), 1u);
     ASSERT_EQ(syspc.outages.size(), 1u);
     EXPECT_LT(sng.worstAttributable, syspc.worstAttributable);
@@ -1382,8 +1411,8 @@ TEST(ServicePlane, DeterministicUnderFixedSeed)
     const ServiceResult a = runService(tinyConfig(PersistMode::SnG, 17));
     const ServiceResult b = runService(tinyConfig(PersistMode::SnG, 17));
     EXPECT_EQ(a.digest, b.digest);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.ackedPuts, b.ackedPuts);
+    EXPECT_EQ(a.fleet.completed, b.fleet.completed);
+    EXPECT_EQ(a.fleet.ackedPuts, b.fleet.ackedPuts);
     ASSERT_EQ(a.outages.size(), b.outages.size());
     for (std::size_t i = 0; i < a.outages.size(); ++i)
         EXPECT_EQ(a.outages[i].downtime, b.outages[i].downtime);
@@ -1400,30 +1429,30 @@ TEST(ServicePlane, OpLogSmokeHoldsInvariants)
     EXPECT_TRUE(r.violations.empty());
     EXPECT_EQ(r.lostAckedPuts, 0u);
     EXPECT_EQ(r.duplicateApplied, 0u);
-    EXPECT_GT(r.completed, 0u);
-    EXPECT_GT(r.ackedPuts, 0u);
+    EXPECT_GT(r.fleet.completed, 0u);
+    EXPECT_GT(r.fleet.ackedPuts, 0u);
 
     // The op-log write path actually carried the PUTs: group commits
     // batched the appends, and the drain (plus any post-cut replay)
     // never applied more than was appended.
-    EXPECT_GT(r.logAppends, 0u);
-    EXPECT_GT(r.logCommits, 0u);
-    EXPECT_LT(r.logCommits, r.logAppends);
-    EXPECT_GT(r.logDrainApplied, 0u);
-    EXPECT_GE(r.logAppends, r.logDrainApplied + r.logReplayApplied);
+    EXPECT_GT(r.kv.logAppends, 0u);
+    EXPECT_GT(r.kv.logCommits, 0u);
+    EXPECT_LT(r.kv.logCommits, r.kv.logAppends);
+    EXPECT_GT(r.kv.logDrainApplied, 0u);
+    EXPECT_GE(r.kv.logAppends, r.kv.logDrainApplied + r.kv.logReplayApplied);
 
     // SnG power machinery underneath: warm resume, rings preserved.
     ASSERT_EQ(r.outages.size(), 1u);
     EXPECT_LT(r.outages[0].downtime, maxTick);
     EXPECT_FALSE(r.outages[0].coldBoot);
-    EXPECT_EQ(r.coldBoots, 0u);
-    EXPECT_EQ(r.contextImagesSaved, 1u);
-    EXPECT_EQ(r.contextImagesRestored, 1u);
-    EXPECT_EQ(r.ringFramesLost, 0u);
+    EXPECT_EQ(r.machine.coldBoots, 0u);
+    EXPECT_EQ(r.machine.contextImagesSaved, 1u);
+    EXPECT_EQ(r.machine.contextImagesRestored, 1u);
+    EXPECT_EQ(r.machine.ringFramesLost, 0u);
 
-    EXPECT_LE(r.maxQueueDepth, cfg.kv.queueCapacity);
-    EXPECT_LE(r.maxRxOccupancy, cfg.nic.ringEntries);
-    EXPECT_LE(r.maxTxOccupancy, cfg.nic.ringEntries);
+    EXPECT_LE(r.kv.maxQueueDepth, cfg.kv.queueCapacity);
+    EXPECT_LE(r.nic.maxRxOccupancy, cfg.nic.ringEntries);
+    EXPECT_LE(r.nic.maxTxOccupancy, cfg.nic.ringEntries);
 }
 
 TEST(ServicePlane, OpLogDeterministicUnderFixedSeed)
@@ -1433,9 +1462,9 @@ TEST(ServicePlane, OpLogDeterministicUnderFixedSeed)
     const ServiceResult b =
         runService(tinyConfig(PersistMode::OpLog, 17));
     EXPECT_EQ(a.digest, b.digest);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.logAppends, b.logAppends);
-    EXPECT_EQ(a.logCommits, b.logCommits);
+    EXPECT_EQ(a.fleet.completed, b.fleet.completed);
+    EXPECT_EQ(a.kv.logAppends, b.kv.logAppends);
+    EXPECT_EQ(a.kv.logCommits, b.kv.logCommits);
     ASSERT_EQ(a.outages.size(), b.outages.size());
     for (std::size_t i = 0; i < a.outages.size(); ++i)
         EXPECT_EQ(a.outages[i].downtime, b.outages[i].downtime);

@@ -216,7 +216,7 @@ TEST(ParallelDeterminism, ServiceSuiteMatchesSequentialRuns)
         EXPECT_EQ(par[i].mode, configs[i].mode);
         EXPECT_EQ(par[i].digest, seq.digest)
             << net::persistModeName(configs[i].mode);
-        EXPECT_EQ(par[i].completed, seq.completed);
+        EXPECT_EQ(par[i].fleet.completed, seq.fleet.completed);
         EXPECT_TRUE(par[i].violations.empty());
     }
 }

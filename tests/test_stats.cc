@@ -512,42 +512,4 @@ TEST(HistogramMerge, OrderIndependentAndAssociativeExactly)
     EXPECT_EQ(forward.max(), tree.max());
 }
 
-TEST(TimeSeriesMerge, InterleavesByTickAndKeepsOrder)
-{
-    TimeSeries a("a"), b("b");
-    a.record(0, 1.0);
-    a.record(10, 2.0);
-    a.record(20, 3.0);
-    b.record(5, 10.0);
-    b.record(10, 20.0);
-    b.record(30, 30.0);
-
-    a.merge(b);
-    ASSERT_EQ(a.samples().size(), 6u);
-    Tick prev = 0;
-    for (const auto &s : a.samples()) {
-        EXPECT_GE(s.when, prev);
-        prev = s.when;
-    }
-    // Tie at tick 10: this trace's sample first (stable merge).
-    EXPECT_DOUBLE_EQ(a.samples()[2].value, 2.0);
-    EXPECT_DOUBLE_EQ(a.samples()[3].value, 20.0);
-    // record() still works after a merge (ordering respected).
-    a.record(40, 4.0);
-    EXPECT_EQ(a.samples().size(), 7u);
-}
-
-TEST(TimeSeriesMerge, EmptySidesAreIdentity)
-{
-    TimeSeries a("a"), empty("e");
-    a.record(1, 1.0);
-    a.merge(empty);
-    ASSERT_EQ(a.samples().size(), 1u);
-
-    TimeSeries c("c");
-    c.merge(a);
-    ASSERT_EQ(c.samples().size(), 1u);
-    EXPECT_DOUBLE_EQ(c.samples()[0].value, 1.0);
-}
-
 } // namespace
