@@ -43,9 +43,16 @@ SUFFIX = r"\w*(?:Config|Params|Setup|Spec)"
 
 COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/", re.S)
 STRING = re.compile(r'"(?:\\.|[^"\\\n])*"')
-STRUCT = re.compile(
-    r"\b(?:struct|class)\s+(" + SUFFIX + r")\b\s*(?:final\s*)?"
-    r"(?::\s*(?:public\s+)?([\w:]+))?\s*\{")
+
+def struct_pattern(suffix):
+    """`struct Name : Base {` for names matching @p suffix; an
+    `enum class Name {` is not a struct."""
+    return re.compile(
+        r"(?<!enum )\b(?:struct|class)\s+(" + suffix + r")\b\s*"
+        r"(?:final\s*)?(?::\s*(?:public\s+)?([\w:]+))?\s*\{")
+
+
+STRUCT = struct_pattern(SUFFIX)
 SKIP = re.compile(r"^(?:static|using|typedef|friend|enum|struct|class|"
                   r"template|constexpr|virtual|explicit|operator)\b")
 DECL = re.compile(r"^(?:const\s+|mutable\s+)?([\w:<>,\s\*&]+?)[\s\*&]+"
@@ -127,23 +134,27 @@ class Struct:
     def __init__(self, name, base, path, line):
         self.name, self.base, self.path, self.line = name, base, path, line
         self.fields = []       # (name, type) in declaration order
+        self.heads = {}        # name -> its declaration up to the name
         self.body = (0, 0)     # offsets of the body in its file
 
 
-def parse_structs(path, text):
+def parse_structs(path, text, pattern=STRUCT):
     structs = []
-    for m in STRUCT.finditer(text):
+    for m in pattern.finditer(text):
         end = match_brace(text, m.end() - 1)
         s = Struct(m.group(1), (m.group(2) or "").split("::")[-1] or None,
                    path, text.count("\n", 0, m.start()) + 1)
         s.body = (m.end(), end)
         for stmt in split_top(text[m.end():end]):
             stmt = " ".join(stmt.split())
-            if not stmt or SKIP.match(stmt) or "(" in stmt.split("=")[0]:
+            # Template arguments may hold calls: `std::array<T, f(N)> x`.
+            flat = re.sub(r"<[^;{}=]*>", "<>", stmt)
+            if not stmt or SKIP.match(flat) or "(" in flat.split("=")[0]:
                 continue
-            d = DECL.match(stmt)
+            d = DECL.match(flat)
             if d and d.group(2) not in KEYWORDS:
                 s.fields.append((d.group(2), d.group(1).split("::")[-1]))
+                s.heads[d.group(2)] = stmt.split("=")[0].split("{")[0]
         structs.append(s)
     return structs
 

@@ -383,7 +383,6 @@ struct Plane : net::MachineHost
         res.mode = cfg.mode;
         res.modeName = net::persistModeName(cfg.mode);
         res.replicas = cfg.replicas;
-        res.racks = cfg.racks;
         for (std::uint32_t id = 0; id < cfg.replicas; ++id)
             reps.push_back(std::make_unique<Replica>(cfg, id, eq, *this));
     }
@@ -1861,10 +1860,8 @@ struct Plane : net::MachineHost
         const net::FleetStats &fs = fleet.stats();
         res.arrivals = fs.arrivals;
         res.attempts = fs.attempts;
-        res.retries = fs.retries;
         res.completed = fs.completed;
         res.failed = fs.failed;
-        res.duplicateAcks = fs.duplicateAcks;
         res.redirects = fs.redirects;
         res.ackedPuts = fs.ackedPuts;
         res.fastRedirects = fs.fastRedirects;

@@ -133,16 +133,13 @@ struct ClusterResult
     net::PersistMode mode = net::PersistMode::SnG;
     std::string modeName;
     std::uint32_t replicas = 0;
-    std::uint32_t racks = 0;
     std::uint64_t cutsInjected = 0;
 
     // Client side.
     std::uint64_t arrivals = 0;
     std::uint64_t attempts = 0;
-    std::uint64_t retries = 0;
     std::uint64_t completed = 0;
     std::uint64_t failed = 0;
-    std::uint64_t duplicateAcks = 0;
     std::uint64_t redirects = 0;
     std::uint64_t ackedPuts = 0;
 

@@ -99,13 +99,6 @@ class AckAudit
     Verdict observe(std::uint64_t req_id, std::uint64_t epoch,
                     std::uint32_t source);
 
-    /** Replica that owns @p epoch in the ledger (first ack's source). */
-    const std::unordered_map<std::uint64_t, std::uint32_t> &
-    epochOwners() const
-    {
-        return ownerByEpoch;
-    }
-
   private:
     /**
      * Acks seen per request: (epoch, source) pairs. A retried PUT can

@@ -293,12 +293,6 @@ struct CompoundResult
     std::uint64_t digest = 0;
 
     std::uint64_t
-    stopPhaseCount(pecos::StopSubPhase phase) const
-    {
-        return stopPhaseCuts[static_cast<std::size_t>(phase)];
-    }
-
-    std::uint64_t
     goPhaseCount(pecos::GoSubPhase phase) const
     {
         return goPhaseCuts[static_cast<std::size_t>(phase)];

@@ -54,11 +54,12 @@ class FaultInjector
     {
         store.armPowerCut(cut_tick, seed);
         _armed = true;
-        _cut = cut_tick;
-        ++_cuts;
     }
 
-    /** AC restored: durable writes flow again. Stats stay readable. */
+    /**
+     * AC restored: durable writes flow again. The store keeps its
+     * cutStats().
+     */
     void
     powerRestored()
     {
@@ -66,23 +67,9 @@ class FaultInjector
         _armed = false;
     }
 
-    bool armed() const { return _armed; }
-    Tick cutTick() const { return _cut; }
-
-    /** Cuts armed over this injector's lifetime. */
-    std::uint64_t cuts() const { return _cuts; }
-
-    /** Outcome counters of the current/last cut. */
-    const mem::DurabilityCutStats &stats() const
-    {
-        return store.cutStats();
-    }
-
   private:
     mem::BackingStore &store;
     bool _armed = false;
-    Tick _cut = 0;
-    std::uint64_t _cuts = 0;
 };
 
 } // namespace lightpc::fault

@@ -168,7 +168,6 @@ LinkFate
 NetNemesis::judge(std::uint32_t from, std::uint32_t to, Tick at)
 {
     LinkFate fate;
-    ++_stats.judged;
 
     // Scheduled cuts are pure functions of (config, time): they draw
     // nothing, so a flap or partition window leaves every other

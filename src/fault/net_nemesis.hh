@@ -126,7 +126,6 @@ void validateNemesisConfig(const NemesisConfig &config,
 /** What the nemesis did to the messages it judged. */
 struct NemesisStats
 {
-    std::uint64_t judged = 0;
     std::uint64_t dropped = 0;        ///< Bernoulli losses
     std::uint64_t duplicated = 0;
     std::uint64_t partitionCuts = 0;  ///< eaten by a partition window

@@ -21,40 +21,19 @@ legacyPlaneConfig(const power::PsuSpec &spec)
     return config;
 }
 
-/** A summary PsuSpec for rails fed by a heterogeneous plane. */
-power::PsuSpec
-planePsuSpec(const energy::StoragePlane &plane)
-{
-    power::PsuSpec spec;
-    spec.name = "plane";
-    spec.storedJoules = plane.totalCapacityJoules();
-    spec.rechargeWatts = plane.config().policy.chargerWatts;
-    return spec;
-}
-
 } // namespace
 
 PowerRail::PowerRail(const power::PsuModel &psu, double initial_watts)
-    : _psu(psu),
-      _plane(energy::StoragePlane::unchecked(
+    : _plane(energy::StoragePlane::unchecked(
           legacyPlaneConfig(psu.spec())))
 {
     steps.push_back({0, initial_watts});
 }
 
-PowerRail::PowerRail(const energy::EnergyConfig &config,
-                     double initial_watts)
-    : _psu(power::PsuSpec{}), _plane(config)
-{
-    _psu = power::PsuModel(planePsuSpec(_plane));
-    steps.push_back({0, initial_watts});
-}
-
 PowerRail::PowerRail(const energy::StoragePlane &plane,
                      double initial_watts)
-    : _psu(power::PsuSpec{}), _plane(plane)
+    : _plane(plane)
 {
-    _psu = power::PsuModel(planePsuSpec(_plane));
     steps.push_back({0, initial_watts});
 }
 
@@ -150,7 +129,6 @@ PowerRail::evaluateSags() const
 
     SagOutcome out;
     out.minJoules = reserve.totalSocJoules();
-    out.minSoc = reserve.soc();
 
     Tick prev_end = 0;
     for (const SagEvent &sag : _sags) {
@@ -185,7 +163,6 @@ PowerRail::evaluateSags() const
                 out.railsFailed = true;
                 out.failTick = t + static_cast<Tick>(ticks_left);
                 out.minJoules = 0.0;
-                out.minSoc = 0.0;
                 return out;
             }
             reserve.deliver(drain, seg_end - t);
@@ -194,7 +171,6 @@ PowerRail::evaluateSags() const
 
         out.minJoules =
             std::min(out.minJoules, reserve.totalSocJoules());
-        out.minSoc = std::min(out.minSoc, reserve.soc());
         prev_end = sag_end;
     }
     out.recoveredAt = prev_end;

@@ -14,7 +14,7 @@
  * The energy source behind the rail is an energy::StoragePlane. A
  * rail built from a PsuModel wraps the spec in an ideal single-tier
  * plane whose arithmetic is bit-identical to the fixed-energy
- * integral it replaces; a rail built from an energy::EnergyConfig
+ * integral it replaces; a rail built from an energy::StoragePlane
  * drains a heterogeneous hierarchy (ATX cap ⊕ supercap ⊕ battery)
  * through the same sag/cut semantics.
  */
@@ -58,7 +58,6 @@ struct SagOutcome
     Tick failTick = maxTick;   ///< the tick it hit zero
     Tick recoveredAt = 0;      ///< end of the last sag when survived
     double minJoules = 0.0;    ///< reserve low-water mark
-    double minSoc = 0.0;       ///< state-of-charge low-water mark
 };
 
 /**
@@ -75,13 +74,6 @@ class PowerRail
      * @param initial_watts The load from tick 0 onwards.
      */
     PowerRail(const power::PsuModel &psu, double initial_watts);
-
-    /**
-     * A rail fed by a heterogeneous storage hierarchy. @p config is
-     * validated; every tier starts full.
-     */
-    PowerRail(const energy::EnergyConfig &config,
-              double initial_watts);
 
     /**
      * A rail fed by an existing plane (carries its state of charge
@@ -126,11 +118,6 @@ class PowerRail
     /** The load profile, in increasing-tick order. */
     const std::vector<LoadStep> &profile() const { return steps; }
 
-    const power::PsuModel &psu() const { return _psu; }
-
-    /** The energy source behind the rail. */
-    const energy::StoragePlane &plane() const { return _plane; }
-
     // --- brownout (partial sag) model -----------------------------
 
     /**
@@ -138,8 +125,6 @@ class PowerRail
      * order and must not overlap.
      */
     void addSag(Tick at, Tick duration, double supply_fraction);
-
-    const std::vector<SagEvent> &sags() const { return _sags; }
 
     /**
      * Run the reserve through every registered sag. During a sag the
@@ -154,7 +139,6 @@ class PowerRail
     SagOutcome evaluateSags() const;
 
   private:
-    power::PsuModel _psu;
     energy::StoragePlane _plane;
     std::vector<LoadStep> steps;
     std::vector<SagEvent> _sags;

@@ -108,22 +108,7 @@ class Device
     std::uint64_t mmioBytes() const { return _mmioBytes; }
 
     bool suspended() const { return _suspended; }
-
-    void
-    setSuspended(bool v)
-    {
-        if (v && !_suspended)
-            ++_suspendCycles;
-        else if (!v && _suspended)
-            ++_resumeCycles;
-        _suspended = v;
-    }
-
-    /** Live->suspended transitions over the device's lifetime. */
-    std::uint64_t suspendCycles() const { return _suspendCycles; }
-
-    /** Suspended->live transitions (Go revivals + aborted stops). */
-    std::uint64_t resumeCycles() const { return _resumeCycles; }
+    void setSuspended(bool v) { _suspended = v; }
 
     /**
      * A context cookie, scrambled while the device is live and
@@ -155,8 +140,6 @@ class Device
     std::uint64_t _contextBytes;
     std::uint64_t _mmioBytes;
     bool _suspended = false;
-    std::uint64_t _suspendCycles = 0;
-    std::uint64_t _resumeCycles = 0;
     std::uint64_t cookie = 0;
     DeviceContext *_context = nullptr;
 };

@@ -84,14 +84,6 @@ class Process
     TaskState state() const { return _state; }
     void setState(TaskState s) { _state = s; }
 
-    /** TIF_SIGPENDING analogue set by Drive-to-Idle. */
-    bool signalPending() const { return sigPending; }
-    void setSignalPending(bool v) { sigPending = v; }
-
-    /** set_tsk_need_resched() analogue. */
-    bool needResched() const { return _needResched; }
-    void setNeedResched(bool v) { _needResched = v; }
-
     /** Core this task last ran on (-1 if never scheduled). */
     int cpu() const { return _cpu; }
     void setCpu(int c) { _cpu = c; }
@@ -119,8 +111,6 @@ class Process
     std::string _name;
     bool kernelThread;
     TaskState _state = TaskState::Sleeping;
-    bool sigPending = false;
-    bool _needResched = false;
     int _cpu = -1;
     RegisterFile _regs;
     std::vector<VmArea> _vmAreas;

@@ -65,7 +65,6 @@
 
 // Persistence mechanisms.
 #include "persist/checkpoint.hh"
-#include "persist/dax.hh"
 #include "persist/object_pool.hh"
 
 // Power-cut fault injection.

@@ -172,7 +172,6 @@ class BackingStore
      * calls while a cut is armed.
      */
     void setWriteClock(Tick when) { _writeClock = when; }
-    Tick writeClock() const { return _writeClock; }
 
     /** Outcome counters since the last armPowerCut(). */
     const DurabilityCutStats &cutStats() const { return _cutStats; }

@@ -61,10 +61,6 @@ DramDevice::access(const MemRequest &req, Tick when)
     bank.busyUntil = result.completeAt;
     bank.openRow = row;
 
-    if (hit)
-        ++hits;
-    else
-        ++misses;
     if (req.op == MemOp::Read)
         ++reads;
     else
@@ -78,7 +74,7 @@ DramDevice::reset()
     for (auto &bank : bankState)
         bank = Bank{};
     nextRefresh = _params.refreshInterval;
-    hits = misses = refreshes = reads = writes = 0;
+    refreshes = reads = writes = 0;
 }
 
 } // namespace lightpc::mem

@@ -67,12 +67,6 @@ class DramDevice
      */
     AccessResult access(const MemRequest &req, Tick when);
 
-    /** Total accesses that hit an open row. */
-    std::uint64_t rowHits() const { return hits; }
-
-    /** Total accesses that required opening a row. */
-    std::uint64_t rowMisses() const { return misses; }
-
     /** Refresh windows charged so far. */
     std::uint64_t refreshCount() const { return refreshes; }
 
@@ -100,8 +94,6 @@ class DramDevice
     FastDiv bankDecode;  ///< divisor: banks
     std::vector<Bank> bankState;
     Tick nextRefresh;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
     std::uint64_t refreshes = 0;
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;

@@ -62,7 +62,6 @@ class TagCache
         sets.assign(std::size_t(numSets) * numWays, Line{});
     }
 
-    std::uint32_t lineSize() const { return lineBytes; }
     std::uint32_t ways() const { return numWays; }
     std::uint32_t setCount() const { return numSets; }
 

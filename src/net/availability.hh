@@ -20,7 +20,6 @@
 
 #include "sim/ticks.hh"
 #include "stats/histogram.hh"
-#include "stats/summary.hh"
 
 namespace lightpc::net
 {
@@ -89,7 +88,6 @@ class AvailabilityRecorder
     onSuccess(Tick now, Tick first_issued_at, Tick served_at)
     {
         lat.add(now - first_issued_at);
-        latSummary.add(ticksToUs(now - first_issued_at));
         lastSuccess = now;
         for (OutageRecord &o : outages) {
             if (o.closed)
@@ -135,7 +133,6 @@ class AvailabilityRecorder
     merge(const AvailabilityRecorder &other)
     {
         lat.merge(other.lat);
-        latSummary.merge(other.latSummary);
         if (other.lastSuccess > lastSuccess)
             lastSuccess = other.lastSuccess;
         outages.insert(outages.end(), other.outages.begin(),
@@ -159,13 +156,11 @@ class AvailabilityRecorder
     {
         return outages;
     }
-    stats::Histogram &latency() { return lat; }
-    const stats::Summary &latencySummaryUs() const { return latSummary; }
+    const stats::Histogram &latency() const { return lat; }
 
   private:
     Tick lastSuccess = 0;
     stats::Histogram lat;           ///< ticks, first issue -> ack
-    stats::Summary latSummary;      ///< microseconds (mean/cv)
     std::vector<OutageRecord> outages;
 };
 

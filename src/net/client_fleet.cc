@@ -123,7 +123,6 @@ ClientFleet::onResponse(const RpcResponse &resp, Tick now)
         // leave the request pending so the caller retries it — the
         // armed timeout with backoff, or a fast redirect for the
         // cluster statuses.
-        ++_stats.retriableErrors;
         if (resp.status == RpcStatus::NotLeader
             || resp.status == RpcStatus::ReadOnly)
             ++_stats.redirects;

@@ -102,7 +102,6 @@ struct FleetStats
     std::uint64_t completed = 0;      ///< acknowledged requests
     std::uint64_t failed = 0;         ///< attempt budget exhausted
     std::uint64_t duplicateAcks = 0;  ///< late acks for done requests
-    std::uint64_t retriableErrors = 0;///< Rejected/Deadline/NotLeader/RO
     std::uint64_t redirects = 0;      ///< NotLeader/ReadOnly responses
     std::uint64_t fastRedirects = 0;  ///< redirects re-sent timeout-free
     std::uint64_t redirectFallbacks = 0; ///< budget hit: paced retry
@@ -208,7 +207,6 @@ class ClientFleet
     {
         return outstanding.find(req_id) != outstanding.end();
     }
-    std::size_t outstandingCount() const { return outstanding.size(); }
 
     /** First-issue tick of an outstanding request (0 if unknown). */
     Tick firstIssuedAt(std::uint64_t req_id) const;

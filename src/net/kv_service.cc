@@ -289,7 +289,6 @@ KvService::execute(Tick &t, const RpcRequest &req, bool *deferred)
 RpcResponse
 KvService::executeGet(Tick &t, const RpcRequest &req, bool *deferred)
 {
-    ++_stats.gets;
     RpcResponse resp;
     resp.reqId = req.reqId;
     resp.client = req.client;
@@ -406,7 +405,6 @@ KvService::executePut(Tick &t, const RpcRequest &req, bool *deferred)
     if (opLogEnabled())
         return executePutOpLog(t, req, deferred);
 
-    ++_stats.puts;
     RpcResponse resp;
     resp.reqId = req.reqId;
     resp.client = req.client;
@@ -454,7 +452,6 @@ RpcResponse
 KvService::executePutOpLog(Tick &t, const RpcRequest &req,
                            bool *deferred)
 {
-    ++_stats.puts;
     RpcResponse resp;
     resp.reqId = req.reqId;
     resp.client = req.client;

@@ -103,8 +103,6 @@ struct KvParams
 struct KvStats
 {
     std::uint64_t executed = 0;
-    std::uint64_t gets = 0;
-    std::uint64_t puts = 0;
     std::uint64_t scans = 0;
     std::uint64_t putsApplied = 0;     ///< new transactions committed
     std::uint64_t idempotentHits = 0;  ///< PUT retries already applied

@@ -76,10 +76,8 @@ NicDevice::rxPop(RpcRequest &out)
 bool
 NicDevice::txPush(const RpcResponse &resp)
 {
-    if (!linkUp()) {
-        ++_stats.txDropsDown;
+    if (!linkUp())
         return false;
-    }
     if (txCount == _params.ringEntries) {
         ++_stats.txDropsFull;
         return false;

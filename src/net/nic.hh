@@ -43,7 +43,6 @@ struct NicStats
     std::uint64_t rxDropsFull = 0;   ///< RX pushes refused: ring full
     std::uint64_t rxDropsDown = 0;   ///< RX pushes refused: link down
     std::uint64_t txDropsFull = 0;
-    std::uint64_t txDropsDown = 0;
     std::uint32_t maxRxOccupancy = 0;
     std::uint32_t maxTxOccupancy = 0;
 };

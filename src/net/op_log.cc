@@ -135,7 +135,6 @@ OpLog::persistHead(Tick &t)
 OpLogRecovery
 OpLog::recover(Tick &t)
 {
-    ++_stats.recoveries;
     OpLogRecovery out;
     t = timed.readValue(t, headAddr(), out.headVirt);
     t = timed.readValue(t, tailAddr(), out.tailVirt);
@@ -163,7 +162,6 @@ OpLog::recover(Tick &t)
     }
     out.scanEndVirt = virt;
     out.tailCovered = out.scanEndVirt >= out.tailVirt;
-    _stats.recoveredRecords += out.records.size();
 
     head = out.headVirt;
     persistedHead = out.headVirt;

@@ -91,8 +91,6 @@ struct OpLogStats
     std::uint64_t commits = 0;       ///< tail persists (group commits)
     std::uint64_t pops = 0;          ///< records drained
     std::uint64_t headPersists = 0;
-    std::uint64_t recoveries = 0;
-    std::uint64_t recoveredRecords = 0;
     std::uint64_t checksumStops = 0; ///< scans ended by a torn record
     std::uint64_t seqStops = 0;      ///< scans ended by a stale lap
 };
@@ -230,7 +228,6 @@ class OpLog
     std::uint64_t headVirt() const { return head; }
     std::uint64_t persistedHeadVirt() const { return persistedHead; }
     std::uint64_t tailVirt() const { return tail; }
-    std::uint64_t appendVirt() const { return appendCursor; }
 
     mem::Addr headAddr() const { return _params.base + 64; }
     mem::Addr tailAddr() const { return _params.base + 128; }

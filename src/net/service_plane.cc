@@ -301,8 +301,8 @@ struct Plane : MachineHost
         res.nic = m.nic->stats();
         res.machine = m.stats;
 
-        auto &lat = recorder.latency();
-        res.meanUs = recorder.latencySummaryUs().mean();
+        const stats::Histogram &lat = recorder.latency();
+        res.meanUs = lat.mean() / static_cast<double>(tickUs);
         res.p50Us = ticksToUs(lat.percentile(0.50));
         res.p99Us = ticksToUs(lat.percentile(0.99));
         res.p999Us = ticksToUs(lat.percentile(0.999));

@@ -92,8 +92,6 @@ MceHandler::handle(mem::Addr addr, Tick when)
     if (psm.retireFaultyLine(addr, when)) {
         out.lineRetired = true;
         ++_stats.linesRetired;
-    } else {
-        ++_stats.retireFailures;
     }
 
     // Tell the PSM the containment was absorbed without a reset

@@ -58,7 +58,6 @@ struct MceStats
     std::uint64_t coldBoots = 0;     ///< resolved by OC-PMEM reset
     std::uint64_t tasksKilled = 0;
     std::uint64_t linesRetired = 0;  ///< retirements from the handler
-    std::uint64_t retireFailures = 0; ///< spare pool was exhausted
     std::uint64_t kernelEscalations = 0; ///< unowned fault -> reset
 };
 

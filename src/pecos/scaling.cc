@@ -28,7 +28,6 @@ simulateWorstCaseStop(std::uint32_t cores, std::uint64_t cache_bytes,
 
     ScalingResult result;
     result.cores = cores;
-    result.cacheBytes = cache_bytes;
     result.report = sng.stop(0);
     return result;
 }

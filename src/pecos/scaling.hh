@@ -25,7 +25,6 @@ namespace lightpc::pecos
 struct ScalingResult
 {
     std::uint32_t cores = 0;
-    std::uint64_t cacheBytes = 0;  ///< total cache, fully dirty
     StopReport report;
 
     bool

@@ -89,15 +89,12 @@ Sng::driveToIdle(Tick when, StopReport &report)
     for (std::uint32_t c = 0; c < cores; ++c)
         load[c] = kern.runQueue(c).size();
 
-    auto sleepers = kern.sleepingProcesses();
-    report.sleepersWoken = sleepers.size();
-    for (kernel::Process *proc : sleepers) {
+    for (kernel::Process *proc : kern.sleepingProcesses()) {
         const std::uint32_t target = static_cast<std::uint32_t>(
             std::min_element(load.begin(), load.end())
             - load.begin());
         ++load[target];
         proc->setCpu(static_cast<int>(target));
-        proc->setSignalPending(true);
 
         // IPI to the worker, fake signal handling from the kernel
         // stack, any pending work, then a context switch out into
@@ -110,8 +107,6 @@ Sng::driveToIdle(Tick when, StopReport &report)
         core_done[target] += cost;
 
         proc->setPendingWork(0);
-        proc->setSignalPending(false);
-        proc->setNeedResched(false);
         proc->setState(TaskState::Uninterruptible);
         ++report.tasksParked;
     }
@@ -127,7 +122,6 @@ Sng::driveToIdle(Tick when, StopReport &report)
             cost += _costs.contextSwitch + _costs.parkTask;
             core_done[c] += cost;
             proc->setPendingWork(0);
-            proc->setNeedResched(false);
             proc->setState(TaskState::Uninterruptible);
             ++report.tasksParked;
         }

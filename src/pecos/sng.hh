@@ -167,7 +167,6 @@ struct StopReport
     std::uint64_t writesTorn = 0;
 
     std::uint64_t tasksParked = 0;
-    std::uint64_t sleepersWoken = 0;
     std::uint64_t devicesSuspended = 0;
     std::uint64_t dirtyLinesFlushed = 0;
     std::uint64_t controlBlockBytes = 0;
@@ -308,8 +307,6 @@ class Sng
      * a real power event takes — never consults it.
      */
     void bindEnergyGuard(const EnergyGuard *guard) { _guard = guard; }
-
-    const EnergyGuard *energyGuard() const { return _guard; }
 
     /**
      * A *voluntary* Stop (planned power-down, fleet persistence

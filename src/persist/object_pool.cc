@@ -98,7 +98,6 @@ ObjectPool::recover()
         store.read(base + headerBytes + it->second, old.data(),
                    old.size());
         store.write(base + it->first.target, old.data(), old.size());
-        ++_stats.rolledBackRanges;
     }
 
     header.logCount = 0;
@@ -134,7 +133,6 @@ ObjectPool::allocate(Tick &t, std::uint64_t bytes)
     if (bytes == 0)
         fatal("ObjectPool::allocate of zero bytes");
     t += _costs.allocMetadata;
-    ++_stats.allocations;
 
     const std::uint64_t need = (bytes + 15) & ~std::uint64_t(15);
     Header header = readHeader();
@@ -205,7 +203,6 @@ mem::Addr
 ObjectPool::direct(Tick &t, ObjectId oid)
 {
     t += _costs.swizzle;
-    ++_stats.swizzles;
     return objectAddr(oid);
 }
 
@@ -286,7 +283,6 @@ ObjectPool::txCommit(Tick &t)
     header.logCursor = 0;
     writeHeader(header);
     txOpen = false;
-    ++_stats.txCommits;
 }
 
 void
@@ -295,7 +291,6 @@ ObjectPool::txAbort(Tick &t)
     if (!txOpen)
         fatal("txAbort outside a transaction");
     txOpen = false;
-    ++_stats.txAborts;
     recover();
     // recover() counts itself; an explicit abort is not a recovery.
     --_stats.recoveries;

@@ -66,14 +66,9 @@ struct PoolCosts
 /** Pool statistics. */
 struct PoolStats
 {
-    std::uint64_t allocations = 0;
     std::uint64_t frees = 0;
-    std::uint64_t swizzles = 0;
-    std::uint64_t txCommits = 0;
-    std::uint64_t txAborts = 0;
     std::uint64_t linesFlushed = 0;
     std::uint64_t recoveries = 0;
-    std::uint64_t rolledBackRanges = 0;
 };
 
 /**

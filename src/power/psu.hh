@@ -89,15 +89,6 @@ class PsuModel
                                  * static_cast<double>(tickSec));
     }
 
-    /** Residual stored energy after @p elapsed at @p loadWatts. */
-    double
-    residualJoules(double load_watts, Tick elapsed) const
-    {
-        const double used = load_watts * ticksToSec(elapsed);
-        return used >= _spec.storedJoules
-            ? 0.0 : _spec.storedJoules - used;
-    }
-
     /**
      * The standard ATX unit (Super Flower SF-600R12A class):
      * measured 22 ms hold-up fully loaded, 16 ms per specification.

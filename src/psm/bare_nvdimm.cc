@@ -13,15 +13,9 @@ BareNvdimm::BareNvdimm(const BareNvdimmParams &params)
     if (_params.devicesPerDimm == 0 || (_params.devicesPerDimm % 2) != 0)
         fatal("BareNvdimm requires an even, nonzero device count");
 
-    std::uint32_t group_count;
-    if (_params.layout == DimmLayout::DualChannel) {
-        group_count = _params.devicesPerDimm / 2;
-        _serviceBytes = 2 * mem::pramDeviceGranularity;
-    } else {
-        group_count = 1;
-        _serviceBytes =
-            _params.devicesPerDimm * mem::pramDeviceGranularity;
-    }
+    const std::uint32_t group_count =
+        _params.layout == DimmLayout::DualChannel
+            ? _params.devicesPerDimm / 2 : 1;
 
     // Each group owns an equal slice of the DIMM capacity.
     mem::PramParams per_group = _params.device;

@@ -65,9 +65,6 @@ class BareNvdimm
         return static_cast<std::uint32_t>(groups.size());
     }
 
-    /** Bytes served by one group access (64 or 256). */
-    std::uint32_t serviceBytes() const { return _serviceBytes; }
-
     /**
      * A 64 B write on the DramLike layout must read-modify the full
      * 256 B rank access.
@@ -92,7 +89,6 @@ class BareNvdimm
 
   private:
     BareNvdimmParams _params;
-    std::uint32_t _serviceBytes;
     std::vector<std::unique_ptr<mem::PramDevice>> groups;
 };
 

@@ -428,10 +428,8 @@ Psm::scrubLine(std::uint64_t logical_line, Tick when)
     mem::AccessResult res;
     res.completeAt = media.completeAt;
     const bool want_retire = rasDecodeLine(r, lf, res);
-    if (res.containment) {
-        out.containment = true;
+    if (res.containment)
         return out;
-    }
     if (want_retire) {
         retireSlot(r, res.completeAt);
         out.retired = true;
@@ -440,7 +438,6 @@ Psm::scrubLine(std::uint64_t logical_line, Tick when)
     // Transient-only corruption: a rewrite refreshes the cells.
     dev.write(res.completeAt, r.localAddr, /*early_return=*/true);
     ++_stats.scrubRepairs;
-    out.repaired = true;
     return out;
 }
 

@@ -230,12 +230,8 @@ class Psm
     {
         /** The line was actually checked (false: deferred, retry). */
         bool serviced = false;
-        /** A rewrite cleared transient corruption. */
-        bool repaired = false;
         /** Stuck media moved the line's slot to a spare. */
         bool retired = false;
-        /** Uncorrectable codeword: containment raised. */
-        bool containment = false;
     };
 
     /**

@@ -34,13 +34,8 @@ PatrolScrubber::step(Tick when)
             }
         } else {
             ++serviced;
-            ++_stats.serviced;
-            if (out.repaired)
-                ++_stats.repairs;
             if (out.retired)
                 ++_stats.retirements;
-            if (out.containment)
-                ++_stats.containments;
         }
         retries = 0;
         if (++_cursor == psm.managedLines()) {

@@ -48,10 +48,7 @@ struct ScrubParams
 struct ScrubberStats
 {
     std::uint64_t sweeps = 0;       ///< complete passes over the space
-    std::uint64_t serviced = 0;     ///< lines actually checked
-    std::uint64_t repairs = 0;      ///< transient rewrites
     std::uint64_t retirements = 0;  ///< slots moved to spares
-    std::uint64_t containments = 0; ///< uncorrectable lines found
     std::uint64_t skipped = 0;      ///< lines abandoned after retries
 };
 

@@ -42,10 +42,6 @@ class SymbolEcc
      */
     SymbolEcc(unsigned data_symbols, unsigned parity_symbols);
 
-    unsigned dataSymbols() const { return k; }
-    unsigned paritySymbols() const { return r; }
-    unsigned codewordSymbols() const { return k + r; }
-
     /** Encode k data symbols into an n-symbol codeword. */
     std::vector<std::uint8_t>
     encode(const std::vector<std::uint8_t> &data) const;

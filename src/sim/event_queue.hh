@@ -206,9 +206,6 @@ class EventQueue
     /** Ordering entries currently held (live + not-yet-swept stale). */
     std::size_t pendingEntries() const { return liveCount + staleCount; }
 
-    /** Cancelled entries awaiting lazy removal or the next sweep. */
-    std::size_t stalePending() const { return staleCount; }
-
     /** Event records allocated across all slabs. */
     std::size_t poolCapacity() const { return slotCount; }
 

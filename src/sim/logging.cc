@@ -63,15 +63,6 @@ warnImpl(const std::string &msg)
     std::cerr << "warn: " + msg + "\n" << std::flush;
 }
 
-void
-informImpl(const std::string &msg)
-{
-    if (logQuiet.load(std::memory_order_relaxed))
-        return;
-    const std::lock_guard<std::mutex> lock(logMutex());
-    std::cout << "info: " + msg + "\n" << std::flush;
-}
-
 } // namespace detail
 
 } // namespace lightpc

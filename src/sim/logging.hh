@@ -4,8 +4,8 @@
  *
  * panic() is for conditions that indicate a bug in the simulator
  * itself and aborts; fatal() is for user-caused conditions (bad
- * configuration) and throws so that tests can observe it; warn() and
- * inform() report without stopping.
+ * configuration) and throws so that tests can observe it; warn()
+ * reports without stopping.
  *
  * All reporting paths are thread-safe: messages are formatted on the
  * calling thread and written to the shared sink under one mutex, so
@@ -50,7 +50,6 @@ formatMessage(Args &&...args)
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 } // namespace detail
 
@@ -80,15 +79,7 @@ warn(Args &&...args)
     detail::warnImpl(detail::formatMessage(std::forward<Args>(args)...));
 }
 
-/** Report normal operating status. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::informImpl(detail::formatMessage(std::forward<Args>(args)...));
-}
-
-/** Quiet mode suppresses warn()/inform() output (used by tests). */
+/** Quiet mode suppresses warn() output (used by tests). */
 void setLogQuiet(bool quiet);
 
 } // namespace lightpc

@@ -48,13 +48,6 @@ periodFromMhz(std::uint64_t mhz)
     return tickSec / (mhz * 1000 * 1000);
 }
 
-/** Convert ticks to (double) nanoseconds, for reporting. */
-constexpr double
-ticksToNs(Tick t)
-{
-    return static_cast<double>(t) / static_cast<double>(tickNs);
-}
-
 /** Convert ticks to (double) microseconds, for reporting. */
 constexpr double
 ticksToUs(Tick t)

@@ -29,8 +29,8 @@ class TimeSeries
     explicit TimeSeries(std::string label) : _label(std::move(label)) {}
 
     /**
-     * Record a sample; ticks must be non-decreasing (integrate() and
-     * downsample() both assume time-ordered samples).
+     * Record a sample; ticks must be non-decreasing (downsample()
+     * assumes time-ordered samples).
      */
     void
     record(Tick when, double value)
@@ -42,29 +42,7 @@ class TimeSeries
         _samples.push_back({when, value});
     }
 
-    /** Tick of the most recent sample (0 when empty). */
-    Tick
-    lastTick() const
-    {
-        return _samples.empty() ? 0 : _samples.back().when;
-    }
-
-    const std::string &label() const { return _label; }
     const std::vector<Sample> &samples() const { return _samples; }
-    bool empty() const { return _samples.empty(); }
-
-    /** Integrate value over time (e.g. power -> energy in W*ticks). */
-    double
-    integrate() const
-    {
-        double acc = 0.0;
-        for (std::size_t i = 1; i < _samples.size(); ++i) {
-            const double dt = static_cast<double>(
-                _samples[i].when - _samples[i - 1].when);
-            acc += _samples[i - 1].value * dt;
-        }
-        return acc;
-    }
 
     /**
      * Downsample to at most @p max_points by averaging equal-width
@@ -90,8 +68,6 @@ class TimeSeries
         }
         return out;
     }
-
-    void clear() { _samples.clear(); }
 
   private:
     std::string _label;

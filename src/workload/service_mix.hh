@@ -76,26 +76,6 @@ struct ServiceMix
             fatal("ServiceMix keySpace must be nonzero");
         return 1 + rng.below(keySpace);
     }
-
-    /** YCSB-C-like read-mostly preset. */
-    static ServiceMix
-    readHeavy()
-    {
-        ServiceMix m;
-        m.getFraction = 0.90;
-        m.putFraction = 0.08;
-        return m;
-    }
-
-    /** Write-heavy preset (stresses PUT durability under cuts). */
-    static ServiceMix
-    updateHeavy()
-    {
-        ServiceMix m;
-        m.getFraction = 0.25;
-        m.putFraction = 0.70;
-        return m;
-    }
 };
 
 } // namespace lightpc::workload

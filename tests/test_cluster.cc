@@ -377,7 +377,7 @@ replicaView(std::uint64_t salt)
 TEST(AvailabilityMerge, FoldOrderDoesNotChangeTheMergedView)
 {
     // Fold three replica recorders in two different orders; the
-    // merged outage ledger, latency summary, and last-success stamp
+    // merged outage ledger, latency mean, and last-success stamp
     // must not depend on the order.
     const std::vector<std::vector<std::uint64_t>> orders = {
         {0, 1, 2}, {2, 0, 1}};
@@ -394,8 +394,7 @@ TEST(AvailabilityMerge, FoldOrderDoesNotChangeTheMergedView)
     const auto &a = merged[0];
     const auto &b = merged[1];
     EXPECT_EQ(a.lastSuccessAt(), b.lastSuccessAt());
-    EXPECT_DOUBLE_EQ(a.latencySummaryUs().mean(),
-                     b.latencySummaryUs().mean());
+    EXPECT_DOUBLE_EQ(a.latency().mean(), b.latency().mean());
     ASSERT_EQ(a.outageRecords().size(), b.outageRecords().size());
     for (std::size_t i = 0; i < a.outageRecords().size(); ++i) {
         EXPECT_EQ(a.outageRecords()[i].eventAt,

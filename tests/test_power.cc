@@ -126,16 +126,6 @@ TEST(Psu, IdleLoadExtendsHoldup)
     EXPECT_GT(atx.holdupTime(12.0), atx.holdupTime(18.9));
 }
 
-TEST(Psu, ResidualEnergyDecays)
-{
-    const PsuModel atx = PsuModel::atx();
-    const double full = atx.spec().storedJoules;
-    EXPECT_DOUBLE_EQ(atx.residualJoules(18.9, 0), full);
-    EXPECT_NEAR(atx.residualJoules(18.9, 11 * tickMs), full / 2.0,
-                1e-9);
-    EXPECT_DOUBLE_EQ(atx.residualJoules(18.9, 100 * tickMs), 0.0);
-}
-
 TEST(Psu, ZeroLoadNeverRunsOut)
 {
     const PsuModel atx = PsuModel::atx();

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the timed+functional memory accessor and DAX mapping.
+ * Tests for the timed+functional memory accessor.
  */
 
 #include <gtest/gtest.h>
@@ -8,8 +8,6 @@
 #include "mem/backing_store.hh"
 #include "mem/memory_port.hh"
 #include "mem/timed_mem.hh"
-#include "persist/dax.hh"
-#include "sim/logging.hh"
 
 namespace
 {
@@ -106,24 +104,6 @@ TEST(TimedMem, WorksWithoutBackingStore)
     TimedMem mem(port);
     EXPECT_EQ(mem.backing(), nullptr);
     EXPECT_GT(mem.readSpan(0, 0, 128), 0u);
-}
-
-TEST(Dax, TranslationIsOffsetAdd)
-{
-    persist::DaxMapping map(0x7000'0000, 0x100'0000, 1 << 20);
-    EXPECT_TRUE(map.contains(0x7000'0000));
-    EXPECT_TRUE(map.contains(0x7000'0000 + (1 << 20) - 1));
-    EXPECT_FALSE(map.contains(0x7000'0000 + (1 << 20)));
-    EXPECT_EQ(map.toPhys(0x7000'0040), 0x100'0040u);
-    EXPECT_EQ(map.toVirt(0x100'0040), 0x7000'0040u);
-}
-
-TEST(Dax, OutOfRangeTranslationFails)
-{
-    persist::DaxMapping map(0x1000, 0x2000, 0x100);
-    EXPECT_THROW(map.toPhys(0x999), FatalError);
-    EXPECT_THROW(map.toVirt(0x1fff), FatalError);
-    EXPECT_THROW(persist::DaxMapping(0, 0, 0), FatalError);
 }
 
 } // namespace
