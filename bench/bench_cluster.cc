@@ -37,91 +37,79 @@ int
 main(int argc, char **argv)
 {
     fault::ClusterCampaignConfig cfg;
-    std::string out = "BENCH_cluster.json";
-    bench::parseKvCampaignArgs(argc, argv, cfg, out);
+    const std::vector<std::string> columns = {
+        "write_avail_mean", "write_avail_min", "read_avail_mean",
+        "worst_write_gap_ms", "sync_deltas", "sync_fulls",
+        "cold_boots", "lost_acked_puts", "split_brain_epochs"};
+    const auto campaign = bench::kvCampaign(cfg, columns, {
+        .bench = "cluster_availability",
+        .out = "BENCH_cluster.json",
+        .title = "Cluster availability",
+        .what = "replicated KV fleet under rack-correlated cut"
+                " storms: failover, catch-up, and write/read"
+                " availability",
+        .paper = "full system persistence compounds at fleet"
+                 " level: a Stop-and-Go replica rejoins by delta"
+                 " sync in ~100 ms while checkpointing baselines"
+                 " cold-boot and pay a full state resync"
+                 " (Sections V-VI)",
+        .anchors = [&](const auto &res) {
+            const fault::ClusterCell &total = res.total;
+            bench::check(total.trials == fault::clusterCampaignTrials(cfg)
+                             && total.trials >= 30 * cfg.seedsPerCell,
+                         "every grid trial ran ("
+                             + std::to_string(total.trials) + ")");
+            bench::check(total["lost_acked_puts"] == 0,
+                         "zero acked-then-lost PUTs fleet-wide");
+            bench::check(total["split_brain_epochs"] == 0,
+                         "zero split-brain epochs (no two leaders acked"
+                         " one epoch)");
+            bench::check(total["divergent_commits"] == 0,
+                         "zero divergent commits (one seq, one content)");
+            bench::check(total["violations"] == 0,
+                         "zero invariant violations across the campaign");
 
-    bench::banner("Cluster availability",
-                  "replicated KV fleet under rack-correlated cut"
-                  " storms: failover, catch-up, and write/read"
-                  " availability");
-    bench::paperRef("full system persistence compounds at fleet"
-                    " level: a Stop-and-Go replica rejoins by delta"
-                    " sync in ~100 ms while checkpointing baselines"
-                    " cold-boot and pay a full state resync"
-                    " (Sections V-VI)");
+            // Per-column strict separation, plus SnG's worst write gap
+            // below every baseline's under the same
+            // replicas/intensity/seeds.
+            bench::checkPersistentAboveBaselines(
+                res, "storm",
+                [](const std::string &where, const fault::ClusterCell &sng,
+                   const fault::ClusterCell &base) {
+                    bench::check(sng["worst_write_gap_ms"]
+                                     < base["worst_write_gap_ms"],
+                                 where + ": SnG worst write gap below "
+                                     + base.modeName + "'s");
+                });
 
-    const std::uint64_t trials = fault::clusterCampaignTrials(cfg);
-    std::cout << "sweeping " << cfg.replicaCounts.size()
-              << " replica counts x " << cfg.intensities.size()
-              << " storm intensities x " << cfg.modes.size()
-              << " modes x " << cfg.seedsPerCell << " seeds = " << trials
-              << " trials on " << cfg.threads << " thread(s)...\n\n";
-
-    const fault::ClusterCampaignResult res =
-        fault::runClusterCampaign(cfg);
-
-    bench::printKvCells(res, "storm",
-                        {"write_avail_mean", "write_avail_min",
-                         "read_avail_mean", "worst_write_gap_ms",
-                         "sync_deltas", "sync_fulls", "cold_boots",
-                         "lost_acked_puts", "split_brain_epochs"});
-
-    // --- anchors --------------------------------------------------
-
-    const fault::ClusterCell &total = res.total;
-    bench::check(total.trials == trials
-                     && total.trials >= 30 * cfg.seedsPerCell,
-                 "every grid trial ran (" + std::to_string(total.trials)
-                     + ")");
-    bench::check(total["lost_acked_puts"] == 0,
-                 "zero acked-then-lost PUTs fleet-wide");
-    bench::check(total["split_brain_epochs"] == 0,
-                 "zero split-brain epochs (no two leaders acked one"
-                 " epoch)");
-    bench::check(total["divergent_commits"] == 0,
-                 "zero divergent commits (one seq, one content)");
-    bench::check(total["violations"] == 0,
-                 "zero invariant violations across the campaign");
-
-    // Per-column strict separation, plus SnG's worst write gap below
-    // every baseline's under the same replicas/intensity/seeds.
-    bench::checkPersistentAboveBaselines(
-        res, "storm",
-        [](const std::string &where, const fault::ClusterCell &sng,
-           const fault::ClusterCell &base) {
-            bench::check(sng["worst_write_gap_ms"]
-                             < base["worst_write_gap_ms"],
-                         where + ": SnG worst write gap below "
-                             + base.modeName + "'s");
-        });
-
-    double sngDeltas = 0, baseFulls = 0, baseCold = 0;
-    for (const fault::ClusterCell &c : res.cells) {
-        if (bench::isBaseline(c.mode)) {
-            baseFulls += c["sync_fulls"];
-            baseCold += c["cold_boots"];
-            continue;
-        }
-        const std::string where = c.modeName + " replicas="
-                                  + std::to_string(c.replicas) + " storm="
-                                  + std::to_string(c.intensity);
-        sngDeltas += c["sync_deltas"];
-        bench::check(c["cold_boots"] == 0,
-                     where + ": rode every storm on hold-up (no cold"
-                             " boots)");
-        if (c.mode == net::PersistMode::SnG)
-            bench::check(c["read_avail_mean"] >= c["write_avail_mean"],
-                         where + ": reads no less available than"
-                                 " writes (read-only degradation)");
-    }
-    bench::check(sngDeltas > 0,
-                 "Stop-and-Go rejoiners caught up by delta sync");
-    bench::check(baseFulls > 0,
-                 "cold-booting baselines paid full resyncs");
-    bench::check(baseCold > 0,
-                 "baseline storms actually forced cold boots");
-
-    if (!bench::writeKvCampaignJson(out, "cluster_availability", cfg, res))
-        return 1;
-    return bench::result();
+            double sngDeltas = 0, baseFulls = 0, baseCold = 0;
+            for (const fault::ClusterCell &c : res.cells) {
+                if (bench::isBaseline(c.mode)) {
+                    baseFulls += c["sync_fulls"];
+                    baseCold += c["cold_boots"];
+                    continue;
+                }
+                const std::string where =
+                    c.modeName + " replicas=" + std::to_string(c.replicas)
+                    + " storm=" + std::to_string(c.intensity);
+                sngDeltas += c["sync_deltas"];
+                bench::check(c["cold_boots"] == 0,
+                             where + ": rode every storm on hold-up (no"
+                                     " cold boots)");
+                if (c.mode == net::PersistMode::SnG)
+                    bench::check(c["read_avail_mean"]
+                                     >= c["write_avail_mean"],
+                                 where + ": reads no less available than"
+                                         " writes (read-only"
+                                         " degradation)");
+            }
+            bench::check(sngDeltas > 0,
+                         "Stop-and-Go rejoiners caught up by delta sync");
+            bench::check(baseFulls > 0,
+                         "cold-booting baselines paid full resyncs");
+            bench::check(baseCold > 0,
+                         "baseline storms actually forced cold boots");
+        },
+    });
+    return bench::campaignMain(argc, argv, cfg.seed, cfg.threads, campaign);
 }

@@ -9,8 +9,10 @@
  * mode x outage intensity, prints the per-cell survival grid and the
  * headline minimum-provisioning table, and writes BENCH_energy.json.
  *
- *   bench_energy [--seeds N] [--seed S] [--aging CYCLES]
- *       [--out FILE] [--threads N|-j N]
+ *   bench_energy [--seeds N] [--aging CYCLES] [--scales S1,S2,...]
+ *       [--seed S] [--threads N|-j N] [--out FILE]
+ *
+ * The shared flags are campaignMain()'s (campaign_io.hh).
  *
  * Anchors (exit nonzero on failure):
  *  - every grid trial ran, zero durability violations fleet-wide;
@@ -32,10 +34,8 @@
 #include <utility>
 #include <vector>
 
-#include "bench_common.hh"
 #include "campaign_io.hh"
 #include "fault/energy_campaign.hh"
-#include "sim/parallel.hh"
 #include "stats/table.hh"
 
 using namespace lightpc;
@@ -80,157 +80,144 @@ int
 main(int argc, char **argv)
 {
     fault::EnergyCampaignConfig cfg;
-    cfg.threads = 0;  // every host thread unless --threads says otherwise
-    std::string out = "BENCH_energy.json";
+    const bench::Campaign<fault::EnergyCampaignResult> campaign{
+        .bench = "energy_provisioning",
+        .out = "BENCH_energy.json",
+        .title = "Energy provisioning",
+        .what = "state-of-charge-aware persistence across the"
+                " storage-sizing sweep: single cuts, cut storms,"
+                " and brownout sieges",
+        .paper = "full system persistence needs only enough"
+                 " stored energy to finish one Stop: capacitance"
+                 " sized for the worst-case drain, not for ride-"
+                 "through (Sections III-IV)",
+        .flags = {bench::flag("--seeds", "N", cfg.seedsPerCell),
+                  bench::flag("--aging", "CYCLES", cfg.agingSpreadCycles),
+                  {"--scales", "S1,S2,...",
+                   [&cfg](const char *s) {
+                       return parseScales(s, cfg.sizingScales);
+                   }}},
+        .valid = [&] {
+            return cfg.seedsPerCell > 0 && cfg.agingSpreadCycles >= 0.0;
+        },
+        .run = [&] {
+            std::cout << "sweeping " << cfg.sizingScales.size()
+                      << " storage scales x " << cfg.intensities.size()
+                      << " intensities x " << cfg.modes.size()
+                      << " modes x " << cfg.seedsPerCell << " seeds = "
+                      << fault::energyCampaignTrials(cfg)
+                      << " trials on " << cfg.threads
+                      << " thread(s)...\n\n";
+            return fault::runEnergyCampaign(cfg);
+        },
+        .table = [](const auto &res) {
+            const std::vector<std::string> columns = {
+                "trials", "survived", "commits_durable", "resumes",
+                "cold_boots", "stops_deferred", "proactive_saves",
+                "min_soc_permille", "violations"};
+            stats::Table table(
+                bench::row({"scale", "joules", "storm", "mode"}, columns));
+            for (const fault::EnergyCellStats &c : res.cells)
+                table.addRow(bench::row(
+                    {stats::Table::num(c.scale, 3),
+                     stats::Table::num(c.provisionedJoules),
+                     std::to_string(c.intensity),
+                     net::persistModeName(c.mode)},
+                    bench::counterCells(fault::energyCounters(), c,
+                                        columns)));
+            table.print(std::cout);
 
-    const char *flags = "[--seeds N] [--seed S] [--aging CYCLES]"
-                        " [--scales S1,S2,...] [--out FILE]"
-                        " [--threads N|-j N]";
-    bench::parseFlags(
-        argc, argv, flags,
-        {bench::flag("--seeds", cfg.seedsPerCell),
-         bench::flag("--seed", cfg.seed),
-         bench::flag("--aging", cfg.agingSpreadCycles),
-         {"--scales", nullptr,
-          [&cfg](const char *s) {
-              return parseScales(s, cfg.sizingScales);
-          }},
-         bench::flag("--out", out), bench::threadsFlag(cfg.threads)});
-    if (cfg.seedsPerCell == 0 || cfg.agingSpreadCycles < 0.0)
-        bench::usage(argv[0], flags);
-    cfg.threads = sim::resolveThreads(cfg.threads);
-
-    bench::banner("Energy provisioning",
-                  "state-of-charge-aware persistence across the"
-                  " storage-sizing sweep: single cuts, cut storms,"
-                  " and brownout sieges");
-    bench::paperRef("full system persistence needs only enough"
-                    " stored energy to finish one Stop: capacitance"
-                    " sized for the worst-case drain, not for ride-"
-                    "through (Sections III-IV)");
-
-    const std::uint64_t trials = fault::energyCampaignTrials(cfg);
-    std::cout << "sweeping " << cfg.sizingScales.size()
-              << " storage scales x " << cfg.intensities.size()
-              << " intensities x " << cfg.modes.size() << " modes x "
-              << cfg.seedsPerCell << " seeds = " << trials
-              << " trials on " << cfg.threads << " thread(s)...\n\n";
-
-    const fault::EnergyCampaignResult res =
-        fault::runEnergyCampaign(cfg);
-
-    const std::vector<std::string> columns = {
-        "trials", "survived", "commits_durable", "resumes", "cold_boots",
-        "stops_deferred", "proactive_saves", "min_soc_permille",
-        "violations"};
-    stats::Table table(
-        bench::row({"scale", "joules", "storm", "mode"}, columns));
-    for (const fault::EnergyCellStats &c : res.cells)
-        table.addRow(bench::row(
-            {stats::Table::num(c.scale, 3),
-             stats::Table::num(c.provisionedJoules),
-             std::to_string(c.intensity), net::persistModeName(c.mode)},
-            bench::counterCells(fault::energyCounters(), c, columns)));
-    table.print(std::cout);
-
-    std::cout << "\nminimum provisioned storage per mode:\n";
-    stats::Table prov({"mode", "storm", "min scale", "joules"});
-    for (const fault::EnergyProvision &p : res.provisioning) {
-        prov.addRow({net::persistModeName(p.mode),
-                     std::to_string(p.intensity),
-                     p.met ? stats::Table::num(p.scale) : "unmet",
-                     p.met ? stats::Table::num(p.joules) : "-"});
-    }
-    prov.print(std::cout);
-
-    for (const std::string &note : res.violationNotes)
-        std::cout << "  VIOLATION " << note << "\n";
-
-    // --- anchors --------------------------------------------------
-
-    bench::check(res.total.trials == trials,
-                 "every grid trial ran ("
-                     + std::to_string(res.total.trials)
-                     + ")");
-    bench::check(res.total.violations == 0,
-                 "zero durability violations fleet-wide");
-
-    // The headline: Stop-and-Go survives every intensity rung at
-    // strictly less provisioned storage than every checkpointing
-    // baseline under the same outage schedules.
-    for (const std::uint32_t intensity : cfg.intensities) {
-        const std::string where =
-            "storm=" + std::to_string(intensity);
-        const fault::EnergyProvision *sng =
-            provisionOf(res, net::PersistMode::SnG, intensity);
-        const fault::EnergyProvision *oplog =
-            provisionOf(res, net::PersistMode::OpLog, intensity);
-        bench::check(sng && sng->met && oplog && oplog->met,
-                     where + ": SnG and SnG-OpLog met the sweep");
-        if (!sng || !sng->met || !oplog || !oplog->met)
-            continue;
-        for (const net::PersistMode mode : cfg.modes) {
-            if (!bench::isBaseline(mode))
-                continue;
-            const fault::EnergyProvision *base =
-                provisionOf(res, mode, intensity);
-            const std::string name = net::persistModeName(mode);
-            if (base && base->met) {
-                bench::check(sng->scale < base->scale,
-                             where + ": SnG provisions less storage"
-                                 " than " + name);
-                bench::check(oplog->scale < base->scale,
-                             where + ": SnG-OpLog provisions less"
-                                 " storage than " + name);
-            } else {
-                bench::check(true,
-                             where + ": " + name + " never met the"
-                                 " sweep (SnG did at scale "
-                                 + std::to_string(sng->scale) + ")");
+            std::cout << "\nminimum provisioned storage per mode:\n";
+            stats::Table prov({"mode", "storm", "min scale", "joules"});
+            for (const fault::EnergyProvision &p : res.provisioning) {
+                prov.addRow({net::persistModeName(p.mode),
+                             std::to_string(p.intensity),
+                             p.met ? stats::Table::num(p.scale) : "unmet",
+                             p.met ? stats::Table::num(p.joules) : "-"});
             }
-        }
-    }
+            prov.print(std::cout);
+        },
+        .notes = [](const auto &res) { return res.violationNotes; },
+        .anchors = [&](const auto &res) {
+            bench::check(res.total.trials == fault::energyCampaignTrials(cfg),
+                         "every grid trial ran ("
+                             + std::to_string(res.total.trials) + ")");
+            bench::check(res.total.violations == 0,
+                         "zero durability violations fleet-wide");
 
-    bench::check(res.total.stopsDeferred > 0,
-                 "the guard deferred voluntary Stops on weak planes");
-    bench::check(res.total.deferredStopsAdmitted > 0,
-                 "deferred Stops were admitted once recharged");
-    bench::check(res.total.proactiveStops > 0,
-                 "low-charge warnings fired proactive EP-cuts");
-    bench::check(res.total.proactiveSaves > 0,
-                 "proactive EP-cuts saved machines the"
-                 " counterfactual would have lost");
+            // The headline: Stop-and-Go survives every intensity rung at
+            // strictly less provisioned storage than every checkpointing
+            // baseline under the same outage schedules.
+            for (const std::uint32_t intensity : cfg.intensities) {
+                const std::string where =
+                    "storm=" + std::to_string(intensity);
+                const fault::EnergyProvision *sng =
+                    provisionOf(res, net::PersistMode::SnG, intensity);
+                const fault::EnergyProvision *oplog =
+                    provisionOf(res, net::PersistMode::OpLog, intensity);
+                bench::check(sng && sng->met && oplog && oplog->met,
+                             where + ": SnG and SnG-OpLog met the sweep");
+                if (!sng || !sng->met || !oplog || !oplog->met)
+                    continue;
+                for (const net::PersistMode mode : cfg.modes) {
+                    if (!bench::isBaseline(mode))
+                        continue;
+                    const fault::EnergyProvision *base =
+                        provisionOf(res, mode, intensity);
+                    const std::string name = net::persistModeName(mode);
+                    if (base && base->met) {
+                        bench::check(sng->scale < base->scale,
+                                     where + ": SnG provisions less storage"
+                                         " than " + name);
+                        bench::check(oplog->scale < base->scale,
+                                     where + ": SnG-OpLog provisions less"
+                                         " storage than " + name);
+                    } else {
+                        bench::check(true,
+                                     where + ": " + name + " never met the"
+                                         " sweep (SnG did at scale "
+                                         + std::to_string(sng->scale) + ")");
+                    }
+                }
+            }
 
-    // --- JSON -----------------------------------------------------
-
-    bench::JsonWriter json(out);
-    json.field("bench", "energy_provisioning")
-        .field("seed", cfg.seed)
-        .field("seeds_per_cell", cfg.seedsPerCell)
-        .field("aging_spread_cycles", cfg.agingSpreadCycles, "%.1f")
-        .field("threads", cfg.threads)
-        .counters(fault::energyCounters(), res.total)
-        .array("provisioning");
-    for (const fault::EnergyProvision &p : res.provisioning)
-        json.object()
-            .field("mode", net::persistModeName(p.mode))
-            .field("intensity", p.intensity)
-            .field("met", p.met)
-            .field("min_scale", p.scale, "%.3f")
-            .field("min_joules", p.joules, "%.4f")
-            .close();
-    json.close().array("cells");
-    for (const fault::EnergyCellStats &c : res.cells)
-        json.object()
-            .field("scale", c.scale, "%.3f")
-            .field("joules", c.provisionedJoules, "%.4f")
-            .field("intensity", c.intensity)
-            .field("mode", net::persistModeName(c.mode))
-            .counters(fault::energyCounters(), c)
-            .close();
-    json.close().digest(res.digest);
-    if (!json.finish())
-        return 1;
-
-    return bench::result();
+            bench::check(res.total.stopsDeferred > 0,
+                         "the guard deferred voluntary Stops on weak planes");
+            bench::check(res.total.deferredStopsAdmitted > 0,
+                         "deferred Stops were admitted once recharged");
+            bench::check(res.total.proactiveStops > 0,
+                         "low-charge warnings fired proactive EP-cuts");
+            bench::check(res.total.proactiveSaves > 0,
+                         "proactive EP-cuts saved machines the"
+                         " counterfactual would have lost");
+        },
+        .json = [&](bench::JsonWriter &json, const auto &res) {
+            json.field("seed", cfg.seed)
+                .field("seeds_per_cell", cfg.seedsPerCell)
+                .field("aging_spread_cycles", cfg.agingSpreadCycles,
+                       "%.1f")
+                .field("threads", cfg.threads)
+                .counters(fault::energyCounters(), res.total)
+                .array("provisioning");
+            for (const fault::EnergyProvision &p : res.provisioning)
+                json.object()
+                    .field("mode", net::persistModeName(p.mode))
+                    .field("intensity", p.intensity)
+                    .field("met", p.met)
+                    .field("min_scale", p.scale, "%.3f")
+                    .field("min_joules", p.joules, "%.4f")
+                    .close();
+            json.close().array("cells");
+            for (const fault::EnergyCellStats &c : res.cells)
+                json.object()
+                    .field("scale", c.scale, "%.3f")
+                    .field("joules", c.provisionedJoules, "%.4f")
+                    .field("intensity", c.intensity)
+                    .field("mode", net::persistModeName(c.mode))
+                    .counters(fault::energyCounters(), c)
+                    .close();
+            json.close().digest(res.digest);
+        },
+    };
+    return bench::campaignMain(argc, argv, cfg.seed, cfg.threads, campaign);
 }

@@ -1,10 +1,12 @@
 /**
  * @file
- * What every campaign bench shares at its edges: the command line in;
- * the BENCH_*.json file (one JsonWriter) and the stdout rows out; and
- * the checkpointing-baseline test their anchors use. The outputs are
- * driven by a result's stats::CounterSet, so a counter added to the
- * table shows up in both without touching a bench.
+ * What every campaign bench shares at its edges: one main,
+ * campaignMain(), that owns the command line in and the banner, the
+ * violation notes, the BENCH_*.json file (one JsonWriter) and the exit
+ * status out; the stdout rows; and the checkpointing-baseline test
+ * their anchors use. The outputs are driven by a result's
+ * stats::CounterSet, so a counter added to the table shows up in both
+ * without touching a bench.
  *
  * The writer lays every file out the same way: the root object and
  * the arrays directly under it put one member per line, every other
@@ -30,8 +32,10 @@
 #include <utility>
 #include <vector>
 
+#include "bench_common.hh"
 #include "net/machine.hh"
 #include "sim/parallel.hh"
+#include "sim/ticks.hh"
 #include "stats/counter_set.hh"
 
 namespace bench
@@ -44,14 +48,6 @@ isBaseline(lightpc::net::PersistMode mode)
     using lightpc::net::PersistMode;
     return mode == PersistMode::SysPc || mode == PersistMode::SCheckPc
            || mode == PersistMode::ACheckPc;
-}
-
-/** Print "usage: <argv0> <flags>" and exit 2. */
-[[noreturn]] inline void
-usage(const char *argv0, const char *flags)
-{
-    std::fprintf(stderr, "usage: %s %s\n", argv0, flags);
-    std::exit(2);
 }
 
 /**
@@ -78,22 +74,24 @@ parseNumber(std::string_view text, T &v)
 }
 
 /**
- * One command-line flag: its name(s) and what its value sets. set()
- * returns false when the value does not parse.
+ * One command-line flag: its name, the name of its value in the usage
+ * line, what the value sets, and an optional alias. set() returns
+ * false when the value does not parse.
  */
 struct Flag
 {
     const char *name;
-    const char *alias;
+    const char *meta;
     std::function<bool(const char *)> set;
+    const char *alias = nullptr;
 };
 
 /** A flag parsing its value into @p v (a number or a string). */
 template <typename T>
 Flag
-flag(const char *name, T &v)
+flag(const char *name, const char *meta, T &v)
 {
-    return {name, nullptr, [&v](const char *s) {
+    return {name, meta, [&v](const char *s) {
                 if constexpr (std::is_same_v<T, std::string>) {
                     v = s;
                     return true;
@@ -104,27 +102,41 @@ flag(const char *name, T &v)
 }
 
 /**
- * --threads N / -j N. Leaving the flag out runs every host thread.
- * An explicit value must be a positive integer; anything else, 0
- * included, warns and runs one worker.
+ * A flag taking milliseconds into the tick count @p v. A count whose
+ * ticks would not fit a Tick does not parse.
  */
 inline Flag
-threadsFlag(unsigned &v)
+msFlag(const char *name, lightpc::Tick &v)
 {
-    return {"--threads", "-j", [&v](const char *s) {
-                v = lightpc::sim::parseThreadsArg(s);
-                return true;
+    return {name, "MS", [&v](const char *s) {
+                std::uint64_t ms = 0;
+                const bool fits = parseNumber(s, ms)
+                                  && ms <= lightpc::maxTick / lightpc::tickMs;
+                if (fits)
+                    v = ms * lightpc::tickMs;
+                return fits;
             }};
+}
+
+/** Print "usage: <argv0> [--flag META]..." from @p flags and exit 2. */
+[[noreturn]] inline void
+usage(const char *argv0, const std::vector<Flag> &flags)
+{
+    std::fprintf(stderr, "usage: %s", argv0);
+    for (const Flag &f : flags)
+        std::fprintf(stderr, f.alias ? " [%s %s|%s %s]" : " [%s %s]",
+                     f.name, f.meta, f.alias, f.meta);
+    std::fprintf(stderr, "\n");
+    std::exit(2);
 }
 
 /**
  * Parse argv against @p flags, each of which takes one value. An
  * unknown flag, a missing value or a value that does not parse is a
- * usage() error with @p text.
+ * usage() error.
  */
 inline void
-parseFlags(int argc, char **argv, const char *text,
-           const std::vector<Flag> &flags)
+parseFlags(int argc, char **argv, const std::vector<Flag> &flags)
 {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -133,7 +145,7 @@ parseFlags(int argc, char **argv, const char *text,
             if (arg == f.name || (f.alias && arg == f.alias))
                 match = &f;
         if (!match || i + 1 >= argc || !match->set(argv[i + 1]))
-            usage(argv[0], text);
+            usage(argv[0], flags);
         ++i;
     }
 }
@@ -159,6 +171,9 @@ class JsonWriter
 
     JsonWriter(const JsonWriter &) = delete;
     JsonWriter &operator=(const JsonWriter &) = delete;
+
+    /** Whether the file opened; write nothing to one that did not. */
+    bool opened() const { return f != nullptr; }
 
     template <std::integral T>
     JsonWriter &
@@ -398,6 +413,84 @@ printCounters(const lightpc::stats::CounterSet<R> &set,
         line += item;
     }
     std::cout << line << "\n";
+}
+
+/**
+ * What one campaign bench supplies to campaignMain(): its names and
+ * defaults, its own flags and their validity check, and the hooks
+ * that run it, print its table, list its violation notes, check its
+ * anchors and write its JSON body. The flags and hooks capture the
+ * bench's config by reference. The members from flags on default to
+ * empty, so a helper such as kvCampaign() can fill them in.
+ */
+template <typename Result>
+struct Campaign
+{
+    const char *bench;  ///< the JSON file's "bench" value
+    std::string out;    ///< the default --out
+    const char *title;  ///< the banner's two lines
+    const char *what;
+    const char *paper;  ///< the paperRef() line
+    std::vector<Flag> flags = {};
+    std::function<bool()> valid = {};
+    std::function<Result()> run = {};
+    std::function<void(const Result &)> table = {};
+    std::function<std::vector<std::string>(const Result &)> notes = {};
+    std::function<void(const Result &)> anchors = {};
+    std::function<void(JsonWriter &, const Result &)> json = {};
+};
+
+/**
+ * The main of every campaign bench. To the campaign's own flags it
+ * adds the three every campaign shares, which set @p seed, @p threads
+ * and the output path:
+ *
+ *   --seed S            the campaign seed;
+ *   --threads N, -j N   host threads fanning the trials out. Leaving
+ *                       the flag out runs one per host thread; an
+ *                       explicit 0, a negative or a malformed value
+ *                       warns and runs one. Every result, digests
+ *                       included, is the same at any thread count;
+ *   --out FILE          the JSON file.
+ *
+ * An unknown flag, a value that does not parse, or values valid()
+ * rejects print the usage line, built from the flag table, and exit
+ * 2. Otherwise it prints the banner, runs the campaign, prints its
+ * table and every violation note, checks its anchors, and writes the
+ * JSON: "bench" first, then the campaign's body.
+ * @return 0 when every anchor held and the JSON was written, else 1.
+ */
+template <typename Result>
+int
+campaignMain(int argc, char **argv, std::uint64_t &seed, unsigned &threads,
+             const Campaign<Result> &c)
+{
+    std::string out = c.out;
+    unsigned requested = 0;
+    std::vector<Flag> flags = c.flags;
+    flags.push_back(flag("--seed", "S", seed));
+    flags.push_back({"--threads", "N", [&requested](const char *s) {
+                         requested = lightpc::sim::parseThreadsArg(s);
+                         return true;
+                     }, "-j"});
+    flags.push_back(flag("--out", "FILE", out));
+    parseFlags(argc, argv, flags);
+    if (!c.valid())
+        usage(argv[0], flags);
+    threads = lightpc::sim::resolveThreads(requested);
+
+    banner(c.title, c.what);
+    paperRef(c.paper);
+    const Result r = c.run();
+    c.table(r);
+    for (const std::string &note : c.notes(r))
+        std::cout << "  VIOLATION " << note << "\n";
+    c.anchors(r);
+
+    JsonWriter json(out);
+    if (json.opened())
+        c.json(json.field("bench", c.bench), r);
+    return json.finish() ? result() : 1;
 }
 
 } // namespace bench

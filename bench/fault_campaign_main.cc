@@ -14,127 +14,112 @@
  *                       [--out FILE]
  *
  * --cuts is per mode and PSU; the default 100 yields 200 seeded cut
- * ticks per persistence mode. --threads 0 (the default) uses every
- * host thread; the results — digests included — are identical at any
- * thread count.
+ * ticks per persistence mode. The shared flags are campaignMain()'s
+ * (campaign_io.hh).
  */
 
 #include <string>
 #include <vector>
 
-#include "bench_common.hh"
 #include "campaign_io.hh"
 #include "fault/campaign.hh"
 #include "power/psu.hh"
-#include "sim/parallel.hh"
 
 using namespace lightpc;
 
 int
 main(int argc, char **argv)
 {
-    std::uint64_t cuts = 100;
-    std::uint64_t seed = 1;
-    unsigned threads = 0;
-    std::string out = "BENCH_fault.json";
-
-    const char *flags = "[--cuts N] [--seed S] [--threads N|-j N]"
-                        " [--out FILE]";
-    bench::parseFlags(argc, argv, flags,
-                      {bench::flag("--cuts", cuts),
-                       bench::flag("--seed", seed),
-                       bench::threadsFlag(threads),
-                       bench::flag("--out", out)});
-    if (cuts == 0)
-        bench::usage(argv[0], flags);
-    threads = sim::resolveThreads(threads);
-
-    bench::banner("Fault campaign",
-                  "seeded power cuts vs the durability invariant");
-    bench::paperRef("LightPC survives AC loss at any instant: resume"
-                    " iff the EP-cut committed, else cold boot");
-
-    const power::PsuModel psus[] = {power::PsuModel::atx(),
-                                    power::PsuModel::dellServer()};
-    using Runner = fault::CampaignResult (*)(const fault::CampaignConfig &);
-    const Runner runners[] = {
-        fault::runSngCampaign,
-        fault::runSysPcCampaign,
-        fault::runSCheckPcCampaign,
-        fault::runACheckPcCampaign,
-        fault::runOpLogCampaign,
+    using Results = std::vector<fault::CampaignResult>;
+    fault::CampaignConfig base;
+    base.cuts = 100;
+    const bench::Campaign<Results> campaign{
+        .bench = "fault_campaign",
+        .out = "BENCH_fault.json",
+        .title = "Fault campaign",
+        .what = "seeded power cuts vs the durability invariant",
+        .paper = "LightPC survives AC loss at any instant: resume"
+                 " iff the EP-cut committed, else cold boot",
+        .flags = {bench::flag("--cuts", "N", base.cuts)},
+        .valid = [&] { return base.cuts > 0; },
+        .run = [&] {
+            const power::PsuModel psus[] = {power::PsuModel::atx(),
+                                            power::PsuModel::dellServer()};
+            Results results;
+            for (const auto run :
+                 {fault::runSngCampaign, fault::runSysPcCampaign,
+                  fault::runSCheckPcCampaign, fault::runACheckPcCampaign,
+                  fault::runOpLogCampaign}) {
+                for (const power::PsuModel &psu : psus) {
+                    fault::CampaignConfig config = base;
+                    config.psu = psu;
+                    results.push_back(run(config));
+                }
+            }
+            return results;
+        },
+        .table = [](const Results &results) {
+            for (const fault::CampaignResult &r : results) {
+                std::cout << r.mode << "/" << r.psu << ":\n";
+                bench::printCounters(fault::campaignCounters(), r);
+            }
+        },
+        .notes = [](const Results &results) {
+            std::vector<std::string> notes;
+            for (const fault::CampaignResult &r : results)
+                notes.insert(notes.end(), r.violationNotes.begin(),
+                             r.violationNotes.end());
+            return notes;
+        },
+        // The invariant matrix. Also require the sweep to have
+        // exercised every reachable window: all three Stop phases for
+        // SnG and the mid-dump window for each baseline.
+        .anchors = [](const Results &results) {
+            using fault::CutPhase;
+            for (const fault::CampaignResult &r : results) {
+                const std::string where = r.mode + "/" + r.psu;
+                bench::check(r.violations == 0,
+                             where + ": zero invariant violations over "
+                                 + std::to_string(r.cuts) + " cuts");
+                bench::check(r.resumes + r.coldBoots == r.cuts,
+                             where + ": every cut resolved to resume or"
+                                     " cold boot");
+                if (r.mode == "SnG") {
+                    bench::check(r.phaseCount(CutPhase::ProcessStop) > 0
+                                     && r.phaseCount(CutPhase::DeviceStop) > 0
+                                     && r.phaseCount(CutPhase::EpCut) > 0,
+                                 where + ": cuts landed in all three Stop"
+                                         " phases");
+                } else if (r.mode == "SnG-OpLog") {
+                    bench::check(r.phaseCount(CutPhase::MidDump) > 0
+                                     && r.phaseCount(CutPhase::CommitWindow)
+                                            > 0,
+                                 where + ": cuts landed both mid-append"
+                                         " and inside a group commit's"
+                                         " tail store");
+                } else {
+                    bench::check(r.phaseCount(CutPhase::MidDump) > 0,
+                                 where + ": cuts landed mid-dump");
+                }
+            }
+        },
+        .json = [&](bench::JsonWriter &json, const Results &results) {
+            std::uint64_t violations = 0;
+            for (const fault::CampaignResult &r : results)
+                violations += r.violations;
+            json.field("cuts_per_mode_psu", base.cuts)
+                .field("seed", base.seed)
+                .field("threads", base.threads)
+                .field("total_violations", violations)
+                .array("campaigns");
+            for (const fault::CampaignResult &r : results)
+                json.object()
+                    .field("mode", r.mode)
+                    .field("psu", r.psu)
+                    .counters(fault::campaignCounters(), r)
+                    .digest(r.digest)
+                    .close();
+        },
     };
-
-    std::vector<fault::CampaignResult> results;
-    for (const Runner run : runners) {
-        for (const power::PsuModel &psu : psus) {
-            fault::CampaignConfig config;
-            config.cuts = cuts;
-            config.seed = seed;
-            config.psu = psu;
-            config.threads = threads;
-            results.push_back(run(config));
-        }
-    }
-
-    for (const fault::CampaignResult &r : results) {
-        std::cout << r.mode << "/" << r.psu << ":\n";
-        bench::printCounters(fault::campaignCounters(), r);
-        for (const std::string &note : r.violationNotes)
-            std::cout << "  VIOLATION " << note << "\n";
-    }
-
-    // The invariant matrix. Also require the sweep to have exercised
-    // every reachable window: all three Stop phases for SnG and the
-    // mid-dump window for each baseline.
-    std::uint64_t violations = 0;
-    for (const fault::CampaignResult &r : results) {
-        violations += r.violations;
-        bench::check(r.violations == 0,
-                     r.mode + "/" + r.psu + ": zero invariant"
-                     " violations over " + std::to_string(r.cuts)
-                     + " cuts");
-        bench::check(r.resumes + r.coldBoots == r.cuts,
-                     r.mode + "/" + r.psu + ": every cut resolved to"
-                     " resume or cold boot");
-        if (r.mode == "SnG") {
-            using fault::CutPhase;
-            bench::check(r.phaseCount(CutPhase::ProcessStop) > 0
-                             && r.phaseCount(CutPhase::DeviceStop) > 0
-                             && r.phaseCount(CutPhase::EpCut) > 0,
-                         r.mode + "/" + r.psu + ": cuts landed in all"
-                         " three Stop phases");
-        } else if (r.mode == "SnG-OpLog") {
-            using fault::CutPhase;
-            bench::check(r.phaseCount(CutPhase::MidDump) > 0
-                             && r.phaseCount(CutPhase::CommitWindow)
-                                    > 0,
-                         r.mode + "/" + r.psu + ": cuts landed both"
-                         " mid-append and inside a group commit's"
-                         " tail store");
-        } else {
-            bench::check(
-                r.phaseCount(fault::CutPhase::MidDump) > 0,
-                r.mode + "/" + r.psu + ": cuts landed mid-dump");
-        }
-    }
-
-    bench::JsonWriter json(out);
-    json.field("bench", "fault_campaign")
-        .field("cuts_per_mode_psu", cuts)
-        .field("seed", seed)
-        .field("threads", threads)
-        .field("total_violations", violations)
-        .array("campaigns");
-    for (const fault::CampaignResult &r : results)
-        json.object()
-            .field("mode", r.mode)
-            .field("psu", r.psu)
-            .counters(fault::campaignCounters(), r)
-            .digest(r.digest)
-            .close();
-    if (!json.finish())
-        return 1;
-
-    return bench::result();
+    return bench::campaignMain(argc, argv, base.seed, base.threads, campaign);
 }

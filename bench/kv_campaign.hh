@@ -1,14 +1,14 @@
 /**
  * @file
  * What the two replicated-KV campaign benches (bench_cluster,
- * bench_partition) share: the command line, the stdout cell table
- * and the JSON file driven by fault::clusterCounters(), and the
- * paired-column anchor that SnG and SnG-OpLog beat every
- * checkpointing baseline.
+ * bench_partition) share over campaignMain(): kvCampaign(), which
+ * fills in their flags, run, cell table and JSON body driven by
+ * fault::clusterCounters(), and the paired-column anchor that SnG and
+ * SnG-OpLog beat every checkpointing baseline.
  *
- *   bench_cluster|bench_partition [--seeds N] [--seed S] [--out FILE]
- *       [--runfor-ms MS] [--arrivals PER_SEC] [--clients N]
- *       [--aging SPREAD] [--threads N|-j N]
+ *   bench_cluster|bench_partition [--seeds N] [--runfor-ms MS]
+ *       [--arrivals PER_SEC] [--clients N] [--aging SPREAD]
+ *       [--seed S] [--threads N|-j N] [--out FILE]
  *
  * --aging derates each replica's hold-up by a seeded per-machine
  * storage-cell wear draw in [0, SPREAD] of rated cycle life (0 = the
@@ -24,10 +24,8 @@
 #include <utility>
 #include <vector>
 
-#include "bench_common.hh"
 #include "campaign_io.hh"
 #include "fault/cluster_campaign.hh"
-#include "sim/parallel.hh"
 #include "stats/table.hh"
 
 namespace bench
@@ -38,86 +36,74 @@ using lightpc::fault::ClusterCampaignResult;
 using lightpc::fault::ClusterCell;
 
 /**
- * Parse the campaign flags into @p config (whose fields hold the
- * bench's defaults) and @p out. A bad flag or value prints the usage
- * line and exits 2; the thread count is resolved (0 = every core).
+ * @p c, which holds a KV bench's names and anchors, with the hooks
+ * both KV benches share: the flags --seeds, --runfor-ms, --arrivals,
+ * --clients and --aging into @p config, a run that prints the sweep's
+ * shape, one table row per cell (its grid position, then the
+ * @p columns counters), the violation notes, and the JSON body (the
+ * run shape, every counter of the campaign total, one object per cell
+ * and the digest).
  */
-inline void
-parseKvCampaignArgs(int argc, char **argv, ClusterCampaignConfig &config,
-                    std::string &out)
+inline Campaign<ClusterCampaignResult>
+kvCampaign(ClusterCampaignConfig &config,
+           const std::vector<std::string> &columns,
+           Campaign<ClusterCampaignResult> c)
 {
-    const char *flags = "[--seeds N] [--seed S] [--out FILE]"
-                        " [--runfor-ms MS] [--arrivals PER_SEC]"
-                        " [--clients N] [--aging SPREAD]"
-                        " [--threads N|-j N]";
-    std::uint64_t runforMs = config.runFor / lightpc::tickMs;
-    unsigned threads = 0;
-    parseFlags(argc, argv, flags,
-               {flag("--seeds", config.seedsPerCell),
-                flag("--seed", config.seed), flag("--out", out),
-                flag("--runfor-ms", runforMs),
-                flag("--arrivals", config.arrivalsPerSec),
-                flag("--clients", config.clients),
-                flag("--aging", config.agingSpread),
-                threadsFlag(threads)});
-    if (config.seedsPerCell == 0 || runforMs == 0
-        || config.arrivalsPerSec <= 0.0 || config.clients == 0
-        || config.agingSpread < 0.0 || config.agingSpread > 1.0)
-        usage(argv[0], flags);
-    config.runFor = runforMs * lightpc::tickMs;
-    config.threads = lightpc::sim::resolveThreads(threads);
-}
-
-/**
- * Print one row per cell: its grid position, then the named counters.
- * @p axis labels the intensity column ("storm", "nemesis").
- */
-inline void
-printKvCells(const ClusterCampaignResult &res, const std::string &axis,
-             const std::vector<std::string> &counters)
-{
-    lightpc::stats::Table table(row({"replicas", axis, "mode"}, counters));
-    for (const ClusterCell &c : res.cells)
-        table.addRow(row({std::to_string(c.replicas),
-                          std::to_string(c.intensity), c.modeName},
-                         counterCells(c, counters)));
-    table.print(std::cout);
-    for (const std::string &note : res.violationNotes)
-        std::cout << "  VIOLATION " << note << "\n";
-}
-
-/**
- * Write @p res to @p path: the run shape, every counter of the
- * campaign total, one object per cell, and the digest.
- * @return false (after perror) when @p path cannot be written.
- */
-inline bool
-writeKvCampaignJson(const std::string &path, const char *bench,
-                    const ClusterCampaignConfig &config,
-                    const ClusterCampaignResult &res)
-{
-    JsonWriter json(path);
-    json.field("bench", bench)
-        .field("seed", config.seed)
-        .field("seeds_per_cell", config.seedsPerCell)
-        .field("trials", res.total.trials)
-        .field("runfor_ms", config.runFor / lightpc::tickMs)
-        .field("arrivals_per_sec", config.arrivalsPerSec, "%.1f")
-        .field("clients", config.clients)
-        .field("aging_spread", config.agingSpread, "%.3f")
-        .field("threads", config.threads)
-        .counters(res.total)
-        .array("cells");
-    for (const ClusterCell &c : res.cells)
-        json.object()
-            .field("replicas", c.replicas)
-            .field("intensity", c.intensity)
-            .field("mode", c.modeName)
-            .field("trials", c.trials)
-            .counters(c)
-            .close();
-    json.close().digest(res.digest);
-    return json.finish();
+    using lightpc::fault::Ladder;
+    const std::string axis =
+        config.ladder == Ladder::Storm ? "storm" : "nemesis";
+    c.flags = {flag("--seeds", "N", config.seedsPerCell),
+               msFlag("--runfor-ms", config.runFor),
+               flag("--arrivals", "PER_SEC", config.arrivalsPerSec),
+               flag("--clients", "N", config.clients),
+               flag("--aging", "SPREAD", config.agingSpread)};
+    c.valid = [&config] {
+        return config.seedsPerCell > 0 && config.runFor > 0
+               && config.arrivalsPerSec > 0.0 && config.clients > 0
+               && config.agingSpread >= 0.0 && config.agingSpread <= 1.0;
+    };
+    c.run = [&config, axis] {
+        std::cout << "sweeping ";
+        if (config.ladder == Ladder::Storm)
+            std::cout << config.replicaCounts.size() << " replica counts x ";
+        std::cout << config.intensities.size() << " " << axis
+                  << " intensities x " << config.modes.size()
+                  << " modes x " << config.seedsPerCell << " seeds = "
+                  << lightpc::fault::clusterCampaignTrials(config)
+                  << " trials on " << config.threads << " thread(s)...\n\n";
+        return lightpc::fault::runClusterCampaign(config);
+    };
+    c.table = [axis, columns](const ClusterCampaignResult &res) {
+        lightpc::stats::Table table(row({"replicas", axis, "mode"}, columns));
+        for (const ClusterCell &cell : res.cells)
+            table.addRow(row({std::to_string(cell.replicas),
+                              std::to_string(cell.intensity), cell.modeName},
+                             counterCells(cell, columns)));
+        table.print(std::cout);
+    };
+    c.notes = [](const ClusterCampaignResult &r) { return r.violationNotes; };
+    c.json = [&config](JsonWriter &json, const ClusterCampaignResult &res) {
+        json.field("seed", config.seed)
+            .field("seeds_per_cell", config.seedsPerCell)
+            .field("trials", res.total.trials)
+            .field("runfor_ms", config.runFor / lightpc::tickMs)
+            .field("arrivals_per_sec", config.arrivalsPerSec, "%.1f")
+            .field("clients", config.clients)
+            .field("aging_spread", config.agingSpread, "%.3f")
+            .field("threads", config.threads)
+            .counters(res.total)
+            .array("cells");
+        for (const ClusterCell &cell : res.cells)
+            json.object()
+                .field("replicas", cell.replicas)
+                .field("intensity", cell.intensity)
+                .field("mode", cell.modeName)
+                .field("trials", cell.trials)
+                .counters(cell)
+                .close();
+        json.close().digest(res.digest);
+    };
+    return c;
 }
 
 /** A bench's own anchor on one (SnG cell, baseline cell) pair. */

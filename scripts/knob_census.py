@@ -8,7 +8,8 @@ in four groups:
 
     lib    library code under src/
     bench  bench, example and perfbench code
-    flags  CLI flag bindings (`flag("--x", cfg.field)`, `threadsFlag`)
+    flags  CLI flag bindings (`flag("--x", "N", cfg.field)`, `msFlag`,
+           and the `--seed`/`--threads` of `campaignMain`)
     tests  tests/
 
 A setter is an assignment (`cfg.kv.poolBase = ...`, `x.f += ...`,
@@ -23,11 +24,15 @@ types of the structs; a receiver that cannot be resolved counts for
 every config struct with a field of that name. Copying a whole struct
 sets none of its fields.
 
-    python3 scripts/knob_census.py src/net src/cluster src/fault
+    python3 scripts/knob_census.py src
 
 Prints one line per field and a per-struct summary. Exits 1 when a
-field of a struct declared under src/net, src/cluster or src/fault has
-no setter anywhere: a value nothing sets is a constant.
+field of a struct declared under src/net, src/cluster, src/fault,
+src/persist or src/workload has no setter anywhere: a value nothing
+sets is a constant. Structs elsewhere in src/ are listed but not
+gated; the hardware structs among them (src/platform, src/cpu,
+src/mem, src/psm, src/cache) carry Table I values that no caller
+needs to set.
 """
 
 import argparse
@@ -37,7 +42,8 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCAN = ("src", "bench", "examples", "perfbench", "tests")
-GATED = ("src/net/", "src/cluster/", "src/fault/")
+GATED = ("src/net/", "src/cluster/", "src/fault/", "src/persist/",
+         "src/workload/")
 GROUPS = ("lib", "bench", "flags", "tests")
 SUFFIX = r"\w*(?:Config|Params|Setup|Spec)"
 
@@ -66,9 +72,12 @@ ASSIGN = re.compile(
 REF_BIND = re.compile(
     r"(?<![\w&])(?<!const )[\w:]+\s*&\s*\w+\s*=\s*"
     r"((?:[A-Za-z_]\w*\s*(?:\.|->)\s*)+)([A-Za-z_]\w*)\s*;")
+# `campaignMain(argc, argv, cfg.seed, cfg.threads, c);` binds --seed
+# and --threads to its third and fourth arguments.
+CAMPAIGN_MAIN = re.compile(r"\bcampaignMain\s*\(([^;]*)\)\s*;")
 DESIGNATED = re.compile(r"([{,])\s*\.([A-Za-z_]\w*)\s*=(?!=)")
 FLAG = re.compile(
-    r"\b\w*[Ff]lag\(\s*(?:\"[^\"]*\"\s*,\s*)?"
+    r"\b\w*[Ff]lag\(\s*(?:\"[^\"]*\"\s*,\s*)*"
     r"((?:[A-Za-z_]\w*\s*(?:\.|->)\s*)+)([A-Za-z_]\w*)\s*\)")
 # `Type x;`, `const ns::Type &x =`, `Type<A> x{`, `f(Type x)`.
 DECLARED = re.compile(
@@ -227,24 +236,35 @@ class Census:
                 vars_.setdefault(m.group(1), set()).update(types)
         return vars_
 
+    def set_chain(self, chain, member, vars_, group, where):
+        """Record `chain.member` as set. Setting `cfg.kv.poolBase` also
+        customises `cfg.kv`."""
+        walked = []
+        types = self.resolve(chain, vars_, walked)
+        for owners, walked_member in walked:
+            self.record(owners, walked_member, group, where)
+        self.record(types, member, group, where)
+
     def scan(self, path, text, header, group):
         vars_ = self.declared_vars(header + text)
         line = lambda at: f"{path}:{text.count(chr(10), 0, at) + 1}"
+        flags = "flags" if group != "tests" else group
         flagged = set()
         for m in FLAG.finditer(text):
-            self.record(self.resolve(m.group(1), vars_), m.group(2),
-                        "flags" if group != "tests" else group,
-                        line(m.start()))
+            self.set_chain(m.group(1), m.group(2), vars_, flags,
+                           line(m.start()))
             flagged.add(m.start(1))
+        for m in CAMPAIGN_MAIN.finditer(text):
+            for arg in m.group(1).split(",")[2:4]:
+                chain, _, member = arg.strip().rpartition(".")
+                if chain:
+                    self.set_chain(chain + ".", member, vars_, flags,
+                                   line(m.start()))
         for m in [*ASSIGN.finditer(text), *REF_BIND.finditer(text)]:
             if m.start(1) in flagged:
                 continue
-            # Setting `cfg.kv.poolBase` also customises `cfg.kv`.
-            walked = []
-            types = self.resolve(m.group(1), vars_, walked)
-            for owners, member in walked:
-                self.record(owners, member, group, line(m.start(2)))
-            self.record(types, m.group(2), group, line(m.start(2)))
+            self.set_chain(m.group(1), m.group(2), vars_, group,
+                           line(m.start(2)))
         for m in DESIGNATED.finditer(text):
             self.record(self.braced_type(text, m.start(), vars_),
                         m.group(2), group, line(m.start(2)))

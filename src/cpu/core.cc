@@ -12,7 +12,7 @@ Core::Core(std::string name, EventQueue &eq, const CoreParams &params,
     : SimObject(std::move(name), eq),
       _params(params),
       _clock(params.freqMhz),
-      fetchRng(params.fetchSeed)
+      fetchRng(CoreParams::fetchSeed)
 {
     issueCost = static_cast<Tick>(
         static_cast<double>(_clock.period()) * _params.baseCpi);

@@ -65,7 +65,7 @@ struct CoreParams
     double branchProbability = 0.05;
 
     /** Seed for the synthetic fetch-target generator. */
-    std::uint64_t fetchSeed = 17;
+    static constexpr std::uint64_t fetchSeed = 17;
 };
 
 /** Per-core statistics. */

@@ -9,7 +9,6 @@
 #include "sim/digest.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
 
 namespace lightpc::net
 {
@@ -308,8 +307,7 @@ struct Plane : MachineHost
         res.p999Us = ticksToUs(lat.percentile(0.999));
 
         res.goodputMean = static_cast<double>(res.fleet.completed)
-            / (static_cast<double>(cfg.runFor)
-               / static_cast<double>(tickSec));
+                          / ticksToSec(cfg.runFor);
 
         // powerFailFire opened one record beside each outage.
         const auto &outs = recorder.outageRecords();
@@ -396,16 +394,6 @@ runService(const ServiceConfig &config)
     validateServiceConfig(config);
     Plane plane(config);
     return plane.run();
-}
-
-std::vector<ServiceResult>
-runServiceSuite(const std::vector<ServiceConfig> &configs,
-                unsigned threads)
-{
-    sim::ParallelExecutor pool(threads);
-    return pool.map<ServiceResult>(
-        configs.size(),
-        [&configs](std::uint64_t i) { return runService(configs[i]); });
 }
 
 } // namespace lightpc::net

@@ -124,20 +124,11 @@ struct ServiceResult
  */
 void validateServiceConfig(const ServiceConfig &config);
 
-/** Run one configuration to completion. */
-ServiceResult runService(const ServiceConfig &config);
-
 /**
- * Run a suite of configurations, fanned across @p threads host
- * threads (0 = hardware concurrency). Each run owns its whole
- * platform and event queue, and results come back in the input's
- * order regardless of which worker finished first — so a suite is
- * bit-identical to running each config sequentially, digests
- * included.
+ * Run one configuration to completion. A run owns its whole platform
+ * and event queue, so runs on different host threads are independent.
  */
-std::vector<ServiceResult>
-runServiceSuite(const std::vector<ServiceConfig> &configs,
-                unsigned threads = 1);
+ServiceResult runService(const ServiceConfig &config);
 
 } // namespace lightpc::net
 

@@ -225,15 +225,15 @@ ACheckPcStream::startCheckpoint()
     // Exponentially distributed checkpoint size around the mean,
     // minimum one line.
     const double bytes = std::max(
-        64.0, -params.meanCheckpointBytes
+        64.0, -ACheckPcParams::meanCheckpointBytes
                   * std::log(1.0 - rng.uniform()));
     copyLinesLeft = static_cast<std::uint64_t>(bytes + 63) / 64;
     _copiedBytes += copyLinesLeft * 64;
     copyPhaseIsLoad = true;
     // Stack/heap pages of the process; spread to look like real
     // variable dumps.
-    copySrc = params.dramBase + (rng.next() % (16 << 20) & ~63ull);
-    copyDst = params.pmemBase + (rng.next() % (64 << 20) & ~63ull);
+    copySrc = ACheckPcParams::dramBase + (rng.next() % (16 << 20) & ~63ull);
+    copyDst = ACheckPcParams::pmemBase + (rng.next() % (64 << 20) & ~63ull);
     untilCheckpoint = static_cast<std::uint64_t>(
         std::max(1.0, -params.meanFunctionInstr
                           * std::log(1.0 - rng.uniform())));

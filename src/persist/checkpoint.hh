@@ -142,13 +142,13 @@ struct ACheckPcParams
     double meanFunctionInstr = 2000.0;
 
     /** Mean stack+heap bytes dumped per checkpoint. */
-    double meanCheckpointBytes = 18000.0;
+    static constexpr double meanCheckpointBytes = 18000.0;
 
     /** Where the process data lives (DRAM on LegacyPC). */
-    mem::Addr dramBase = 0x4000000;
+    static constexpr mem::Addr dramBase = 0x4000000;
 
     /** Where checkpoints are written (OC-PMEM region). */
-    mem::Addr pmemBase = std::uint64_t(1) << 41;
+    static constexpr mem::Addr pmemBase = std::uint64_t(1) << 41;
 
     std::uint64_t seed = 97;
 };
@@ -189,8 +189,8 @@ inline constexpr ImageKind sCheckPcKind{
  * Its ledger opens the checkpoint region; two 1 MiB slots follow.
  */
 inline constexpr ImageKind aCheckPcKind{
-    "A-CheckPC", 0, ACheckPcParams{}.pmemBase,
-    ACheckPcParams{}.pmemBase + (1 << 20), 1 << 20, true};
+    "A-CheckPC", 0, ACheckPcParams::pmemBase,
+    ACheckPcParams::pmemBase + (1 << 20), 1 << 20, true};
 
 /**
  * One image baseline's dumps and recovery, shaped by its ImageKind.

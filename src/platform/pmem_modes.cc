@@ -134,9 +134,10 @@ ObjectModeStream::next(cpu::Instr &out)
         // before the actual access.
         held = out;
         holding = true;
-        pendingAlu = params.swizzleOps - 1;
-        const mem::Addr header = params.metadataBase
-            + (rng.below(params.metadataBytes) & ~std::uint64_t(63));
+        pendingAlu = PmdkStreamParams::swizzleOps - 1;
+        const mem::Addr header = PmdkStreamParams::metadataBase
+            + (rng.below(PmdkStreamParams::metadataBytes)
+               & ~std::uint64_t(63));
         out = {cpu::InstrKind::Load, header};
         return true;
     }
@@ -147,7 +148,7 @@ TransModeStream::TransModeStream(cpu::InstrStream &inner_in,
                                  const PmdkStreamParams &params_in)
     : objectStream(inner_in, params_in),
       params(params_in),
-      logCursor(params_in.logBase)
+      logCursor(PmdkStreamParams::logBase)
 {
 }
 
@@ -184,8 +185,8 @@ TransModeStream::next(cpu::Instr &out)
             // (the stores and their log copies), then fences.
             storesInTx = 0;
             ++_commits;
-            pendingAlu = params.flushOps * params.txStores * 2
-                + params.fenceOps;
+            pendingAlu = PmdkStreamParams::flushOps * params.txStores * 2
+                + PmdkStreamParams::fenceOps;
         }
         // Emit the log store first.
         pendingLogStore = false;

@@ -114,26 +114,26 @@ struct PmdkStreamParams
     double swizzleProbability = 0.05;
 
     /** ALU instructions per swizzle (offset arithmetic + checks). */
-    std::uint32_t swizzleOps = 14;
+    static constexpr std::uint32_t swizzleOps = 14;
 
     /**
      * Object metadata region the swizzle dereferences (root/header
      * lookups — extra memory traffic object-mode pays).
      */
-    mem::Addr metadataBase = std::uint64_t(2) << 32;
-    std::uint64_t metadataBytes = std::uint64_t(8) << 20;
+    static constexpr mem::Addr metadataBase = std::uint64_t(2) << 32;
+    static constexpr std::uint64_t metadataBytes = std::uint64_t(8) << 20;
 
     /** Stores per transaction (TX_BEGIN .. TX_END granularity). */
     std::uint32_t txStores = 8;
 
     /** ALU-equivalents per cacheline flushed by pmem_persist. */
-    std::uint32_t flushOps = 95;
+    static constexpr std::uint32_t flushOps = 95;
 
     /** ALU-equivalents for the commit fence. */
-    std::uint32_t fenceOps = 160;
+    static constexpr std::uint32_t fenceOps = 160;
 
     /** Undo-log region base (extra write traffic, 100% overhead). */
-    mem::Addr logBase = std::uint64_t(3) << 32;
+    static constexpr mem::Addr logBase = std::uint64_t(3) << 32;
 
     std::uint64_t seed = 1234;
 };

@@ -25,9 +25,9 @@ SyntheticStream::SyntheticStream(const WorkloadSpec &spec_in,
     // Disjoint per-thread hot sets at the front of the region, cold
     // footprint behind them.
     hotBase = base_addr
-        + mem::Addr(thread_id) * config.hotBytes;
+        + mem::Addr(thread_id) * SyntheticConfig::hotBytes;
     coldBase = base_addr
-        + mem::Addr(config.threads) * config.hotBytes;
+        + mem::Addr(config.threads) * SyntheticConfig::hotBytes;
 
     // Table II's read/write counts are *memory-level* requests (the
     // only interpretation consistent with the paper's ~60 B-cycle
@@ -86,7 +86,8 @@ SyntheticStream::SyntheticStream(const WorkloadSpec &spec_in,
         ? cold_write_rate / cold_alloc_rate : 0.0;
     evictionAge = std::max<std::uint64_t>(
         8, static_cast<std::uint64_t>(
-               share * static_cast<double>(config.assumedCacheLines)));
+               share
+               * static_cast<double>(SyntheticConfig::assumedCacheLines)));
     recentWrites.assign(
         std::max<std::size_t>(64, 4 * evictionAge), 0);
 }
@@ -106,7 +107,7 @@ mem::Addr
 SyntheticStream::hotAddr()
 {
     const std::uint64_t hot_lines =
-        config.hotBytes / mem::cacheLineBytes;
+        SyntheticConfig::hotBytes / mem::cacheLineBytes;
     return hotBase + rng.below(hot_lines) * mem::cacheLineBytes;
 }
 
@@ -207,7 +208,7 @@ makeMixedStreams(const std::vector<std::string> &names,
             std::make_unique<SyntheticStream>(spec, per, 0, region));
         // Disjoint regions: hot set + the scaled cold footprint,
         // rounded up generously.
-        region += per.hotBytes + spec.footprintBytes
+        region += SyntheticConfig::hotBytes + spec.footprintBytes
             + (std::uint64_t(16) << 20);
     }
     return streams;

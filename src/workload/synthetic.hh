@@ -50,7 +50,7 @@ struct SyntheticConfig
      * leaves enough headroom that cold-stream pollution does not
      * depress the achieved hit rates below the Table II targets.
      */
-    std::uint64_t hotBytes = 6 * 1024;
+    static constexpr std::uint64_t hotBytes = 6 * 1024;
 
     /**
      * L1 lines assumed when computing the read-after-write target
@@ -58,7 +58,7 @@ struct SyntheticConfig
      * this many cold allocations before its dirty writeback, and a
      * dependent read arriving then collides with the cooling PRAM.
      */
-    std::uint64_t assumedCacheLines = 256;
+    static constexpr std::uint64_t assumedCacheLines = 256;
 };
 
 /**

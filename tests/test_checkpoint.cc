@@ -329,10 +329,10 @@ TEST(ACheckPc, CopiesTargetDramAndPmemRegions)
     cpu::Instr instr;
     while (wrapped.next(instr)) {
         if (instr.kind == cpu::InstrKind::Load) {
-            EXPECT_GE(instr.addr, params.dramBase);
+            EXPECT_GE(instr.addr, persist::ACheckPcParams::dramBase);
         }
         if (instr.kind == cpu::InstrKind::Store) {
-            EXPECT_GE(instr.addr, params.pmemBase);
+            EXPECT_GE(instr.addr, persist::ACheckPcParams::pmemBase);
         }
     }
 }

@@ -208,8 +208,10 @@ TEST(ParallelDeterminism, ServiceSuiteMatchesSequentialRuns)
         configs.push_back(cfg);
     }
 
-    const std::vector<net::ServiceResult> par =
-        net::runServiceSuite(configs, 2);
+    // The service bench's map: one run per mode on the trial pool.
+    const std::vector<net::ServiceResult> par = stats::mapGrid(
+        2, stats::TrialGrid<2>{{configs.size(), 1}},
+        [&configs](std::uint64_t i) { return net::runService(configs[i]); });
     ASSERT_EQ(par.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
         const net::ServiceResult seq = net::runService(configs[i]);

@@ -78,12 +78,13 @@ TEST(ObjectModeStream, SwizzleAddsAluAndMetadataLoads)
     for (const auto &instr : out) {
         alu += instr.kind == cpu::InstrKind::Alu;
         metadata_loads += instr.kind == cpu::InstrKind::Load
-            && instr.addr >= params.metadataBase;
+            && instr.addr >= PmdkStreamParams::metadataBase;
     }
     // ~2500 swizzles, each: 1 metadata load + (swizzleOps-1) ALU.
     EXPECT_NEAR(static_cast<double>(metadata_loads), 2500.0, 300.0);
     EXPECT_NEAR(static_cast<double>(alu),
-                2500.0 * (params.swizzleOps - 1), 25000.0 * 0.15);
+                2500.0 * (PmdkStreamParams::swizzleOps - 1),
+                25000.0 * 0.15);
 }
 
 TEST(ObjectModeStream, AluInstructionsNeverSwizzled)
@@ -111,7 +112,7 @@ TEST(TransModeStream, EveryStoreGetsALogCopy)
     for (const auto &instr : out) {
         if (instr.kind != cpu::InstrKind::Store)
             continue;
-        if (instr.addr >= params.logBase)
+        if (instr.addr >= PmdkStreamParams::logBase)
             ++log_stores;
         else
             ++data_stores;
@@ -150,7 +151,8 @@ TEST(TransModeStream, CommitEmitsFlushWork)
         alu += instr.kind == cpu::InstrKind::Alu;
     // pmem_persist: flushOps per line (8 stores + 8 log copies)
     // plus the fence.
-    EXPECT_EQ(alu, params.flushOps * 16 + params.fenceOps);
+    EXPECT_EQ(alu, PmdkStreamParams::flushOps * 16
+                       + PmdkStreamParams::fenceOps);
 }
 
 TEST(TransModeStream, LoadsPassThroughUntouched)

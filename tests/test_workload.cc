@@ -141,8 +141,8 @@ TEST(SyntheticStream, ThreadsGetDisjointHotSets)
     for (int i = 0; i < 2000; ++i) {
         t0.next(instr);
         if (instr.kind != cpu::InstrKind::Alu
-            && instr.addr < config.threads * config.hotBytes) {
-            EXPECT_LT(instr.addr, config.hotBytes);
+            && instr.addr < config.threads * SyntheticConfig::hotBytes) {
+            EXPECT_LT(instr.addr, SyntheticConfig::hotBytes);
         }
     }
     (void)t1;
