@@ -10,6 +10,7 @@
 
 #include "cluster/history_audit.hh"
 #include "energy/storage.hh"
+#include "fault/compound.hh"
 #include "net/availability.hh"
 #include "persist/checkpoint.hh"
 #include "platform/system.hh"
@@ -1749,7 +1750,7 @@ struct Plane : net::MachineHost
         // cold-boot path deliberately.
         const bool sngMode = cfg.mode == net::PersistMode::SnG
             || cfg.mode == net::PersistMode::OpLog;
-        if (sngMode && r.failedResumes >= cfg.supervisor.maxAttempts
+        if (sngMode && r.failedResumes >= cfg.maxResumeAttempts
             && r.sys->sng().hasCommit()) {
             r.sys->sng().invalidateCommit(now);
             ++res.degradedColdBoots;
@@ -2057,8 +2058,8 @@ validateClusterConfig(const ClusterConfig &config)
     if (config.storms > 0 && config.offDwell == 0)
         fatal("ClusterConfig: offDwell must be nonzero when storms "
               "are configured (a zero-length outage never restores)");
-    if (config.supervisor.maxAttempts == 0)
-        fatal("ClusterConfig: supervisor.maxAttempts must be >= 1");
+    if (config.maxResumeAttempts == 0)
+        fatal("ClusterConfig: maxResumeAttempts must be >= 1");
     if (config.agingSpread < 0.0 || config.agingSpread > 1.0)
         fatal("ClusterConfig: agingSpread (", config.agingSpread,
               ") must be within [0, 1]");

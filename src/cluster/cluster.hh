@@ -6,9 +6,10 @@
  * cut storms.
  *
  * Each replica is a full platform::System — its own kernel, NIC,
- * PSU-rail fault injector, OC-PMEM backing store, and KvService — so
- * a power cut takes down one *machine*, not a thread. The replication
- * protocol is a compact Raft-shaped primary/backup scheme:
+ * OC-PMEM backing store (where its power cuts are armed), and
+ * KvService — so a power cut takes down one *machine*, not a thread.
+ * The replication protocol is a compact Raft-shaped primary/backup
+ * scheme:
  *
  *  - The leader assigns each acked PUT a (seq, epoch, version) and
  *    proposes it to the followers over simulated NIC links
@@ -63,7 +64,6 @@
 #include <string>
 #include <vector>
 
-#include "fault/compound.hh"
 #include "fault/net_nemesis.hh"
 #include "net/availability.hh"
 #include "net/machine.hh"
@@ -113,8 +113,12 @@ struct ClusterConfig : net::MachineParams
      */
     double agingSpread = 0.0;
 
-    /** Recovery-window cut policy (capped backoff, escalation). */
-    fault::SupervisorConfig supervisor;
+    /**
+     * Failed resume attempts before a replica's supervisor escalates
+     * to a degraded cold boot (the K of fault::RecoverySupervisor;
+     * retries back off as fault::SupervisorConfig does).
+     */
+    std::uint32_t maxResumeAttempts = 4;
 
     /**
      * Adversarial network plane over every replica<->replica link
@@ -218,7 +222,7 @@ struct ClusterResult
  * Reject degenerate cluster configurations with a clear message: a
  * replica count of zero (or past the 64-wide ack mask), more racks
  * than replicas, a storm span wider than the rack set, a zero
- * supervisor attempt budget, and every degenerate machine knob
+ * resume attempt budget, and every degenerate machine knob
  * (net::validateMachineParams: zero clients, zero-capacity rings,
  * ...).
  * Called at runCluster entry; exposed for tests.

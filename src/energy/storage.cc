@@ -188,20 +188,6 @@ validateEnergyConfig(const EnergyConfig &config)
     if (config.policy.chargerWatts < 0.0)
         fatal("energy config: charger input power must be "
               "non-negative");
-    if (config.guard.deferSoc <= 0.0 || config.guard.deferSoc >= 1.0)
-        fatal("energy config: defer threshold ",
-              config.guard.deferSoc, " outside (0, 1)");
-    if (config.guard.warnSoc <= 0.0 || config.guard.warnSoc >= 1.0)
-        fatal("energy config: warning threshold ",
-              config.guard.warnSoc, " outside (0, 1)");
-    if (config.guard.warnSoc >= config.guard.deferSoc)
-        fatal("energy config: warning threshold ",
-              config.guard.warnSoc,
-              " must be strictly below the defer threshold ",
-              config.guard.deferSoc);
-    if (config.guard.drainMargin < 1.0)
-        fatal("energy config: drain margin ",
-              config.guard.drainMargin, " must be at least 1");
 }
 
 // --- StoragePlane -------------------------------------------------

@@ -194,17 +194,21 @@ struct GuardConfig
      * Defer a *voluntary* Stop while the plane's state of charge is
      * below this fraction (it recovers by recharging first).
      */
-    double deferSoc = 0.50;
+    static constexpr double deferSoc = 0.50;
 
     /**
      * Proactive EP-cut floor: at or below this state of charge the
-     * machine persists immediately, before the budget is gone. Must
-     * be strictly below deferSoc.
+     * machine persists immediately, before the budget is gone.
      */
-    double warnSoc = 0.20;
+    static constexpr double warnSoc = 0.20;
 
     /** Safety multiplier over the worst-case drain estimate. */
-    double drainMargin = 1.25;
+    static constexpr double drainMargin = 1.25;
+
+    static_assert(deferSoc > 0.0 && deferSoc < 1.0);
+    static_assert(warnSoc > 0.0 && warnSoc < 1.0);
+    static_assert(warnSoc < deferSoc);
+    static_assert(drainMargin >= 1.0);
 };
 
 /** A full energy-plane configuration. */
@@ -214,13 +218,12 @@ struct EnergyConfig
     std::vector<StorageCellSpec> tiers;
 
     ChargePolicy policy;
-    GuardConfig guard;
 };
 
 /**
  * Reject malformed configurations with fatal(): non-positive
  * capacities, efficiencies outside (0, 1], a zero rated-cycle count,
- * a warning threshold at or above the defer threshold, and friends.
+ * a negative charger budget, and friends.
  */
 void validateEnergyConfig(const EnergyConfig &config);
 

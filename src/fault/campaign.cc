@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "fault/fault_injector.hh"
 #include "fault/persist_probe.hh"
 #include "fault/power_rail.hh"
 #include "sim/digest.hh"
@@ -325,8 +324,7 @@ runOpLogCampaign(const CampaignConfig &config)
 
         ImageRig rig;
         net::KvService svc(rig.store, rig.pmem, oplogKvParams(8));
-        FaultInjector injector(rig.store);
-        injector.armCut(cut, rng.next());
+        rig.store.armPowerCut(cut, rng.next());
 
         // Oracle bookkeeping (1-based by request ID).
         std::vector<std::uint64_t> keys(oplogPuts + 1, 0);
@@ -384,7 +382,7 @@ runOpLogCampaign(const CampaignConfig &config)
             }
         }
 
-        injector.powerRestored();
+        rig.store.disarmPowerCut();
 
         // Crash recovery on the same store: reopen the pool (rolling
         // back a torn apply transaction), scan the log from the

@@ -8,9 +8,9 @@
  * (torn resume, resurrected pre-cut state, lost committed work). A
  * campaign sweeps seeded cut ticks across one persistence mechanism:
  * each trial derives the cut from a PowerRail draining a scaled
- * stored-energy budget, arms the FaultInjector, runs the power-down
+ * stored-energy budget, arms it on the store, runs the power-down
  * path, simulates the loss of all volatile state, runs recovery, and
- * checks the invariant. Phase histograms prove the cuts actually
+ * checks the invariant (fault/persist_probe.hh). Phase histograms prove the cuts actually
  * landed in every window (mid Drive-to-Idle, mid Auto-Stop, mid
  * EP-cut, mid image dump, inside the commit record's own write).
  */

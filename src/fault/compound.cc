@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "fault/fault_injector.hh"
 #include "fault/persist_probe.hh"
 #include "fault/power_rail.hh"
 #include "mem/timed_mem.hh"
@@ -159,14 +158,12 @@ RecoverySupervisor::supervise(Tick when, const std::vector<Tick> &cuts,
 
         if (go.coldBoot) {
             // Nothing durable to replay: the machine converges cold.
-            out.converged = true;
             out.coldBoot = true;
             out.convergedAt = go.done;
             return out;
         }
         if (!interrupted) {
             // The commit-clear landed: converged.
-            out.converged = true;
             out.convergedAt = go.done;
             return out;
         }
@@ -189,7 +186,6 @@ RecoverySupervisor::supervise(Tick when, const std::vector<Tick> &cuts,
             const Tick boot_at = arm + backoff;
             sng.invalidateCommit(boot_at);
             const pecos::GoReport cold = sng.resume(boot_at);
-            out.converged = true;
             out.coldBoot = true;
             out.degradedColdBoot = true;
             out.convergedAt = cold.done;
@@ -278,6 +274,25 @@ constexpr std::uint32_t stormExtraCuts = 2;
 /** Storm mean gap as a fraction of the measured hold-up. */
 constexpr double stormGapFraction = 0.6;
 
+/** Count where @p stop's cut landed and the writes it cost. */
+void
+countStop(CompoundResult &result, const pecos::StopReport &stop)
+{
+    ++result.stopPhaseCuts[static_cast<std::size_t>(stop.cutSubPhase)];
+    result.droppedWrites += stop.writesDropped;
+    result.tornWrites += stop.writesTorn;
+}
+
+/** Judge a supervised recovery from @p c and count how it ended. */
+void
+judgeRecovery(CompoundResult &result, const SngRig &rig, const SngCut &c,
+              const SupervisorOutcome &out, const char *site)
+{
+    judgeSngRecovery(rig, c, out.coldBoot, out.degradedColdBoot,
+                     result.violations, result.violationNotes, site);
+    ++(out.coldBoot ? result.coldBoots : result.resumes);
+}
+
 } // namespace
 
 CompoundResult
@@ -344,46 +359,16 @@ runCompoundCampaign(const CompoundConfig &config)
             const Tick cut = storm.uniformIn(w.lo, w.hi);
 
             SngRig rig;
-            const kernel::SystemSnapshot before = rig.kern.snapshot();
-            rig.store.armPowerCut(cut, rng.next());
-
-            const pecos::StopReport stop = rig.sng.stop(0);
-            ++result.stopPhaseCuts[static_cast<std::size_t>(
-                stop.cutSubPhase)];
-            result.droppedWrites += stop.writesDropped;
-            result.tornWrites += stop.writesTorn;
-
-            const bool expect = stop.commitAt < cut;
-            rig.kern.scramble(rng);
-            rig.store.disarmPowerCut();
-            if (rig.sng.hasCommit() != expect)
-                flagViolation(result, "stop-cut@", cut, " (",
-                              pecos::stopSubPhaseName(stop.cutSubPhase),
-                              "): commit durable=", rig.sng.hasCommit(),
-                              " expected=", expect);
+            const SngCut c = cutSng(rig, 0, cut, rng, result.violations,
+                                    result.violationNotes, "stop-cut");
+            countStop(result, c.stop);
 
             RecoverySupervisor sup(rig.sng, rig.kern, rig.store);
             const SupervisorOutcome out =
                 sup.supervise(cut + 100 * tickMs, {}, rng);
             result.supervisorRetries += out.attempts - 1;
             result.livelocks += out.livelocks;
-            if (!out.converged) {
-                flagViolation(result, "stop-cut: supervisor failed "
-                                      "to converge");
-            } else if (out.coldBoot == expect
-                       && !out.degradedColdBoot) {
-                flagViolation(result, "stop-cut@", cut, ": coldBoot=",
-                              out.coldBoot, " but commit durable=", expect);
-            }
-            if (!out.coldBoot) {
-                if (!rig.kern.snapshot().registersMatch(before))
-                    flagViolation(result,
-                                  "stop-cut: resumed with corrupt "
-                                  "register state");
-                ++result.resumes;
-            } else {
-                ++result.coldBoots;
-            }
+            judgeRecovery(result, rig, c, out, "stop-cut");
         } else if (scenario == 1) {
             // ---- Cut-during-Go: a clean EP-cut, then the cut lands
             // inside the resume. A torn resume must leave the commit
@@ -477,32 +462,14 @@ runCompoundCampaign(const CompoundConfig &config)
                 // Deep sag: a real cut at the drained tick, racing
                 // the Stop that the power event started.
                 SngRig rig;
-                const kernel::SystemSnapshot before =
-                    rig.kern.snapshot();
-                rig.store.armPowerCut(sag.failTick, rng.next());
-                const pecos::StopReport stop = rig.sng.stop(0);
-                ++result.stopPhaseCuts[static_cast<std::size_t>(
-                    stop.cutSubPhase)];
-                result.droppedWrites += stop.writesDropped;
-                result.tornWrites += stop.writesTorn;
-                const bool expect = stop.commitAt < sag.failTick;
-                rig.kern.scramble(rng);
-                rig.store.disarmPowerCut();
+                const SngCut c =
+                    cutSng(rig, 0, sag.failTick, rng, result.violations,
+                           result.violationNotes, "brownout");
+                countStop(result, c.stop);
                 RecoverySupervisor sup(rig.sng, rig.kern, rig.store);
                 const SupervisorOutcome out = sup.supervise(
                     sag.failTick + 100 * tickMs, {}, rng);
-                if (out.coldBoot == expect)
-                    flagViolation(result,
-                                  "brownout-cut: recovery disagrees "
-                                  "with commit durability");
-                if (!out.coldBoot) {
-                    if (!rig.kern.snapshot().registersMatch(before))
-                        flagViolation(result,
-                                      "brownout-cut: corrupt resume");
-                    ++result.resumes;
-                } else {
-                    ++result.coldBoots;
-                }
+                judgeRecovery(result, rig, c, out, "brownout");
             } else if ((i / 5) % 2 == 0) {
                 // Shallow sag, SnG: the Stop ran to completion on
                 // capacitor reserve, then AC recovered — abort in
@@ -561,7 +528,6 @@ runCompoundCampaign(const CompoundConfig &config)
                 ImageRig rig;
                 persist::ImageCheckpoint syspc(rig.pmem,
                                                persist::sysPcKind);
-                FaultInjector injector(rig.store);
 
                 constexpr std::uint64_t image_bytes = 2 << 20;
                 const std::uint32_t failures =
@@ -574,9 +540,9 @@ runCompoundCampaign(const CompoundConfig &config)
                     if (attempt <= failures) {
                         const Tick cut =
                             t + tickMs + rng.below(tickMs);
-                        injector.armCut(cut, rng.next());
+                        rig.store.armPowerCut(cut, rng.next());
                         syspc.dumpCommitted(t, image_bytes, rng.next());
-                        injector.powerRestored();
+                        rig.store.disarmPowerCut();
                         if (syspc.latestCommit().seq != 0)
                             flagViolation(result,
                                           "brownout-baseline: dump "
@@ -628,24 +594,12 @@ runCompoundCampaign(const CompoundConfig &config)
                     ++idx;
                     continue;
                 }
-                const kernel::SystemSnapshot before =
-                    rig.kern.snapshot();
-                rig.store.armPowerCut(cut, rng.next());
-                const pecos::StopReport stop = rig.sng.stop(t);
-                ++result.stopPhaseCuts[static_cast<std::size_t>(
-                    stop.cutSubPhase)];
-                result.droppedWrites += stop.writesDropped;
-                result.tornWrites += stop.writesTorn;
+                const SngCut c = cutSng(rig, t, cut, rng,
+                                        result.violations,
+                                        result.violationNotes, "storm");
+                countStop(result, c.stop);
                 result.staleWritesRejected +=
                     rig.store.cutStats().staleWrites;
-
-                const bool expect = stop.commitAt < cut;
-                rig.kern.scramble(rng);
-                rig.store.disarmPowerCut();
-                if (rig.sng.hasCommit() != expect)
-                    flagViolation(result, "storm cut#", idx, "@", cut,
-                                  ": commit durable=", rig.sng.hasCommit(),
-                                  " expected=", expect);
                 ++idx;
 
                 // Restore inside the storm: the next cuts are live
@@ -664,27 +618,7 @@ runCompoundCampaign(const CompoundConfig &config)
                 result.tornResumes += out.cutsConsumed;
                 if (out.degradedColdBoot)
                     ++result.degradedColdBoots;
-
-                if (!out.converged) {
-                    flagViolation(result, "storm: supervisor failed "
-                                          "to converge");
-                } else if (expect && !out.coldBoot) {
-                    if (!rig.kern.snapshot().registersMatch(before))
-                        flagViolation(result,
-                                      "storm: corrupt resume state");
-                    ++result.resumes;
-                } else if (expect && out.coldBoot
-                           && !out.degradedColdBoot) {
-                    flagViolation(result,
-                                  "storm: durable commit but "
-                                  "converged cold");
-                } else if (!expect && !out.coldBoot) {
-                    flagViolation(result,
-                                  "storm: no durable commit but "
-                                  "warm resume");
-                } else {
-                    ++result.coldBoots;
-                }
+                judgeRecovery(result, rig, c, out, "storm");
 
                 idx += out.cutsConsumed;
                 t = out.convergedAt + mean_gap / 2;

@@ -151,11 +151,11 @@ struct SupervisorConfig
     static_assert(retryBackoff > 0 && backoffCap >= retryBackoff);
 };
 
-/** What one supervised recovery did. */
+/** What one supervised recovery did: it always converges, warm or
+ *  cold. */
 struct SupervisorOutcome
 {
-    bool converged = false;  ///< a resume (warm or cold) completed
-    bool coldBoot = false;   ///< converged via the cold path
+    bool coldBoot = false;          ///< converged via the cold path
     bool degradedColdBoot = false;  ///< escalated after K failures
 
     std::uint32_t attempts = 0;      ///< resume attempts driven

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "energy/storage.hh"
-#include "fault/fault_injector.hh"
 #include "fault/persist_probe.hh"
 #include "fault/power_rail.hh"
 #include "pecos/energy_guard.hh"
@@ -276,8 +275,7 @@ oplogEmergencyCommit(Tick cut, Rng &rng)
                     oplogPutReq(p, 1 + (p - 1) % oplogKeys,
                                 rng.next()));
     const Tick prep = t;
-    FaultInjector injector(rig.store);
-    injector.armCut(prep + cut, rng.next());
+    rig.store.armPowerCut(prep + cut, rng.next());
     svc.logCommit(t);
     const Tick spent = t - prep;
     return cut > spent ? cut - spent : 1;
@@ -365,10 +363,9 @@ voluntaryAttempt(const DryData &dry, energy::StoragePlane &plane,
 
         SngRig rig;
         rig.sng.bindEnergyGuard(&guard);
-        FaultInjector injector(rig.store);
 
         const Tick off = std::max<Tick>(cutOffset(md, plane), 1);
-        injector.armCut(off, rng.next());
+        rig.store.armPowerCut(off, rng.next());
 
         const pecos::StopReport rep = rig.sng.stopVoluntary(0);
         if (rep.deferred) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "fault/fault_injector.hh"
 #include "persist/checkpoint.hh"
 #include "stats/counter_set.hh"
 
@@ -98,52 +97,82 @@ cutOutcome(const mem::BackingStore &store)
 
 } // namespace
 
-ProbeOutcome
-probeSng(Tick cut, Rng &rng, std::uint64_t &violations,
-         std::vector<std::string> &notes)
+SngCut
+cutSng(SngRig &rig, Tick start, Tick cut, Rng &rng,
+       std::uint64_t &violations, std::vector<std::string> &notes,
+       const char *site)
 {
-    SngRig rig;
-    FaultInjector injector(rig.store);
-
-    const kernel::SystemSnapshot before = rig.kern.snapshot();
-    injector.armCut(cut, rng.next());
-
-    const pecos::StopReport stop = rig.sng.stop(0);
-    ProbeOutcome out;
-    out.droppedWrites = stop.writesDropped;
-    out.tornWrites = stop.writesTorn;
-    out.phase = cut <= stop.processStopDone ? CutPhase::ProcessStop
-        : cut <= stop.deviceStopDone        ? CutPhase::DeviceStop
-        : cut <= stop.commitAt              ? CutPhase::EpCut
-                                            : CutPhase::PostCommit;
-    out.durable = stop.commitAt < cut;
+    SngCut c;
+    c.before = rig.kern.snapshot();
+    c.cut = cut;
+    if (cut != maxTick)
+        rig.store.armPowerCut(cut, rng.next());
+    c.stop = rig.sng.stop(start);
+    c.durable = c.stop.commitAt < cut;
 
     // Power loss: everything volatile is gone. The PCBs get
     // scrambled so a resume that "works" by reading stale DRAM
     // instead of OC-PMEM cannot pass the register check.
     rig.kern.scramble(rng);
-    injector.powerRestored();
+    if (cut != maxTick)
+        rig.store.disarmPowerCut();
+    judgeSngCommit(rig, c, violations, notes, site);
+    return c;
+}
 
-    out.intact = true;
-    auto reject = [&](const auto &...parts) {
-        out.intact = false;
-        stats::noteViolation(violations, notes, "SnG cut@", cut, " ",
-                             cutPhaseName(out.phase), ": ", parts...);
-    };
-    if (rig.sng.hasCommit() != out.durable)
-        reject("commit durable=", rig.sng.hasCommit(), " expected=",
-               out.durable);
+void
+judgeSngCommit(const SngRig &rig, const SngCut &c,
+               std::uint64_t &violations, std::vector<std::string> &notes,
+               const char *site)
+{
+    if (rig.sng.hasCommit() != c.durable)
+        stats::noteViolation(
+            violations, notes, site, " cut@", c.cut, " (",
+            pecos::stopSubPhaseName(c.stop.cutSubPhase),
+            "): commit durable=", rig.sng.hasCommit(), " expected=",
+            c.durable);
+}
+
+void
+judgeSngRecovery(const SngRig &rig, const SngCut &c, bool cold_boot,
+                 bool degraded, std::uint64_t &violations,
+                 std::vector<std::string> &notes, const char *site)
+{
+    if (cold_boot == c.durable && !degraded)
+        stats::noteViolation(violations, notes, site, " cut@", c.cut,
+                             ": coldBoot=", cold_boot,
+                             " but commit durable=", c.durable);
+    // Byte-exact register + device-cookie round-trip through OC-PMEM
+    // (the scramble in cutSng() guarantees stale volatile copies
+    // cannot pass). Task state is excluded: resume legitimately
+    // transitions it.
+    if (!cold_boot && !rig.kern.snapshot().registersMatch(c.before))
+        stats::noteViolation(violations, notes, site, " cut@", c.cut,
+                             ": resumed with corrupt register state");
+}
+
+ProbeOutcome
+probeSng(Tick cut, Rng &rng, std::uint64_t &violations,
+         std::vector<std::string> &notes)
+{
+    SngRig rig;
+    const std::uint64_t seen = violations;
+    const SngCut c = cutSng(rig, 0, cut, rng, violations, notes, "SnG");
+
+    ProbeOutcome out;
+    out.droppedWrites = c.stop.writesDropped;
+    out.tornWrites = c.stop.writesTorn;
+    out.phase = cut <= c.stop.processStopDone ? CutPhase::ProcessStop
+        : cut <= c.stop.deviceStopDone        ? CutPhase::DeviceStop
+        : cut <= c.stop.commitAt              ? CutPhase::EpCut
+                                              : CutPhase::PostCommit;
+    out.durable = c.durable;
 
     const pecos::GoReport go = rig.sng.resume(cut + 100 * tickMs);
     out.resumed = !go.coldBoot;
-    if (out.resumed != out.durable)
-        reject("coldBoot=", go.coldBoot, " but commit durable=",
-               out.durable);
-    // Byte-exact register + device-cookie round-trip through OC-PMEM
-    // (the scramble above guarantees stale volatile copies cannot
-    // pass).
-    if (out.resumed && !rig.kern.snapshot().registersMatch(before))
-        reject("resumed with corrupt register state");
+    judgeSngRecovery(rig, c, go.coldBoot, false, violations, notes,
+                     "SnG");
+    out.intact = violations == seen;
     return out;
 }
 
@@ -166,18 +195,17 @@ probeImage(const ImageRun &run, Rng &rng, const CutPicker &pick,
 {
     ImageRig rig;
     persist::ImageCheckpoint image(rig.pmem, run.kind);
-    FaultInjector injector(rig.store);
 
     DumpWindows w;
     w.ac = runPrior(image, run, [&rng](std::uint64_t) { return rng.next(); });
     const Tick cut = pick(w.ac);
-    injector.armCut(cut, rng.next());
+    rig.store.armPowerCut(cut, rng.next());
     image.dumpCommitted(w.ac, run.dumpBytes, rng.next());
     w.bodyDone = image.lastBodyDoneAt();
     w.commitAt = image.lastCommitAt();
     ProbeOutcome out = cutOutcome(rig.store);
 
-    injector.powerRestored();
+    rig.store.disarmPowerCut();
     image.recover(cut + 100 * tickMs);
     const std::uint64_t got = image.recoveredSeq();
 
@@ -215,8 +243,7 @@ probeACheckPc(std::uint64_t captures, Tick think, Tick cut, Rng &rng,
 {
     ImageRig rig;
     persist::ImageCheckpoint acheck(rig.pmem, persist::aCheckPcKind);
-    FaultInjector injector(rig.store);
-    injector.armCut(cut, rng.next());
+    rig.store.armPowerCut(cut, rng.next());
 
     std::vector<std::uint64_t> seeds(captures + 1, 0);
     std::vector<Tick> commit_at(captures + 1, 0);
@@ -243,7 +270,7 @@ probeACheckPc(std::uint64_t captures, Tick think, Tick cut, Rng &rng,
         }
     }
 
-    injector.powerRestored();
+    rig.store.disarmPowerCut();
     const persist::CheckpointLedger::Record rec = acheck.latestCommit();
     const std::uint64_t got = rec.seq;
     out.resumed = got != 0;

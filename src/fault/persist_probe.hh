@@ -3,8 +3,9 @@
  * One emergency-persist trial per persistence mode: the single home
  * of the cut-and-recover invariant matrix.
  *
- * A probe builds a fresh rig, arms the power cut, runs the mode's
- * power-down path, restores power, runs recovery and judges what
+ * A probe builds a fresh rig, arms the power cut on the store
+ * (BackingStore::armPowerCut), runs the mode's power-down path,
+ * restores power (disarmPowerCut), runs recovery and judges what
  * recovery found against the mode's one allowed-outcome rule:
  *
  *  - SnG resumes iff its EP-cut commit beat the rails, and a resume
@@ -19,6 +20,13 @@
  *
  * All three image baselines dump through persist::ImageCheckpoint,
  * each with its own kind.
+ *
+ * The SnG rule is stated once, in cutSng() (the Stop racing the cut,
+ * and the commit check) and judgeSngRecovery() (the resume-or-cold
+ * verdict and the register check). probeSng, the compound engine's
+ * stop-cut, deep-sag and storm scenarios and the RAS trial all run
+ * their SnG power-downs through them; each keeps its own cut choice,
+ * its own recovery call and its own counters.
  *
  * The power-cut campaign and the energy provisioning campaign run
  * their persist trials through these probes. They differ only in the
@@ -50,14 +58,62 @@
 namespace lightpc::fault
 {
 
-/** One fresh SnG platform (identical construction every trial). */
+/** One fresh SnG platform, built the same way every trial from its
+ *  kernel and PSM parameters. */
 struct SngRig
 {
+    explicit SngRig(const kernel::KernelParams &kernel_params = {},
+                    const psm::PsmParams &psm_params = {})
+        : kern(kernel_params), psm(psm_params)
+    {}
+
     kernel::Kernel kern;
     psm::Psm psm;
     mem::BackingStore store;
     pecos::Sng sng{kern, psm, store, {}};
 };
+
+/** What an SnG Stop that raced a power cut leaves for recovery. */
+struct SngCut
+{
+    kernel::SystemSnapshot before;  ///< the registers Stop saved
+    pecos::StopReport stop;
+    Tick cut = maxTick;             ///< the armed cut (maxTick: none)
+    bool durable = false;           ///< the EP-cut commit beat the rails
+};
+
+/**
+ * The SnG power-down every campaign runs: snapshot the registers,
+ * arm a cut at @p cut unless it is maxTick (its torn seed is the
+ * next draw of @p rng), Stop from @p start, lose power (the kernel
+ * is scrambled from @p rng, so a resume that reads stale volatile
+ * state cannot pass the register check), restore it and run
+ * judgeSngCommit().
+ */
+SngCut cutSng(SngRig &rig, Tick start, Tick cut, Rng &rng,
+              std::uint64_t &violations, std::vector<std::string> &notes,
+              const char *site);
+
+/**
+ * The commit check: OC-PMEM holds an EP-cut commit iff it beat the
+ * rails. A violation is counted in @p violations and noted in
+ * @p notes under @p site.
+ */
+void judgeSngCommit(const SngRig &rig, const SngCut &c,
+                    std::uint64_t &violations,
+                    std::vector<std::string> &notes, const char *site);
+
+/**
+ * The verdict on recovering from @p c: the machine resumes iff the
+ * commit was durable (a @p degraded cold boot, a supervisor giving
+ * up on a durable image, is allowed), and a resume restores every
+ * register file byte-exactly. Violations go where judgeSngCommit()
+ * sends them.
+ */
+void judgeSngRecovery(const SngRig &rig, const SngCut &c,
+                      bool cold_boot, bool degraded,
+                      std::uint64_t &violations,
+                      std::vector<std::string> &notes, const char *site);
 
 /** The fabric of one image-baseline or op-log trial. */
 struct ImageRig

@@ -9,7 +9,8 @@
  * the bootloader with the workers offlined. PowerRail integrates a
  * piecewise-constant load profile against the PSU's stored energy
  * and reports the exact tick the rails fall out of specification —
- * the power-cut tick the FaultInjector arms.
+ * the power-cut tick a campaign arms on the store
+ * (mem::BackingStore::armPowerCut).
  *
  * The energy source behind the rail is an energy::StoragePlane. A
  * rail built from a PsuModel wraps the spec in an ideal single-tier

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "fault/fault_injector.hh"
+#include "fault/persist_probe.hh"
 #include "kernel/kernel.hh"
 #include "mem/backing_store.hh"
 #include "pecos/mce.hh"
@@ -17,8 +17,6 @@ namespace lightpc::fault
 
 namespace
 {
-
-using stats::flagViolation;
 
 /** Fraction of demand accesses that are writes. */
 constexpr double writeFraction = 0.3;
@@ -142,16 +140,15 @@ runTrial(const RasCampaignConfig &config, Tick dry_stop_ticks,
     // Odd seeds run the Section VIII symbol-erasure fallback:
     // double-erasures become counted RS corrections instead of machine
     // checks, so both ECC tiers see traffic in every cell.
-    kernel::Kernel kern(trialKernelParams());
-    psm::Psm psm(trialPsmParams(config.bers[b], policy, trial_seed,
-                                s % 2 == 1));
-    mem::BackingStore store;
-    pecos::Sng sng(kern, psm, store, {});
+    SngRig rig(trialKernelParams(),
+               trialPsmParams(config.bers[b], policy, trial_seed,
+                              s % 2 == 1));
+    kernel::Kernel &kern = rig.kern;
+    psm::Psm &psm = rig.psm;
     pecos::MceHandler mce(kern, psm);
     psm::ScrubParams sp;
     sp.linesPerStep = scrubLinesPerStep;
     psm::PatrolScrubber scrubber(psm, sp);
-    FaultInjector injector(store);
 
     // Pre-condition the media to the cell's wear level (campaign
     // aging, not simulated writes).
@@ -215,40 +212,21 @@ runTrial(const RasCampaignConfig &config, Tick dry_stop_ticks,
     Tick cut = maxTick;
     if (cut_armed) {
         cut = t + rng.below(dry_stop_ticks + dry_stop_ticks / 4 + 1);
-        injector.armCut(cut, rng.next());
         ++result.cutTrials;
     }
 
-    const kernel::SystemSnapshot before = kern.snapshot();
-    const pecos::StopReport stop = sng.stop(t);
-    result.droppedWrites += stop.writesDropped;
-    result.tornWrites += stop.writesTorn;
+    // Volatile state is lost either way (the stop was for a
+    // shutdown).
+    const SngCut c = cutSng(rig, t, cut, rng, result.violations,
+                            result.violationNotes, "SnG");
+    result.droppedWrites += c.stop.writesDropped;
+    result.tornWrites += c.stop.writesTorn;
 
-    // Power loss: volatile state is gone either way (the stop was for
-    // a shutdown); scramble so a resume reading stale volatile copies
-    // cannot pass the register check.
-    kern.scramble(rng);
-    if (cut_armed)
-        injector.powerRestored();
-
-    const bool expect_resume = stop.commitAt < cut;
-    if (sng.hasCommit() != expect_resume)
-        flagViolation(result, "cut@", cut, ": commit durable=",
-                      sng.hasCommit(), " expected=", expect_resume);
-
-    const pecos::GoReport go = sng.resume(
-        (cut_armed ? cut : stop.offlineDone) + 100 * tickMs);
-    if (go.coldBoot == expect_resume)
-        flagViolation(result, "coldBoot=", go.coldBoot,
-                      " but commit durable=", expect_resume);
-
+    const pecos::GoReport go = rig.sng.resume(
+        (cut_armed ? cut : c.stop.offlineDone) + 100 * tickMs);
+    judgeSngRecovery(rig, c, go.coldBoot, false, result.violations,
+                     result.violationNotes, "SnG");
     if (!go.coldBoot) {
-        // Byte-exact register + device-cookie round-trip through
-        // OC-PMEM (scramble above guarantees stale volatile copies
-        // cannot pass). Task state is excluded: resume legitimately
-        // transitions it.
-        if (!kern.snapshot().registersMatch(before))
-            flagViolation(result, "resumed with corrupt state");
         ++result.resumes;
         if (policy == psm::McePolicy::Contain && contained_this_trial
             && retired_on_contain)
@@ -330,12 +308,10 @@ runRasCampaign(const RasCampaignConfig &config)
     // spread from mid-trial kills).
     Tick dry_stop_ticks = 0;
     {
-        kernel::Kernel kern(trialKernelParams());
-        psm::Psm psm(trialPsmParams(0.0, psm::McePolicy::ResetColdBoot,
-                                    1, false));
-        mem::BackingStore store;
-        pecos::Sng sng(kern, psm, store, {});
-        dry_stop_ticks = sng.stop(0).totalTicks();
+        SngRig rig(trialKernelParams(),
+                   trialPsmParams(0.0, psm::McePolicy::ResetColdBoot, 1,
+                                  false));
+        dry_stop_ticks = rig.sng.stop(0).totalTicks();
     }
 
     const stats::TrialGrid<4> grid = rasGrid(config);

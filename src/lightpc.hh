@@ -69,7 +69,6 @@
 
 // Power-cut fault injection.
 #include "fault/campaign.hh"
-#include "fault/fault_injector.hh"
 #include "fault/power_rail.hh"
 
 // Workloads.

@@ -1,6 +1,5 @@
 #include "net/machine.hh"
 
-#include "fault/fault_injector.hh"
 #include "mem/timed_mem.hh"
 #include "persist/checkpoint.hh"
 #include "platform/system.hh"
@@ -125,7 +124,6 @@ Machine::Machine(const MachineParams &params, PersistMode mode,
       kv(std::make_unique<KvService>(
           sys->pmemStore(), *timed,
           kvParamsFor(params, mode, setup.dedupSlack))),
-      injector(std::make_unique<fault::FaultInjector>(sys->pmemStore())),
       image(std::make_unique<persist::ImageCheckpoint>(
           *timed, mode == PersistMode::SCheckPc ? persist::sCheckPcKind
                                                 : persist::sysPcKind)),
@@ -374,7 +372,7 @@ Machine::powerFail(Tick now)
     serviceUp = false;
     ++gen;
     txDraining = false;
-    injector->armCut(now + holdup, rng.next());
+    sys->pmemStore().armPowerCut(now + holdup, rng.next());
 
     switch (mode) {
     case PersistMode::SnG:
@@ -438,13 +436,13 @@ Machine::abortRecovery(Tick now)
 {
     ++gen;
     powerOn = false;
-    injector->armCut(now, rng.next());
+    sys->pmemStore().armPowerCut(now, rng.next());
 }
 
 void
 Machine::restorePower()
 {
-    injector->powerRestored();
+    sys->pmemStore().disarmPowerCut();
     powerOn = true;
 }
 

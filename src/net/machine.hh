@@ -4,8 +4,9 @@
  *
  * A Machine owns a full platform::System (kernel, dpm devices,
  * PSM-backed OC-PMEM), the NIC it registers in the dpm_list, a
- * KvService over a persistent ObjectPool, the PSU-rail fault
- * injector and the checkpoint baselines' image engine. It runs the
+ * KvService over a persistent ObjectPool and the checkpoint
+ * baselines' image engine; a power event arms a cut on the
+ * platform's OC-PMEM store at the end of the hold-up. It runs the
  * serving pump (RX admit -> execute -> TX drain) and the op-log
  * group-commit and drain timers on the caller's event queue, and it
  * carries the per-mode persistence mechanics of a power event:
@@ -41,7 +42,6 @@
 namespace lightpc
 {
 class EventQueue;
-namespace fault { class FaultInjector; }
 namespace mem { class TimedMem; }
 namespace persist { class ImageCheckpoint; }
 namespace platform { class System; }
@@ -229,7 +229,6 @@ class Machine
     std::unique_ptr<NicDevice> nic;
     std::unique_ptr<mem::TimedMem> timed;
     std::unique_ptr<KvService> kv;
-    std::unique_ptr<fault::FaultInjector> injector;
     /** SysPC's or S-CheckPC's image engine, per the mode. */
     std::unique_ptr<persist::ImageCheckpoint> image;
     Rng rng;          ///< torn seeds, dump body seeds

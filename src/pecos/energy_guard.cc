@@ -25,15 +25,15 @@ estimateStopDrain(const StopReport &dry, double all_cores_watts,
 AdmissionReport
 EnergyGuard::admitStop() const
 {
-    const energy::GuardConfig &guard = _plane.config().guard;
+    using Guard = energy::GuardConfig;
 
     AdmissionReport rep;
     rep.socFraction = _plane.soc();
-    rep.requiredJoules = guard.drainMargin * _drain.joules;
+    rep.requiredJoules = Guard::drainMargin * _drain.joules;
     rep.deliverableJoules = _plane.deliverableJoules(_drain.peakWatts);
 
     const bool starved = rep.deliverableJoules < rep.requiredJoules;
-    if (rep.socFraction >= guard.deferSoc && !starved)
+    if (rep.socFraction >= Guard::deferSoc && !starved)
         return rep;
 
     rep.decision = StopAdmission::Defer;
@@ -43,7 +43,7 @@ EnergyGuard::admitStop() const
     // CV taper can stretch the real refill, so callers re-admit at
     // retryAfter instead of trusting it blindly.
     const double soc_gap =
-        std::max(0.0, guard.deferSoc - rep.socFraction)
+        std::max(0.0, Guard::deferSoc - rep.socFraction)
         * _plane.totalEffectiveCapacityJoules();
     const double energy_gap = std::max(
         0.0, rep.requiredJoules - rep.deliverableJoules);
@@ -77,7 +77,7 @@ EnergyGuard::admitStop() const
 bool
 EnergyGuard::lowChargeWarning() const
 {
-    return _plane.soc() <= _plane.config().guard.warnSoc;
+    return _plane.soc() <= energy::GuardConfig::warnSoc;
 }
 
 } // namespace lightpc::pecos

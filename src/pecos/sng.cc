@@ -301,8 +301,8 @@ Sng::stop(Tick when, Tick holdup)
     // backing store's durability cursor so that *every* byte written
     // after the rails fall out of specification — PCB/DCB prefixes,
     // payloads, the BCB, and the commit — is dropped or torn, not
-    // just the commit magic. Campaigns that armed a cut themselves
-    // (fault::FaultInjector) take precedence.
+    // just the commit magic. A cut a campaign armed on the store
+    // itself takes precedence.
     const bool arm_here = holdup != maxTick && !pmem.powerCutArmed();
     if (arm_here)
         pmem.armPowerCut(when + holdup,

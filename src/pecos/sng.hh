@@ -293,9 +293,9 @@ class Sng
      *                store's durability cursor, so *nothing* written
      *                after the cut tick persists (not just the
      *                commit magic). When the caller has already
-     *                armed a power cut on the store (a
-     *                fault::FaultInjector campaign), that cut is
-     *                honored instead.
+     *                armed a power cut on the store (a fault
+     *                campaign's BackingStore::armPowerCut), that
+     *                cut is honored instead.
      */
     StopReport stop(Tick when, Tick holdup = maxTick);
 

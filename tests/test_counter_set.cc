@@ -541,7 +541,7 @@ TEST(CampaignGoldenDigest, ClusterRecoveryWindowCuts)
             c.storms = 80;
             c.offDwell = 20 * tickMs;
             c.stormWindow = 60 * tickMs;
-            c.supervisor.maxAttempts = 1;
+            c.maxResumeAttempts = 1;
         });
     // A hold-up too short for the EP-cut: SnG commits fail and the
     // machines cold-boot.

@@ -135,30 +135,6 @@ TEST(EnergyConfigValidation, RejectsNegativeChargerBudget)
     EXPECT_THROW(energy::validateEnergyConfig(cfg), FatalError);
 }
 
-TEST(EnergyConfigValidation, RejectsGuardThresholdInversion)
-{
-    EnergyConfig cfg = validPlane();
-    cfg.guard.warnSoc = cfg.guard.deferSoc;  // must be strictly below
-    EXPECT_THROW(energy::validateEnergyConfig(cfg), FatalError);
-
-    cfg = validPlane();
-    cfg.guard.deferSoc = 1.0;
-    EXPECT_THROW(energy::validateEnergyConfig(cfg), FatalError);
-    cfg.guard.deferSoc = 0.0;
-    EXPECT_THROW(energy::validateEnergyConfig(cfg), FatalError);
-
-    cfg = validPlane();
-    cfg.guard.warnSoc = 0.0;
-    EXPECT_THROW(energy::validateEnergyConfig(cfg), FatalError);
-}
-
-TEST(EnergyConfigValidation, RejectsDrainMarginBelowOne)
-{
-    EnergyConfig cfg = validPlane();
-    cfg.guard.drainMargin = 0.9;
-    EXPECT_THROW(energy::validateEnergyConfig(cfg), FatalError);
-}
-
 // --- StorageCell properties ----------------------------------------
 
 TEST(StorageCellProperty, DischargeRechargeConservationRoundTrip)
@@ -433,14 +409,14 @@ TEST(EnergyGuardAdmission, RetryLoopConvergesToAdmission)
         ++retries;
     }
     EXPECT_EQ(rep.decision, StopAdmission::Admit);
-    EXPECT_GE(rep.socFraction, plane.config().guard.deferSoc);
+    EXPECT_GE(rep.socFraction, energy::GuardConfig::deferSoc);
 }
 
 TEST(EnergyGuardAdmission, WarningTracksTheLiveStateOfCharge)
 {
     StoragePlane plane(energy::serverHierarchy(1.0));
     const EnergyGuard guard(plane, drainOf(0.05, 20.0));
-    const double warn = plane.config().guard.warnSoc;
+    const double warn = energy::GuardConfig::warnSoc;
     for (std::size_t i = 0; i < plane.cells().size(); ++i) {
         plane.setTierSocJoules(
             i, (warn + 0.05)

@@ -15,7 +15,6 @@
 
 #include "energy/storage.hh"
 #include "fault/campaign.hh"
-#include "fault/fault_injector.hh"
 #include "fault/power_rail.hh"
 #include "kernel/kernel.hh"
 #include "mem/backing_store.hh"
@@ -31,7 +30,6 @@ namespace
 {
 
 using namespace lightpc;
-using fault::FaultInjector;
 using fault::PowerRail;
 using mem::BackingStore;
 using power::PsuModel;
@@ -443,17 +441,6 @@ TEST(PowerRailSag, RechargeBetweenSagsIsCappedAtTheFullReserve)
                 static_cast<double>(tickUs));
 }
 
-TEST(FaultInjectorTest, DisarmsOnDestruction)
-{
-    BackingStore store;
-    {
-        FaultInjector injector(store);
-        injector.armCut(10, 1);
-        EXPECT_TRUE(store.powerCutArmed());
-    }
-    EXPECT_FALSE(store.powerCutArmed());
-}
-
 // --- SnG under the cursor ------------------------------------------
 
 struct SngRig
@@ -532,10 +519,9 @@ TEST(SngFault, StopDisarmsItsOwnCut)
 TEST(SngFault, ExternallyArmedCutTakesPrecedence)
 {
     SngRig rig;
-    FaultInjector injector(rig.pmem);
-    injector.armCut(2 * tickMs, 5);
+    rig.pmem.armPowerCut(2 * tickMs, 5);
 
-    // stop() is told the PSU would last 16 ms, but the injector's
+    // stop() is told the PSU would last 16 ms, but the campaign's
     // earlier cut wins — and stop() must leave it armed.
     const auto report = rig.sng->stop(0, 16 * tickMs);
     EXPECT_EQ(report.cutTick, 2 * tickMs);
