@@ -51,8 +51,7 @@ run(PlatformKind kind, std::uint64_t code_bytes)
     cpu::CoreParams params;
     params.modelIFetch = true;
     params.branchProbability = 0.08;
-    cpu::Core core("icore", system.eventQueue(), params,
-                   system.memoryPort());
+    cpu::Core core(system.eventQueue(), params, system.memoryPort());
     core.setCodeRegion(std::uint64_t(3) << 30, code_bytes);
     core.run(stream, 0);
     system.eventQueue().run();

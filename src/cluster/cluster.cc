@@ -599,22 +599,16 @@ struct Plane : net::MachineHost
     }
 
     /**
-     * Apply the FIFO policy to a jittered arrival: with fifoLinks the
-     * arrival is clamped monotone per (from, to) link (jitter only
-     * stretches latency); without it an arrival landing before an
-     * earlier send's is delivered out of order and counted.
+     * Count a jittered arrival that lands before an earlier send's on
+     * the same (from, to) link: it is delivered out of order.
      */
     Tick
     shapeArrival(Replica &from, std::uint32_t to, Tick arrive)
     {
         Tick &last = from.lastArriveTo[to];
-        if (cfg.nemesis.fifoLinks) {
-            if (arrive < last)
-                arrive = last;
-        } else if (arrive < last) {
+        if (arrive < last)
             ++res.msgsReordered;
-        }
-        if (arrive > last)
+        else
             last = arrive;
         return arrive;
     }
@@ -991,22 +985,14 @@ struct Plane : net::MachineHost
 
     /**
      * Apply committed record @p rec, the next past @p r's applied
-     * prefix, and extend the prefix and the journal over it. The
-     * op-log write path appends it (the drain applies it later); the
-     * others apply it in place, A-CheckPC paying its synchronous
-     * checkpoint.
+     * prefix, through the replica's write path, and extend the prefix
+     * and the journal over it.
      */
     void
     applyRecord(Replica &r, Tick &t, const ReplRecord &rec)
     {
-        if (cfg.mode == net::PersistMode::OpLog) {
-            r.kv->appendReplicated(t, rec.reqId, rec.key, rec.valueSeed,
-                                   rec.version, rec.client);
-        } else {
-            r.kv->applyReplicated(t, rec.reqId, rec.key, rec.valueSeed,
-                                  rec.version);
-            r.kv->chargeCheckpoint(t);
-        }
+        r.kv->applyCommitted(t, rec.reqId, rec.key, rec.valueSeed,
+                             rec.version, rec.client);
         r.seqApplied = rec.seq;
         r.appliedEpoch = rec.epoch;
         r.journal[rec.seq] = rec;
@@ -1901,7 +1887,7 @@ struct Plane : net::MachineHost
         for (const net::AckedPut &put : fleet.ackedPuts()) {
             if (best->kv->logPending(put.reqId))
                 continue;
-            if (best->kv->isApplied(put.reqId)) {
+            if (best->kv->appliedVersion(put.reqId)) {
                 const auto st = best->kv->lookup(put.key);
                 if (!st || st->version < put.version) {
                     ++res.lostAckedPuts;

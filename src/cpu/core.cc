@@ -7,9 +7,9 @@
 namespace lightpc::cpu
 {
 
-Core::Core(std::string name, EventQueue &eq, const CoreParams &params,
+Core::Core(EventQueue &eq_in, const CoreParams &params,
            mem::MemoryPort &mem_port)
-    : SimObject(std::move(name), eq),
+    : eq(eq_in),
       _params(params),
       _clock(params.freqMhz),
       fetchRng(CoreParams::fetchSeed)
@@ -82,12 +82,12 @@ void
 Core::run(InstrStream &instr_stream, Tick when)
 {
     if (active)
-        fatal("Core ", name(), " is already running a stream");
+        fatal("Core is already running a stream");
     stream = &instr_stream;
     active = true;
     streamDone = false;
     ++generation;
-    now = std::max(when, eventQueue().now());
+    now = std::max(when, eq.now());
     startedAt = now;
     scheduleEpisode();
 }
@@ -114,7 +114,7 @@ void
 Core::scheduleEpisode()
 {
     const std::uint64_t gen = generation;
-    eventQueue().schedule(now, [this, gen] {
+    eq.schedule(now, [this, gen] {
         if (gen == generation)
             episode();
     });

@@ -25,7 +25,6 @@
 #include "cpu/instr.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
-#include "sim/sim_object.hh"
 #include "sim/ticks.hh"
 
 namespace lightpc::cpu
@@ -85,10 +84,11 @@ struct CoreStats
 /**
  * One core with a private L1 D-cache.
  */
-class Core : public SimObject
+class Core
 {
   public:
-    Core(std::string name, EventQueue &eq, const CoreParams &params,
+    /** A core that schedules its episodes on @p eq. */
+    Core(EventQueue &eq, const CoreParams &params,
          mem::MemoryPort &mem_port);
 
     const CoreParams &params() const { return _params; }
@@ -149,6 +149,7 @@ class Core : public SimObject
     /** Fetch the instruction at the synthetic PC; may stall. */
     void fetch();
 
+    EventQueue &eq;
     CoreParams _params;
     ClockDomain _clock;
     Tick issueCost;  ///< ticks per retired ALU/hit instruction

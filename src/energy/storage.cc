@@ -211,13 +211,6 @@ StoragePlane::unchecked(const EnergyConfig &config)
     return plane;
 }
 
-std::size_t
-StoragePlane::orderedIndex(TierOrder order, std::size_t pos) const
-{
-    return order == TierOrder::Declared
-        ? pos : tiers.size() - 1 - pos;
-}
-
 double
 StoragePlane::totalCapacityJoules() const
 {
@@ -258,25 +251,12 @@ StoragePlane::ticksDeliverable(double deliver_watts) const
     if (deliver_watts <= 0.0)
         return HUGE_VAL;
     double ticks = 0.0;
-    for (std::size_t pos = 0; pos < tiers.size(); ++pos) {
-        const StorageCell &cell =
-            tiers[orderedIndex(cfg.policy.discharge, pos)];
+    for (const StorageCell &cell : tiers) {
         if (cell.socJoules() <= 0.0)
             continue;
         ticks += cell.ticksDeliverable(deliver_watts);
     }
     return ticks;
-}
-
-Tick
-StoragePlane::timeToEmpty(double deliver_watts) const
-{
-    const double ticks = ticksDeliverable(deliver_watts);
-    if (ticks >= static_cast<double>(maxTick))
-        return maxTick;
-    if (ticks <= 0.0)
-        return 0;
-    return static_cast<Tick>(ticks);
 }
 
 double
@@ -298,8 +278,7 @@ StoragePlane::deliver(double deliver_watts, Tick dt)
         return;
     Tick left = dt;
     for (std::size_t pos = 0; pos < tiers.size() && left > 0; ++pos) {
-        StorageCell &cell =
-            tiers[orderedIndex(cfg.policy.discharge, pos)];
+        StorageCell &cell = tiers[pos];
         if (cell.socJoules() <= 0.0)
             continue;
         const double sustain = cell.ticksDeliverable(deliver_watts);
@@ -323,9 +302,7 @@ StoragePlane::recharge(Tick dt)
         return;
     double budget = cfg.policy.chargerWatts;
     const bool unlimited = budget <= 0.0;
-    for (std::size_t pos = 0; pos < tiers.size(); ++pos) {
-        StorageCell &cell =
-            tiers[orderedIndex(cfg.policy.recharge, pos)];
+    for (StorageCell &cell : tiers) {
         // Charge-terminated tiers release their allocation to the
         // rest of the chain (the controller switches that output
         // off); a full tier refilled by the legacy one-expression
@@ -465,8 +442,6 @@ serverHierarchy(double scale)
     config.tiers.push_back(bulk);
     config.tiers.push_back(supercapCell(1.2 * scale));
     config.tiers.push_back(lifepo4Cell(4.8 * scale));
-    config.policy.discharge = TierOrder::Declared;
-    config.policy.recharge = TierOrder::Declared;
     config.policy.chargerWatts = 60.0;
     return config;
 }

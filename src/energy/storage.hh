@@ -158,27 +158,13 @@ class StorageCell
     double _recharged = 0.0;
 };
 
-/** How the controller orders the tiers. */
-enum class TierOrder : std::uint8_t
-{
-    /** Declaration order (fast transient tiers listed first). */
-    Declared,
-    /** Reverse declaration order (deep reserves first). */
-    Reversed,
-};
-
 /**
- * Discharge/recharge ordering policy plus the charger input budget
- * the recharge path splits across tiers.
+ * The charger input budget the recharge path splits across tiers.
+ * Both paths visit the tiers in declaration order: the fast transient
+ * tiers supply the rails first and are refilled first.
  */
 struct ChargePolicy
 {
-    /** Which tier supplies the rails first. */
-    TierOrder discharge = TierOrder::Declared;
-
-    /** Which tier the charger refills first. */
-    TierOrder recharge = TierOrder::Declared;
-
     /**
      * Total charger input power split across tiers while AC is
      * present. 0 means unlimited: every tier charges at its own
@@ -261,13 +247,10 @@ class StoragePlane
 
     /**
      * Ticks (as a double) the plane can sustain @p deliver_watts,
-     * draining tiers in the controller's discharge order. HUGE_VAL
-     * when the load is non-positive.
+     * draining tiers in declaration order. HUGE_VAL when the load is
+     * non-positive.
      */
     double ticksDeliverable(double deliver_watts) const;
-
-    /** ticksDeliverable() truncated to a Tick, saturating at maxTick. */
-    Tick timeToEmpty(double deliver_watts) const;
 
     /**
      * Rail-side energy the plane can still deliver at
@@ -277,15 +260,14 @@ class StoragePlane
     double deliverableJoules(double deliver_watts) const;
 
     /**
-     * Deliver @p deliver_watts for @p dt, draining tiers in the
-     * controller's discharge order. The caller must not exceed
-     * ticksDeliverable().
+     * Deliver @p deliver_watts for @p dt, draining tiers in
+     * declaration order. The caller must not exceed ticksDeliverable().
      */
     void deliver(double deliver_watts, Tick dt);
 
     /**
      * Recharge every tier for @p dt, splitting the charger budget in
-     * the controller's recharge order.
+     * declaration order.
      */
     void recharge(Tick dt);
 
@@ -297,9 +279,6 @@ class StoragePlane
 
   private:
     StoragePlane() = default;
-
-    /** Tier visit order under @p order. */
-    std::size_t orderedIndex(TierOrder order, std::size_t pos) const;
 
     EnergyConfig cfg;
     std::vector<StorageCell> tiers;

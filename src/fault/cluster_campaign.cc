@@ -123,7 +123,6 @@ climbNemesisLadder(cluster::ClusterConfig &cc, std::uint32_t intensity,
     // index) and independent of the mode under test.
     Rng sched(Rng::streamSeed(cc.seed, 0x6e656d73ULL));
     NemesisConfig &nem = cc.nemesis;
-    nem.fifoLinks = false;  // jitter is allowed to reorder
     cc.storms = intensity == 3 ? 2 : 1;
     cc.stormRackSpan = 1;
 
@@ -140,7 +139,6 @@ climbNemesisLadder(cluster::ClusterConfig &cc, std::uint32_t intensity,
         part.mode = cycleMode(seed_idx);
         part.firstRack = static_cast<std::uint32_t>(
             sched.below(cc.racks));
-        part.rackSpan = 1;
         part.start = sched.between(cc.runFor / 4, cc.runFor / 2);
         part.end = part.start
             + sched.between(150 * tickMs, 250 * tickMs);
@@ -180,7 +178,6 @@ climbNemesisLadder(cluster::ClusterConfig &cc, std::uint32_t intensity,
         part.firstRack = storm.racks.empty()
             ? 0
             : std::min(storm.racks.front(), cc.racks - 1);
-        part.rackSpan = 1;
         const Tick lead = 20 * tickMs;
         part.start = storm.startAt > lead ? storm.startAt - lead
                                           : Tick(1);

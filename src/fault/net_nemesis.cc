@@ -61,19 +61,12 @@ validateNemesisConfig(const NemesisConfig &config,
         if (p.end <= p.start)
             fatal("NemesisConfig: partition window [", p.start, ", ",
                   p.end, ") is empty");
-        if (p.rackSpan == 0)
-            fatal("NemesisConfig: partition rackSpan must be >= 1");
         if (p.firstRack >= racks)
             fatal("NemesisConfig: partition firstRack (", p.firstRack,
                   ") must be < racks (", racks, ")");
-        if (p.firstRack + p.rackSpan > racks)
-            fatal("NemesisConfig: partition span [", p.firstRack, ", ",
-                  p.firstRack + p.rackSpan, ") exceeds the rack count (",
-                  racks, ")");
-        if (p.rackSpan >= racks)
-            fatal("NemesisConfig: partition rackSpan (", p.rackSpan,
-                  ") must leave at least one rack outside the island "
-                  "(racks = ", racks, ")");
+        if (racks < 2)
+            fatal("NemesisConfig: a partition needs a rack outside its "
+                  "island (racks = ", racks, ")");
     }
     for (std::size_t i = 0; i < config.partitions.size(); ++i) {
         for (std::size_t j = i + 1; j < config.partitions.size(); ++j) {
@@ -98,7 +91,7 @@ bool
 NetNemesis::inIsland(const PartitionSpec &spec, std::uint32_t rep) const
 {
     const std::uint32_t rack = CutStorm::rackOf(rep, replicas, racks);
-    return rack >= spec.firstRack && rack < spec.firstRack + spec.rackSpan;
+    return rack == spec.firstRack;
 }
 
 bool

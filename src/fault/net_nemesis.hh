@@ -12,14 +12,12 @@
  *    (the copies take independent jitter, so a duplicate can overtake
  *    its original).
  *  - Latency jitter: uniform extra delay in [0, jitterMax) per
- *    message. With fifoLinks=false the per-destination FIFO guarantee
- *    of the link model is dropped and jitter reorders in-flight
- *    messages; with fifoLinks=true arrivals are clamped monotone per
- *    link (jitter stretches latency but preserves order).
+ *    message. Jitter drops the per-destination FIFO guarantee of the
+ *    link model: it reorders in-flight messages.
  *  - Link flaps: scheduled windows during which one replica pair is
  *    dark in both directions.
- *  - Rack-granular partitions: scheduled windows during which an
- *    island of racks is separated from the rest — Symmetric (no
+ *  - Rack-granular partitions: scheduled windows during which one
+ *    rack, the island, is separated from the rest — Symmetric (no
  *    traffic crosses), Asymmetric (the island's sends are dropped but
  *    it still hears the rest), or Partial (each cross-island replica
  *    pair is independently severed with partialCutProb; the coin is
@@ -67,9 +65,9 @@ struct LinkFlap
 };
 
 /**
- * One scheduled rack-granular partition: the island is the contiguous
- * rack range [firstRack, firstRack + rackSpan), mapped to replicas by
- * the same contiguous assignment CutStorm uses (rackOf).
+ * One scheduled rack-granular partition: the island is rack
+ * firstRack, mapped to replicas by the same contiguous assignment
+ * CutStorm uses (rackOf).
  */
 struct PartitionSpec
 {
@@ -77,7 +75,6 @@ struct PartitionSpec
     Tick end = 0;
     PartitionMode mode = PartitionMode::Symmetric;
     std::uint32_t firstRack = 0;
-    std::uint32_t rackSpan = 1;
 };
 
 /** The nemesis shape for one cluster run. Default = inert. */
@@ -89,13 +86,6 @@ struct NemesisConfig
 
     /** Uniform extra delivery delay in [0, jitterMax) per message. */
     Tick jitterMax = 0;
-
-    /**
-     * Preserve per-destination FIFO under jitter (arrivals clamped
-     * monotone per link). False lets jitter reorder in-flight
-     * messages — the delivery order the protocol must survive.
-     */
-    bool fifoLinks = true;
 
     /** Partial-partition per-pair severance probability. */
     double partialCutProb = 0.5;
@@ -117,7 +107,7 @@ struct NemesisConfig
  * probabilities outside [0, 1], flaps with out-of-range or identical
  * endpoints, empty or overlapping flap windows on one pair, partition
  * windows that are empty or overlap each other, and partition islands
- * that fall outside — or swallow — the rack set. Called from
+ * outside the rack set or in a one-rack fleet. Called from
  * validateClusterConfig; exposed for tests.
  */
 void validateNemesisConfig(const NemesisConfig &config,

@@ -22,7 +22,6 @@
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
-#include "sim/sim_object.hh"
 #include "sim/ticks.hh"
 
 // Statistics and reporting.

@@ -67,8 +67,7 @@ KvService::openRoot(Tick &t)
     root = _pool->root(t, rootBytes());
     rootAddr = _pool->direct(t, root);
 
-    RootHeader hdr;
-    _pool->readObject(root, 0, &hdr, sizeof(hdr));
+    RootHeader hdr = header();
     if (hdr.magic == rootMagic) {
         if (hdr.keyCapacity != _params.keyCapacity
             || hdr.dedupCapacity != _params.dedupCapacity)
@@ -79,9 +78,7 @@ KvService::openRoot(Tick &t)
     hdr.magic = rootMagic;
     hdr.keyCapacity = _params.keyCapacity;
     hdr.dedupCapacity = _params.dedupCapacity;
-    clock(t);
-    _pool->writeObject(root, 0, &hdr, sizeof(hdr));
-    t = timed.writeSpan(t, rootAddr, sizeof(hdr));
+    writeRoot(t, 0, &hdr, sizeof(hdr));
 }
 
 void
@@ -113,23 +110,25 @@ KvService::hashOf(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
+KvService::RootHeader
+KvService::header() const
+{
+    RootHeader hdr;
+    _pool->readObject(root, 0, &hdr, sizeof(hdr));
+    return hdr;
+}
+
 void
 KvService::readSlot(std::uint32_t idx, KvSlot &out) const
 {
-    _pool->readObject(root,
-                      keyTableOffset()
-                          + std::uint64_t(idx) * sizeof(KvSlot),
-                      &out, sizeof(out));
+    _pool->readObject(root, slotOffset(idx), &out, sizeof(out));
 }
 
 KvService::DedupEntry
 KvService::dedupAt(std::uint32_t idx) const
 {
     DedupEntry entry;
-    _pool->readObject(root,
-                      dedupOffset()
-                          + std::uint64_t(idx) * sizeof(DedupEntry),
-                      &entry, sizeof(entry));
+    _pool->readObject(root, dedupEntryOffset(idx), &entry, sizeof(entry));
     return entry;
 }
 
@@ -174,6 +173,66 @@ KvService::probeDedup(std::uint64_t req_id, bool &found) const
         idx = (idx + 1) & mask;
     }
     fatal("KvService dedup set full (dedupCapacity too small)");
+}
+
+std::optional<std::uint64_t>
+KvService::chargeDedup(Tick &t, std::uint64_t req_id)
+{
+    bool applied = false;
+    const std::uint32_t idx = probeDedup(req_id, applied);
+    t = timed.readSpan(t, rootAddr + dedupEntryOffset(idx),
+                       sizeof(DedupEntry));
+    if (!applied)
+        return std::nullopt;
+    return dedupAt(idx).version;
+}
+
+std::optional<KvService::KvSlot>
+KvService::chargeKey(Tick &t, std::uint64_t key)
+{
+    bool found = false;
+    const std::uint32_t idx = probeKey(key, found);
+    t = timed.readSpan(t, rootAddr + slotOffset(idx), sizeof(KvSlot));
+    if (!found)
+        return std::nullopt;
+    KvSlot slot;
+    readSlot(idx, slot);
+    return slot;
+}
+
+void
+KvService::putRoot(Tick t, std::uint64_t off, const void *in,
+                   std::uint64_t bytes)
+{
+    clock(t);
+    _pool->writeObject(root, off, in, bytes);
+}
+
+void
+KvService::writeRoot(Tick &t, std::uint64_t off, const void *in,
+                     std::uint64_t bytes)
+{
+    putRoot(t, off, in, bytes);
+    t = timed.writeSpan(t, rootAddr + off, bytes);
+}
+
+void
+KvService::txOpen(Tick &t, std::initializer_list<RootRange> ranges)
+{
+    clock(t);
+    _pool->txBegin(t);
+    for (const RootRange &range : ranges) {
+        clock(t);
+        _pool->txAddRange(t, root, range.off, range.bytes);
+    }
+}
+
+void
+KvService::txClose(Tick &t)
+{
+    clock(t);
+    _pool->txCommit(t);
+    t = timed.fence(t);
 }
 
 template <typename Entry, typename Visit>
@@ -269,13 +328,16 @@ KvService::execute(Tick &t, const RpcRequest &req, bool *deferred)
 
     switch (req.op) {
     case workload::KvOp::Get:
-        resp = executeGet(t, req, deferred);
+        executeGet(t, req, resp, deferred);
         break;
     case workload::KvOp::Put:
-        resp = executePut(t, req, deferred);
+        if (opLogEnabled())
+            executePutOpLog(t, req, resp, deferred);
+        else
+            executePut(t, req, resp);
         break;
     case workload::KvOp::Scan:
-        resp = executeScan(t, req);
+        executeScan(t, req, resp);
         break;
     }
 
@@ -286,14 +348,22 @@ KvService::execute(Tick &t, const RpcRequest &req, bool *deferred)
     return resp;
 }
 
-RpcResponse
-KvService::executeGet(Tick &t, const RpcRequest &req, bool *deferred)
+void
+KvService::replyPending(Tick &t, const PendingPut &p, RpcResponse &resp,
+                        bool *deferred)
 {
-    RpcResponse resp;
-    resp.reqId = req.reqId;
-    resp.client = req.client;
-    resp.attempt = req.attempt;
+    t = timed.readSpan(t, _log->slotAddr((p.seq - 1) * OpLog::recordBytes),
+                       OpLog::recordBytes);
+    if (deferred && !_log->committedThrough(p.seq))
+        *deferred = true;
+    resp.version = p.version;
+    resp.valueSeed = p.valueSeed;
+}
 
+void
+KvService::executeGet(Tick &t, const RpcRequest &req, RpcResponse &resp,
+                      bool *deferred)
+{
     if (_log) {
         // Read-your-writes through the undrained log: the newest
         // record for the key wins over the (stale) pool slot. An ack
@@ -301,259 +371,149 @@ KvService::executeGet(Tick &t, const RpcRequest &req, bool *deferred)
         // that makes it durable, or a crash could un-happen a read.
         const auto it = newestByKey.find(req.key);
         if (it != newestByKey.end()) {
-            const PendingPut &p = it->second;
-            t = timed.readSpan(t, _log->slotAddr((p.seq - 1)
-                                                 * OpLog::recordBytes),
-                               OpLog::recordBytes);
-            if (deferred && !_log->committedThrough(p.seq))
-                *deferred = true;
-            resp.status = RpcStatus::Ok;
-            resp.version = p.version;
-            resp.valueSeed = p.valueSeed;
-            return resp;
+            replyPending(t, it->second, resp, deferred);
+            return;
         }
     }
 
     (void)_pool->direct(t, root);  // swizzle cost per object access
-    bool found = false;
-    const std::uint32_t idx = probeKey(req.key, found);
-    t = timed.readSpan(t,
-                       rootAddr + keyTableOffset()
-                           + std::uint64_t(idx) * sizeof(KvSlot),
-                       sizeof(KvSlot));
-    if (!found) {
+    const std::optional<KvSlot> slot = chargeKey(t, req.key);
+    if (!slot) {
         resp.status = RpcStatus::NotFound;
-        return resp;
+        return;
     }
-    KvSlot slot;
-    readSlot(idx, slot);
-    resp.status = RpcStatus::Ok;
-    resp.version = slot.version;
-    resp.valueSeed = slot.valueSeed;
-    return resp;
+    resp.version = slot->version;
+    resp.valueSeed = slot->valueSeed;
 }
 
 void
 KvService::applyPut(Tick &t, std::uint64_t req_id, std::uint64_t key,
-                    std::uint64_t value_seed, std::uint64_t version,
-                    KvSlot &slot_out)
+                    std::uint64_t value_seed, std::uint64_t version)
 {
     bool key_found = false;
-    const std::uint32_t slot_idx = probeKey(key, key_found);
-    const std::uint64_t slot_off =
-        keyTableOffset() + std::uint64_t(slot_idx) * sizeof(KvSlot);
-    KvSlot slot;
-    readSlot(slot_idx, slot);
-
+    const std::uint64_t slot_off = slotOffset(probeKey(key, key_found));
     bool applied = false;
-    const std::uint32_t dedup_idx = probeDedup(req_id, applied);
+    const std::uint64_t dedup_off =
+        dedupEntryOffset(probeDedup(req_id, applied));
     if (applied)
         fatal("applyPut on an already-applied request ID");
-    const std::uint64_t dedup_off =
-        dedupOffset() + std::uint64_t(dedup_idx) * sizeof(DedupEntry);
     const std::uint64_t count_off = offsetof(RootHeader, appliedCount);
-
-    RootHeader hdr;
-    _pool->readObject(root, 0, &hdr, sizeof(hdr));
+    RootHeader hdr = header();
 
     // The transaction: key slot + dedup entry + applied counter move
     // together or not at all. The write clock advances with t at
     // every stage, so an armed power cut drops a suffix of these
     // writes and recovery rolls the survivors back.
-    clock(t);
-    _pool->txBegin(t);
-    clock(t);
-    _pool->txAddRange(t, root, slot_off, sizeof(KvSlot));
-    clock(t);
-    _pool->txAddRange(t, root, dedup_off, sizeof(DedupEntry));
-    clock(t);
-    _pool->txAddRange(t, root, count_off, sizeof(std::uint64_t));
-
-    slot.key = key;
-    slot.version = version;
-    slot.lastReqId = req_id;
-    slot.valueSeed = value_seed;
-    clock(t);
-    _pool->writeObject(root, slot_off, &slot, sizeof(slot));
-    t = timed.writeSpan(t, rootAddr + slot_off, sizeof(slot));
-
+    txOpen(t, {{slot_off, sizeof(KvSlot)},
+               {dedup_off, sizeof(DedupEntry)},
+               {count_off, sizeof(std::uint64_t)}});
+    const KvSlot slot{key, version, req_id, value_seed};
+    writeRoot(t, slot_off, &slot, sizeof(slot));
     const DedupEntry entry{req_id, t, version};
-    clock(t);
-    _pool->writeObject(root, dedup_off, &entry, sizeof(entry));
-    t = timed.writeSpan(t, rootAddr + dedup_off, sizeof(entry));
-
+    writeRoot(t, dedup_off, &entry, sizeof(entry));
     hdr.appliedCount += 1;
-    clock(t);
-    _pool->writeObject(root, count_off, &hdr.appliedCount,
-                       sizeof(hdr.appliedCount));
-    t = timed.writeSpan(t, rootAddr + count_off,
-                        sizeof(hdr.appliedCount));
-
-    clock(t);
-    _pool->txCommit(t);
-    t = timed.fence(t);
+    writeRoot(t, count_off, &hdr.appliedCount, sizeof(hdr.appliedCount));
+    txClose(t);
 
     ++_stats.putsApplied;
     ++dedupLive;
-    slot_out = slot;
     maybeCompactDedup(t);
 }
 
-RpcResponse
-KvService::executePut(Tick &t, const RpcRequest &req, bool *deferred)
+void
+KvService::executePut(Tick &t, const RpcRequest &req, RpcResponse &resp)
 {
-    if (opLogEnabled())
-        return executePutOpLog(t, req, deferred);
-
-    RpcResponse resp;
-    resp.reqId = req.reqId;
-    resp.client = req.client;
-    resp.attempt = req.attempt;
-
     // Idempotence: a retry of an applied PUT is acknowledged from
     // the dedup set without touching the key table.
-    bool applied = false;
-    const std::uint32_t dedup_idx = probeDedup(req.reqId, applied);
-    t = timed.readSpan(t,
-                       rootAddr + dedupOffset()
-                           + std::uint64_t(dedup_idx)
-                                 * sizeof(DedupEntry),
-                       sizeof(DedupEntry));
-    bool key_found = false;
-    const std::uint32_t slot_idx = probeKey(req.key, key_found);
-    const std::uint64_t slot_off =
-        keyTableOffset() + std::uint64_t(slot_idx) * sizeof(KvSlot);
-    t = timed.readSpan(t, rootAddr + slot_off, sizeof(KvSlot));
-
-    KvSlot slot;
-    readSlot(slot_idx, slot);
-
-    if (applied) {
+    const std::optional<std::uint64_t> done = chargeDedup(t, req.reqId);
+    const std::optional<KvSlot> slot = chargeKey(t, req.key);
+    resp.valueSeed = req.valueSeed;
+    if (done) {
         // Ack the retry with the version ITS write committed at, read
         // from the dedup entry — the key may since have moved on, and
         // a retry acked with a later write's version would read as a
         // lost update to the client-history audit.
         ++_stats.idempotentHits;
-        resp.status = RpcStatus::Ok;
-        resp.version = dedupAt(dedup_idx).version;
-        resp.valueSeed = req.valueSeed;
-        return resp;
+        resp.version = *done;
+        return;
     }
-
-    applyPut(t, req.reqId, req.key, req.valueSeed, slot.version + 1,
-             slot);
-    resp.status = RpcStatus::Ok;
-    resp.version = slot.version;
-    resp.valueSeed = slot.valueSeed;
-    return resp;
+    resp.version = slot ? slot->version + 1 : 1;
+    applyPut(t, req.reqId, req.key, req.valueSeed, resp.version);
 }
 
-RpcResponse
+void
 KvService::executePutOpLog(Tick &t, const RpcRequest &req,
-                           bool *deferred)
+                           RpcResponse &resp, bool *deferred)
 {
-    RpcResponse resp;
-    resp.reqId = req.reqId;
-    resp.client = req.client;
-    resp.attempt = req.attempt;
-
     // Retry of a record still sitting in the log: acknowledge from
     // the pending index; the ack is deferred iff the record's group
     // commit has not happened yet.
     const auto pit = pendingByReq.find(req.reqId);
     if (pit != pendingByReq.end()) {
         ++_stats.idempotentHits;
-        t = timed.readSpan(t,
-                           _log->slotAddr((pit->second.seq - 1)
-                                          * OpLog::recordBytes),
-                           OpLog::recordBytes);
-        if (deferred && !_log->committedThrough(pit->second.seq))
-            *deferred = true;
-        resp.status = RpcStatus::Ok;
-        resp.version = pit->second.version;
-        resp.valueSeed = pit->second.valueSeed;
-        return resp;
+        replyPending(t, pit->second, resp, deferred);
+        return;
     }
 
-    // Retry of a record already drained into the pool.
-    bool applied = false;
-    const std::uint32_t dedup_idx = probeDedup(req.reqId, applied);
-    t = timed.readSpan(t,
-                       rootAddr + dedupOffset()
-                           + std::uint64_t(dedup_idx)
-                                 * sizeof(DedupEntry),
-                       sizeof(DedupEntry));
-    if (applied) {
-        // As in executePut: echo the drained record's own committed
-        // version from the dedup entry, not the key's current one.
+    // Retry of a record already drained into the pool: as in
+    // executePut, echo its own committed version, not the key's
+    // current one.
+    resp.valueSeed = req.valueSeed;
+    if (const std::optional<std::uint64_t> done =
+            chargeDedup(t, req.reqId)) {
         ++_stats.idempotentHits;
-        resp.status = RpcStatus::Ok;
-        resp.version = dedupAt(dedup_idx).version;
-        resp.valueSeed = req.valueSeed;
-        return resp;
+        resp.version = *done;
+        return;
     }
 
     // The version is fixed at append time so replay can install it
     // absolutely; it chains through undrained records for the key.
-    std::uint64_t version = 0;
     const auto kit = newestByKey.find(req.key);
     if (kit != newestByKey.end()) {
-        version = kit->second.version + 1;
+        resp.version = kit->second.version + 1;
     } else {
-        bool key_found = false;
-        const std::uint32_t slot_idx = probeKey(req.key, key_found);
-        t = timed.readSpan(t,
-                           rootAddr + keyTableOffset()
-                               + std::uint64_t(slot_idx)
-                                     * sizeof(KvSlot),
-                           sizeof(KvSlot));
-        KvSlot slot;
-        readSlot(slot_idx, slot);
-        version = slot.version + 1;
+        const std::optional<KvSlot> slot = chargeKey(t, req.key);
+        resp.version = slot ? slot->version + 1 : 1;
     }
+    appendRecord(t, req.reqId, req.key, req.valueSeed, resp.version,
+                 req.client);
+    if (deferred)
+        *deferred = true;
+}
 
+void
+KvService::appendRecord(Tick &t, std::uint64_t req_id, std::uint64_t key,
+                        std::uint64_t value_seed, std::uint64_t version,
+                        std::uint32_t client)
+{
     if (_log->wouldBlock()) {
         // Ring full against the *persisted* head: take the slow path
         // once — commit, drain the whole backlog, persist the head —
         // then append. This is the stall the group-commit cadence is
         // tuned to avoid.
         ++_stats.logStallDrains;
-        logCommit(t);
-        while (logDrain(t, 64) != 0) {
-        }
+        logDrainAll(t);
     }
 
     OpRecord rec;
-    rec.reqId = req.reqId;
-    rec.key = req.key;
-    rec.valueSeed = req.valueSeed;
+    rec.reqId = req_id;
+    rec.key = key;
+    rec.valueSeed = value_seed;
     rec.version = version;
-    rec.client = req.client;
+    rec.client = client;
     rec.appendedAt = t;
     const std::uint64_t seq = _log->append(t, rec);
     ++_stats.logAppends;
 
-    const PendingPut pending{req.key, version, req.valueSeed, seq};
-    pendingByReq.emplace(req.reqId, pending);
-    newestByKey[req.key] = pending;
-
-    if (deferred)
-        *deferred = true;
-    resp.status = RpcStatus::Ok;
-    resp.version = version;
-    resp.valueSeed = req.valueSeed;
-    return resp;
+    const PendingPut pending{key, version, value_seed, seq};
+    pendingByReq.emplace(req_id, pending);
+    newestByKey[key] = pending;
 }
 
-RpcResponse
-KvService::executeScan(Tick &t, const RpcRequest &req)
+void
+KvService::executeScan(Tick &t, const RpcRequest &req, RpcResponse &resp)
 {
     ++_stats.scans;
-    RpcResponse resp;
-    resp.reqId = req.reqId;
-    resp.client = req.client;
-    resp.attempt = req.attempt;
-
     const std::uint32_t mask = _params.keyCapacity - 1;
     const std::uint32_t len = std::min(
         req.scanLength == 0 ? 1u : req.scanLength,
@@ -570,9 +530,7 @@ KvService::executeScan(Tick &t, const RpcRequest &req)
     }
     t = timed.readSpan(t, rootAddr + keyTableOffset(),
                        std::uint64_t(len) * sizeof(KvSlot));
-    resp.status = RpcStatus::Ok;
     resp.valueSeed = digest;
-    return resp;
 }
 
 // --- op-log control ---------------------------------------------------
@@ -606,17 +564,8 @@ KvService::logDrain(Tick &t, std::uint64_t max_records)
     std::uint64_t processed = 0;
     while (processed < max_records && _log->backlogRecords() > 0) {
         const OpRecord rec = _log->readHead(t);
-        bool applied = false;
-        const std::uint32_t dedup_idx = probeDedup(rec.reqId, applied);
-        t = timed.readSpan(t,
-                           rootAddr + dedupOffset()
-                               + std::uint64_t(dedup_idx)
-                                     * sizeof(DedupEntry),
-                           sizeof(DedupEntry));
-        if (!applied) {
-            KvSlot slot;
-            applyPut(t, rec.reqId, rec.key, rec.valueSeed, rec.version,
-                     slot);
+        if (!chargeDedup(t, rec.reqId)) {
+            applyPut(t, rec.reqId, rec.key, rec.valueSeed, rec.version);
             ++_stats.logDrainApplied;
         }
         _log->pop();
@@ -658,8 +607,7 @@ KvService::maybeCompactDedup(Tick &t)
     if (dedupLive < threshold || dedupLive < compactionHoldoff)
         return;
 
-    RootHeader hdr;
-    _pool->readObject(root, 0, &hdr, sizeof(hdr));
+    RootHeader hdr = header();
     const Tick floor = std::max<Tick>(
         hdr.dedupFloor,
         t > _params.dedupRetention ? t - _params.dedupRetention : 0);
@@ -691,44 +639,26 @@ KvService::maybeCompactDedup(Tick &t)
     // is ever half-forgotten.
     const std::uint64_t region =
         std::uint64_t(_params.dedupCapacity) * sizeof(DedupEntry);
-    clock(t);
-    _pool->txBegin(t);
-    clock(t);
-    _pool->txAddRange(t, root, dedupOffset(), region);
-    clock(t);
-    _pool->txAddRange(t, root, 0, sizeof(RootHeader));
+    txOpen(t, {{dedupOffset(), region}, {0, sizeof(RootHeader)}});
 
     std::vector<unsigned char> zeros(4096, 0);
-    for (std::uint64_t off = 0; off < region; off += zeros.size()) {
-        const std::uint64_t n =
-            std::min<std::uint64_t>(zeros.size(), region - off);
-        clock(t);
-        _pool->writeObject(root, dedupOffset() + off, zeros.data(), n);
-    }
+    for (std::uint64_t off = 0; off < region; off += zeros.size())
+        putRoot(t, dedupOffset() + off, zeros.data(),
+                std::min<std::uint64_t>(zeros.size(), region - off));
     t = timed.writeSpan(t, rootAddr + dedupOffset(), region);
 
     for (const DedupEntry &entry : survivors) {
         bool found = false;
-        const std::uint32_t idx = probeDedup(entry.id, found);
-        clock(t);
-        _pool->writeObject(root,
-                           dedupOffset()
-                               + std::uint64_t(idx)
-                                     * sizeof(DedupEntry),
-                           &entry, sizeof(entry));
+        putRoot(t, dedupEntryOffset(probeDedup(entry.id, found)), &entry,
+                sizeof(entry));
     }
     t = timed.writeSpan(t, rootAddr + dedupOffset(),
                         survivors.size() * sizeof(DedupEntry));
 
     hdr.compactedCount += evicted;
     hdr.dedupFloor = floor;
-    clock(t);
-    _pool->writeObject(root, 0, &hdr, sizeof(hdr));
-    t = timed.writeSpan(t, rootAddr, sizeof(hdr));
-
-    clock(t);
-    _pool->txCommit(t);
-    t = timed.fence(t);
+    writeRoot(t, 0, &hdr, sizeof(hdr));
+    txClose(t);
 
     dedupLive -= evicted;
     ++_stats.dedupCompactions;
@@ -764,15 +694,11 @@ KvService::recover(Tick &t)
         fatal("op-log recovery: committed tail not covered by valid "
               "records (persist ordering broken)");
     for (const OpRecord &rec : scan.records) {
-        bool applied = false;
-        probeDedup(rec.reqId, applied);
-        if (applied) {
+        if (appliedVersion(rec.reqId)) {
             ++_stats.logReplaySkipped;
             continue;
         }
-        KvSlot slot;
-        applyPut(t, rec.reqId, rec.key, rec.valueSeed, rec.version,
-                 slot);
+        applyPut(t, rec.reqId, rec.key, rec.valueSeed, rec.version);
         ++_stats.logReplayApplied;
     }
     _log->resetAfterReplay(t);
@@ -806,25 +732,19 @@ KvService::appliedIds() const
 std::uint64_t
 KvService::appliedCount() const
 {
-    RootHeader hdr;
-    _pool->readObject(root, 0, &hdr, sizeof(hdr));
-    return hdr.appliedCount;
+    return header().appliedCount;
 }
 
 std::uint64_t
 KvService::compactedCount() const
 {
-    RootHeader hdr;
-    _pool->readObject(root, 0, &hdr, sizeof(hdr));
-    return hdr.compactedCount;
+    return header().compactedCount;
 }
 
 Tick
 KvService::dedupFloor() const
 {
-    RootHeader hdr;
-    _pool->readObject(root, 0, &hdr, sizeof(hdr));
-    return hdr.dedupFloor;
+    return header().dedupFloor;
 }
 
 // --- cluster replication hooks ---------------------------------------
@@ -832,8 +752,7 @@ KvService::dedupFloor() const
 ClusterMeta
 KvService::clusterMeta() const
 {
-    RootHeader hdr;
-    _pool->readObject(root, 0, &hdr, sizeof(hdr));
+    const RootHeader hdr = header();
     return ClusterMeta{hdr.replSeq, hdr.replEpoch, hdr.replVote,
                        hdr.replCommit, hdr.replCommitEpoch};
 }
@@ -842,93 +761,40 @@ void
 KvService::persistClusterMeta(Tick &t, const ClusterMeta &meta)
 {
     const std::uint64_t off = offsetof(RootHeader, replSeq);
-    const std::uint64_t bytes = 5 * sizeof(std::uint64_t);
     const std::uint64_t words[5] = {meta.seq, meta.epoch,
                                     meta.voteWord, meta.commit,
                                     meta.commitEpoch};
-    clock(t);
-    _pool->txBegin(t);
-    clock(t);
-    _pool->txAddRange(t, root, off, bytes);
-    clock(t);
-    _pool->writeObject(root, off, words, bytes);
-    t = timed.writeSpan(t, rootAddr + off, bytes);
-    clock(t);
-    _pool->txCommit(t);
-    t = timed.fence(t);
+    txOpen(t, {{off, sizeof(words)}});
+    writeRoot(t, off, words, sizeof(words));
+    txClose(t);
 }
 
-bool
+void
 KvService::applyReplicated(Tick &t, std::uint64_t req_id,
                            std::uint64_t key, std::uint64_t value_seed,
                            std::uint64_t version)
 {
-    bool applied = false;
-    const std::uint32_t dedup_idx = probeDedup(req_id, applied);
-    t = timed.readSpan(t,
-                       rootAddr + dedupOffset()
-                           + std::uint64_t(dedup_idx)
-                                 * sizeof(DedupEntry),
-                       sizeof(DedupEntry));
-    if (applied)
-        return false;
-
-    bool key_found = false;
-    const std::uint32_t slot_idx = probeKey(key, key_found);
-    t = timed.readSpan(t,
-                       rootAddr + keyTableOffset()
-                           + std::uint64_t(slot_idx) * sizeof(KvSlot),
-                       sizeof(KvSlot));
-    KvSlot slot;
-    readSlot(slot_idx, slot);
-    if (key_found && slot.version >= version)
-        return false;  // stale (snapshot replayed over newer state)
-
-    applyPut(t, req_id, key, value_seed, version, slot);
-    return true;
+    if (chargeDedup(t, req_id))
+        return;
+    const std::optional<KvSlot> slot = chargeKey(t, key);
+    if (slot && slot->version >= version)
+        return;  // stale (snapshot replayed over newer state)
+    applyPut(t, req_id, key, value_seed, version);
 }
 
-bool
-KvService::appendReplicated(Tick &t, std::uint64_t req_id,
-                            std::uint64_t key, std::uint64_t value_seed,
-                            std::uint64_t version, std::uint32_t client)
+void
+KvService::applyCommitted(Tick &t, std::uint64_t req_id,
+                          std::uint64_t key, std::uint64_t value_seed,
+                          std::uint64_t version, std::uint32_t client)
 {
-    if (!_log)
-        fatal("appendReplicated needs the op-log write path");
-    if (pendingByReq.find(req_id) != pendingByReq.end())
-        return false;
-    bool applied = false;
-    const std::uint32_t dedup_idx = probeDedup(req_id, applied);
-    t = timed.readSpan(t,
-                       rootAddr + dedupOffset()
-                           + std::uint64_t(dedup_idx)
-                                 * sizeof(DedupEntry),
-                       sizeof(DedupEntry));
-    if (applied)
-        return false;
-
-    if (_log->wouldBlock()) {
-        // Same slow path as a local op-log PUT against a full ring.
-        ++_stats.logStallDrains;
-        logCommit(t);
-        while (logDrain(t, 64) != 0) {
-        }
+    if (!_log) {
+        applyReplicated(t, req_id, key, value_seed, version);
+        chargeCheckpoint(t);
+        return;
     }
-
-    OpRecord rec;
-    rec.reqId = req_id;
-    rec.key = key;
-    rec.valueSeed = value_seed;
-    rec.version = version;
-    rec.client = client;
-    rec.appendedAt = t;
-    const std::uint64_t seq = _log->append(t, rec);
-    ++_stats.logAppends;
-
-    const PendingPut pending{key, version, value_seed, seq};
-    pendingByReq.emplace(req_id, pending);
-    newestByKey[key] = pending;
-    return true;
+    if (logPending(req_id) || chargeDedup(t, req_id))
+        return;
+    appendRecord(t, req_id, key, value_seed, version, client);
 }
 
 std::vector<KvKeyState>
@@ -943,14 +809,6 @@ KvService::snapshotRecords() const
                                      slot.lastReqId, slot.valueSeed});
                          });
     return out;
-}
-
-bool
-KvService::isApplied(std::uint64_t req_id) const
-{
-    bool applied = false;
-    probeDedup(req_id, applied);
-    return applied;
 }
 
 std::optional<std::uint64_t>

@@ -41,6 +41,7 @@
 #define LIGHTPC_NET_KV_SERVICE_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -284,39 +285,31 @@ class KvService
      * installing the absolute @p version fixed by the leader. Dedup
      * hits and stale versions (slot already at >= @p version, e.g. a
      * snapshot replayed over delta-applied state) are skipped.
-     * @return true iff the record was newly applied.
      */
-    bool applyReplicated(Tick &t, std::uint64_t req_id,
+    void applyReplicated(Tick &t, std::uint64_t req_id,
                          std::uint64_t key, std::uint64_t value_seed,
                          std::uint64_t version);
 
     /**
-     * A-CheckPC's synchronous per-op checkpoint copy (no-op unless
-     * checkpointBytesPerOp is set); execute() pays it on every PUT.
+     * Install one committed replicated record through this service's
+     * write path. The op-log path appends it (skipping a record
+     * already pending or applied) and leaves it for the plane-driven
+     * group commit + drain, exactly like a local op-log PUT; the undo
+     * path applies it (applyReplicated) and pays A-CheckPC's per-op
+     * checkpoint.
      */
-    void chargeCheckpoint(Tick &t);
-
-    /**
-     * Op-log path of a replicated commit: append the record (version
-     * fixed by the leader) and leave it for the plane-driven group
-     * commit + drain, exactly like a local op-log PUT. @return true
-     * iff newly appended (false = already pending or applied).
-     */
-    bool appendReplicated(Tick &t, std::uint64_t req_id,
-                          std::uint64_t key, std::uint64_t value_seed,
-                          std::uint64_t version, std::uint32_t client);
+    void applyCommitted(Tick &t, std::uint64_t req_id, std::uint64_t key,
+                        std::uint64_t value_seed, std::uint64_t version,
+                        std::uint32_t client);
 
     /** Every occupied key slot (slot order) — full-resync payload. */
     std::vector<KvKeyState> snapshotRecords() const;
-
-    /** Is @p req_id in the persistent dedup set? */
-    bool isApplied(std::uint64_t req_id) const;
 
     /**
      * The version @p req_id's PUT committed at, if it is in the
      * persistent dedup set — the version an idempotent retry ack must
      * echo (NOT the key's current version, which may already belong
-     * to a later write).
+     * to a later write). Uncharged: no simulated time passes.
      */
     std::optional<std::uint64_t>
     appliedVersion(std::uint64_t req_id) const;
@@ -393,13 +386,29 @@ class KvService
         std::uint64_t seq = 0;  ///< log sequence number
     };
 
+    /** A byte range of the root object. */
+    struct RootRange
+    {
+        std::uint64_t off = 0;
+        std::uint64_t bytes = 0;
+    };
+
     std::uint64_t rootBytes() const;
     std::uint64_t keyTableOffset() const { return sizeof(RootHeader); }
     std::uint64_t
+    slotOffset(std::uint32_t idx) const
+    {
+        return keyTableOffset() + std::uint64_t(idx) * sizeof(KvSlot);
+    }
+    std::uint64_t
     dedupOffset() const
     {
-        return keyTableOffset()
-            + std::uint64_t(_params.keyCapacity) * sizeof(KvSlot);
+        return slotOffset(_params.keyCapacity);
+    }
+    std::uint64_t
+    dedupEntryOffset(std::uint32_t idx) const
+    {
+        return dedupOffset() + std::uint64_t(idx) * sizeof(DedupEntry);
     }
 
     void openRoot(Tick &t);
@@ -417,8 +426,54 @@ class KvService
     /** Dedup probe: slot holding @p req_id, or first empty slot. */
     std::uint32_t probeDedup(std::uint64_t req_id, bool &found) const;
 
+    RootHeader header() const;
     void readSlot(std::uint32_t idx, KvSlot &out) const;
     DedupEntry dedupAt(std::uint32_t idx) const;
+
+    // The persist steps. Every PUT entry point is built from these,
+    // so each step's simulated cost is stated once.
+
+    /**
+     * Probe the dedup set for @p req_id and charge the entry's read.
+     * @return the version its PUT committed at, if already applied.
+     */
+    std::optional<std::uint64_t> chargeDedup(Tick &t,
+                                             std::uint64_t req_id);
+
+    /**
+     * Probe the key table for @p key and charge the slot's read.
+     * @return the slot's contents, if the key is present.
+     */
+    std::optional<KvSlot> chargeKey(Tick &t, std::uint64_t key);
+
+    /**
+     * Append a PUT record to the op log, first draining the whole
+     * backlog when the ring is full against the persisted head, and
+     * index it as pending.
+     */
+    void appendRecord(Tick &t, std::uint64_t req_id, std::uint64_t key,
+                      std::uint64_t value_seed, std::uint64_t version,
+                      std::uint32_t client);
+
+    /** Begin an undo transaction over each root range in @p ranges. */
+    void txOpen(Tick &t, std::initializer_list<RootRange> ranges);
+
+    /** Write root bytes at @p off, clocked at @p t but not charged. */
+    void putRoot(Tick t, std::uint64_t off, const void *in,
+                 std::uint64_t bytes);
+
+    /** putRoot(), then charge the write through the timed memory. */
+    void writeRoot(Tick &t, std::uint64_t off, const void *in,
+                   std::uint64_t bytes);
+
+    /** Commit the open transaction and fence. */
+    void txClose(Tick &t);
+
+    /**
+     * A-CheckPC's synchronous per-op checkpoint copy (no-op unless
+     * checkpointBytesPerOp is set).
+     */
+    void chargeCheckpoint(Tick &t);
 
     /**
      * Visit each of the @p count @p Entry records at root offset
@@ -433,13 +488,19 @@ class KvService
     /** Recount occupied dedup slots (ctor / recovery). */
     void rebuildDedupLive();
 
-    RpcResponse executeGet(Tick &t, const RpcRequest &req,
-                           bool *deferred);
-    RpcResponse executePut(Tick &t, const RpcRequest &req,
-                           bool *deferred);
-    RpcResponse executePutOpLog(Tick &t, const RpcRequest &req,
-                                bool *deferred);
-    RpcResponse executeScan(Tick &t, const RpcRequest &req);
+    /**
+     * Answer from an undrained op-log record: charge its read, and
+     * defer the ack while its group commit is still ahead.
+     */
+    void replyPending(Tick &t, const PendingPut &p, RpcResponse &resp,
+                      bool *deferred);
+
+    void executeGet(Tick &t, const RpcRequest &req, RpcResponse &resp,
+                    bool *deferred);
+    void executePut(Tick &t, const RpcRequest &req, RpcResponse &resp);
+    void executePutOpLog(Tick &t, const RpcRequest &req,
+                         RpcResponse &resp, bool *deferred);
+    void executeScan(Tick &t, const RpcRequest &req, RpcResponse &resp);
 
     /**
      * The shared apply transaction: key slot + dedup entry + applied
@@ -448,8 +509,7 @@ class KvService
      * the op-log drain passes the version fixed at append).
      */
     void applyPut(Tick &t, std::uint64_t req_id, std::uint64_t key,
-                  std::uint64_t value_seed, std::uint64_t version,
-                  KvSlot &slot_out);
+                  std::uint64_t value_seed, std::uint64_t version);
 
     /** Drop a drained/applied record from the pending-put maps. */
     void forgetPending(const OpRecord &rec);

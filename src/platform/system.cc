@@ -74,9 +74,8 @@ System::System(const SystemConfig &config)
     cpu::CoreParams core_params;
     core_params.freqMhz = _config.freqMhz;
     for (std::uint32_t i = 0; i < _config.cores; ++i) {
-        cores.push_back(std::make_unique<cpu::Core>(
-            "system.core" + std::to_string(i), eq, core_params,
-            *routedPort));
+        cores.push_back(
+            std::make_unique<cpu::Core>(eq, core_params, *routedPort));
     }
 
     kernel::KernelParams kparams = _config.kernel;

@@ -70,7 +70,7 @@ TEST(Core, AluWorkRetiresAtIssueRate)
 {
     EventQueue eq;
     StubMemory mem(100 * tickNs);
-    Core core("c0", eq, testCore(), mem);
+    Core core(eq, testCore(), mem);
 
     ListStream stream(std::vector<Instr>(1000, {InstrKind::Alu, 0}));
     core.run(stream, 0);
@@ -87,7 +87,7 @@ TEST(Core, LoadMissBlocksTheCore)
 {
     EventQueue eq;
     StubMemory mem(100 * tickNs);
-    Core core("c0", eq, testCore(), mem);
+    Core core(eq, testCore(), mem);
 
     ListStream stream({{InstrKind::Load, 0}, {InstrKind::Alu, 0}});
     core.run(stream, 0);
@@ -102,7 +102,7 @@ TEST(Core, CachedLoadsDoNotStall)
 {
     EventQueue eq;
     StubMemory mem(100 * tickNs);
-    Core core("c0", eq, testCore(), mem);
+    Core core(eq, testCore(), mem);
 
     std::vector<Instr> instrs(100, {InstrKind::Load, 0});
     ListStream stream(instrs);
@@ -118,7 +118,7 @@ TEST(Core, StoresRetireThroughStoreBuffer)
 {
     EventQueue eq;
     StubMemory mem(1000 * tickNs);
-    Core core("c0", eq, testCore(), mem);
+    Core core(eq, testCore(), mem);
 
     //8 distinct-line store misses fit the 8-entry store buffer; the
     // core keeps going without waiting 1000 ns each.
@@ -139,7 +139,7 @@ TEST(Core, StoreBufferBackpressure)
     StubMemory mem(1000 * tickNs);
     CoreParams params = testCore();
     params.storeBufferEntries = 2;
-    Core core("c0", eq, params, mem);
+    Core core(eq, params, mem);
 
     std::vector<Instr> instrs;
     for (int i = 0; i < 6; ++i)
@@ -157,7 +157,7 @@ TEST(Core, StopParksTheCore)
     StubMemory mem(10 * tickNs);
     CoreParams params = testCore();
     params.episodeLimit = 16;
-    Core core("c0", eq, params, mem);
+    Core core(eq, params, mem);
 
     ListStream stream(
         std::vector<Instr>(100000, {InstrKind::Alu, 0}));
@@ -176,7 +176,7 @@ TEST(Core, FinishedCallbackFires)
 {
     EventQueue eq;
     StubMemory mem(10 * tickNs);
-    Core core("c0", eq, testCore(), mem);
+    Core core(eq, testCore(), mem);
 
     bool fired = false;
     core.onFinished([&] { fired = true; });
@@ -194,8 +194,8 @@ TEST(Core, FrequencyScalesExecutionTime)
     CoreParams fast = testCore();
     CoreParams slow = testCore();
     slow.freqMhz = 400;  // the FPGA configuration
-    Core a("fast", eq1, fast, mem1);
-    Core b("slow", eq2, slow, mem2);
+    Core a(eq1, fast, mem1);
+    Core b(eq2, slow, mem2);
 
     std::vector<Instr> instrs(1000, {InstrKind::Alu, 0});
     ListStream s1(instrs), s2(instrs);
@@ -216,7 +216,7 @@ TEST(Core, MemoryBoundWorkStallsMoreAtHigherFrequency)
         CoreParams params;
         params.freqMhz = mhz;
         params.dcache.capacityBytes = 512;
-        Core core("c", eq, params, mem);
+        Core core(eq, params, mem);
         std::vector<Instr> instrs;
         for (int i = 0; i < 2000; ++i) {
             // Streaming loads: mostly misses.
@@ -241,7 +241,7 @@ TEST(CoreIFetch, DisabledByDefault)
 {
     EventQueue eq;
     StubMemory mem(100 * tickNs);
-    Core core("c0", eq, testCore(), mem);
+    Core core(eq, testCore(), mem);
     EXPECT_EQ(core.icache(), nullptr);
 
     ListStream stream(std::vector<Instr>(100, {InstrKind::Alu, 0}));
@@ -257,7 +257,7 @@ TEST(CoreIFetch, SmallCodeFitsTheICache)
     StubMemory mem(100 * tickNs);
     CoreParams params = testCore();
     params.modelIFetch = true;
-    Core core("c0", eq, params, mem);
+    Core core(eq, params, mem);
     core.setCodeRegion(1 << 30, 8 * 1024);  // fits 16 KB I$
 
     ListStream stream(
@@ -276,7 +276,7 @@ TEST(CoreIFetch, LargeCodeThrashesTheICache)
     CoreParams params = testCore();
     params.modelIFetch = true;
     params.branchProbability = 0.2;  // jumpy control flow
-    Core core("c0", eq, params, mem);
+    Core core(eq, params, mem);
     core.setCodeRegion(1 << 30, 4 << 20);  // 4 MB >> 16 KB I$
 
     ListStream stream(
@@ -294,7 +294,7 @@ TEST(CoreIFetch, RejectsTinyCodeRegion)
     StubMemory mem(10 * tickNs);
     CoreParams params = testCore();
     params.modelIFetch = true;
-    Core core("c0", eq, params, mem);
+    Core core(eq, params, mem);
     EXPECT_THROW(core.setCodeRegion(0, 32), lightpc::FatalError);
 }
 

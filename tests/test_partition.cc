@@ -51,7 +51,6 @@ validNem()
     part.start = 300 * tickMs;
     part.end = 400 * tickMs;
     part.firstRack = 0;
-    part.rackSpan = 1;
     nem.partitions.push_back(part);
     return nem;
 }
@@ -149,30 +148,18 @@ TEST(NemesisValidation, RejectsEmptyPartitionWindow)
     expectRejected(nem);
 }
 
-TEST(NemesisValidation, RejectsZeroRackIsland)
-{
-    NemesisConfig nem = validNem();
-    nem.partitions[0].rackSpan = 0;
-    expectRejected(nem);
-}
-
 TEST(NemesisValidation, RejectsIslandOutsideTheRackSet)
 {
     NemesisConfig nem = validNem();
     nem.partitions[0].firstRack = 2;  // racks are 0..1
     expectRejected(nem);
-
-    nem = validNem();
-    nem.partitions[0].firstRack = 1;
-    nem.partitions[0].rackSpan = 2;  // runs past the last rack
-    expectRejected(nem);
 }
 
 TEST(NemesisValidation, RejectsIslandSwallowingTheFleet)
 {
-    NemesisConfig nem = validNem();
-    nem.partitions[0].rackSpan = 2;  // all racks: nobody left outside
-    expectRejected(nem);
+    // One rack: the island is the whole fleet, nobody left outside.
+    EXPECT_THROW(fault::validateNemesisConfig(validNem(), 3, 1),
+                 FatalError);
 }
 
 TEST(NemesisValidation, RejectsConcurrentPartitions)
@@ -182,7 +169,6 @@ TEST(NemesisValidation, RejectsConcurrentPartitions)
     second.start = 350 * tickMs;  // overlaps [300, 400)
     second.end = 450 * tickMs;
     second.firstRack = 1;
-    second.rackSpan = 1;
     nem.partitions.push_back(second);
     expectRejected(nem);
 
@@ -273,7 +259,6 @@ TEST(NetNemesis, SymmetricPartitionSeversBothDirections)
     part.start = 100 * tickMs;
     part.end = 200 * tickMs;
     part.firstRack = 0;
-    part.rackSpan = 1;
     part.mode = PartitionMode::Symmetric;
     cfg.partitions.push_back(part);
     NetNemesis nem(cfg, 1, 3, 2);
@@ -295,7 +280,6 @@ TEST(NetNemesis, AsymmetricPartitionDropsOnlyTheIslandsSends)
     part.start = 100 * tickMs;
     part.end = 200 * tickMs;
     part.firstRack = 1;  // island = rack 1 = {2}
-    part.rackSpan = 1;
     part.mode = PartitionMode::Asymmetric;
     cfg.partitions.push_back(part);
     NetNemesis nem(cfg, 1, 3, 2);
@@ -316,7 +300,6 @@ TEST(NetNemesis, PartialPartitionIsAStableUnorderedGraph)
     part.start = 100 * tickMs;
     part.end = 200 * tickMs;
     part.firstRack = 0;
-    part.rackSpan = 1;
     part.mode = PartitionMode::Partial;
     cfg.partitions.push_back(part);
     cfg.partialCutProb = 0.5;
@@ -566,12 +549,10 @@ nemesisCluster(net::PersistMode mode, std::uint64_t seed)
     cfg.nemesis.dropProb = 0.02;
     cfg.nemesis.dupProb = 0.02;
     cfg.nemesis.jitterMax = 40 * tickUs;
-    cfg.nemesis.fifoLinks = false;
     PartitionSpec part;
     part.start = 250 * tickMs;
     part.end = 450 * tickMs;
     part.firstRack = 1;  // sever the minority replica
-    part.rackSpan = 1;
     part.mode = PartitionMode::Symmetric;
     cfg.nemesis.partitions.push_back(part);
     cfg.nemesis.flaps.push_back(
@@ -618,7 +599,6 @@ TEST(ClusterNemesis, PreVoteKeepsAPartitionedMinorityFromBurningEpochs)
     part.start = 200 * tickMs;
     part.end = 700 * tickMs;
     part.firstRack = 1;
-    part.rackSpan = 1;
     part.mode = PartitionMode::Symmetric;
     cfg.nemesis.partitions.push_back(part);
 

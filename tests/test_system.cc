@@ -304,7 +304,7 @@ TEST(System, InstructionFetchCoreIsUnchangedByRunEntries)
         cpu::CoreParams params;
         params.modelIFetch = true;
         params.branchProbability = 0.08;
-        cpu::Core core("icore", system.eventQueue(), params,
+        cpu::Core core(system.eventQueue(), params,
                        system.memoryPort());
         core.setCodeRegion(std::uint64_t(3) << 30, 512 << 10);
         if (single_step)
